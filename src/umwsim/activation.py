@@ -1,34 +1,10 @@
 """Max-weight link activation over an activation set."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import TopologyError
-from .topology import ActivationSet
-
-
-@dataclass(frozen=True)
-class ActivationVector:
-    """The edge subset scheduled to transmit this slot."""
-
-    active: frozenset[int]
-    edge_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "active", frozenset(int(e) for e in self.active))
-        if not all(0 <= e < self.edge_count for e in self.active):
-            raise TopologyError("active edge id out of range")
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        """0/1 service vector of length m."""
-        mu = np.zeros(self.edge_count, dtype=np.int64)
-        for e in self.active:
-            mu[e] = 1
-        return mu
+from .topology import ActivationSet, ActivationVector
 
 
 def max_weight_activation(aset: ActivationSet, w) -> ActivationVector:
@@ -38,15 +14,14 @@ def max_weight_activation(aset: ActivationSet, w) -> ActivationVector:
     Ties resolve to the first maximizing member, which is the smallest
     member index for explicit sets and the lexicographically smallest
     edge set for materialized matchings (members are stored sorted).
+    The result is the set's shared vector for that member.
     """
     w = np.asarray(w)
     if w.shape != (aset.edge_count,):
         raise TopologyError(f"expected {aset.edge_count} weights, got {w.shape}")
     if aset.kind == "wired":
-        return ActivationVector(frozenset(range(aset.edge_count)), aset.edge_count)
-    scores = aset.member_matrix @ w
-    idx = int(np.argmax(scores))
-    return ActivationVector(aset.members[idx], aset.edge_count)
+        return aset.vectors[0]
+    return aset.vectors[int(np.argmax(aset.member_matrix @ w))]
 
 
 def activation_weight(a: ActivationVector, w) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .activation import max_weight_activation
 from .capacity import CapacityCertificate, max_scaling
 from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
-from .policy import BPState, POLICY_NAMES, solve_route
+from .policy import BPState, POLICY_NAMES, RouteCache, solve_route
 from .routing import RouteTree
 from .topology import ActivationSet, Graph, builtin_topology, load_activation, load_topology
 from .traffic import (
@@ -44,6 +44,10 @@ class MetricsOptions:
     diagnostics: bool = False
     stability_eps: float = 0.05
     divergence_factor: float = 3.0
+
+    def __post_init__(self):
+        if self.record_every < 1:
+            raise ConfigError(f"metrics.record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,9 @@ def config_from_dict(doc: dict, **overrides) -> SimulationConfig:
         )
     arr = doc.get("arrival", {})
     metrics_doc = doc.get("metrics", {})
+    unknown = sorted(set(metrics_doc) - {f.name for f in fields(MetricsOptions)})
+    if unknown:
+        raise ConfigError(f"unknown metrics option(s): {', '.join(unknown)}")
     cfg = SimulationConfig(
         topology=doc["topology"],
         horizon=int(doc.get("horizon", 1000)),
@@ -160,6 +167,7 @@ class MetricsReport:
     arrivals_per_class: np.ndarray   # final cumulative external arrivals
     violations: dict[str, int] = field(default_factory=dict)
     layer_counts_final: np.ndarray | None = None
+    route_cache: dict[str, int] = field(default_factory=lambda: RouteCache().stats())
 
     @property
     def throughput(self) -> dict[int, float]:
@@ -230,6 +238,7 @@ class MetricsReport:
             "mean_sojourn": None if math.isnan(self.mean_sojourn) else self.mean_sojourn,
             "verdict": self.verdict(),
             "violations": dict(self.violations),
+            "route_cache": dict(self.route_cache),
         }
 
 
@@ -297,7 +306,7 @@ def run(config: SimulationConfig) -> MetricsReport:
 
     bp = BPState(g, classes) if config.policy == "bp" else None
     net = PhysicalNetwork(g) if bp is None else None
-    route_cache: dict = {}
+    route_cache = RouteCache()
     uid = 0
     in_flight: dict[int, Packet] = {}
 
@@ -419,6 +428,7 @@ def run(config: SimulationConfig) -> MetricsReport:
         arrivals_per_class=cum_arrivals,
         violations=violations,
         layer_counts_final=net.layer_counters() if net is not None else None,
+        route_cache=route_cache.stats(),
     )
 
 

@@ -21,11 +21,24 @@ import numpy as np
 
 from .activation import ActivationVector, max_weight_activation
 from .errors import ConfigError
-from .routing import RouteTree, anycast_route, shortest_path_route, spanning_route, steiner_route
+from .routing import (
+    RouteKey,
+    RouteTree,
+    anycast_edges,
+    build_route,
+    shortest_path_edges,
+    spanning_edges,
+    steiner_edges,
+)
 from .topology import ActivationSet, Graph
 from .traffic import TrafficClass
 
 POLICY_NAMES = ("umw", "umw-heuristic", "bp")
+
+# Most weight vectors a RouteCache remembers. It bounds the memory of runs
+# whose queues keep producing new weight vectors (they diverge, or never
+# settle); stable runs revisit few enough vectors to fit.
+ROUTE_MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -34,26 +47,64 @@ class PolicyDecision:
     activation: ActivationVector
 
 
+class RouteCache:
+    """Route memo and tree intern table of one run (one graph, one Steiner mode).
+
+    A route is a pure function of the class and the weight vector, so the
+    memo maps (class id, weight dtype, shape, weight bytes) to the tree
+    solved for it. It keeps at most ROUTE_MEMO_CAP entries and evicts the
+    oldest first. On a miss the solver runs in full, weight checks
+    included; the intern table then hands back the tree already built for
+    the same solved edge set, so each distinct tree is oriented and
+    validated once and shared by every packet routed along it.
+    """
+
+    def __init__(self):
+        self.memo: dict[tuple, RouteTree] = {}
+        self.trees: dict[RouteKey, RouteTree] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "distinct_trees": len(self.trees)}
+
+
+def _route_edges(g: Graph, w, cls: TrafficClass, steiner_mode: str = "exact") -> RouteKey:
+    """Min-cost admissible route for one class, before orientation."""
+    if cls.kind == "unicast":
+        return shortest_path_edges(g, w, cls.source, cls.destination)
+    if cls.kind == "broadcast":
+        return spanning_edges(g, w, cls.source)
+    if cls.kind == "multicast":
+        return steiner_edges(g, w, cls.source, cls.destinations, mode=steiner_mode)
+    return anycast_edges(g, w, cls.source, cls.destinations)
+
+
 def solve_route(
     g: Graph,
     w,
     cls: TrafficClass,
     steiner_mode: str = "exact",
-    cache: dict | None = None,
+    cache: RouteCache | None = None,
 ) -> RouteTree:
     """Min-cost admissible route for one class under the given weights."""
-    if cls.kind == "unicast":
-        tree = shortest_path_route(g, w, cls.source, cls.destination)
-    elif cls.kind == "broadcast":
-        tree = spanning_route(g, w, cls.source)
-    elif cls.kind == "multicast":
-        tree = steiner_route(g, w, cls.source, cls.destinations, mode=steiner_mode)
-    else:
-        tree = anycast_route(g, w, cls.source, cls.destinations)
-    if cache is None:
+    w = np.asarray(w)
+    if cache is None or w.dtype.hasobject:
+        return build_route(g, _route_edges(g, w, cls, steiner_mode))
+    key = (cls.id, w.dtype.str, w.shape, w.tobytes())
+    tree = cache.memo.get(key)
+    if tree is not None:
+        cache.hits += 1
         return tree
-    # Identical trees recur constantly across slots; share one object.
-    return cache.setdefault((cls.id, tree.cache_key()), tree)
+    cache.misses += 1
+    solved = _route_edges(g, w, cls, steiner_mode)
+    tree = cache.trees.get(solved)
+    if tree is None:
+        tree = cache.trees[solved] = build_route(g, solved)
+    cache.memo[key] = tree
+    if len(cache.memo) > ROUTE_MEMO_CAP:
+        del cache.memo[next(iter(cache.memo))]
+    return tree
 
 
 def _decide(weights, arrivals, g, aset, classes, steiner_mode, cache) -> PolicyDecision:
@@ -71,7 +122,7 @@ def umw_decide(
     aset: ActivationSet,
     classes: list[TrafficClass],
     steiner_mode: str = "exact",
-    cache: dict | None = None,
+    cache: RouteCache | None = None,
 ) -> PolicyDecision:
     """Routes for this slot's arrivals and the max-weight activation,
     both driven by the virtual queue lengths."""
@@ -85,7 +136,7 @@ def umw_heuristic_decide(
     aset: ActivationSet,
     classes: list[TrafficClass],
     steiner_mode: str = "exact",
-    cache: dict | None = None,
+    cache: RouteCache | None = None,
 ) -> PolicyDecision:
     """Same decision rules with physical queue lengths as the weights."""
     return _decide(physical_q, arrivals, g, aset, classes, steiner_mode, cache)

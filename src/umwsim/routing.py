@@ -2,7 +2,11 @@
 
 Every solver takes the graph plus a nonnegative per-edge weight vector and
 returns a RouteTree, an out-tree rooted at the source whose edges carry
-their hop depth. Tie-breaking is fully deterministic so that simulation
+their hop depth. Each solver runs in two stages: a ``*_edges`` function
+finds the route as a key ``(root, edge ids, covered)``, the form of
+``RouteTree.cache_key()``, and ``build_route`` orients and validates it.
+Orientation depends on the key alone, so a caller may reuse the tree built
+for an equal key. Tie-breaking is fully deterministic so that simulation
 runs are reproducible bit-for-bit:
 
   * shortest paths minimize (cost, hop count, edge-id sequence),
@@ -18,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .errors import CapExceededError, DisconnectedError, TopologyError, Unreacha
 from .topology import Graph
 
 STEINER_EXACT_TERMINAL_CAP = 8
+
+# A solved route before orientation: (root, edge ids, covered nodes).
+RouteKey = tuple[int, frozenset[int], frozenset[int]]
 
 
 class TreeEdge(NamedTuple):
@@ -89,7 +96,7 @@ class RouteTree:
     def root_edges(self) -> tuple[TreeEdge, ...]:
         return self.children_of.get(self.root, ())
 
-    def cache_key(self) -> tuple:
+    def cache_key(self) -> RouteKey:
         return (self.root, self.edge_ids, self.covered)
 
 
@@ -131,6 +138,12 @@ def orient_tree(g: Graph, edge_ids: Iterable[int], root: int, covered: Iterable[
     return RouteTree(root, tuple(sorted(records, key=lambda te: (te.depth, te.edge_id))), frozenset(covered))
 
 
+def build_route(g: Graph, key: RouteKey) -> RouteTree:
+    """Orient and validate a solved route given in cache_key() form."""
+    root, edge_ids, covered = key
+    return orient_tree(g, edge_ids, root, covered)
+
+
 # ---------------------------------------------------------------------------
 # Shortest paths
 
@@ -159,36 +172,31 @@ def _shortest_labels(
     return labels
 
 
-def _path_tree(g: Graph, source: int, seq: Sequence[int], covered: Iterable[int]) -> RouteTree:
-    records = []
-    node = source
-    for depth, eid in enumerate(seq):
-        nxt = g.other_end(eid, node) if not g.directed else g.edges[eid][1]
-        records.append(TreeEdge(eid, node, nxt, depth))
-        node = nxt
-    return RouteTree(source, tuple(records), frozenset(covered))
-
-
-def shortest_path_route(g: Graph, w, s: int, t: int) -> RouteTree:
+def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
     """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
     w = as_weights(w, g.m)
     if s == t:
-        return RouteTree(s, (), frozenset({t}))
+        return (s, frozenset(), frozenset({t}))
     labels = _shortest_labels(g, w, s)
     if t not in labels:
         raise UnreachableError(f"node {t} is not reachable from {s}")
     _, _, seq = labels[t]
-    return _path_tree(g, s, seq, {t})
+    return (s, frozenset(seq), frozenset({t}))
 
 
-def anycast_route(g: Graph, w, s: int, dests: Iterable[int]) -> RouteTree:
+def shortest_path_route(g: Graph, w, s: int, t: int) -> RouteTree:
+    """The route of ``shortest_path_edges``, oriented."""
+    return build_route(g, shortest_path_edges(g, w, s, t))
+
+
+def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
     """Cheapest of the per-destination shortest paths; ties by smaller node id."""
     w = as_weights(w, g.m)
     dests = sorted(set(dests))
     if not dests:
         raise UnreachableError("anycast needs at least one destination")
     if s in dests:
-        return RouteTree(s, (), frozenset({s}))
+        return (s, frozenset(), frozenset({s}))
     labels = _shortest_labels(g, w, s)
     best = None
     for t in dests:
@@ -201,7 +209,12 @@ def anycast_route(g: Graph, w, s: int, dests: Iterable[int]) -> RouteTree:
     if best is None:
         raise UnreachableError(f"no anycast destination reachable from {s}")
     _, t, seq = best
-    return _path_tree(g, s, seq, {t})
+    return (s, frozenset(seq), frozenset({t}))
+
+
+def anycast_route(g: Graph, w, s: int, dests: Iterable[int]) -> RouteTree:
+    """The route of ``anycast_edges``, oriented."""
+    return build_route(g, anycast_edges(g, w, s, dests))
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +329,23 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
     return solve(list(range(n)), arcs, root)
 
 
-def spanning_route(g: Graph, w, root: int) -> RouteTree:
+def spanning_edges(g: Graph, w, root: int) -> RouteKey:
     """Min-weight spanning tree (undirected) or arborescence (directed), rooted."""
     w = as_weights(w, g.m)
-    covered = frozenset(range(g.node_count))
     if g.directed:
         chosen = _min_arborescence(g, w, root)
         if len(chosen) != g.node_count - 1:
             raise DisconnectedError(f"graph does not span all nodes from {root}")
-        return orient_tree(g, chosen, root, covered)
-    chosen = _kruskal(g, w)
-    if len(chosen) != g.node_count - 1:
-        raise DisconnectedError("graph is not connected")
-    return orient_tree(g, chosen, root, covered)
+    else:
+        chosen = _kruskal(g, w)
+        if len(chosen) != g.node_count - 1:
+            raise DisconnectedError("graph is not connected")
+    return (root, frozenset(chosen), frozenset(range(g.node_count)))
+
+
+def spanning_route(g: Graph, w, root: int) -> RouteTree:
+    """The route of ``spanning_edges``, oriented."""
+    return build_route(g, spanning_edges(g, w, root))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +388,8 @@ def _subgraph_sp_tree(g: Graph, w, root: int, edge_ids: set[int], keep: set[int]
     return _prune_to_terminals(g, tree_edges, root, keep)
 
 
-def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> RouteTree:
-    """Terminal-subset dynamic program, then cleanup into a tree.
+def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
+    """Terminal-subset dynamic program, then cleanup into a tree's edge set.
 
     States are (node, terminal subset); a state's value is the optimal cost
     of an out-tree at that node covering the subset. Subset merges seed a
@@ -440,12 +457,11 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> RouteTree:
     collect(root, full)
     keep = set(terminals)
     tree_edges = _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
-    tree = orient_tree(g, tree_edges, root, keep | {root})
-    assert route_cost(tree, w) <= dp[root][full] + 1e-9
-    return tree
+    assert sum(w[e] for e in sorted(tree_edges)) <= dp[root][full] + 1e-9
+    return tree_edges
 
 
-def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> RouteTree:
+def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     """Metric-closure MST expansion (cost <= 2x optimal on undirected graphs)."""
     keep = set(terminals)
     points = [root] + [t for t in sorted(keep) if t != root]
@@ -480,8 +496,36 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> RouteTree:
     for i, j in pairs:
         _, _, seq = labels_from[points[i]][points[j]]
         edge_ids.update(seq)
-    tree_edges = _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
-    return orient_tree(g, tree_edges, root, keep | {root})
+    return _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
+
+
+def steiner_edges(
+    g: Graph,
+    w,
+    root: int,
+    terminals: Iterable[int],
+    mode: str = "exact",
+    exact_cap: int = STEINER_EXACT_TERMINAL_CAP,
+) -> RouteKey:
+    """Min-weight tree rooted at root covering the terminals.
+
+    mode="exact" solves the problem optimally (terminal count capped);
+    mode="approx" builds the classic metric-closure 2-approximation.
+    """
+    w = as_weights(w, g.m)
+    covered = frozenset(terminals) or frozenset({root})
+    terms = sorted(covered - {root})
+    if not terms:
+        return (root, frozenset(), covered)
+    if mode == "exact":
+        if len(terms) > exact_cap:
+            raise CapExceededError("exact Steiner terminals", len(terms), exact_cap)
+        edge_ids = _steiner_exact(g, w, root, terms)
+    elif mode == "approx":
+        edge_ids = _steiner_approx(g, w, root, terms)
+    else:
+        raise TopologyError(f"unknown Steiner mode {mode!r}")
+    return (root, frozenset(edge_ids), covered)
 
 
 def steiner_route(
@@ -492,22 +536,5 @@ def steiner_route(
     mode: str = "exact",
     exact_cap: int = STEINER_EXACT_TERMINAL_CAP,
 ) -> RouteTree:
-    """Min-weight tree rooted at root covering the terminals.
-
-    mode="exact" solves the problem optimally (terminal count capped);
-    mode="approx" builds the classic metric-closure 2-approximation.
-    """
-    w = as_weights(w, g.m)
-    covered = frozenset(terminals) or frozenset({root})
-    terms = sorted(covered - {root})
-    if not terms:
-        return RouteTree(root, (), covered)
-    if mode == "exact":
-        if len(terms) > exact_cap:
-            raise CapExceededError("exact Steiner terminals", len(terms), exact_cap)
-        tree = _steiner_exact(g, w, root, terms)
-    elif mode == "approx":
-        tree = _steiner_approx(g, w, root, terms)
-    else:
-        raise TopologyError(f"unknown Steiner mode {mode!r}")
-    return RouteTree(tree.root, tree.edges, covered)
+    """The route of ``steiner_edges``, oriented."""
+    return build_route(g, steiner_edges(g, w, root, terminals, mode, exact_cap))

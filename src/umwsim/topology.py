@@ -78,6 +78,28 @@ class Graph:
 
 
 @dataclass(frozen=True)
+class ActivationVector:
+    """The edge subset scheduled to transmit this slot."""
+
+    active: frozenset[int]
+    edge_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "active", frozenset(int(e) for e in self.active))
+        if not all(0 <= e < self.edge_count for e in self.active):
+            raise TopologyError("active edge id out of range")
+
+    @cached_property
+    def as_array(self) -> np.ndarray:
+        """0/1 service vector of length m (read-only: vectors are shared)."""
+        mu = np.zeros(self.edge_count, dtype=np.int64)
+        for e in self.active:
+            mu[e] = 1
+        mu.flags.writeable = False
+        return mu
+
+
+@dataclass(frozen=True)
 class ActivationSet:
     """The admissible simultaneous-transmission edge subsets.
 
@@ -116,6 +138,14 @@ class ActivationSet:
             for e in s:
                 mat[i, e] = 1
         return mat
+
+    @cached_property
+    def vectors(self) -> tuple[ActivationVector, ...]:
+        """One ActivationVector per member, in member order; the single
+        full edge set for wired. Built on first use and then shared."""
+        if self.kind == "wired":
+            return (ActivationVector(frozenset(range(self.edge_count)), self.edge_count),)
+        return tuple(ActivationVector(s, self.edge_count) for s in self.members)
 
 
 def validate_activation(aset: ActivationSet, g: Graph) -> None:

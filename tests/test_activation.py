@@ -68,3 +68,40 @@ def test_exactness_against_subset_brute_force():
 def test_as_array():
     act = ActivationVector({1, 3}, 5)
     assert act.as_array.tolist() == [0, 1, 0, 1, 0]
+
+
+def _first_argmax(aset, w) -> int:
+    best = None
+    for i, s in enumerate(aset.members):
+        score = sum(int(w[e]) for e in s)
+        if best is None or score > best[0]:
+            best = (score, i)
+    return best[1]
+
+
+def test_max_weight_matches_first_argmax_with_ties():
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        g = random_connected_graph(rng)
+        explicit = ActivationSet(
+            "explicit", g.m,
+            tuple(frozenset(np.flatnonzero(rng.random(g.m) < 0.5).tolist()) for _ in range(6)),
+        )
+        for aset in (enumerate_matchings(g), explicit):
+            for _ in range(6):
+                w = rng.integers(0, 3, g.m).astype(np.int64)   # small weights: many ties
+                act = max_weight_activation(aset, w)
+                assert act is aset.vectors[_first_argmax(aset, w)]
+                assert act.active == aset.members[_first_argmax(aset, w)]
+
+
+def test_equal_weights_return_the_same_vector():
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    aset = enumerate_matchings(g)
+    w = np.array([3, 1, 3], np.int64)
+    a = max_weight_activation(aset, w)
+    assert max_weight_activation(aset, w.copy()) is a
+    assert a.as_array is max_weight_activation(aset, [3, 1, 3]).as_array
+    wired = ActivationSet("wired", 3)
+    assert max_weight_activation(wired, w) is max_weight_activation(wired, [0, 0, 0])
+    assert not a.as_array.flags.writeable

@@ -1,15 +1,18 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from umwsim import engine, policy
 from umwsim.cli import main as cli_main
 from umwsim.engine import (
     MetricsOptions,
     SimulationConfig,
     compare,
     config_from_dict,
+    load_config,
     run,
     sweep,
 )
@@ -23,6 +26,9 @@ def _line3_cfg(**kw):
                 arrival=ArrivalProcess("bernoulli"), load_factor=1.0)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_zero_horizon_rejected():
@@ -258,3 +264,60 @@ def test_cli_capacity(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verified"] is True
     assert doc["rho_star_exact"] == "2/5"
+
+
+def test_record_every_zero_rejected():
+    with pytest.raises(ConfigError, match="record_every"):
+        config_from_dict({"topology": "line3", "metrics": {"record_every": 0}})
+    with pytest.raises(ConfigError):
+        MetricsOptions(record_every=-1)
+
+
+def test_unknown_metrics_key_rejected():
+    doc = {"topology": "line3", "metrics": {"diagnostics": True, "record_evry": 5}}
+    with pytest.raises(ConfigError, match="record_evry"):
+        config_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# Route cache: exact, reported, and memo-free runs as the oracle
+
+def _cache_cases():
+    mixed = load_config(CONFIGS / "mixed_kinds.json", horizon=1500)
+    twin = load_config(CONFIGS / "twinpath_compare.json", horizon=2000, policy="umw-heuristic")
+    return [mixed, twin]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["mixed_kinds", "twinpath_heuristic"])
+def test_memo_free_run_identical(case, tmp_path, monkeypatch):
+    cfg = _cache_cases()[case]
+    cached = run(cfg)
+    monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 0)
+    memo_free = run(cfg)
+    for name, rep in (("cached", cached), ("memo_free", memo_free)):
+        rep.write_csv(tmp_path / f"{name}.csv")
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "memo_free.csv").read_bytes()
+    a, b = cached.summary(), memo_free.summary()
+    stats_a, stats_b = a.pop("route_cache"), b.pop("route_cache")
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert stats_a["hits"] > 0 and stats_b["hits"] == 0
+    assert stats_b["misses"] == stats_a["hits"] + stats_a["misses"]
+    assert stats_b["distinct_trees"] == stats_a["distinct_trees"]
+
+
+def test_route_cache_counts_every_solve(monkeypatch):
+    calls = []
+    real = engine.solve_route
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_route", counting)
+    for cfg in _cache_cases():
+        calls.clear()
+        stats = run(cfg).summary()["route_cache"]
+        assert stats["hits"] + stats["misses"] == len(calls) > 0
+        assert 0 < stats["distinct_trees"] <= stats["misses"]
+    bp = run(dataclasses.replace(_cache_cases()[1], policy="bp"))
+    assert bp.summary()["route_cache"] == {"hits": 0, "misses": 0, "distinct_trees": 0}

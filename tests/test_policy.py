@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from helpers import random_connected_graph, random_rooted_digraph
+from umwsim import policy
 from umwsim.errors import ConfigError
-from umwsim.policy import BPState, bp_absorb, bp_decide, solve_route, umw_decide, umw_heuristic_decide
+from umwsim.policy import (
+    BPState,
+    RouteCache,
+    bp_absorb,
+    bp_decide,
+    solve_route,
+    umw_decide,
+    umw_heuristic_decide,
+)
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
@@ -65,7 +75,7 @@ def test_heuristic_activation_maximizes_physical_weight():
 
 def test_solve_route_cache_shares_objects():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    cache = {}
+    cache = RouteCache()
     t1 = solve_route(LINE3, np.zeros(2, np.int64), cls, cache=cache)
     t2 = solve_route(LINE3, np.ones(2, np.int64), cls, cache=cache)
     assert t1 is t2
@@ -134,3 +144,73 @@ def test_bp_undirected_uses_better_direction():
     bp_absorb(bp, {0: 4}, 0)
     _, forwards = bp_decide(bp, WIRED2)
     assert any(f.from_node == 2 and f.to_node == 1 for f in forwards)
+
+
+# ---------------------------------------------------------------------------
+# Route memo: the uncached solve is the oracle
+
+def _kind_classes(g: Graph) -> list[TrafficClass]:
+    last = g.node_count - 1
+    return [
+        TrafficClass(0, "unicast", 0, frozenset({last}), 1.0),
+        TrafficClass(1, "broadcast", 0, frozenset(range(g.node_count)), 1.0),
+        TrafficClass(2, "multicast", 0, frozenset({last, g.node_count // 2}), 1.0),
+        TrafficClass(3, "anycast", 0, frozenset({1, last}), 1.0),
+    ]
+
+
+def _weight_sequence(rng, m: int, length: int = 40) -> list[np.ndarray]:
+    """Random weights in which earlier vectors recur, as copies."""
+    pool = [rng.integers(0, 4, m).astype(np.int64) for _ in range(5)]
+    seq = []
+    for _ in range(length):
+        if rng.random() < 0.3:
+            pool.append(rng.integers(0, 4, m).astype(np.int64))
+        seq.append(pool[int(rng.integers(len(pool)))].copy())
+    return seq
+
+
+def _same_tree(a, b) -> bool:
+    return (a.root, a.edges, a.covered) == (b.root, b.edges, b.covered)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_cached_solve_matches_uncached(mode):
+    rng = np.random.default_rng(21)
+    for directed in (False, True):
+        for _ in range(8):
+            g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
+            cache = RouteCache()
+            trees = []
+            for cls in _kind_classes(g):
+                for w in _weight_sequence(rng, g.m):
+                    cached = solve_route(g, w, cls, mode, cache)
+                    assert _same_tree(cached, solve_route(g, w, cls, mode))
+                    trees.append(cached)
+            assert cache.hits > 0 and cache.hits + cache.misses == len(trees)
+            # Interning: one object per distinct tree.
+            by_key = {t.cache_key(): t for t in trees}
+            assert all(t is by_key[t.cache_key()] for t in trees)
+            assert cache.stats()["distinct_trees"] == len(by_key)
+
+
+def test_route_memo_stays_within_cap(monkeypatch):
+    monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 3)
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng)
+    cls = _kind_classes(g)[1]
+    cache = RouteCache()
+    ws = []
+    for i in range(12):
+        w = rng.integers(0, 9, g.m).astype(np.int64)
+        w[0] = 100 + i   # all distinct
+        ws.append(w)
+    for w in ws + ws[::-1]:
+        assert _same_tree(solve_route(g, w, cls, cache=cache), solve_route(g, w, cls))
+        assert len(cache.memo) <= 3
+    # Oldest first out: only the three most recent insertions hit on the
+    # way back, and the memo ends with the last three solved.
+    assert (cache.hits, cache.misses) == (3, 21)
+    solve_route(g, ws[0], cls, cache=cache)
+    solve_route(g, ws[3], cls, cache=cache)
+    assert (cache.hits, cache.misses) == (4, 22)
