@@ -170,10 +170,6 @@ def _weight_sequence(rng, m: int, length: int = 40) -> list[np.ndarray]:
     return seq
 
 
-def _same_tree(a, b) -> bool:
-    return (a.root, a.edges, a.covered) == (b.root, b.edges, b.covered)
-
-
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_cached_solve_matches_uncached(mode):
     rng = np.random.default_rng(21)
@@ -185,7 +181,7 @@ def test_cached_solve_matches_uncached(mode):
             for cls in _kind_classes(g):
                 for w in _weight_sequence(rng, g.m):
                     cached = solve_route(g, w, cls, mode, cache)
-                    assert _same_tree(cached, solve_route(g, w, cls, mode))
+                    assert cached == solve_route(g, w, cls, mode)  # same root, edges, covered
                     trees.append(cached)
             assert cache.hits > 0 and cache.hits + cache.misses == len(trees)
             # Interning: one object per distinct tree.
@@ -206,7 +202,7 @@ def test_route_memo_stays_within_cap(monkeypatch):
         w[0] = 100 + i   # all distinct
         ws.append(w)
     for w in ws + ws[::-1]:
-        assert _same_tree(solve_route(g, w, cls, cache=cache), solve_route(g, w, cls))
+        assert solve_route(g, w, cls, cache=cache) == solve_route(g, w, cls)
         assert len(cache.memo) <= 3
     # Oldest first out: only the three most recent insertions hit on the
     # way back, and the memo ends with the last three solved.
