@@ -7,6 +7,7 @@ against; they never call the code paths under test.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,3 +95,58 @@ def bfs_depths(g: Graph, tree) -> dict[int, int]:
             depths[eid] = d
             frontier.append((child, d + 1))
     return depths
+
+
+def _dot(row, x) -> Fraction:
+    return sum((a * v for a, v in zip(row, x)), Fraction(0))
+
+
+def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan over Fractions; None when the system is singular."""
+    k = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col] / aug[col][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][k] / aug[i][i] for i in range(k)]
+
+
+def lp_vertices(n: int, a_ub, b_ub, a_eq, b_eq) -> list[list[Fraction]]:
+    """Every vertex of {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}, by solving each
+    choice of n constraints as equalities and keeping the feasible points."""
+    ub = [([Fraction(v) for v in r], Fraction(b)) for r, b in zip(a_ub, b_ub)]
+    eq = [([Fraction(v) for v in r], Fraction(b)) for r, b in zip(a_eq, b_eq)]
+    bounds = [([Fraction(int(i == j)) for i in range(n)], Fraction(0)) for j in range(n)]
+    found = []
+    for chosen in itertools.combinations(ub + eq + bounds, n):
+        x = _solve_square([r for r, _ in chosen], [b for _, b in chosen])
+        if x is None or any(v < 0 for v in x):
+            continue
+        if all(_dot(r, x) <= b for r, b in ub) and all(_dot(r, x) == b for r, b in eq):
+            found.append(x)
+    return found
+
+
+def brute_force_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[str, Fraction | None]:
+    """(status, optimal value) of max c.x over {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}.
+
+    The region is pointed (x >= 0), so it is empty exactly when it has no
+    vertex; and a nonempty region is unbounded in c exactly when some vertex
+    of the normalised recession cone {d >= 0 : a_ub d <= 0, a_eq d = 0,
+    sum d = 1} has c.d > 0. Otherwise the optimum sits at a vertex.
+    """
+    n = len(objective)
+    c = [Fraction(v) for v in objective]
+    verts = lp_vertices(n, a_ub, b_ub, a_eq, b_eq)
+    if not verts:
+        return "infeasible", None
+    rays = lp_vertices(n, a_ub, [0] * len(a_ub), [*a_eq, [1] * n], [0] * len(a_eq) + [1])
+    if any(_dot(c, ray) > 0 for ray in rays):
+        return "unbounded", None
+    return "optimal", max(_dot(c, x) for x in verts)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph
+from helpers import brute_force_lp, random_connected_graph
 from umwsim.capacity import (
     CapacityCertificate,
     enumerate_routes,
@@ -54,6 +54,51 @@ def test_lp_degenerate_ties_terminate():
         b_ub=[1, 1, 1],
     )
     assert status == OPTIMAL and value == Fraction(3, 2)
+
+
+def _random_lp(rng: np.random.Generator, number: str):
+    """A random LP of at most 4 variables. Rows with a negative bound become
+    ">=" rows inside solve_lp; some LPs repeat an equality scaled by 2 (a
+    redundant row phase 1 must drop). Entries are ints, Fractions or floats."""
+    def value(lo, hi):
+        k = int(rng.integers(lo, hi + 1))
+        if number == "fraction":
+            return Fraction(k, int(rng.integers(1, 5)))
+        if number == "float":
+            return k * float(rng.choice([0.25, 0.1, 1.0]))
+        return k
+
+    n = int(rng.integers(1, 5))
+    objective = [value(-2, 3) for _ in range(n)]
+    m_ub, m_eq = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    a_ub = [[value(-3, 3) for _ in range(n)] for _ in range(m_ub)]
+    b_ub = [value(-3, 6) for _ in range(m_ub)]
+    a_eq = [[value(-2, 3) for _ in range(n)] for _ in range(m_eq)]
+    b_eq = [value(-2, 4) for _ in range(m_eq)]
+    if m_eq and rng.random() < 0.4:
+        a_eq.append([2 * v for v in a_eq[0]])
+        b_eq.append(2 * b_eq[0])
+    return objective, a_ub, b_ub, a_eq, b_eq
+
+
+def test_lp_matches_vertex_enumeration():
+    rng = np.random.default_rng(77)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for i in range(240):
+        lp = _random_lp(rng, ("int", "fraction", "float")[i % 3])
+        objective, a_ub, b_ub, a_eq, b_eq = lp
+        status, value, x = solve_lp(*lp)
+        want_status, want_value = brute_force_lp(*lp)
+        assert (status, value) == (want_status, want_value), lp
+        seen[status] += 1
+        if status == OPTIMAL:
+            c = [Fraction(v) for v in objective]
+            assert sum(a * v for a, v in zip(c, x)) == value and all(v >= 0 for v in x)
+            for row, b in zip(a_ub, b_ub):
+                assert sum(Fraction(a) * v for a, v in zip(row, x)) <= Fraction(b)
+            for row, b in zip(a_eq, b_eq):
+                assert sum(Fraction(a) * v for a, v in zip(row, x)) == Fraction(b)
+    assert min(seen.values()) >= 20, seen
 
 
 # --- route enumeration -------------------------------------------------------
