@@ -22,7 +22,7 @@ from .capacity import CapacityCertificate, max_scaling
 from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
 from .policy import BPState, POLICY_NAMES, RouteCache, solve_route
-from .routing import RouteTree
+from .routing import STEINER_MODES, RouteTree
 from .topology import ActivationSet, Graph, builtin_topology, load_activation, load_topology
 from .traffic import (
     ArrivalProcess,
@@ -48,6 +48,8 @@ class MetricsOptions:
     def __post_init__(self):
         if self.record_every < 1:
             raise ConfigError(f"metrics.record_every must be >= 1, got {self.record_every}")
+        if not 0 <= self.warmup_frac < 1:
+            raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class SimulationConfig:
             raise ConfigError("load_factor must be >= 0")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
+        if self.steiner_mode not in STEINER_MODES:
+            raise ConfigError(f"unknown steiner_mode {self.steiner_mode!r}; choose from {STEINER_MODES}")
 
     def resolve(self) -> tuple[Graph, ActivationSet, list[TrafficClass]]:
         """Materialize topology, activation set, and load-scaled classes."""
@@ -101,6 +105,8 @@ class SimulationConfig:
                 "eq17_every": self.metrics.eq17_every,
                 "history_window": self.metrics.history_window,
                 "diagnostics": self.metrics.diagnostics,
+                "stability_eps": self.metrics.stability_eps,
+                "divergence_factor": self.metrics.divergence_factor,
             },
         }
         if self.classes is not None:
@@ -222,6 +228,7 @@ class MetricsReport:
         write_csv_rows(path, self.csv_rows())
 
     def summary(self) -> dict:
+        metrics = self.config.get("metrics", {})
         return {
             "config": self.config,
             "policy": self.policy,
@@ -236,7 +243,10 @@ class MetricsReport:
             "final_total_queue": int(self.total_q[-1]) if len(self.total_q) else 0,
             "normalized_final_queue": float(self.total_q[-1]) / self.horizon if len(self.total_q) else 0.0,
             "mean_sojourn": None if math.isnan(self.mean_sojourn) else self.mean_sojourn,
-            "verdict": self.verdict(),
+            "verdict": self.verdict(
+                metrics.get("stability_eps", MetricsOptions.stability_eps),
+                metrics.get("divergence_factor", MetricsOptions.divergence_factor),
+            ),
             "violations": dict(self.violations),
             "route_cache": dict(self.route_cache),
         }

@@ -30,6 +30,7 @@ from .errors import CapExceededError, DisconnectedError, TopologyError, Unreacha
 from .topology import Graph
 
 STEINER_EXACT_TERMINAL_CAP = 8
+STEINER_MODES = ("exact", "approx")
 
 # A solved route before orientation: (root, edge ids, covered nodes).
 RouteKey = tuple[int, frozenset[int], frozenset[int]]

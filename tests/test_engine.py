@@ -273,6 +273,40 @@ def test_record_every_zero_rejected():
         MetricsOptions(record_every=-1)
 
 
+def test_warmup_frac_out_of_range_rejected():
+    for bad in (2.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="warmup_frac"):
+            config_from_dict({"topology": "line3", "metrics": {"warmup_frac": bad}})
+    assert MetricsOptions(warmup_frac=0.0).warmup_frac == 0.0
+
+
+def test_unknown_steiner_mode_rejected_without_multicast():
+    # line3 carries a single unicast class, so no Steiner solve would ever
+    # reach the mode and report it.
+    with pytest.raises(ConfigError, match="steiner_mode"):
+        _line3_cfg(steiner_mode="exactt")
+    with pytest.raises(ConfigError, match="steiner_mode"):
+        config_from_dict({"topology": "line3", "steiner_mode": "greedy"})
+
+
+def test_summary_verdict_uses_configured_thresholds():
+    # At load 1.0 on line3 the final queue is a few packets: small against
+    # the horizon but not against a strict stability_eps.
+    cfg = _line3_cfg(horizon=400)
+    default = run(cfg)
+    final = default.total_q[-1] / cfg.horizon
+    assert 0 < final < MetricsOptions.stability_eps
+    assert default.summary()["verdict"] == "stable"
+    strict = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=final / 2))
+    report = run(strict)
+    expected = report.verdict(final / 2, MetricsOptions.divergence_factor)
+    assert expected != "stable"
+    assert report.summary()["verdict"] == expected
+    echoed = report.summary()["config"]["metrics"]
+    assert echoed["stability_eps"] == final / 2
+    assert echoed["divergence_factor"] == MetricsOptions.divergence_factor
+
+
 def test_unknown_metrics_key_rejected():
     doc = {"topology": "line3", "metrics": {"diagnostics": True, "record_evry": 5}}
     with pytest.raises(ConfigError, match="record_evry"):
