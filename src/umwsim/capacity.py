@@ -170,37 +170,39 @@ def max_scaling(
     n_members = len(members)
     nvars = 1 + n_routes + n_members  # rho, flows, mixture
 
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
+    # Int coefficients except the rates: solve_lp scales each row to integers
+    # by its common denominator, and an all-int row needs no scaling.
+    a_eq: list[list] = []
+    b_eq: list[int] = []
     for c in active_classes:
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         row[0] = -Fraction(c.rate)
         for j, (cid, _) in enumerate(route_index):
             if cid == c.id:
-                row[1 + j] = Fraction(1)
+                row[1 + j] = 1
         a_eq.append(row)
-        b_eq.append(Fraction(0))
-    row = [Fraction(0)] * nvars
+        b_eq.append(0)
+    row = [0] * nvars
     for j in range(n_members):
-        row[1 + n_routes + j] = Fraction(1)
+        row[1 + n_routes + j] = 1
     a_eq.append(row)
-    b_eq.append(Fraction(1))
+    b_eq.append(1)
 
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
+    a_ub: list[list[int]] = []
+    b_ub: list[int] = []
     for e in range(g.m):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for j, (_, tree) in enumerate(route_index):
             if e in tree.edge_ids:
-                row[1 + j] = Fraction(1)
+                row[1 + j] = 1
         for j, member in enumerate(members):
             if e in member:
-                row[1 + n_routes + j] = Fraction(-1)
+                row[1 + n_routes + j] = -1
         a_ub.append(row)
-        b_ub.append(Fraction(0))
+        b_ub.append(0)
 
-    objective = [Fraction(0)] * nvars
-    objective[0] = Fraction(1)
+    objective = [0] * nvars
+    objective[0] = 1
     status, value, x = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
     if status == UNBOUNDED:
         raise ConfigError(

@@ -1,13 +1,30 @@
 """Small exact linear-program solver over rationals.
 
-Two-phase primal simplex with Bland's rule, all arithmetic in Fraction.
-Built for the desk-scale capacity programs in this package (tens of rows,
-a few hundred columns), where exact optima let certificates verify to
-arbitrary tolerance and keep results deterministic. Not intended as a
-general-purpose LP code.
+Two-phase primal simplex with Bland's rule on a fraction-free tableau
+(Edmonds/Bareiss integer-preserving pivoting). Every entry is a Python int
+over one shared positive denominator ``det``: the rational tableau of the
+textbook method is ``rows / det``, entry by entry. A pivot on (r, c) with
+``q = rows[r][c]`` keeps row r, replaces every other row i by
+
+    rows[i][j] = (q * rows[i][j] - rows[i][c] * rows[r][j]) // det
+
+and makes q the new denominator (negating the tableau when q < 0, so that
+``det`` stays positive and signs read as true signs). Each entry is a minor
+of the row-scaled input, so by Sylvester's identity the divisions are exact,
+entries stay as small as those minors, and no gcd is ever taken. Ratios are
+compared by cross-multiplication with the same (ratio, basis index)
+tie-break, so the pivot sequence, the optimal vertex and the solution are
+those of the same method run over ``Fraction``.
+
+Inputs may be ints, Fractions, floats or anything else ``Fraction`` accepts;
+they are read exactly. Built for the desk-scale capacity programs in this
+package (tens of rows, a few hundred columns), where exact optima let
+certificates verify to arbitrary tolerance and keep results deterministic.
+Not intended as a general-purpose LP code.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,76 +33,81 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """The values scaled to integers by their least common denominator, and
+    that denominator."""
+    exact = [v if isinstance(v, int) else Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (d // v.denominator) for v in exact], d
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
+    """Constraint rows ``[coefficients..., rhs]`` over the common denominator
+    ``det``, and the objective row ``[reduced costs..., -value]`` over
+    ``det * obj_scale``."""
+
+    def __init__(self, rows: list[list[int]], basis: list[int], det: int):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
-        self.obj: list[Fraction] = []
-        self.obj_val = Fraction(0)
+        self.det = det
+        self.obj: list[int] = []
+        self.obj_scale = 1
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def set_objective(self, cost: list[Fraction]) -> None:
-        """Load reduced costs c_j - z_j for the current basis."""
-        self.obj = list(cost)
-        self.obj_val = Fraction(0)
-        for i, bi in enumerate(self.basis):
+    def set_objective(self, cost: list[int], scale: int) -> None:
+        """Load reduced costs c_j - z_j for the current basis, where the
+        costs are ``cost / scale``."""
+        obj = [self.det * c for c in cost] + [0]
+        for row, bi in zip(self.rows, self.basis):
             cb = cost[bi]
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.ncols):
-                self.obj[j] -= cb * row[j]
-            self.obj_val += cb * self.rhs[i]
+            if cb:
+                obj = [o - cb * a for o, a in zip(obj, row)]
+        self.obj = obj
+        self.obj_scale = scale
+
+    def value(self) -> Fraction:
+        return Fraction(-self.obj[-1], self.det * self.obj_scale)
 
     def pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        row = self.rows[r]
-        inv = 1 / piv
-        for j in range(self.ncols):
-            row[j] *= inv
-        self.rhs[r] *= inv
-        for i, other in enumerate(self.rows):
-            if i == r or other[c] == 0:
-                continue
-            f = other[c]
-            for j in range(self.ncols):
-                other[j] -= f * row[j]
-            self.rhs[i] -= f * self.rhs[r]
-        f = self.obj[c]
-        if f != 0:
-            for j in range(self.ncols):
-                self.obj[j] -= f * row[j]
-            self.obj_val += f * self.rhs[r]
+        prow = self.rows[r]
+        q = prow[c]
+        # Dividing by det carrying q's sign negates the tableau when q < 0.
+        d = self.det if q > 0 else -self.det
+
+        def update(row: list[int]) -> list[int]:
+            f = row[c]
+            if f:
+                return [(q * a - f * b) // d for a, b in zip(row, prow)]
+            if q == d:
+                return row
+            return [q * a // d for a in row]
+
+        self.rows = [
+            (prow if q > 0 else [-b for b in prow]) if i == r else update(row)
+            for i, row in enumerate(self.rows)
+        ]
+        self.obj = update(self.obj)
+        self.det = abs(q)
         self.basis[r] = c
 
-    def maximize(self, eligible: list[bool]) -> str:
-        """Run primal simplex steps until optimal or unbounded (Bland's rule)."""
+    def maximize(self, eligible: int) -> str:
+        """Run primal simplex steps until optimal or unbounded (Bland's rule);
+        only the first `eligible` columns may enter the basis."""
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if eligible[j] and self.obj[j] > 0:
-                    enter = j
-                    break
+            obj = self.obj
+            enter = next((j for j in range(eligible) if obj[j] > 0), -1)
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                    if leave >= 0:
+                        # rhs / a against the best ratio num / den, both
+                        # denominators positive; ties go to the lower basis index.
+                        lhs, rhs = row[-1] * den, num * a
+                        if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leave]):
+                            continue
+                    leave, num, den = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
@@ -104,17 +126,16 @@ def solve_lp(
     None unless status is "optimal".
     """
     n = len(objective)
-    norm_rows: list[tuple[list[Fraction], Fraction, str]] = []
-    for row, b in zip(_to_fraction_rows(a_ub), [Fraction(x) for x in b_ub]):
-        if b < 0:
-            norm_rows.append(([-x for x in row], -b, "ge"))
-        else:
-            norm_rows.append((row, b, "le"))
-    for row, b in zip(_to_fraction_rows(a_eq), [Fraction(x) for x in b_eq]):
-        if b < 0:
-            norm_rows.append(([-x for x in row], -b, "eq"))
-        else:
-            norm_rows.append((row, b, "eq"))
+    # (integer coefficients + rhs, row denominator, kind); a row with a
+    # negative bound is negated first.
+    norm_rows: list[tuple[list[int], int, str]] = []
+    for rows, bounds, kind in ((a_ub, b_ub, "le"), (a_eq, b_eq, "eq")):
+        for row, b in zip(rows, bounds):
+            ints, d = _integer_row([*row, b])
+            if ints[-1] < 0:
+                norm_rows.append(([-v for v in ints], d, "ge" if kind == "le" else "eq"))
+            else:
+                norm_rows.append((ints, d, kind))
 
     n_slack = sum(1 for _, _, k in norm_rows if k == "le")
     n_surplus = sum(1 for _, _, k in norm_rows if k == "ge")
@@ -122,64 +143,62 @@ def solve_lp(
     total = n + n_slack + n_surplus + n_art
     art_start = n + n_slack + n_surplus
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # Row i scaled by its denominator d_i, slack and artificial entries
+    # included, has the basis matrix diag(d_i). Its adjugate times the scaled
+    # rows is p0 times the rational tableau, with p0 = prod d_i its
+    # determinant: the starting point of integer-preserving pivoting.
+    p0 = math.prod(d for _, d, _ in norm_rows)
+    rows: list[list[int]] = []
     basis: list[int] = []
     i_slack, i_surplus, i_art = n, n + n_slack, art_start
-    for coeffs, b, kind in norm_rows:
-        row = [Fraction(0)] * total
-        row[:n] = coeffs
+    for ints, d, kind in norm_rows:
+        s = p0 // d
+        row = [0] * (total + 1)
+        row[:n] = [s * v for v in ints[:-1]]
+        row[-1] = s * ints[-1]
         if kind == "le":
-            row[i_slack] = Fraction(1)
+            row[i_slack] = p0
             basis.append(i_slack)
             i_slack += 1
         elif kind == "ge":
-            row[i_surplus] = Fraction(-1)
+            row[i_surplus] = -p0
             i_surplus += 1
-            row[i_art] = Fraction(1)
+            row[i_art] = p0
             basis.append(i_art)
             i_art += 1
         else:
-            row[i_art] = Fraction(1)
+            row[i_art] = p0
             basis.append(i_art)
             i_art += 1
         rows.append(row)
-        rhs.append(b)
 
-    tab = _Tableau(rows, rhs, basis)
+    tab = _Tableau(rows, basis, p0)
 
     if n_art:
-        phase1 = [Fraction(0)] * total
-        for j in range(art_start, total):
-            phase1[j] = Fraction(-1)
-        tab.set_objective(phase1)
-        status = tab.maximize([True] * total)
+        tab.set_objective([0] * art_start + [-1] * n_art, 1)
+        status = tab.maximize(total)
         assert status == OPTIMAL  # phase 1 is always bounded
-        if tab.obj_val != 0:
+        if tab.value() != 0:
             return INFEASIBLE, None, None
         # Pivot leftover artificials out of the basis; a row where that is
         # impossible is redundant and can be dropped.
         for i in reversed(range(len(tab.rows))):
             if tab.basis[i] < art_start:
                 continue
-            piv_col = next(
-                (j for j in range(art_start) if tab.rows[i][j] != 0),
-                None,
-            )
+            row = tab.rows[i]
+            piv_col = next((j for j in range(art_start) if row[j] != 0), None)
             if piv_col is None:
-                del tab.rows[i], tab.rhs[i], tab.basis[i]
+                del tab.rows[i], tab.basis[i]
             else:
                 tab.pivot(i, piv_col)
 
-    eligible = [j < art_start for j in range(total)]
-    cost = [Fraction(0)] * total
-    cost[:n] = [Fraction(x) for x in objective]
-    tab.set_objective(cost)
-    status = tab.maximize(eligible)
+    cost, scale = _integer_row(objective)
+    tab.set_objective(cost + [0] * (total - n), scale)
+    status = tab.maximize(art_start)
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
-    for i, bi in enumerate(tab.basis):
+    for row, bi in zip(tab.rows, tab.basis):
         if bi < n:
-            x[bi] = tab.rhs[i]
-    return OPTIMAL, tab.obj_val, x
+            x[bi] = Fraction(row[-1], tab.det)
+    return OPTIMAL, tab.value(), x

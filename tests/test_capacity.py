@@ -56,6 +56,14 @@ def test_lp_degenerate_ties_terminate():
     assert status == OPTIMAL and value == Fraction(3, 2)
 
 
+def test_lp_without_rows_reads_every_column():
+    # No constraint row, or only redundant ones that phase 1 drops: the
+    # tableau ends up with no rows and must still price every column.
+    assert solve_lp([0, 1]) == (UNBOUNDED, None, None)
+    assert solve_lp([2], a_eq=[[0]], b_eq=[0]) == (UNBOUNDED, None, None)
+    assert solve_lp([-1, 0], a_eq=[[0, 0]], b_eq=[0]) == (OPTIMAL, 0, [0, 0])
+
+
 def _random_lp(rng: np.random.Generator, number: str):
     """A random LP of at most 4 variables. Rows with a negative bound become
     ">=" rows inside solve_lp; some LPs repeat an equality scaled by 2 (a
@@ -70,7 +78,7 @@ def _random_lp(rng: np.random.Generator, number: str):
 
     n = int(rng.integers(1, 5))
     objective = [value(-2, 3) for _ in range(n)]
-    m_ub, m_eq = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 3))
     a_ub = [[value(-3, 3) for _ in range(n)] for _ in range(m_ub)]
     b_ub = [value(-3, 6) for _ in range(m_ub)]
     a_eq = [[value(-2, 3) for _ in range(n)] for _ in range(m_eq)]
