@@ -117,7 +117,7 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return [aug[i][k] / aug[i][i] for i in range(k)]
 
 
-def lp_vertices(n: int, a_ub, b_ub, a_eq, b_eq) -> list[list[Fraction]]:
+def _lp_vertices(n: int, a_ub, b_ub, a_eq, b_eq) -> list[list[Fraction]]:
     """Every vertex of {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}, by solving each
     choice of n constraints as equalities and keeping the feasible points."""
     ub = [([Fraction(v) for v in r], Fraction(b)) for r, b in zip(a_ub, b_ub)]
@@ -143,10 +143,10 @@ def brute_force_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[str, 
     """
     n = len(objective)
     c = [Fraction(v) for v in objective]
-    verts = lp_vertices(n, a_ub, b_ub, a_eq, b_eq)
+    verts = _lp_vertices(n, a_ub, b_ub, a_eq, b_eq)
     if not verts:
         return "infeasible", None
-    rays = lp_vertices(n, a_ub, [0] * len(a_ub), [*a_eq, [1] * n], [0] * len(a_eq) + [1])
+    rays = _lp_vertices(n, a_ub, [0] * len(a_ub), [*a_eq, [1] * n], [0] * len(a_eq) + [1])
     if any(_dot(c, ray) > 0 for ray in rays):
         return "unbounded", None
     return "optimal", max(_dot(c, x) for x in verts)

@@ -294,7 +294,7 @@ def test_summary_verdict_uses_configured_thresholds():
     # the horizon but not against a strict stability_eps.
     cfg = _line3_cfg(horizon=400)
     default = run(cfg)
-    final = default.total_q[-1] / cfg.horizon
+    final = float(default.total_q[-1]) / cfg.horizon
     assert 0 < final < MetricsOptions.stability_eps
     assert default.summary()["verdict"] == "stable"
     strict = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=final / 2))
