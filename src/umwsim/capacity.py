@@ -233,9 +233,16 @@ def verify_certificate(
     classes: list[TrafficClass],
     tol: float = 1e-9,
 ) -> bool:
-    """Independently recheck every constraint the certificate claims."""
+    """Independently recheck every constraint the certificate claims.
+
+    The certificate must cover exactly the loaded classes at their offered
+    rates: one that leaves a class out, names an unknown class, or states
+    another rate certifies a different problem and does not verify.
+    """
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     rates = dict(cert.rates)
+    if rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
+        return False
     by_class: dict[int, Fraction] = {cid: Fraction(0) for cid in rates}
     edge_load = [Fraction(0)] * g.m
     for cid, edges, v in cert.flows:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from umwsim.capacity import (
     max_scaling,
     verify_certificate,
 )
+from umwsim.engine import load_config
 from umwsim.errors import CapExceededError, ConfigError
 from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from umwsim.topology import ActivationSet, Graph, builtin_topology, enumerate_matchings
@@ -17,6 +19,7 @@ from umwsim.traffic import TrafficClass
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
 CYCLE4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # --- exact LP solver ---------------------------------------------------------
@@ -203,8 +206,6 @@ def test_certificate_verifies_and_rejects_perturbations():
         ),
         activation_mix=cert.activation_mix,
     )
-    assert not verify_certificate(bumped, g, aset, classes)
-
     broken_mix = CapacityCertificate(
         rho_star=cert.rho_star,
         rates=cert.rates,
@@ -213,7 +214,25 @@ def test_certificate_verifies_and_rejects_perturbations():
             (edges, p / 2) for edges, p in cert.activation_mix
         ),
     )
-    assert not verify_certificate(broken_mix, g, aset, classes)
+    # A certificate for another class id: same numbers, unknown class.
+    relabelled = CapacityCertificate(
+        rho_star=cert.rho_star,
+        rates=tuple((7 if cid == 0 else cid, r) for cid, r in cert.rates),
+        flows=tuple((7 if cid == 0 else cid, edges, v) for cid, edges, v in cert.flows),
+        activation_mix=cert.activation_mix,
+    )
+    # A certificate that leaves out loaded classes: mixed_kinds' first class
+    # alone scales to 5, all four classes together only to about 1.89.
+    mg, maset, mclasses = load_config(CONFIGS / "mixed_kinds.json").resolve()
+    partial = max_scaling(mg, maset, mclasses[:1])
+    assert partial.rho_star > max_scaling(mg, maset, mclasses).rho_star
+    for tampered, (tg, taset, tclasses) in (
+        (bumped, (g, aset, classes)),
+        (broken_mix, (g, aset, classes)),
+        (relabelled, (g, aset, classes)),
+        (partial, (mg, maset, mclasses)),
+    ):
+        assert not verify_certificate(tampered, tg, taset, tclasses)
 
 
 def test_json_round_trip():
