@@ -22,15 +22,7 @@ from .errors import (
     UmwsimError,
 )
 from .physical_net import Packet, PhysicalNetwork
-from .policy import (
-    BPState,
-    PolicyDecision,
-    bp_absorb,
-    bp_decide,
-    solve_route,
-    umw_decide,
-    umw_heuristic_decide,
-)
+from .policy import BPState, solve_route
 from .routing import (
     RouteTree,
     anycast_route,

@@ -21,7 +21,7 @@ from .activation import max_weight_activation
 from .capacity import CapacityCertificate, max_scaling
 from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
-from .policy import BPState, POLICY_NAMES, RouteCache, solve_route
+from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, solve_route
 from .routing import STEINER_MODES, RouteTree
 from .topology import ActivationSet, Graph, builtin_topology, load_activation, load_topology
 from .traffic import (
@@ -40,7 +40,6 @@ class MetricsOptions:
     warmup_frac: float = 0.1
     record_every: int = 1
     eq17_every: int = 1000
-    history_window: int = 0      # 0: none, -1: full history (diagnostics)
     diagnostics: bool = False
     stability_eps: float = 0.05
     divergence_factor: float = 3.0
@@ -48,6 +47,8 @@ class MetricsOptions:
     def __post_init__(self):
         if self.record_every < 1:
             raise ConfigError(f"metrics.record_every must be >= 1, got {self.record_every}")
+        if self.eq17_every < 0:
+            raise ConfigError(f"metrics.eq17_every must be >= 0, got {self.eq17_every}")
         if not 0 <= self.warmup_frac < 1:
             raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac}")
 
@@ -103,7 +104,6 @@ class SimulationConfig:
                 "warmup_frac": self.metrics.warmup_frac,
                 "record_every": self.metrics.record_every,
                 "eq17_every": self.metrics.eq17_every,
-                "history_window": self.metrics.history_window,
                 "diagnostics": self.metrics.diagnostics,
                 "stability_eps": self.metrics.stability_eps,
                 "divergence_factor": self.metrics.divergence_factor,
@@ -167,12 +167,10 @@ class MetricsReport:
     slots: np.ndarray            # recorded slot indices
     total_q: np.ndarray          # physical copies waiting (or BP backlog)
     total_vq: np.ndarray         # sum of virtual queues (0 for bp)
-    max_vq: np.ndarray
     deliveries: np.ndarray       # cumulative full deliveries, shape (slots, classes)
     mean_sojourn_running: np.ndarray
     arrivals_per_class: np.ndarray   # final cumulative external arrivals
     violations: dict[str, int] = field(default_factory=dict)
-    layer_counts_final: np.ndarray | None = None
     route_cache: dict[str, int] = field(default_factory=lambda: RouteCache().stats())
 
     @property
@@ -300,31 +298,103 @@ class _DiagnosticState:
             self.loading_violations += 1
 
 
+def _checkpoints(every: int, horizon: int) -> frozenset[int]:
+    """Slots after which the periodic invariant checks run: every
+    `every`-th slot and the last one; none when `every` is 0."""
+    if every == 0:
+        return frozenset()
+    return frozenset(range(every - 1, horizon, every)) | {horizon - 1}
+
+
+class _MaxWeightStepper:
+    """One slot of UMW or its heuristic (the policy interface of policy.py).
+
+    Routes this slot's arrivals by min-cost solves and activates links by
+    the max-weight rule, both under one weight vector: the virtual queues
+    for "umw", the physical buffer lengths for "umw-heuristic". Both arrays
+    are updated in place, so the vector is bound once. Then admits and
+    forwards the physical copies and applies the Lindley update.
+    """
+
+    def __init__(self, config: SimulationConfig, g: Graph, aset: ActivationSet,
+                 classes: list[TrafficClass], route_cache: RouteCache,
+                 diag: _DiagnosticState | None, checkpoints: frozenset[int]):
+        self.graph = g
+        self.aset = aset
+        self.classes = classes
+        self.steiner_mode = config.steiner_mode
+        self.route_cache = route_cache
+        self.diag = diag
+        self.checkpoints = checkpoints
+        self.net = PhysicalNetwork(g)
+        self.vq = VirtualQueues(g.m)
+        self.weights = self.vq.q if config.policy == "umw" else self.net.lengths
+        self.in_flight: dict[int, Packet] = {}
+        self.uid = 0
+        self.violations = {"delivery": 0, "layer_identity": 0}
+
+    def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
+        g, net, vq, weights, classes = self.graph, self.net, self.vq, self.weights, self.classes
+        in_flight = self.in_flight
+        routes: dict[int, RouteTree] = {}
+        for c in classes:
+            if arrivals[c.id] > 0:
+                routes[c.id] = solve_route(g, weights, c, self.steiner_mode, self.route_cache)
+        act = max_weight_activation(self.aset, weights)
+
+        completed: list[Packet] = []
+        for c in classes:
+            for _ in range(arrivals[c.id]):
+                pkt = Packet(self.uid, c.id, t, routes[c.id], routes[c.id].covered)
+                self.uid += 1
+                net.admit(pkt, t)
+                if pkt.complete:
+                    completed.append(pkt)
+                else:
+                    in_flight[pkt.uid] = pkt
+        for ev in net.forward(act.active, t):
+            if ev.packet.complete and ev.packet.uid in in_flight:
+                completed.append(in_flight.pop(ev.packet.uid))
+        for pkt in completed:
+            if pkt.delivered != pkt.required:
+                self.violations["delivery"] += 1
+
+        A = virtual_arrival_vector(routes, arrivals, g.m)
+        mu = act.as_array
+        vq.lindley_update(A, mu)
+        if self.diag is not None:
+            self.diag.step(A, mu, vq.q, sum(arrivals.values()))
+
+        total_q = net.total_copies
+        if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
+            self.violations["layer_identity"] += 1
+        return SlotOutcome(
+            [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed],
+            total_q,
+            vq.total(),
+        )
+
+
 def run(config: SimulationConfig) -> MetricsReport:
     g, aset, classes = config.resolve()
     T = config.horizon
-    m = g.m
     opts = config.metrics
-    class_ids = [c.id for c in classes]
     table = arrival_table(classes, config.arrival, T, config.seed)
 
-    history_window = None if opts.history_window == -1 else opts.history_window
-    vq = VirtualQueues(m, history_window=history_window)
+    checkpoints = _checkpoints(opts.eq17_every, T)
+    route_cache = RouteCache()
     diag = None
     if opts.diagnostics:
-        diag = _DiagnosticState(m, effective_amax(classes, config.arrival))
-
-    bp = BPState(g, classes) if config.policy == "bp" else None
-    net = PhysicalNetwork(g) if bp is None else None
-    route_cache = RouteCache()
-    uid = 0
-    in_flight: dict[int, Packet] = {}
+        diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival))
+    if config.policy == "bp":
+        policy = BPState(g, aset, classes)
+    else:
+        policy = _MaxWeightStepper(config, g, aset, classes, route_cache, diag, checkpoints)
 
     n_rec = (T + opts.record_every - 1) // opts.record_every
     rec_slots = np.zeros(n_rec, dtype=np.int64)
     rec_total_q = np.zeros(n_rec, dtype=np.int64)
     rec_total_vq = np.zeros(n_rec, dtype=np.int64)
-    rec_max_vq = np.zeros(n_rec, dtype=np.int64)
     rec_deliv = np.zeros((n_rec, len(classes)), dtype=np.int64)
     rec_sojourn = np.zeros(n_rec, dtype=np.float64)
 
@@ -334,88 +404,32 @@ def run(config: SimulationConfig) -> MetricsReport:
     sojourn_sum = 0.0
     sojourn_n = 0
     eq17_violations = 0
-    delivery_violations = 0
-    layer_violations = 0
     rec_i = 0
 
     for t in range(T):
         arr_row = table[t]
         cum_arrivals += arr_row
         arrivals = {c.id: int(arr_row[j]) for j, c in enumerate(classes)}
+        completed, total_q, total_vq = policy.step(t, arrivals)
+        for cid, sojourn in completed:
+            full_deliveries[col_of[cid]] += 1
+            sojourn_sum += sojourn
+            sojourn_n += 1
 
-        if bp is not None:
-            done = bp.absorb_arrivals(arrivals, t)
-            _, forwards = bp.decide(aset)
-            done += bp.apply(forwards, t)
-            for pkt in done:
-                full_deliveries[col_of[pkt.class_id]] += 1
-                sojourn_sum += t - pkt.arrival_slot
-                sojourn_n += 1
-            total_q_now = bp.total_packets
-            total_vq_now = 0
-            max_vq_now = 0
-        else:
-            weights = vq.q if config.policy == "umw" else net.lengths
-            routes: dict[int, RouteTree] = {}
-            for c in classes:
-                if arrivals[c.id] > 0:
-                    routes[c.id] = solve_route(g, weights, c, config.steiner_mode, route_cache)
-            act = max_weight_activation(aset, weights)
-
-            completed: list[Packet] = []
-            for c in classes:
-                for _ in range(arrivals[c.id]):
-                    pkt = Packet(uid, c.id, t, routes[c.id], routes[c.id].covered)
-                    uid += 1
-                    net.admit(pkt, t)
-                    if pkt.complete:
-                        completed.append(pkt)
-                    else:
-                        in_flight[pkt.uid] = pkt
-            for ev in net.forward(act.active, t):
-                if ev.packet.complete and ev.packet.uid in in_flight:
-                    completed.append(in_flight.pop(ev.packet.uid))
-
-            for pkt in completed:
-                if pkt.delivered != pkt.required:
-                    delivery_violations += 1
-                full_deliveries[col_of[pkt.class_id]] += 1
-                sojourn_sum += pkt.full_delivery_slot - pkt.arrival_slot
-                sojourn_n += 1
-
-            A = virtual_arrival_vector(routes, arrivals, m)
-            mu = act.as_array
-            vq.lindley_update(A, mu)
-            if diag is not None:
-                diag.step(A, mu, vq.q, int(arr_row.sum()))
-
-            total_q_now = net.total_copies
-            total_vq_now = vq.total()
-            max_vq_now = int(vq.q.max()) if m else 0
-
-        if opts.eq17_every and ((t + 1) % opts.eq17_every == 0 or t == T - 1):
+        if t in checkpoints:
             for j in range(len(classes)):
-                if full_deliveries[j] < cum_arrivals[j] - total_q_now:
+                if full_deliveries[j] < cum_arrivals[j] - total_q:
                     eq17_violations += 1
-            if net is not None:
-                layers = net.layer_counters()
-                if int(layers.sum()) != total_q_now:
-                    layer_violations += 1
 
         if t % opts.record_every == 0:
             rec_slots[rec_i] = t
-            rec_total_q[rec_i] = total_q_now
-            rec_total_vq[rec_i] = total_vq_now
-            rec_max_vq[rec_i] = max_vq_now
+            rec_total_q[rec_i] = total_q
+            rec_total_vq[rec_i] = total_vq
             rec_deliv[rec_i] = full_deliveries
             rec_sojourn[rec_i] = sojourn_sum / sojourn_n if sojourn_n else math.nan
             rec_i += 1
 
-    violations = {
-        "eq17": eq17_violations,
-        "delivery": delivery_violations,
-        "layer_identity": layer_violations,
-    }
+    violations = {"eq17": eq17_violations, **policy.violations}
     if diag is not None:
         violations.update(
             skorokhod=diag.skorokhod_violations,
@@ -428,16 +442,14 @@ def run(config: SimulationConfig) -> MetricsReport:
         policy=config.policy,
         seed=config.seed,
         horizon=T,
-        class_ids=class_ids,
+        class_ids=[c.id for c in classes],
         slots=rec_slots[:rec_i],
         total_q=rec_total_q[:rec_i],
         total_vq=rec_total_vq[:rec_i],
-        max_vq=rec_max_vq[:rec_i],
         deliveries=rec_deliv[:rec_i],
         mean_sojourn_running=rec_sojourn[:rec_i],
         arrivals_per_class=cum_arrivals,
         violations=violations,
-        layer_counts_final=net.layer_counters() if net is not None else None,
         route_cache=route_cache.stats(),
     )
 

@@ -1,20 +1,25 @@
-"""Per-slot control policies.
+"""Per-slot control policies and the route solve they share.
 
-Three policies share the engine contract:
+A run picks its policy once, before the slot loop, and then calls
+``policy.step(t, arrivals)`` every slot. ``arrivals`` maps each class id to
+its external arrival count in slot t; the step makes every decision of the
+slot, applies it to the policy's own queues, and returns a SlotOutcome.
+Each policy also keeps a ``violations`` dict of its own invariant counts
+(``delivery`` and ``layer_identity``), so the loop never asks which policy
+it is driving. There are two implementations:
 
-  "umw"           route and schedule by the virtual-queue weights,
-  "umw-heuristic" the same decision rules fed physical queue lengths,
-  "bp"            classical back-pressure (unicast baseline), forwarding
-                  along maximal per-commodity backlog differentials.
-
-The optimal policy never sees physical state; its decision function takes
-only the virtual-queue vector, which enforces that separation by
-construction.
+  ``engine._MaxWeightStepper`` serves "umw" and "umw-heuristic": min-cost
+      routing (``solve_route``) and max-weight activation under the virtual
+      queues ("umw") or the physical buffer lengths ("umw-heuristic"). The
+      optimal policy's weights are the virtual counters alone; it never
+      reads physical state.
+  ``BPState`` serves "bp", classical back-pressure (unicast baseline):
+      forwarding along maximal per-commodity backlog differentials, so
+      packets may wander and cycle.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +46,12 @@ POLICY_NAMES = ("umw", "umw-heuristic", "bp")
 ROUTE_MEMO_CAP = 1024
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    routes: dict[int, RouteTree]
-    activation: ActivationVector
+class SlotOutcome(NamedTuple):
+    """What one policy step hands back to the slot loop."""
+
+    completed: list[tuple[int, int]]   # (class id, sojourn) per packet fully delivered this slot
+    total_q: int                       # physical copies or packets still queued
+    total_vq: int                      # sum of the virtual queues (0 for bp)
 
 
 class RouteCache:
@@ -107,41 +114,6 @@ def solve_route(
     return tree
 
 
-def _decide(weights, arrivals, g, aset, classes, steiner_mode, cache) -> PolicyDecision:
-    routes: dict[int, RouteTree] = {}
-    for cls in classes:
-        if arrivals.get(cls.id, 0) > 0:
-            routes[cls.id] = solve_route(g, weights, cls, steiner_mode, cache)
-    return PolicyDecision(routes, max_weight_activation(aset, weights))
-
-
-def umw_decide(
-    virtual_q: np.ndarray,
-    arrivals: dict[int, int],
-    g: Graph,
-    aset: ActivationSet,
-    classes: list[TrafficClass],
-    steiner_mode: str = "exact",
-    cache: RouteCache | None = None,
-) -> PolicyDecision:
-    """Routes for this slot's arrivals and the max-weight activation,
-    both driven by the virtual queue lengths."""
-    return _decide(virtual_q, arrivals, g, aset, classes, steiner_mode, cache)
-
-
-def umw_heuristic_decide(
-    physical_q: np.ndarray,
-    arrivals: dict[int, int],
-    g: Graph,
-    aset: ActivationSet,
-    classes: list[TrafficClass],
-    steiner_mode: str = "exact",
-    cache: RouteCache | None = None,
-) -> PolicyDecision:
-    """Same decision rules with physical queue lengths as the weights."""
-    return _decide(physical_q, arrivals, g, aset, classes, steiner_mode, cache)
-
-
 # ---------------------------------------------------------------------------
 # Back-pressure baseline (unicast only)
 
@@ -161,11 +133,12 @@ class Forward(NamedTuple):
 class BPState:
     """Per-node, per-class FIFO backlogs for classical back-pressure."""
 
-    def __init__(self, g: Graph, classes: list[TrafficClass]):
+    def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass]):
         for cls in classes:
             if cls.kind != "unicast":
                 raise ConfigError("back-pressure baseline supports unicast classes only")
         self.graph = g
+        self.aset = aset
         self.classes = list(classes)
         self.dest = {cls.id: cls.destination for cls in classes}
         self.queues: dict[tuple[int, int], deque[BPPacket]] = {
@@ -173,6 +146,17 @@ class BPState:
         }
         self.total_packets = 0
         self._uid = 0
+        # Packets carry no route tree and copies no hop layers, so neither
+        # check applies to back-pressure; both read 0.
+        self.violations = {"delivery": 0, "layer_identity": 0}
+
+    def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
+        """One slot: enqueue the arrivals, then forward along the best differentials."""
+        done = self.absorb_arrivals(arrivals, slot)
+        _, forwards = self.decide()
+        done += self.apply(forwards, slot)
+        return SlotOutcome([(pkt.class_id, slot - pkt.arrival_slot) for pkt in done],
+                           self.total_packets, 0)
 
     def backlog(self, node: int, class_id: int) -> int:
         # The destination absorbs instantly, so its backlog reads as zero.
@@ -194,7 +178,7 @@ class BPState:
                 self.total_packets += 1
         return done
 
-    def decide(self, aset: ActivationSet) -> tuple[ActivationVector, list[Forward]]:
+    def decide(self) -> tuple[ActivationVector, list[Forward]]:
         """Max-weight activation over backlog differentials plus, per active
         edge with positive weight, the commodity and direction to forward.
 
@@ -219,7 +203,7 @@ class BPState:
             if best is not None:
                 weights[e] = -best[0][0]
                 plans[e] = best[1]
-        activation = max_weight_activation(aset, weights)
+        activation = max_weight_activation(self.aset, weights)
         forwards = [plans[e] for e in sorted(activation.active) if plans[e] is not None and weights[e] > 0]
         return activation, forwards
 
@@ -239,11 +223,3 @@ class BPState:
                 self.queues[(fwd.to_node, fwd.class_id)].append(pkt)
                 self.total_packets += 1
         return delivered
-
-
-def bp_decide(bp: BPState, aset: ActivationSet) -> tuple[ActivationVector, list[Forward]]:
-    return bp.decide(aset)
-
-
-def bp_absorb(bp: BPState, arrivals: dict[int, int], slot: int) -> list[BPPacket]:
-    return bp.absorb_arrivals(arrivals, slot)

@@ -86,10 +86,6 @@ class RouteTree:
         return {u: tuple(sorted(tes)) for u, tes in by_parent.items()}
 
     @cached_property
-    def depth_of(self) -> dict[int, int]:
-        return {te.edge_id: te.depth for te in self.edges}
-
-    @cached_property
     def child_node_of(self) -> dict[int, int]:
         """Node reached when a copy crosses the given tree edge."""
         return {te.edge_id: te.child for te in self.edges}

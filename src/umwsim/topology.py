@@ -68,14 +68,6 @@ class Graph:
             adj[v].append((eid, u))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def other_end(self, edge_id: int, node: int) -> int:
-        u, v = self.edges[edge_id]
-        if node == u:
-            return v
-        if node == v:
-            return u
-        raise TopologyError(f"node {node} is not an endpoint of edge {edge_id}")
-
 
 @dataclass(frozen=True)
 class ActivationVector:

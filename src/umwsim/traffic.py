@@ -102,39 +102,23 @@ def class_stream(master_seed: int, class_id: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def class_streams(classes: list[TrafficClass], master_seed: int) -> dict[int, np.random.Generator]:
-    return {cls.id: class_stream(master_seed, cls.id) for cls in classes}
-
-
 def sweep_subseed(master_seed: int, run_index: int) -> int:
     """Deterministic per-run seed for load sweeps (fixed mixing of seed and index)."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(_SWEEP_SEED_TAG, run_index))
     return int(seq.generate_state(1, np.uint64)[0])
 
-def _draw(process: ArrivalProcess, rng: np.random.Generator, rate: float, size=None):
+
+def _draw(process: ArrivalProcess, rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
     if process.kind == "bernoulli":
         if rate > 1.0:
             raise ConfigError(f"bernoulli arrivals need rate <= 1, got {rate}")
-        if size is None:
-            return int(rng.random() < rate)
         return (rng.random(size) < rate).astype(np.int64)
     if process.kind == "binomial":
         p = rate / process.trials
         if p > 1.0:
             raise ConfigError(f"binomial({process.trials}) cannot reach mean {rate}")
-        out = rng.binomial(process.trials, p, size=size)
-        return int(out) if size is None else out.astype(np.int64)
-    out = rng.poisson(rate, size=size)
-    return int(out) if size is None else out.astype(np.int64)
-
-
-def generate_arrivals(
-    classes: list[TrafficClass],
-    process: ArrivalProcess,
-    streams: dict[int, np.random.Generator],
-) -> dict[int, int]:
-    """Draw this slot's arrival count per class (call once per slot, in slot order)."""
-    return {cls.id: _draw(process, streams[cls.id], cls.rate) for cls in classes}
+        return rng.binomial(process.trials, p, size=size).astype(np.int64)
+    return rng.poisson(rate, size=size).astype(np.int64)
 
 
 def arrival_table(

@@ -273,6 +273,12 @@ def test_record_every_zero_rejected():
         MetricsOptions(record_every=-1)
 
 
+def test_negative_eq17_every_rejected():
+    with pytest.raises(ConfigError, match="eq17_every"):
+        config_from_dict({"topology": "line3", "metrics": {"eq17_every": -5}})
+    assert MetricsOptions(eq17_every=0).eq17_every == 0   # 0 turns the checks off
+
+
 def test_warmup_frac_out_of_range_rejected():
     for bad in (2.0, 1.0, -0.1, float("nan")):
         with pytest.raises(ConfigError, match="warmup_frac"):
@@ -308,9 +314,10 @@ def test_summary_verdict_uses_configured_thresholds():
 
 
 def test_unknown_metrics_key_rejected():
-    doc = {"topology": "line3", "metrics": {"diagnostics": True, "record_evry": 5}}
-    with pytest.raises(ConfigError, match="record_evry"):
-        config_from_dict(doc)
+    for key in ("record_evry", "history_window"):
+        doc = {"topology": "line3", "metrics": {"diagnostics": True, key: 5}}
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,74 +3,77 @@ import pytest
 
 from helpers import random_connected_graph, random_rooted_digraph
 from umwsim import policy
+from umwsim.activation import max_weight_activation
+from umwsim.engine import SimulationConfig, _MaxWeightStepper
 from umwsim.errors import ConfigError
-from umwsim.policy import (
-    BPState,
-    RouteCache,
-    bp_absorb,
-    bp_decide,
-    solve_route,
-    umw_decide,
-    umw_heuristic_decide,
-)
+from umwsim.policy import BPPacket, BPState, RouteCache, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
 CYCLE4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 LINE3 = Graph(3, ((0, 1), (1, 2)))
+WIRED1 = ActivationSet("wired", 1)
 WIRED2 = ActivationSet("wired", 2)
 WIRED4 = ActivationSet("wired", 4)
 
 
+def _stepper(policy_name, g, aset, classes, cache=None):
+    # The stepper reads only the policy and the Steiner mode from the
+    # config; the topology comes in as g and aset.
+    cfg = SimulationConfig(topology="line3", horizon=10, policy=policy_name)
+    return _MaxWeightStepper(cfg, g, aset, classes, cache or RouteCache(), None, frozenset())
+
+
 def test_umw_zero_queues_fewest_hops():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    decision = umw_decide(np.zeros(4, np.int64), {0: 1}, CYCLE4, WIRED4, [cls])
+    w = np.zeros(4, np.int64)
     # all-zero weights: hop tie-break picks a two-edge side, lexicographic first
-    assert decision.routes[0].edge_ids == {0, 1}
-    assert decision.activation.active == {0, 1, 2, 3}
+    assert solve_route(CYCLE4, w, cls).edge_ids == {0, 1}
+    assert max_weight_activation(WIRED4, w).active == {0, 1, 2, 3}
 
 
 def test_umw_routes_around_congestion():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     w = np.array([50, 50, 0, 0], np.int64)   # virtual backlog on edges 0,1
-    decision = umw_decide(w, {0: 1}, CYCLE4, WIRED4, [cls])
-    assert decision.routes[0].edge_ids == {2, 3}
+    assert solve_route(CYCLE4, w, cls).edge_ids == {2, 3}
 
 
 def test_umw_no_arrival_no_route():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    decision = umw_decide(np.zeros(4, np.int64), {0: 0}, CYCLE4, WIRED4, [cls])
-    assert decision.routes == {}
+    cache = RouteCache()
+    stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
+    assert stepper.step(0, {0: 0}) == ([], 0, 0)
+    # no route solved and no virtual arrival deposited
+    assert cache.hits + cache.misses == 0
+    assert not stepper.vq.cum_arrivals.any()
 
 
 def test_umw_broadcast_line3_unique_tree():
     cls = TrafficClass(0, "broadcast", 0, frozenset({0, 1, 2}), 1.0)
     for w in ([0, 0], [9, 1], [3, 7]):
-        decision = umw_decide(np.array(w, np.int64), {0: 1}, LINE3, WIRED2, [cls])
-        assert decision.routes[0].edge_ids == {0, 1}
+        assert solve_route(LINE3, np.array(w, np.int64), cls).edge_ids == {0, 1}
 
 
 def test_heuristic_matches_umw_when_all_empty():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    a = umw_decide(np.zeros(4, np.int64), {0: 1}, CYCLE4, WIRED4, [cls])
-    b = umw_heuristic_decide(np.zeros(4, np.int64), {0: 1}, CYCLE4, WIRED4, [cls])
-    assert a.routes[0].edge_ids == b.routes[0].edge_ids
-    assert a.activation.active == b.activation.active
+    umw = _stepper("umw", CYCLE4, WIRED4, [cls])
+    heur = _stepper("umw-heuristic", CYCLE4, WIRED4, [cls])
+    assert umw.weights is umw.vq.q and heur.weights is heur.net.lengths
+    a, b = umw.weights, heur.weights
+    assert solve_route(CYCLE4, a, cls).edge_ids == solve_route(CYCLE4, b, cls).edge_ids
+    assert max_weight_activation(WIRED4, a).active == max_weight_activation(WIRED4, b).active
 
 
 def test_heuristic_steers_around_physical_backlog():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     q_phys = np.array([0, 40, 0, 0], np.int64)
-    decision = umw_heuristic_decide(q_phys, {0: 1}, CYCLE4, WIRED4, [cls])
-    assert decision.routes[0].edge_ids == {2, 3}
+    assert solve_route(CYCLE4, q_phys, cls).edge_ids == {2, 3}
 
 
 def test_heuristic_activation_maximizes_physical_weight():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     aset = enumerate_matchings(g)
-    cls = TrafficClass(0, "unicast", 0, frozenset({3}), 1.0)
-    decision = umw_heuristic_decide(np.array([3, 1, 3], np.int64), {0: 0}, g, aset, [cls])
-    assert decision.activation.active == {0, 2}
+    assert max_weight_activation(aset, np.array([3, 1, 3], np.int64)).active == {0, 2}
 
 
 def test_solve_route_cache_shares_objects():
@@ -84,22 +87,22 @@ def test_solve_route_cache_shares_objects():
 def test_bp_requires_unicast():
     bc = TrafficClass(0, "broadcast", 0, frozenset({0, 1, 2}), 1.0)
     with pytest.raises(ConfigError):
-        BPState(LINE3, [bc])
+        BPState(LINE3, WIRED2, [bc])
 
 
 def test_bp_idle_when_empty():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    bp = BPState(LINE3, [cls])
-    _, forwards = bp_decide(bp, WIRED2)
+    bp = BPState(LINE3, WIRED2, [cls])
+    _, forwards = bp.decide()
     assert forwards == []
 
 
 def test_bp_lone_edge_differential():
     g = Graph(2, ((0, 1),))
     c0 = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
-    bp = BPState(g, [c0])
-    bp_absorb(bp, {0: 3}, 0)
-    activation, forwards = bp_decide(bp, ActivationSet("wired", 1))
+    bp = BPState(g, WIRED1, [c0])
+    bp.absorb_arrivals({0: 3}, 0)
+    activation, forwards = bp.decide()
     # backlog difference 3 - 0: one class-0 packet crosses and exits
     assert len(forwards) == 1 and forwards[0].class_id == 0
     delivered = bp.apply(forwards, 0)
@@ -109,40 +112,38 @@ def test_bp_lone_edge_differential():
 
 def test_bp_destination_absorbs():
     cls = TrafficClass(0, "unicast", 0, frozenset({0}), 1.0)
-    bp = BPState(LINE3, [cls])
-    done = bp_absorb(bp, {0: 2}, 5)
+    bp = BPState(LINE3, WIRED2, [cls])
+    done = bp.absorb_arrivals({0: 2}, 5)
     assert len(done) == 2 and bp.total_packets == 0
 
 
 def test_bp_never_forwards_nonpositive_differential():
-    from umwsim.policy import BPPacket
-
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    bp = BPState(LINE3, [cls])
-    bp_absorb(bp, {0: 1}, 0)
+    bp = BPState(LINE3, WIRED2, [cls])
+    bp.absorb_arrivals({0: 1}, 0)
     bp.queues[(1, 0)].append(BPPacket(99, 0, 0))
     bp.total_packets += 1
     # edge 0 sees equal backlogs (diff 0) and must idle; edge 1 forwards
-    _, forwards = bp_decide(bp, WIRED2)
+    _, forwards = bp.decide()
     assert [(f.from_node, f.to_node) for f in forwards] == [(1, 2)]
 
 
 def test_bp_fifo_order():
     g = Graph(2, ((0, 1),))
     cls = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
-    bp = BPState(g, [cls])
-    bp_absorb(bp, {0: 2}, 0)
-    bp_absorb(bp, {0: 1}, 1)
-    _, forwards = bp_decide(bp, ActivationSet("wired", 1))
+    bp = BPState(g, WIRED1, [cls])
+    bp.absorb_arrivals({0: 2}, 0)
+    bp.absorb_arrivals({0: 1}, 1)
+    _, forwards = bp.decide()
     delivered = bp.apply(forwards, 1)
     assert delivered[0].arrival_slot == 0  # oldest first
 
 
 def test_bp_undirected_uses_better_direction():
     cls = TrafficClass(0, "unicast", 2, frozenset({0}), 1.0)  # flows right to left
-    bp = BPState(LINE3, [cls])
-    bp_absorb(bp, {0: 4}, 0)
-    _, forwards = bp_decide(bp, WIRED2)
+    bp = BPState(LINE3, WIRED2, [cls])
+    bp.absorb_arrivals({0: 4}, 0)
+    _, forwards = bp.decide()
     assert any(f.from_node == 2 and f.to_node == 1 for f in forwards)
 
 

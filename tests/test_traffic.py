@@ -8,9 +8,7 @@ from umwsim.traffic import (
     ArrivalProcess,
     TrafficClass,
     arrival_table,
-    class_streams,
     effective_amax,
-    generate_arrivals,
     sweep_subseed,
     validate_classes,
 )
@@ -74,19 +72,6 @@ def test_cross_class_streams_differ():
     classes = [_cls(0, rate=0.5), _cls(1, source=1, dests=(0,), rate=0.5)]
     table = arrival_table(classes, ArrivalProcess("bernoulli"), 500, 3)
     assert not np.array_equal(table[:, 0], table[:, 1])
-
-
-def test_sequential_draws_match_table():
-    classes = [_cls(0, rate=0.6), _cls(1, source=1, dests=(0,), rate=0.2)]
-    for process in (ArrivalProcess("bernoulli"), ArrivalProcess("poisson"),
-                    ArrivalProcess("binomial", trials=2)):
-        table = arrival_table(classes, process, 100, 17)
-        streams = class_streams(classes, 17)
-        rows = []
-        for _ in range(100):
-            drawn = generate_arrivals(classes, process, streams)
-            rows.append([drawn[c.id] for c in classes])
-        assert np.array_equal(table, np.array(rows))
 
 
 def test_sweep_subseed_deterministic():
