@@ -1,8 +1,7 @@
 """Shared test utilities: random graph generation and brute-force oracles.
 
-The brute-force routines here (and the subset enumeration in
-umwsim.capacity) are the independent references the solvers are checked
-against; they never call the code paths under test.
+The brute-force routines here are the independent references the solvers
+are checked against; they never call the code paths under test.
 """
 from __future__ import annotations
 
@@ -11,7 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from umwsim.errors import CapExceededError, TopologyError
+from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
+from umwsim.traffic import TrafficClass
 
 
 def random_connected_graph(rng: np.random.Generator, max_edges: int = 12) -> Graph:
@@ -95,6 +97,64 @@ def bfs_depths(g: Graph, tree) -> dict[int, int]:
             depths[eid] = d
             frontier.append((child, d + 1))
     return depths
+
+
+def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int],
+                 spanning: bool) -> list[RouteTree]:
+    """All edge subsets that form a root-oriented tree covering `cover`
+    with every leaf in `leaves_in`. Exhaustive over 2^m subsets."""
+    m = g.m
+    n = g.node_count
+    out: list[RouteTree] = []
+    for bits in range(1 << m):
+        edge_ids = [e for e in range(m) if bits >> e & 1]
+        k = len(edge_ids)
+        if spanning and k != n - 1:
+            continue
+        if k > n - 1:
+            continue
+        nodes: set[int] = set()
+        for e in edge_ids:
+            nodes.update(g.edges[e])
+        if k and len(nodes) != k + 1:
+            continue
+        if not cover <= (nodes | {root}):
+            continue
+        if edge_ids and root not in nodes:
+            continue
+        try:
+            tree = orient_tree(g, edge_ids, root, cover)
+        except TopologyError:
+            continue
+        leaf_ok = all(
+            te.child in leaves_in or te.child in tree.children_of
+            for te in tree.edges
+        )
+        if leaf_ok:
+            out.append(tree)
+    return out
+
+
+def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = 12,
+                       paths_per_pair_cap: int = 100) -> list[RouteTree]:
+    """Reference route catalogue for `umwsim.capacity.enumerate_routes`: the
+    same classes, caps and order, found by testing every one of the 2^m edge
+    subsets instead of growing trees."""
+    if g.m > edge_cap:
+        raise CapExceededError("route enumeration edges", g.m, edge_cap)
+    s = cls.source
+    if cls.kind == "broadcast":
+        return subset_scan(g, s, frozenset(range(g.node_count)), frozenset(range(g.node_count)), True)
+    if cls.kind == "multicast":
+        cover = frozenset(cls.destinations | {s})
+        return subset_scan(g, s, cls.destinations, cover, False)
+    routes: list[RouteTree] = []
+    for t in sorted(cls.destinations):
+        pair = subset_scan(g, s, frozenset({t}), frozenset({t}), False)
+        if len(pair) > paths_per_pair_cap:
+            raise CapExceededError(f"paths {s}->{t}", len(pair), paths_per_pair_cap)
+        routes.extend(pair)
+    return routes
 
 
 def _dot(row, x) -> Fraction:

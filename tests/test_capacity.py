@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brute_force_lp, random_connected_graph
+from helpers import (
+    brute_force_lp,
+    random_connected_graph,
+    random_rooted_digraph,
+    subset_scan,
+    subset_scan_routes,
+)
+from umwsim import capacity
 from umwsim.capacity import (
     CapacityCertificate,
     enumerate_routes,
@@ -161,6 +168,102 @@ def test_enumeration_caps():
     cls = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
     with pytest.raises(CapExceededError):
         enumerate_routes(big, cls)
+
+
+def _assert_same_catalogue(g, cls, **caps):
+    """enumerate_routes returns the subset scan's list, in its order, or
+    raises the same CapExceededError; returns that list (None on a raise)."""
+    try:
+        want = subset_scan_routes(g, cls, **caps)
+    except CapExceededError as err:
+        with pytest.raises(CapExceededError) as got:
+            enumerate_routes(g, cls, **caps)
+        assert str(got.value) == str(err)
+        return None
+    assert enumerate_routes(g, cls, **caps) == want
+    return want
+
+
+def test_enumerate_routes_matches_subset_scan_on_random_graphs():
+    rng = np.random.default_rng(20)
+    seen = {"empty": 0, "cap": 0, "into_root": 0}
+    for trial in range(240):
+        if trial % 2:
+            g = random_connected_graph(rng, max_edges=10)
+        else:
+            g, _ = random_rooted_digraph(rng, max_edges=10)
+        n = g.node_count
+        source = int(rng.integers(0, n))
+        seen["into_root"] += g.directed and any(v == source for _, v in g.edges)
+        picks = [int(x) for x in rng.permutation(n)]
+        k = int(rng.integers(1, n + 1))
+        caps = {"paths_per_pair_cap": 3} if trial % 5 == 0 else {}
+        for cls in (
+            TrafficClass(0, "unicast", source, frozenset(picks[:1]), 1.0),
+            TrafficClass(1, "broadcast", source, frozenset(range(n)), 1.0),
+            TrafficClass(2, "multicast", source, frozenset(picks[:k]), 1.0),
+            TrafficClass(3, "anycast", source, frozenset(picks[:k]), 1.0),
+        ):
+            routes = _assert_same_catalogue(g, cls, **caps)
+            seen["cap"] += routes is None
+            seen["empty"] += routes == []
+    assert min(seen.values()) >= 10, seen
+
+
+def test_tree_subsets_match_subset_scan_on_arbitrary_arguments():
+    # Covers and leaf sets no traffic class produces, e.g. a root outside
+    # `leaves_in` or a spanning request with a partial cover.
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        if trial % 2:
+            g = random_connected_graph(rng, max_edges=8)
+        else:
+            g, _ = random_rooted_digraph(rng, max_edges=8)
+        n = g.node_count
+        root = int(rng.integers(0, n))
+        cover = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.4))
+        leaves_in = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6))
+        spanning = bool(rng.random() < 0.3)
+        want = subset_scan(g, root, cover, leaves_in, spanning)
+        assert capacity._tree_subsets(g, root, cover, leaves_in, spanning) == want
+
+
+@pytest.mark.parametrize("g, cls, count", [
+    # unicast to its own source: only the edgeless route
+    (CYCLE4, TrafficClass(0, "unicast", 2, frozenset({2}), 1.0), 1),
+    # multicast whose destinations are a subset of {source}
+    (CYCLE4, TrafficClass(0, "multicast", 1, frozenset({1}), 1.0), 1),
+    # single-node broadcast
+    (Graph(1, ()), TrafficClass(0, "broadcast", 0, frozenset({0}), 1.0), 1),
+    # directed edges into the root are never used
+    (Graph(3, ((1, 0), (0, 1), (2, 0), (1, 2)), directed=True),
+     TrafficClass(0, "broadcast", 0, frozenset(range(3)), 1.0), 1),
+    (Graph(3, ((1, 0), (0, 1), (2, 0), (1, 2), (0, 2)), directed=True),
+     TrafficClass(0, "multicast", 0, frozenset({1, 2}), 1.0), 2),
+    # unreachable destinations give an empty catalogue
+    (Graph(3, ((1, 0), (1, 2)), directed=True),
+     TrafficClass(0, "unicast", 0, frozenset({2}), 1.0), 0),
+    (Graph(3, ((0, 1), (2, 1)), directed=True),
+     TrafficClass(0, "broadcast", 0, frozenset(range(3)), 1.0), 0),
+    (Graph(4, ((0, 1), (2, 3))),
+     TrafficClass(0, "anycast", 0, frozenset({2, 3}), 1.0), 0),
+])
+def test_enumerate_routes_matches_subset_scan_on_edge_cases(g, cls, count):
+    assert len(_assert_same_catalogue(g, cls)) == count
+
+
+def test_enumerate_routes_cap_errors_match_subset_scan():
+    big = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8))[:13])
+    uni = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
+    assert _assert_same_catalogue(big, uni) is None
+    k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    assert len(_assert_same_catalogue(k4, uni, paths_per_pair_cap=5)) == 5
+    with pytest.raises(CapExceededError, match=r"paths 0->1: size 5 exceeds enumeration cap 4"):
+        enumerate_routes(k4, uni, paths_per_pair_cap=4)
+    assert _assert_same_catalogue(k4, uni, paths_per_pair_cap=4) is None
+    any_ = TrafficClass(0, "anycast", 0, frozenset({2, 3}), 1.0)
+    with pytest.raises(CapExceededError, match=r"paths 0->2: size 5"):
+        enumerate_routes(k4, any_, paths_per_pair_cap=4)
 
 
 def test_positive_rate_needs_route():
