@@ -384,11 +384,13 @@ def run(config: SimulationConfig) -> MetricsReport:
     checkpoints = _checkpoints(opts.eq17_every, T)
     route_cache = RouteCache()
     diag = None
-    if opts.diagnostics:
-        diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival))
     if config.policy == "bp":
+        # Back-pressure keeps no virtual queues, so the virtual-queue
+        # diagnostics have nothing to check and are left out of its summary.
         policy = BPState(g, aset, classes)
     else:
+        if opts.diagnostics:
+            diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival))
         policy = _MaxWeightStepper(config, g, aset, classes, route_cache, diag, checkpoints)
 
     n_rec = (T + opts.record_every - 1) // opts.record_every

@@ -124,6 +124,21 @@ def test_diagnostics_clean_on_small_run():
     assert rep.violations["loading"] == 0
 
 
+def test_bp_diagnostics_report_no_virtual_queue_checks():
+    cfg = SimulationConfig(topology="twinpath_unicast", horizon=300, seed=3,
+                           arrival=ArrivalProcess("poisson"), load_factor=0.5,
+                           metrics=MetricsOptions(diagnostics=True))
+    virtual_checks = {"skorokhod", "sandwich", "loading"}
+    bp = run(dataclasses.replace(cfg, policy="bp"))
+    assert not virtual_checks & set(bp.violations)
+    assert not virtual_checks & set(bp.summary()["violations"])
+    umw = run(dataclasses.replace(cfg, policy="umw"))
+    assert virtual_checks <= set(umw.violations)
+    reports = compare(cfg, ["umw", "umw-heuristic", "bp"])
+    assert virtual_checks <= set(reports["umw-heuristic"].violations)
+    assert not virtual_checks & set(reports["bp"].violations)
+
+
 def test_mixed_traffic_kinds_run_clean():
     classes = (
         TrafficClass(0, "unicast", 0, frozenset({3}), 0.3),
