@@ -1,8 +1,9 @@
 """Desk-scale capacity oracle.
 
-Enumerates every admissible route per class by brute force over edge
-subsets, then solves the fractional route-decomposition plus
-activation-mixing program exactly:
+Enumerates every admissible route per class by growing out-trees from the
+class source (branching on each frontier edge, pruning a branch as soon as
+it can no longer reach what the class requires), then solves the
+fractional route-decomposition plus activation-mixing program exactly:
 
     maximize rho
     s.t.  sum_i flow(c, i)            = rho * rate(c)        for each class c
@@ -31,38 +32,75 @@ PATHS_PER_PAIR_CAP = 100
 
 def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int],
                   spanning: bool) -> list[RouteTree]:
-    """All edge subsets that form a root-oriented tree covering `cover`
-    with every leaf in `leaves_in`. Exhaustive over 2^m subsets."""
-    m = g.m
+    """All out-trees from `root` that reach every node of `cover` and have
+    every leaf in `leaves_in` (and, when `spanning`, every node), oriented by
+    `orient_tree` and listed in ascending edge-bitmask order.
+
+    Trees are grown from the root. The frontier holds every edge not yet
+    decided whose tail is in the tree and whose head is not. Each step takes
+    one frontier edge and branches on including it or excluding it for good,
+    which meets every out-tree through the root exactly once. A branch ends
+    as soon as a node of `cover` is no longer reachable from the tree along
+    frontier edges, or a childless tree node outside `leaves_in` (which a
+    finished tree may not have as a leaf) has no frontier edge left. Such a
+    node's edges are branched on first.
+    """
     n = g.node_count
-    out: list[RouteTree] = []
-    for bits in range(1 << m):
-        edge_ids = [e for e in range(m) if bits >> e & 1]
-        k = len(edge_ids)
-        if spanning and k != n - 1:
+    out_edges = [tuple((eid, u, v) for eid, v in g.adjacency[u]) for u in range(n)]
+    successors = [sum(1 << v for _, v in g.adjacency[u]) for u in range(n)]
+    cover_bits = sum(1 << v for v in cover)
+    leaf_bits = sum(1 << v for v in leaves_in)
+    root_bit = 1 << root
+    all_nodes = (1 << n) - 1
+    found: list[int] = []
+
+    def reaches_cover(nodes: int, frontier: tuple) -> bool:
+        # Out of the tree only frontier edges remain; beyond it, every edge.
+        todo = 0
+        for _, _, v in frontier:
+            todo |= 1 << v
+        seen = nodes | todo
+        while todo and cover_bits & ~seen:
+            u = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            new = successors[u] & ~seen
+            seen |= new
+            todo |= new
+        return not cover_bits & ~seen
+
+    # Each entry is a partial tree: node, parent-node and edge bitmasks and
+    # its frontier of (edge id, tail, head) triples.
+    stack = []
+    if reaches_cover(root_bit, out_edges[root]):
+        stack.append((root_bit, 0, 0, out_edges[root]))
+    while stack:
+        nodes, parents, edges, frontier = stack.pop()
+        tails = 0
+        for _, u, _ in frontier:
+            tails |= 1 << u
+        needy = nodes & ~parents & ~root_bit & ~leaf_bits
+        if needy & ~tails:
             continue
-        if k > n - 1:
+        if not frontier:
+            if not spanning or nodes == all_nodes:
+                found.append(edges)
             continue
-        nodes: set[int] = set()
-        for e in edge_ids:
-            nodes.update(g.edges[e])
-        if k and len(nodes) != k + 1:
-            continue
-        if not cover <= (nodes | {root}):
-            continue
-        if edge_ids and root not in nodes:
-            continue
-        try:
-            tree = orient_tree(g, edge_ids, root, cover)
-        except TopologyError:
-            continue
-        leaf_ok = all(
-            te.child in leaves_in or te.child in tree.children_of
-            for te in tree.edges
-        )
-        if leaf_ok:
-            out.append(tree)
-    return out
+        i = 0
+        if needy:
+            while not needy >> frontier[i][1] & 1:
+                i += 1
+        eid, u, v = frontier[i]
+        rest = frontier[:i] + frontier[i + 1:]
+        if reaches_cover(nodes, rest):
+            stack.append((nodes, parents, edges, rest))
+        grown = nodes | 1 << v
+        stack.append((grown, parents | 1 << u, edges | 1 << eid,
+                      tuple(f for f in rest if f[2] != v)
+                      + tuple(f for f in out_edges[v] if not grown >> f[2] & 1)))
+    return [
+        orient_tree(g, [e for e in range(g.m) if bits >> e & 1], root, cover)
+        for bits in sorted(found)
+    ]
 
 
 def enumerate_routes(
