@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from umwsim.capacity import PATHS_PER_PAIR_CAP, ROUTE_EDGE_CAP
 from umwsim.errors import CapExceededError, TopologyError
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
@@ -135,8 +136,8 @@ def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset
     return out
 
 
-def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = 12,
-                       paths_per_pair_cap: int = 100) -> list[RouteTree]:
+def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = ROUTE_EDGE_CAP,
+                       paths_per_pair_cap: int = PATHS_PER_PAIR_CAP) -> list[RouteTree]:
     """Reference route catalogue for `umwsim.capacity.enumerate_routes`: the
     same classes, caps and order, found by testing every one of the 2^m edge
     subsets instead of growing trees."""
