@@ -34,7 +34,7 @@ for name, load in (("line3", 0.8), ("twinpath_unicast", 0.7), ("grid3x3_broadcas
 print("\nslot-by-slot on one edge (A = arrivals, S = allocated service):")
 A = np.array([[2], [0], [3], [0], [0], [1]], dtype=np.int64)
 S = np.array([[1], [1], [1], [1], [1], [1]], dtype=np.int64)
-vq = VirtualQueues(1, history_window=None)
+vq = VirtualQueues(1)
 for t in range(len(A)):
     vq.lindley_update(A[t], S[t])
     recomputed = skorokhod_value(A, S, 0, t + 1)

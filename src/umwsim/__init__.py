@@ -1,7 +1,7 @@
 """Slotted-time simulator and capacity toolkit for max-weight control of
 generalized network flows (unicast, broadcast, multicast, anycast)."""
 
-from .activation import ActivationVector, activation_weight, max_weight_activation
+from .activation import ActivationVector, max_weight_activation
 from .capacity import CapacityCertificate, enumerate_routes, max_scaling, verify_certificate
 from .engine import (
     MetricsOptions,
@@ -23,14 +23,7 @@ from .errors import (
 )
 from .physical_net import Packet, PhysicalNetwork
 from .policy import BPState, solve_route
-from .routing import (
-    RouteTree,
-    anycast_route,
-    route_cost,
-    shortest_path_route,
-    spanning_route,
-    steiner_route,
-)
+from .routing import RouteTree, route_cost
 from .topology import (
     ActivationSet,
     Graph,

@@ -22,7 +22,3 @@ def max_weight_activation(aset: ActivationSet, w) -> ActivationVector:
     if aset.kind == "wired":
         return aset.vectors[0]
     return aset.vectors[int(np.argmax(aset.member_matrix @ w))]
-
-
-def activation_weight(a: ActivationVector, w) -> float:
-    return sum(w[e] for e in a.active)

@@ -103,12 +103,8 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     ]
 
 
-def enumerate_routes(
-    g: Graph,
-    cls: TrafficClass,
-    edge_cap: int = ROUTE_EDGE_CAP,
-    paths_per_pair_cap: int = PATHS_PER_PAIR_CAP,
-) -> list[RouteTree]:
+def enumerate_routes(g: Graph, cls: TrafficClass,
+                     paths_per_pair_cap: int = PATHS_PER_PAIR_CAP) -> list[RouteTree]:
     """The complete admissible-route catalog for one class.
 
     unicast: all simple source-destination paths; broadcast: all spanning
@@ -116,8 +112,8 @@ def enumerate_routes(
     covering source plus destinations; anycast: union of the per-destination
     simple paths.
     """
-    if g.m > edge_cap:
-        raise CapExceededError("route enumeration edges", g.m, edge_cap)
+    if g.m > ROUTE_EDGE_CAP:
+        raise CapExceededError("route enumeration edges", g.m, ROUTE_EDGE_CAP)
     s = cls.source
     if cls.kind == "broadcast":
         return _tree_subsets(g, s, frozenset(range(g.node_count)), frozenset(range(g.node_count)), True)

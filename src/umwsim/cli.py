@@ -8,7 +8,7 @@
 
 run/sweep/compare write a CSV table plus a JSON summary next to it
 (suffix .summary.json). In diagnostics mode the exit code is nonzero if
-any per-slot invariant check failed.
+any per-slot invariant check failed. A package error exits with its message.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .engine import (
     sweep_csv_rows,
     write_csv_rows,
 )
-from .errors import ConfigError
+from .errors import UmwsimError
 
 
 def _summary_path(out: str) -> Path:
@@ -71,10 +71,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, **_config_overrides(args))
     loads = [float(v) for v in args.load.split(",")]
-    try:
-        rows = sweep(cfg, loads)
-    except ConfigError as exc:
-        raise SystemExit(str(exc)) from exc
+    rows = sweep(cfg, loads)
     if args.out:
         write_csv_rows(args.out, sweep_csv_rows(rows))
         _write_summary(args.out, {"config": cfg.echo(), "rows": rows})
@@ -155,7 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UmwsimError as exc:
+        raise SystemExit(f"umwsim {args.command}: error: {exc}") from exc
 
 
 if __name__ == "__main__":

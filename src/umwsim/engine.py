@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -45,12 +46,18 @@ class MetricsOptions:
     divergence_factor: float = 3.0
 
     def __post_init__(self):
-        if self.record_every < 1:
-            raise ConfigError(f"metrics.record_every must be >= 1, got {self.record_every}")
-        if self.eq17_every < 0:
-            raise ConfigError(f"metrics.eq17_every must be >= 0, got {self.eq17_every}")
-        if not 0 <= self.warmup_frac < 1:
-            raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac}")
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
+            raise ConfigError(f"metrics.record_every must be an integer >= 1, got {self.record_every!r}")
+        if not (isinstance(self.eq17_every, numbers.Integral) and self.eq17_every >= 0):
+            raise ConfigError(f"metrics.eq17_every must be an integer >= 0, got {self.eq17_every!r}")
+        if not (isinstance(self.warmup_frac, numbers.Real) and 0 <= self.warmup_frac < 1):
+            raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
+        if not isinstance(self.diagnostics, bool):
+            raise ConfigError(f"metrics.diagnostics must be true or false, got {self.diagnostics!r}")
+        for name in ("stability_eps", "divergence_factor"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"metrics.{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.load_factor < 0:
-            raise ConfigError("load_factor must be >= 0")
+        if not (math.isfinite(self.load_factor) and self.load_factor >= 0):
+            raise ConfigError(f"load_factor must be finite and >= 0, got {self.load_factor}")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
         if self.steiner_mode not in STEINER_MODES:
@@ -120,31 +127,54 @@ class SimulationConfig:
         return doc
 
 
+def _read(doc: dict, key: str, convert=lambda v: v, default=..., where: str = ""):
+    """convert(doc[key]), or default if absent (``...``: required); a ConfigError names a bad key."""
+    if key not in doc:
+        if default is ...:
+            raise ConfigError(f"config key {where + key!r} is missing")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {where + key!r}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+# A class document's keys in TrafficClass field order, each with its converter.
+_CLASS_KEYS = (("id", int), ("kind", str), ("source", int),
+               ("destinations", lambda ds: frozenset(int(d) for d in ds)), ("rate", float))
+
+
 def config_from_dict(doc: dict, **overrides) -> SimulationConfig:
-    classes = None
-    if "classes" in doc:
+    """The config a JSON document describes; a malformed document is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+    classes = _read(doc, "classes", lambda cs: [_object(c) for c in cs], None)
+    if classes is not None:
         classes = tuple(
-            TrafficClass(
-                int(c["id"]), c["kind"], int(c["source"]),
-                frozenset(int(d) for d in c["destinations"]), float(c["rate"]),
-            )
-            for c in doc["classes"]
+            TrafficClass(*(_read(c, key, convert, where=f"classes[{i}].") for key, convert in _CLASS_KEYS))
+            for i, c in enumerate(classes)
         )
-    arr = doc.get("arrival", {})
-    metrics_doc = doc.get("metrics", {})
+    arr = _read(doc, "arrival", _object, {})
+    metrics_doc = _read(doc, "metrics", _object, {})
     unknown = sorted(set(metrics_doc) - {f.name for f in fields(MetricsOptions)})
     if unknown:
         raise ConfigError(f"unknown metrics option(s): {', '.join(unknown)}")
     cfg = SimulationConfig(
-        topology=doc["topology"],
-        horizon=int(doc.get("horizon", 1000)),
-        seed=int(doc.get("seed", 0)),
+        topology=_read(doc, "topology", str),
+        horizon=_read(doc, "horizon", int, 1000),
+        seed=_read(doc, "seed", int, 0),
         policy=doc.get("policy", "umw"),
         classes=classes,
-        arrival=ArrivalProcess(arr.get("kind", "bernoulli"), int(arr.get("trials", 1))),
-        load_factor=float(doc.get("load_factor", 1.0)),
+        arrival=ArrivalProcess(arr.get("kind", "bernoulli"), _read(arr, "trials", int, 1, "arrival.")),
+        load_factor=_read(doc, "load_factor", float, 1.0),
         steiner_mode=doc.get("steiner_mode", "exact"),
-        metrics=MetricsOptions(**metrics_doc) if metrics_doc else MetricsOptions(),
+        metrics=MetricsOptions(**metrics_doc),
     )
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -152,7 +182,11 @@ def config_from_dict(doc: dict, **overrides) -> SimulationConfig:
 
 
 def load_config(path: str | Path, **overrides) -> SimulationConfig:
-    return config_from_dict(json.loads(Path(path).read_text()), **overrides)
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    return config_from_dict(doc, **overrides)
 
 
 @dataclass
@@ -170,8 +204,8 @@ class MetricsReport:
     deliveries: np.ndarray       # cumulative full deliveries, shape (slots, classes)
     mean_sojourn_running: np.ndarray
     arrivals_per_class: np.ndarray   # final cumulative external arrivals
+    route_cache: dict[str, int]      # the run's RouteCache.stats()
     violations: dict[str, int] = field(default_factory=dict)
-    route_cache: dict[str, int] = field(default_factory=lambda: RouteCache().stats())
 
     @property
     def throughput(self) -> dict[int, float]:
@@ -345,7 +379,7 @@ class _MaxWeightStepper:
         completed: list[Packet] = []
         for c in classes:
             for _ in range(arrivals[c.id]):
-                pkt = Packet(self.uid, c.id, t, routes[c.id], routes[c.id].covered)
+                pkt = Packet(self.uid, c.id, t, routes[c.id])
                 self.uid += 1
                 net.admit(pkt, t)
                 if pkt.complete:
@@ -356,7 +390,7 @@ class _MaxWeightStepper:
             if ev.packet.complete and ev.packet.uid in in_flight:
                 completed.append(in_flight.pop(ev.packet.uid))
         for pkt in completed:
-            if pkt.delivered != pkt.required:
+            if pkt.delivered != pkt.route.covered:
                 self.violations["delivery"] += 1
 
         A = virtual_arrival_vector(routes, arrivals, g.m)
@@ -401,7 +435,7 @@ def run(config: SimulationConfig) -> MetricsReport:
     rec_sojourn = np.zeros(n_rec, dtype=np.float64)
 
     col_of = {c.id: j for j, c in enumerate(classes)}
-    cum_arrivals = np.zeros(len(classes), dtype=np.int64)
+    class_arrivals = np.zeros(len(classes), dtype=np.int64)
     full_deliveries = np.zeros(len(classes), dtype=np.int64)
     sojourn_sum = 0.0
     sojourn_n = 0
@@ -410,7 +444,7 @@ def run(config: SimulationConfig) -> MetricsReport:
 
     for t in range(T):
         arr_row = table[t]
-        cum_arrivals += arr_row
+        class_arrivals += arr_row
         arrivals = {c.id: int(arr_row[j]) for j, c in enumerate(classes)}
         completed, total_q, total_vq = policy.step(t, arrivals)
         for cid, sojourn in completed:
@@ -420,7 +454,7 @@ def run(config: SimulationConfig) -> MetricsReport:
 
         if t in checkpoints:
             for j in range(len(classes)):
-                if full_deliveries[j] < cum_arrivals[j] - total_q:
+                if full_deliveries[j] < class_arrivals[j] - total_q:
                     eq17_violations += 1
 
         if t % opts.record_every == 0:
@@ -450,7 +484,7 @@ def run(config: SimulationConfig) -> MetricsReport:
         total_vq=rec_total_vq[:rec_i],
         deliveries=rec_deliv[:rec_i],
         mean_sojourn_running=rec_sojourn[:rec_i],
-        arrivals_per_class=cum_arrivals,
+        arrivals_per_class=class_arrivals,
         violations=violations,
         route_cache=route_cache.stats(),
     )

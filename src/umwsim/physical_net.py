@@ -21,13 +21,12 @@ from .topology import Graph
 
 @dataclass(eq=False)
 class Packet:
-    """One admitted packet; its route is frozen at admission."""
+    """One admitted packet; its route, frozen at admission, covers the nodes it must reach."""
 
     uid: int
     class_id: int
     arrival_slot: int
     route: RouteTree
-    required: frozenset[int]
     delivered: set[int] = field(default_factory=set)
     full_delivery_slot: int | None = None
 
@@ -58,7 +57,7 @@ class PhysicalNetwork:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
         packet.delivered.add(node)
         events.append(DeliveryEvent(packet, node, slot))
-        if packet.delivered == packet.required:
+        if packet.delivered == packet.route.covered:
             packet.full_delivery_slot = slot
 
     def admit(self, packet: Packet, slot: int) -> list[DeliveryEvent]:
@@ -68,7 +67,7 @@ class PhysicalNetwork:
         immediately; a route with no edges therefore completes on admission.
         """
         events: list[DeliveryEvent] = []
-        if packet.route.root in packet.required:
+        if packet.route.root in packet.route.covered:
             self._deliver(packet, packet.route.root, slot, events)
         for te in packet.route.root_edges():
             heapq.heappush(self.buffers[te.edge_id], (0, packet.arrival_slot, packet.uid, packet))
@@ -97,7 +96,7 @@ class PhysicalNetwork:
             child = tree.child_node_of.get(e)
             if child is None:
                 raise RuntimeError(f"edge {e} is not on packet {uid}'s route")
-            if child in packet.required:
+            if child in tree.covered:
                 # a tree reaches each node once; _deliver enforces that
                 self._deliver(packet, child, slot, events)
             for te in tree.children_of.get(child, ()):
@@ -105,9 +104,6 @@ class PhysicalNetwork:
                 self.lengths[te.edge_id] += 1
                 self.total_copies += 1
         return events
-
-    def queue_lengths(self) -> np.ndarray:
-        return self.lengths.copy()
 
     def layer_counters(self) -> np.ndarray:
         """Copies per hop count: R_k = number of copies that traversed k edges."""

@@ -1,10 +1,10 @@
 """Min-cost route selection: shortest paths, spanning trees, Steiner trees.
 
 Every solver takes the graph plus a nonnegative per-edge weight vector and
-returns a RouteTree, an out-tree rooted at the source whose edges carry
-their hop depth. Each solver runs in two stages: a ``*_edges`` function
-finds the route as a key ``(root, edge ids, covered)``, the form of
-``RouteTree.cache_key()``, and ``build_route`` orients and validates it.
+finds a route, an out-tree rooted at the source. A ``*_edges`` function
+returns it as a key ``(root, edge ids, covered)``, the form of
+``RouteTree.cache_key()``, and ``build_route`` orients and validates it
+into a RouteTree whose edges carry their hop depth.
 Orientation depends on the key alone, so a caller may reuse the tree built
 for an equal key. Tie-breaking is fully deterministic so that simulation
 runs are reproducible bit-for-bit:
@@ -181,11 +181,6 @@ def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
     return (s, frozenset(seq), frozenset({t}))
 
 
-def shortest_path_route(g: Graph, w, s: int, t: int) -> RouteTree:
-    """The route of ``shortest_path_edges``, oriented."""
-    return build_route(g, shortest_path_edges(g, w, s, t))
-
-
 def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
     """Cheapest of the per-destination shortest paths; ties by smaller node id."""
     w = as_weights(w, g.m)
@@ -207,11 +202,6 @@ def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
         raise UnreachableError(f"no anycast destination reachable from {s}")
     _, t, seq = best
     return (s, frozenset(seq), frozenset({t}))
-
-
-def anycast_route(g: Graph, w, s: int, dests: Iterable[int]) -> RouteTree:
-    """The route of ``anycast_edges``, oriented."""
-    return build_route(g, anycast_edges(g, w, s, dests))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +328,6 @@ def spanning_edges(g: Graph, w, root: int) -> RouteKey:
         if len(chosen) != g.node_count - 1:
             raise DisconnectedError("graph is not connected")
     return (root, frozenset(chosen), frozenset(range(g.node_count)))
-
-
-def spanning_route(g: Graph, w, root: int) -> RouteTree:
-    """The route of ``spanning_edges``, oriented."""
-    return build_route(g, spanning_edges(g, w, root))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +481,7 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     return _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
 
 
-def steiner_edges(
-    g: Graph,
-    w,
-    root: int,
-    terminals: Iterable[int],
-    mode: str = "exact",
-    exact_cap: int = STEINER_EXACT_TERMINAL_CAP,
-) -> RouteKey:
+def steiner_edges(g: Graph, w, root: int, terminals: Iterable[int], mode: str = "exact") -> RouteKey:
     """Min-weight tree rooted at root covering the terminals.
 
     mode="exact" solves the problem optimally (terminal count capped);
@@ -515,23 +493,11 @@ def steiner_edges(
     if not terms:
         return (root, frozenset(), covered)
     if mode == "exact":
-        if len(terms) > exact_cap:
-            raise CapExceededError("exact Steiner terminals", len(terms), exact_cap)
+        if len(terms) > STEINER_EXACT_TERMINAL_CAP:
+            raise CapExceededError("exact Steiner terminals", len(terms), STEINER_EXACT_TERMINAL_CAP)
         edge_ids = _steiner_exact(g, w, root, terms)
     elif mode == "approx":
         edge_ids = _steiner_approx(g, w, root, terms)
     else:
         raise TopologyError(f"unknown Steiner mode {mode!r}")
     return (root, frozenset(edge_ids), covered)
-
-
-def steiner_route(
-    g: Graph,
-    w,
-    root: int,
-    terminals: Iterable[int],
-    mode: str = "exact",
-    exact_cap: int = STEINER_EXACT_TERMINAL_CAP,
-) -> RouteTree:
-    """The route of ``steiner_edges``, oriented."""
-    return build_route(g, steiner_edges(g, w, root, terminals, mode, exact_cap))

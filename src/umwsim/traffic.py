@@ -35,8 +35,8 @@ class TrafficClass:
     def __post_init__(self):
         if self.kind not in FLOW_KINDS:
             raise ConfigError(f"unknown flow kind {self.kind!r}")
-        if self.rate < 0:
-            raise ConfigError(f"class {self.id}: negative rate {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ConfigError(f"class {self.id}: rate must be finite and >= 0, got {self.rate}")
         object.__setattr__(self, "destinations", frozenset(int(d) for d in self.destinations))
         if not self.destinations:
             raise ConfigError(f"class {self.id}: empty destination set")

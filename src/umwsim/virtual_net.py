@@ -3,12 +3,10 @@
 One integer counter per edge. A packet admitted on a route deposits one
 virtual arrival at *every* edge of the route in the admission slot; the
 counters then follow the Lindley recursion q <- (q + A - mu)^+ with the
-allocated (not necessarily used) service vector mu. Cumulative arrival and
-service counters back the windowed-load identities used as diagnostics.
+allocated (not necessarily used) service vector mu. The Skorokhod and
+windowed-load functions, the oracles for that state, read a raw (A, mu) history.
 """
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -29,43 +27,16 @@ def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int
 
 
 class VirtualQueues:
-    """State of the m virtual queues plus cumulative counters.
+    """State of the m virtual queues."""
 
-    history_window > 0 retains that many recent (A, mu) slot records;
-    history_window=None retains everything (test/diagnostics mode).
-    """
-
-    def __init__(self, m: int, history_window: int | None = 0):
-        self.m = m
+    def __init__(self, m: int):
         self.q = np.zeros(m, dtype=np.int64)
-        self.cum_arrivals = np.zeros(m, dtype=np.int64)
-        self.cum_service = np.zeros(m, dtype=np.int64)
-        self.slot = 0
-        if history_window is None:
-            self._history: deque | None = deque()
-        elif history_window > 0:
-            self._history = deque(maxlen=history_window)
-        else:
-            self._history = None
 
     def lindley_update(self, A: np.ndarray, mu: np.ndarray) -> None:
-        """One slot: q <- (q + A - mu)^+, with allocated-service accounting."""
+        """One slot: q <- (q + A - mu)^+."""
         np.add(self.q, A, out=self.q)
         np.subtract(self.q, mu, out=self.q)
         np.maximum(self.q, 0, out=self.q)
-        self.cum_arrivals += A
-        self.cum_service += mu
-        if self._history is not None:
-            self._history.append((A.copy(), np.asarray(mu, dtype=np.int64).copy()))
-        self.slot += 1
-
-    def history_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained history as (arrivals, service) arrays of shape (slots, m)."""
-        if self._history is None or not self._history:
-            return np.zeros((0, self.m), np.int64), np.zeros((0, self.m), np.int64)
-        A = np.stack([a for a, _ in self._history])
-        S = np.stack([s for _, s in self._history])
-        return A, S
 
     def total(self) -> int:
         return int(self.q.sum())

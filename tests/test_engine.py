@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,79 @@ def test_warmup_frac_out_of_range_rejected():
         with pytest.raises(ConfigError, match="warmup_frac"):
             config_from_dict({"topology": "line3", "metrics": {"warmup_frac": bad}})
     assert MetricsOptions(warmup_frac=0.0).warmup_frac == 0.0
+
+
+@pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
+def test_non_finite_load_factor_rejected(load):
+    # A NaN load used to run silently: Bernoulli draws against NaN never
+    # arrive, and the verdict read "stable".
+    with pytest.raises(ConfigError, match="load_factor must be finite"):
+        config_from_dict({"topology": "line3", "load_factor": load})
+    with pytest.raises(ConfigError, match="load_factor must be finite"):
+        _line3_cfg(load_factor=float(load))
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_poisson_rate_rejected(rate):
+    doc = {"topology": "line3", "arrival": {"kind": "poisson"},
+           "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": rate}]}
+    with pytest.raises(ConfigError, match="rate must be finite"):
+        config_from_dict(doc)
+
+
+def test_cli_capacity_infinite_rate_exits_with_message(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "topology": "line3",
+        "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": "inf"}],
+    })
+    with pytest.raises(SystemExit, match="rate must be finite"):
+        cli_main(["capacity", "--config", str(cfg)])
+
+
+def test_cli_run_bad_config_exits_with_message(tmp_path):
+    cfg = _write_cfg(tmp_path, {"topology": "line3", "horizon": "ten"})
+    with pytest.raises(SystemExit, match="horizon"):
+        cli_main(["run", "--config", str(cfg)])
+    (tmp_path / "broken.json").write_text('{"topology": ')
+    with pytest.raises(SystemExit, match="not valid JSON"):
+        cli_main(["run", "--config", str(tmp_path / "broken.json")])
+
+
+def test_diagnostics_must_be_bool():
+    # "no" is truthy, so it used to turn diagnostics on.
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ConfigError, match="diagnostics"):
+            config_from_dict({"topology": "line3", "metrics": {"diagnostics": bad}})
+    assert config_from_dict({"topology": "line3", "metrics": {"diagnostics": False}}).metrics.diagnostics is False
+
+
+@pytest.mark.parametrize("name", ["stability_eps", "divergence_factor"])
+def test_verdict_thresholds_must_be_finite_and_positive(name):
+    for bad in (0, -1.0, math.nan, math.inf, "3"):
+        with pytest.raises(ConfigError, match=name):
+            MetricsOptions(**{name: bad})
+    assert getattr(MetricsOptions(**{name: 2}), name) == 2
+
+
+_LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"horizon": 10}, "topology"),
+    ({"topology": "line3", "classes": [_LINE3_CLASS]}, "classes[0].rate"),
+    ({"topology": "line3", "horizon": "ten"}, "horizon"),
+    ({"topology": "line3", "metrics": [1]}, "metrics"),
+    ({"topology": "line3", "metrics": {"warmup_frac": "x"}}, "warmup_frac"),
+    ({"topology": "line3", "metrics": {"record_every": "5"}}, "record_every"),
+    ({"topology": "line3", "arrival": {"kind": "binomial", "trials": "two"}}, "arrival.trials"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, source="a")]}, "classes[0].source"),
+    ({"topology": "line3", "classes": [3]}, "classes"),
+    (None, "JSON object"),
+], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
+        "record_every_text", "trials_text", "source_text", "class_not_object", "null_document"])
+def test_malformed_config_names_the_key(doc, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(doc)
 
 
 def test_unknown_steiner_mode_rejected_without_multicast():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from umwsim.physical_net import Packet, PhysicalNetwork
-from umwsim.routing import shortest_path_route, spanning_route, steiner_route
+from umwsim.routing import build_route, shortest_path_edges, spanning_edges, steiner_edges
 from umwsim.topology import Graph
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -10,28 +10,28 @@ STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))  # root 0 branches three ways
 
 
 def _packet(uid, route, slot=0):
-    return Packet(uid, 0, slot, route, route.covered)
+    return Packet(uid, 0, slot, route)
 
 
 def test_admit_unicast_single_copy():
     net = PhysicalNetwork(LINE3)
-    route = shortest_path_route(LINE3, [0, 0], 0, 2)
+    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
     events = net.admit(_packet(1, route), 0)
     assert events == []
-    assert net.queue_lengths().tolist() == [1, 0]
+    assert net.lengths.tolist() == [1, 0]
     assert net.buffers[0][0][0] == 0  # hops priority 0
 
 
 def test_admit_branching_root():
     net = PhysicalNetwork(STAR)
-    route = spanning_route(STAR, [1, 1, 1], 0)
+    route = build_route(STAR, spanning_edges(STAR, [1, 1, 1], 0))
     net.admit(_packet(1, route), 0)
-    assert net.queue_lengths().tolist() == [1, 1, 1]
+    assert net.lengths.tolist() == [1, 1, 1]
 
 
 def test_admit_degenerate_source_destination():
     net = PhysicalNetwork(LINE3)
-    route = shortest_path_route(LINE3, [0, 0], 1, 1)
+    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 1))
     pkt = _packet(7, route, slot=3)
     events = net.admit(pkt, 3)
     assert [(e.node, e.slot) for e in events] == [(1, 3)]
@@ -41,12 +41,12 @@ def test_admit_degenerate_source_destination():
 
 def test_forward_delivers_at_leaf():
     net = PhysicalNetwork(LINE3)
-    route = shortest_path_route(LINE3, [0, 0], 0, 2)
+    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     events = net.forward(frozenset({0, 1}), 0)
     assert events == []  # copy moved from edge 0 to edge 1, no delivery yet
-    assert net.queue_lengths().tolist() == [0, 1]
+    assert net.lengths.tolist() == [0, 1]
     events = net.forward(frozenset({0, 1}), 1)
     assert [(e.node, e.slot) for e in events] == [(2, 1)]
     assert pkt.full_delivery_slot == 1
@@ -54,11 +54,11 @@ def test_forward_delivers_at_leaf():
 
 def test_lowest_hops_copy_crosses_first():
     net = PhysicalNetwork(LINE3)
-    far = shortest_path_route(LINE3, [0, 0], 0, 2)
+    far = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
     veteran = _packet(1, far)
     net.admit(veteran, 0)
     net.forward(frozenset({0}), 0)  # veteran copy now waits at edge 1 with hops=1
-    near = Packet(2, 0, 1, shortest_path_route(LINE3, [0, 0], 1, 2), frozenset({2}))
+    near = Packet(2, 0, 1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 2)))
     net.admit(near, 1)              # fresh copy at edge 1 with hops=0
     events = net.forward(frozenset({1}), 1)
     assert [e.packet.uid for e in events] == [2]  # the fewest-hops copy wins
@@ -67,11 +67,11 @@ def test_lowest_hops_copy_crosses_first():
 def test_crossing_duplicates_to_children():
     g = Graph(4, ((0, 1), (1, 2), (1, 3)))
     net = PhysicalNetwork(g)
-    route = spanning_route(g, [1, 1, 1], 0)
+    route = build_route(g, spanning_edges(g, [1, 1, 1], 0))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     net.forward(frozenset({0}), 0)
-    assert net.queue_lengths().tolist() == [0, 1, 1]
+    assert net.lengths.tolist() == [0, 1, 1]
     # both copies carry hops=1
     assert net.buffers[1][0][0] == 1 and net.buffers[2][0][0] == 1
     assert pkt.delivered == {1, 0} or pkt.delivered == {1}  # node 1 reached (0 is root, required for broadcast)
@@ -79,7 +79,7 @@ def test_crossing_duplicates_to_children():
 
 def test_broadcast_delivery_bookkeeping():
     net = PhysicalNetwork(STAR)
-    route = spanning_route(STAR, [0, 0, 0], 0)
+    route = build_route(STAR, spanning_edges(STAR, [0, 0, 0], 0))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     assert pkt.delivered == {0}  # the source holds its own broadcast packet
@@ -97,18 +97,18 @@ def test_active_empty_edge_is_noop():
 
 def test_one_copy_per_active_edge_per_slot():
     net = PhysicalNetwork(LINE3)
-    r = shortest_path_route(LINE3, [0, 0], 0, 1)
+    r = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 1))
     for uid in range(5):
         net.admit(_packet(uid, r), 0)
-    assert net.queue_lengths().tolist() == [5, 0]
+    assert net.lengths.tolist() == [5, 0]
     net.forward(frozenset({0}), 0)
-    assert net.queue_lengths().tolist() == [4, 0]
+    assert net.lengths.tolist() == [4, 0]
 
 
 def test_no_multi_hop_teleport_within_slot():
     # wired networks activate every edge; a copy must still advance one hop per slot
     net = PhysicalNetwork(LINE3)
-    pkt = _packet(1, shortest_path_route(LINE3, [0, 0], 0, 2))
+    pkt = _packet(1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2)))
     net.admit(pkt, 0)
     net.forward(frozenset({0, 1}), 0)
     assert pkt.full_delivery_slot is None
@@ -119,8 +119,8 @@ def test_ento_pop_order_audit():
     # hop count in its buffer at pop time
     rng = np.random.default_rng(9)
     net = PhysicalNetwork(LINE3)
-    path01 = shortest_path_route(LINE3, [0, 0], 0, 2)
-    path12 = shortest_path_route(LINE3, [0, 0], 1, 2)
+    path01 = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
+    path12 = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 2))
     uid = 0
     for slot in range(200):
         for _ in range(int(rng.integers(0, 3))):
@@ -142,7 +142,7 @@ def test_ento_pop_order_audit():
 
 def test_exactly_once_delivery_guard():
     net = PhysicalNetwork(STAR)
-    route = spanning_route(STAR, [0, 0, 0], 0)
+    route = build_route(STAR, spanning_edges(STAR, [0, 0, 0], 0))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     pkt.delivered.add(1)
@@ -152,12 +152,12 @@ def test_exactly_once_delivery_guard():
 
 def test_layer_counters():
     net = PhysicalNetwork(LINE3)
-    pkt = _packet(1, shortest_path_route(LINE3, [0, 0], 0, 2))
+    pkt = _packet(1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2)))
     net.admit(pkt, 0)
     assert net.layer_counters().tolist() == [1, 0]
     net.forward(frozenset({0}), 0)
     assert net.layer_counters().tolist() == [0, 1]
-    assert net.layer_counters().sum() == net.queue_lengths().sum()
+    assert net.layer_counters().sum() == net.lengths.sum()
 
 
 def test_conservation_random_traffic():
@@ -168,13 +168,13 @@ def test_conservation_random_traffic():
     delivered_events = 0
     uid = 0
     w = np.zeros(g.m)
-    route = steiner_route(g, w, 0, {2, 4}, mode="exact")
+    route = build_route(g, steiner_edges(g, w, 0, {2, 4}, mode="exact"))
     for slot in range(200):
         if rng.random() < 0.4:
-            pkt = Packet(uid, 0, slot, route, route.covered)
+            pkt = Packet(uid, 0, slot, route)
             uid += 1
             net.admit(pkt, slot)
         active = frozenset(int(x) for x in rng.choice(g.m, size=2, replace=False))
         delivered_events += len(net.forward(active, slot))
         assert int(net.layer_counters().sum()) == net.total_copies
-        assert np.all(net.queue_lengths() >= 0)
+        assert np.all(net.lengths >= 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_connected_graph, random_rooted_digraph
-from umwsim import policy
+from umwsim import engine, policy
 from umwsim.activation import max_weight_activation
 from umwsim.engine import SimulationConfig, _MaxWeightStepper
 from umwsim.errors import ConfigError
@@ -38,14 +38,24 @@ def test_umw_routes_around_congestion():
     assert solve_route(CYCLE4, w, cls).edge_ids == {2, 3}
 
 
-def test_umw_no_arrival_no_route():
+def test_umw_no_arrival_no_route(monkeypatch):
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     cache = RouteCache()
+    real = engine.virtual_arrival_vector
+    deposits = []
+
+    def recording(*args):
+        deposits.append(real(*args))
+        return deposits[-1]
+
+    # The wired service would cancel a deposit in the queues themselves, so
+    # the arrival vector is read where the stepper builds it.
+    monkeypatch.setattr(engine, "virtual_arrival_vector", recording)
     stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
     assert cache.hits + cache.misses == 0
-    assert not stepper.vq.cum_arrivals.any()
+    assert len(deposits) == 1 and not deposits[0].any()
 
 
 def test_umw_broadcast_line3_unique_tree():

@@ -91,6 +91,14 @@ def test_class_shape_validation():
         TrafficClass(0, "unicast", 0, frozenset({1}), -0.5)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_rejected(rate):
+    with pytest.raises(ConfigError, match="rate must be finite"):
+        _cls(rate=rate)
+    with pytest.raises(ConfigError, match="rate must be finite"):
+        _cls(rate=1.0).scaled(rate)
+
+
 def test_validate_classes_against_graph():
     ok = [
         TrafficClass(0, "broadcast", 0, frozenset({0, 1, 2}), 1.0),

@@ -20,7 +20,6 @@ def test_lindley_nonnegative_part():
     vq = VirtualQueues(1)
     vq.lindley_update(_v(0), _v(1))
     assert vq.q.tolist() == [0]
-    assert vq.cum_service.tolist() == [1]  # allocated service counts even when idle
 
 
 def test_lindley_arithmetic():
@@ -28,7 +27,6 @@ def test_lindley_arithmetic():
     vq.lindley_update(_v(3), _v(0))
     vq.lindley_update(_v(2), _v(1))
     assert vq.q.tolist() == [4]
-    assert vq.slot == 2
 
 
 def test_lindley_absorbing_at_zero():
@@ -72,13 +70,15 @@ def test_profile_matches_pointwise_oracle():
 def test_lindley_equals_skorokhod_every_slot():
     rng = np.random.default_rng(22)
     m = 4
-    vq = VirtualQueues(m, history_window=None)
+    vq = VirtualQueues(m)
+    hist_A, hist_S = [], []
     for _ in range(200):
         A = rng.integers(0, 3, size=m).astype(np.int64)
         mu = rng.integers(0, 2, size=m).astype(np.int64)
         vq.lindley_update(A, mu)
-        hist_A, hist_S = vq.history_arrays()
-        expect = skorokhod_profile(hist_A, hist_S)[-1]
+        hist_A.append(A)
+        hist_S.append(mu)
+        expect = skorokhod_profile(np.stack(hist_A), np.stack(hist_S))[-1]
         assert np.array_equal(vq.q, expect)
 
 
@@ -123,26 +123,20 @@ def test_loading_slack_examples():
 
 def test_slack_bounded_by_running_max_queue():
     rng = np.random.default_rng(24)
-    vq = VirtualQueues(2, history_window=None)
+    vq = VirtualQueues(2)
     peak = 0
-    for _ in range(120):
+    arrivals, service = [], []
+    for t in range(1, 121):
         A = rng.integers(0, 3, size=2).astype(np.int64)
         mu = rng.integers(0, 2, size=2).astype(np.int64)
         vq.lindley_update(A, mu)
         peak = max(peak, int(vq.q.max()))
-        hist_A, hist_S = vq.history_arrays()
-        t = vq.slot
+        arrivals.append(A)
+        service.append(mu)
+        hist_A, hist_S = np.stack(arrivals), np.stack(service)
         for e in range(2):
             for t0 in range(0, t, 7):
                 assert loading_slack(hist_A, hist_S, e, t0, t) <= peak
-
-
-def test_history_window_bounds_retention():
-    vq = VirtualQueues(1, history_window=10)
-    for _ in range(25):
-        vq.lindley_update(_v(1), _v(1))
-    hist_A, _ = vq.history_arrays()
-    assert len(hist_A) == 10
 
 
 def _route(edge_ids_with_nodes, root, covered):
