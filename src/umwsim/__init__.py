@@ -7,7 +7,6 @@ from .engine import (
     MetricsOptions,
     MetricsReport,
     SimulationConfig,
-    capacity_certificate,
     compare,
     load_config,
     run,

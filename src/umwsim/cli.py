@@ -8,7 +8,8 @@
 
 run/sweep/compare write a CSV table plus a JSON summary next to it
 (suffix .summary.json). In diagnostics mode the exit code is nonzero if
-any per-slot invariant check failed. A package error exits with its message.
+any per-slot invariant check failed. A package error, or a file that
+cannot be read or written, exits with its message and status 1.
 """
 from __future__ import annotations
 
@@ -18,9 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-from .capacity import verify_certificate
+from .capacity import max_scaling, verify_certificate
 from .engine import (
-    capacity_certificate,
     compare,
     load_config,
     run,
@@ -29,6 +29,7 @@ from .engine import (
     write_csv_rows,
 )
 from .errors import UmwsimError
+from .policy import POLICY_NAMES
 
 
 def _summary_path(out: str) -> Path:
@@ -37,6 +38,13 @@ def _summary_path(out: str) -> Path:
 
 def _write_summary(out: str, doc: dict) -> None:
     _summary_path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _loads(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
 
 
 def _config_overrides(args) -> dict:
@@ -70,8 +78,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, **_config_overrides(args))
-    loads = [float(v) for v in args.load.split(",")]
-    rows = sweep(cfg, loads)
+    rows = sweep(cfg, args.load)
     if args.out:
         write_csv_rows(args.out, sweep_csv_rows(rows))
         _write_summary(args.out, {"config": cfg.echo(), "rows": rows})
@@ -100,8 +107,8 @@ def cmd_compare(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config)
-    cert = capacity_certificate(cfg)
     g, aset, classes = dataclasses.replace(cfg, load_factor=1.0).resolve()
+    cert = max_scaling(g, aset, classes)
     ok = verify_certificate(cert, g, aset, classes)
     doc = cert.to_json_dict()
     doc["verified"] = bool(ok)
@@ -121,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--policy", choices=("umw", "umw-heuristic", "bp"))
+    p.add_argument("--policy", choices=POLICY_NAMES)
     p.add_argument("--out")
     p.add_argument("--diagnostics", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="one run per load factor")
     p.add_argument("--config", required=True)
-    p.add_argument("--load", required=True, help="comma-separated ascending load factors")
+    p.add_argument("--load", required=True, type=_loads, help="comma-separated ascending load factors")
     p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--out")
@@ -154,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UmwsimError as exc:
+    except (UmwsimError, OSError) as exc:
         raise SystemExit(f"umwsim {args.command}: error: {exc}") from exc
 
 

@@ -13,13 +13,12 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .activation import max_weight_activation
-from .capacity import CapacityCertificate, max_scaling
 from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
 from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, solve_route
@@ -63,7 +62,7 @@ class MetricsOptions:
 @dataclass(frozen=True)
 class SimulationConfig:
     topology: str                      # builtin name or path to a topology file
-    horizon: int
+    horizon: int = 1000
     seed: int = 0
     policy: str = "umw"
     classes: tuple[TrafficClass, ...] | None = None   # None: use the builtin's classes
@@ -99,83 +98,72 @@ class SimulationConfig:
         return g, aset, classes
 
     def echo(self) -> dict:
-        doc = {
-            "topology": self.topology,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "policy": self.policy,
-            "arrival": {"kind": self.arrival.kind, "trials": self.arrival.trials},
-            "load_factor": self.load_factor,
-            "steiner_mode": self.steiner_mode,
-            "metrics": {
-                "warmup_frac": self.metrics.warmup_frac,
-                "record_every": self.metrics.record_every,
-                "eq17_every": self.metrics.eq17_every,
-                "diagnostics": self.metrics.diagnostics,
-                "stability_eps": self.metrics.stability_eps,
-                "divergence_factor": self.metrics.divergence_factor,
-            },
-        }
-        if self.classes is not None:
-            doc["classes"] = [
-                {
-                    "id": c.id, "kind": c.kind, "source": c.source,
-                    "destinations": sorted(c.destinations), "rate": c.rate,
-                }
-                for c in self.classes
-            ]
+        """The config as a JSON document that config_from_dict reads back."""
+        doc = asdict(self)
+        classes = doc.pop("classes")
+        if classes is not None:
+            doc["classes"] = [dict(c, destinations=sorted(c["destinations"])) for c in classes]
         return doc
 
 
-def _read(doc: dict, key: str, convert=lambda v: v, default=..., where: str = ""):
-    """convert(doc[key]), or default if absent (``...``: required); a ConfigError names a bad key."""
-    if key not in doc:
-        if default is ...:
-            raise ConfigError(f"config key {where + key!r} is missing")
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {where + key!r}: {exc}") from exc
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
+def _same(value, path):
     return value
 
 
-# A class document's keys in TrafficClass field order, each with its converter.
-_CLASS_KEYS = (("id", int), ("kind", str), ("source", int),
-               ("destinations", lambda ds: frozenset(int(d) for d in ds)), ("rate", float))
+def _plain(convert):
+    return lambda value, path: convert(value)
+
+
+def _classes(docs, path) -> tuple[TrafficClass, ...]:
+    return tuple(_from_doc(TrafficClass, c, f"{path}[{i}]") for i, c in enumerate(docs))
+
+
+# Each dataclass key's converter from its JSON value (default: taken as is).
+_CONVERTERS = {
+    SimulationConfig: {
+        "topology": _plain(str), "horizon": _plain(int), "seed": _plain(int),
+        "load_factor": _plain(float), "classes": _classes,
+        "arrival": lambda doc, path: _from_doc(ArrivalProcess, doc, path),
+        "metrics": lambda doc, path: _from_doc(MetricsOptions, doc, path),
+    },
+    ArrivalProcess: {"trials": _plain(int)},
+    MetricsOptions: {},
+    TrafficClass: {
+        "id": _plain(int), "kind": _plain(str), "source": _plain(int),
+        "destinations": _plain(lambda ds: frozenset(int(d) for d in ds)), "rate": _plain(float),
+    },
+}
+
+
+def _from_doc(cls, doc, path: str = ""):
+    """cls built from the keys doc has, each through its converter; the
+    field defaults fill the rest. A ConfigError names a bad key by its path."""
+    if not isinstance(doc, dict):
+        where = f"config key {path!r}" if path else "a config"
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(repr(prefix + str(k)) for k in doc if k not in names)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ConfigError(f"config key {prefix + f.name!r} is missing")
+    converters = _CONVERTERS[cls]
+    kwargs = {}
+    for key, value in doc.items():
+        try:
+            kwargs[key] = converters.get(key, _same)(value, prefix + key)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {prefix + key!r}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict, **overrides) -> SimulationConfig:
     """The config a JSON document describes; a malformed document is a ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"a config must be a JSON object, got {doc!r}")
-    classes = _read(doc, "classes", lambda cs: [_object(c) for c in cs], None)
-    if classes is not None:
-        classes = tuple(
-            TrafficClass(*(_read(c, key, convert, where=f"classes[{i}].") for key, convert in _CLASS_KEYS))
-            for i, c in enumerate(classes)
-        )
-    arr = _read(doc, "arrival", _object, {})
-    metrics_doc = _read(doc, "metrics", _object, {})
-    unknown = sorted(set(metrics_doc) - {f.name for f in fields(MetricsOptions)})
-    if unknown:
-        raise ConfigError(f"unknown metrics option(s): {', '.join(unknown)}")
-    cfg = SimulationConfig(
-        topology=_read(doc, "topology", str),
-        horizon=_read(doc, "horizon", int, 1000),
-        seed=_read(doc, "seed", int, 0),
-        policy=doc.get("policy", "umw"),
-        classes=classes,
-        arrival=ArrivalProcess(arr.get("kind", "bernoulli"), _read(arr, "trials", int, 1, "arrival.")),
-        load_factor=_read(doc, "load_factor", float, 1.0),
-        steiner_mode=doc.get("steiner_mode", "exact"),
-        metrics=MetricsOptions(**metrics_doc),
-    )
+    cfg = _from_doc(SimulationConfig, doc)
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -191,12 +179,9 @@ def load_config(path: str | Path, **overrides) -> SimulationConfig:
 
 @dataclass
 class MetricsReport:
-    """Everything a run emits; deterministic given (config, seed)."""
+    """Everything a run emits; deterministic given its config (seed included)."""
 
-    config: dict
-    policy: str
-    seed: int
-    horizon: int
+    config: SimulationConfig         # the config that ran
     class_ids: list[int]
     slots: np.ndarray            # recorded slot indices
     total_q: np.ndarray          # physical copies waiting (or BP backlog)
@@ -210,27 +195,32 @@ class MetricsReport:
     @property
     def throughput(self) -> dict[int, float]:
         final = self.deliveries[-1] if len(self.deliveries) else np.zeros(len(self.class_ids))
-        return {cid: float(final[i]) / self.horizon for i, cid in enumerate(self.class_ids)}
+        return {cid: float(final[i]) / self.config.horizon for i, cid in enumerate(self.class_ids)}
 
     @property
     def mean_sojourn(self) -> float:
         return float(self.mean_sojourn_running[-1]) if len(self.mean_sojourn_running) else math.nan
 
     def avg_total_queue(self, warmup_frac: float | None = None) -> float:
-        """Time-average of the total queue after the warm-up prefix."""
+        """Time-average of the total queue after the warm-up prefix
+        (by default the config's metrics.warmup_frac)."""
         if warmup_frac is None:
-            warmup_frac = self.config.get("metrics", {}).get("warmup_frac", 0.1)
+            warmup_frac = self.config.metrics.warmup_frac
         start = int(len(self.total_q) * warmup_frac)
         tail = self.total_q[start:]
         return float(tail.mean()) if len(tail) else math.nan
 
-    def verdict(self, eps: float = 0.05, factor: float = 3.0) -> str:
+    def verdict(self, eps: float | None = None, factor: float | None = None) -> str:
         """Stability call: "stable" when the final queue is o(horizon) small,
         "diverging" when the last-decile mean dwarfs the mean observed by
-        mid-run (a linearly growing queue scores about 3.8x)."""
+        mid-run (a linearly growing queue scores about 3.8x). The thresholds
+        default to the config's metrics.stability_eps and divergence_factor."""
+        opts = self.config.metrics
+        eps = opts.stability_eps if eps is None else eps
+        factor = opts.divergence_factor if factor is None else factor
         if len(self.total_q) == 0:
             return "stable"
-        if float(self.total_q[-1]) / self.horizon < eps:
+        if float(self.total_q[-1]) / self.config.horizon < eps:
             return "stable"
         k = len(self.total_q)
         mid = self.total_q[: max(k // 2, 1)]
@@ -248,8 +238,9 @@ class MetricsReport:
         header += [f"throughput_c{cid}" for cid in self.class_ids]
         header += ["mean_sojourn"]
         yield header
+        policy = self.config.policy
         for i, slot in enumerate(self.slots):
-            row = [str(int(slot)), self.policy, str(int(self.total_q[i])), str(int(self.total_vq[i]))]
+            row = [str(int(slot)), policy, str(int(self.total_q[i])), str(int(self.total_vq[i]))]
             denom = int(slot) + 1
             row += [f"{self.deliveries[i, j] / denom:.12g}" for j in range(len(self.class_ids))]
             soj = self.mean_sojourn_running[i]
@@ -260,25 +251,22 @@ class MetricsReport:
         write_csv_rows(path, self.csv_rows())
 
     def summary(self) -> dict:
-        metrics = self.config.get("metrics", {})
+        cfg = self.config
         return {
-            "config": self.config,
-            "policy": self.policy,
-            "seed": self.seed,
-            "horizon": self.horizon,
+            "config": cfg.echo(),
+            "policy": cfg.policy,
+            "seed": cfg.seed,
+            "horizon": cfg.horizon,
             "throughput": {str(k): v for k, v in self.throughput.items()},
             "arrival_rate_empirical": {
-                str(cid): float(self.arrivals_per_class[i]) / self.horizon
+                str(cid): float(self.arrivals_per_class[i]) / cfg.horizon
                 for i, cid in enumerate(self.class_ids)
             },
             "avg_total_queue": self.avg_total_queue(),
             "final_total_queue": int(self.total_q[-1]) if len(self.total_q) else 0,
-            "normalized_final_queue": float(self.total_q[-1]) / self.horizon if len(self.total_q) else 0.0,
+            "normalized_final_queue": float(self.total_q[-1]) / cfg.horizon if len(self.total_q) else 0.0,
             "mean_sojourn": None if math.isnan(self.mean_sojourn) else self.mean_sojourn,
-            "verdict": self.verdict(
-                metrics.get("stability_eps", MetricsOptions.stability_eps),
-                metrics.get("divergence_factor", MetricsOptions.divergence_factor),
-            ),
+            "verdict": self.verdict(),
             "violations": dict(self.violations),
             "route_cache": dict(self.route_cache),
         }
@@ -298,19 +286,19 @@ class _DiagnosticState:
     Maintains the cumulative arrivals-minus-service vector and its running
     minimum (the running-sup form of the windowed-load expression), the
     companion queue recursion, and running maxima, without ever reading the
-    Lindley state it is checking.
+    Lindley state it is checking. Failed checks count into ``violations``
+    under "skorokhod", "sandwich" and "loading".
     """
 
-    def __init__(self, m: int, amax_bound: float):
+    def __init__(self, m: int, amax_bound: float, violations: dict[str, int]):
         self.G = np.zeros(m, dtype=np.int64)
         self.run_min = np.zeros(m, dtype=np.int64)
         self.assoc = AssociatedQueues(m)
         self.amax_bound = amax_bound
         self.observed_amax = 0
         self.run_max_vq = 0
-        self.skorokhod_violations = 0
-        self.sandwich_violations = 0
-        self.loading_violations = 0
+        violations.update(skorokhod=0, sandwich=0, loading=0)
+        self.violations = violations
 
     def step(self, A: np.ndarray, mu: np.ndarray, q_after: np.ndarray, total_external: int) -> None:
         self.observed_amax = max(self.observed_amax, total_external)
@@ -319,17 +307,17 @@ class _DiagnosticState:
         self.G -= mu
         expected = np.maximum(self.G - self.run_min, 0)
         if not np.array_equal(expected, q_after):
-            self.skorokhod_violations += 1
+            self.violations["skorokhod"] += 1
         self.assoc.update(A, mu)
         amax = self.amax_bound if math.isfinite(self.amax_bound) else self.observed_amax
         if np.any(self.assoc.qhat < q_after) or np.any(self.assoc.qhat > q_after + amax):
-            self.sandwich_violations += 1
+            self.violations["sandwich"] += 1
         # Largest windowed load ending now, per edge, must stay below the
         # running peak queue.
         peak = max(self.run_max_vq, int(q_after.max()) if len(q_after) else 0)
         self.run_max_vq = peak
         if np.any(expected > peak):
-            self.loading_violations += 1
+            self.violations["loading"] += 1
 
 
 def _checkpoints(every: int, horizon: int) -> frozenset[int]:
@@ -347,18 +335,18 @@ class _MaxWeightStepper:
     the max-weight rule, both under one weight vector: the virtual queues
     for "umw", the physical buffer lengths for "umw-heuristic". Both arrays
     are updated in place, so the vector is bound once. Then admits and
-    forwards the physical copies and applies the Lindley update.
+    forwards the physical copies and applies the Lindley update. With
+    metrics.diagnostics on, each slot also runs the _DiagnosticState checks.
     """
 
     def __init__(self, config: SimulationConfig, g: Graph, aset: ActivationSet,
                  classes: list[TrafficClass], route_cache: RouteCache,
-                 diag: _DiagnosticState | None, checkpoints: frozenset[int]):
+                 checkpoints: frozenset[int]):
         self.graph = g
         self.aset = aset
         self.classes = classes
         self.steiner_mode = config.steiner_mode
         self.route_cache = route_cache
-        self.diag = diag
         self.checkpoints = checkpoints
         self.net = PhysicalNetwork(g)
         self.vq = VirtualQueues(g.m)
@@ -366,6 +354,10 @@ class _MaxWeightStepper:
         self.in_flight: dict[int, Packet] = {}
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
+        self.diag = None
+        if config.metrics.diagnostics:
+            amax = effective_amax(classes, config.arrival)
+            self.diag = _DiagnosticState(g.m, amax, self.violations)
 
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
         g, net, vq, weights, classes = self.graph, self.net, self.vq, self.weights, self.classes
@@ -417,15 +409,12 @@ def run(config: SimulationConfig) -> MetricsReport:
 
     checkpoints = _checkpoints(opts.eq17_every, T)
     route_cache = RouteCache()
-    diag = None
     if config.policy == "bp":
         # Back-pressure keeps no virtual queues, so the virtual-queue
         # diagnostics have nothing to check and are left out of its summary.
         policy = BPState(g, aset, classes)
     else:
-        if opts.diagnostics:
-            diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival))
-        policy = _MaxWeightStepper(config, g, aset, classes, route_cache, diag, checkpoints)
+        policy = _MaxWeightStepper(config, g, aset, classes, route_cache, checkpoints)
 
     n_rec = (T + opts.record_every - 1) // opts.record_every
     rec_slots = np.zeros(n_rec, dtype=np.int64)
@@ -465,19 +454,8 @@ def run(config: SimulationConfig) -> MetricsReport:
             rec_sojourn[rec_i] = sojourn_sum / sojourn_n if sojourn_n else math.nan
             rec_i += 1
 
-    violations = {"eq17": eq17_violations, **policy.violations}
-    if diag is not None:
-        violations.update(
-            skorokhod=diag.skorokhod_violations,
-            sandwich=diag.sandwich_violations,
-            loading=diag.loading_violations,
-        )
-
     return MetricsReport(
-        config=config.echo(),
-        policy=config.policy,
-        seed=config.seed,
-        horizon=T,
+        config=config,
         class_ids=[c.id for c in classes],
         slots=rec_slots[:rec_i],
         total_q=rec_total_q[:rec_i],
@@ -485,13 +463,16 @@ def run(config: SimulationConfig) -> MetricsReport:
         deliveries=rec_deliv[:rec_i],
         mean_sojourn_running=rec_sojourn[:rec_i],
         arrivals_per_class=class_arrivals,
-        violations=violations,
+        violations={"eq17": eq17_violations, **policy.violations},
         route_cache=route_cache.stats(),
     )
 
 
 def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsReport]:
     """Run several policies on identical arrival sample paths (same seed)."""
+    repeated = sorted({p for p in policies if policies.count(p) > 1})
+    if repeated:
+        raise ConfigError(f"compare lists policy {', '.join(map(repr, repeated))} more than once")
     return {p: run(replace(config, policy=p)) for p in policies}
 
 
@@ -505,10 +486,10 @@ def sweep(config: SimulationConfig, loads: list[float]) -> list[dict]:
         report = run(sub)
         row = {
             "load": load,
-            "policy": report.policy,
+            "policy": sub.policy,
             "avg_total_queue": report.avg_total_queue(),
             "final_total_queue": int(report.total_q[-1]),
-            "verdict": report.verdict(config.metrics.stability_eps, config.metrics.divergence_factor),
+            "verdict": report.verdict(),
         }
         for cid, thr in report.throughput.items():
             row[f"throughput_c{cid}"] = thr
@@ -524,8 +505,3 @@ def sweep_csv_rows(rows: list[dict]):
     for row in rows:
         yield [f"{row[k]:.12g}" if isinstance(row[k], float) else str(row[k]) for k in keys]
 
-
-def capacity_certificate(config: SimulationConfig) -> CapacityCertificate:
-    """Capacity oracle entry point for a configured testbed (unscaled rates)."""
-    g, aset, classes = replace(config, load_factor=1.0).resolve()
-    return max_scaling(g, aset, classes)

@@ -12,7 +12,10 @@ it is driving. There are two implementations:
       routing (``solve_route``) and max-weight activation under the virtual
       queues ("umw") or the physical buffer lengths ("umw-heuristic"). The
       optimal policy's weights are the virtual counters alone; it never
-      reads physical state.
+      reads physical state. With ``metrics.diagnostics`` on, the stepper
+      also runs the per-slot virtual-queue checks and counts their
+      failures (``skorokhod``, ``sandwich``, ``loading``) in its own
+      ``violations`` dict.
   ``BPState`` serves "bp", classical back-pressure (unicast baseline):
       forwarding along maximal per-commodity backlog differentials, so
       packets may wander and cycle.

@@ -248,6 +248,8 @@ def load_activation(path: str | Path, g: Graph) -> ActivationSet:
     act = doc.get("activation")
     if act is None:
         return ActivationSet("wired", g.m)
+    if not isinstance(act, dict):
+        raise TopologyError(f"{path}: activation must be a JSON object, got {act!r}")
     kind = act.get("kind")
     if kind == "wired":
         return ActivationSet("wired", g.m)

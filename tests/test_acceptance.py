@@ -65,7 +65,7 @@ def test_criterion_01_broadcast_capacity_reproduction():
 
 def test_criterion_02_stability_below_capacity(grid_stable_reports):
     for seed, rep in grid_stable_reports.items():
-        normalized = rep.total_q[-1] / rep.horizon
+        normalized = rep.total_q[-1] / rep.config.horizon
         thr = rep.throughput[0]
         assert normalized < STABILITY_EPS, f"seed {seed}: queue/T = {normalized}"
         assert abs(thr - 0.36) / 0.36 < THROUGHPUT_RTOL, f"seed {seed}: throughput {thr}"
@@ -92,7 +92,7 @@ def test_criterion_04_unicast_rate_point():
     rates = {c.id: c.rate for c in classes}
     for seed in SEEDS:
         rep = run(_twinpath_cfg(0.9, seed))
-        normalized = rep.total_q[-1] / rep.horizon
+        normalized = rep.total_q[-1] / rep.config.horizon
         assert normalized < STABILITY_EPS, f"rho=0.9 seed {seed}: queue/T = {normalized}"
         for cid, thr in rep.throughput.items():
             target = rates[cid] * 0.9

@@ -19,7 +19,7 @@ from umwsim.engine import (
     sweep,
 )
 from umwsim.errors import ConfigError
-from umwsim.traffic import ArrivalProcess, TrafficClass
+from umwsim.traffic import ArrivalProcess, TrafficClass, sweep_subseed
 from umwsim.topology import Graph, save_topology
 
 
@@ -81,8 +81,13 @@ def test_compare_shares_arrival_sample_paths():
     reports = compare(cfg, ["umw", "umw-heuristic", "bp"])
     totals = {p: r.arrivals_per_class.tolist() for p, r in reports.items()}
     assert totals["umw"] == totals["umw-heuristic"] == totals["bp"]
-    twice = compare(cfg, ["umw", "umw"])
-    assert len(twice) == 1  # same policy keyed once: identical runs collapse
+
+
+def test_compare_rejects_repeated_policy():
+    # Reports are keyed by policy, so a repeated name used to collapse into
+    # one summary entry while the CLI wrote its CSV rows twice.
+    with pytest.raises(ConfigError, match="'umw' more than once"):
+        compare(_line3_cfg(horizon=10), ["umw", "bp", "umw"])
 
 
 def test_compare_same_policy_identical():
@@ -99,8 +104,6 @@ def test_bp_rejects_broadcast_class():
 
 
 def test_sweep_single_value_matches_run():
-    from umwsim.traffic import sweep_subseed
-
     cfg = _line3_cfg(horizon=150, load_factor=1.0, arrival=ArrivalProcess("poisson"))
     rows = sweep(cfg, [0.5])
     direct = run(dataclasses.replace(cfg, load_factor=0.5, seed=sweep_subseed(cfg.seed, 0)))
@@ -274,6 +277,45 @@ def test_cli_compare(tmp_path):
     assert policies == {"umw", "bp"}
 
 
+def test_cli_compare_rejects_repeated_policy(tmp_path):
+    cfg = _write_cfg(tmp_path, {"topology": "line3", "horizon": 10})
+    with pytest.raises(SystemExit, match="umwsim compare: error: .*'umw' more than once"):
+        cli_main(["compare", "--config", str(cfg), "--policies", "umw,umw", "--out", str(tmp_path / "c.csv")])
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_run_policy_choices_are_the_policy_names(capsys):
+    for name in policy.POLICY_NAMES:
+        assert cli_main(["run", "--config", str(CONFIGS / "twinpath_compare.json"),
+                         "--horizon", "5", "--policy", name]) == 0
+    with pytest.raises(SystemExit):
+        cli_main(["run", "--config", str(CONFIGS / "twinpath_compare.json"), "--policy", "gossip"])
+    assert "invalid choice: 'gossip'" in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_load_is_a_usage_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"topology": "line3", "horizon": 10})
+    with pytest.raises(SystemExit):
+        cli_main(["sweep", "--config", str(cfg), "--load", "0.2,x"])
+    assert "umwsim sweep: error: argument --load: not a comma-separated list of numbers: '0.2,x'" \
+        in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_exits_with_message(tmp_path):
+    missing = tmp_path / "nope.json"
+    with pytest.raises(SystemExit, match=f"umwsim run: error: .*{re.escape(str(missing))}"):
+        cli_main(["run", "--config", str(missing)])
+
+
+def test_cli_missing_topology_file_exits_with_message(tmp_path):
+    missing = tmp_path / "net.json"
+    cfg = _write_cfg(tmp_path, {"topology": str(missing), "horizon": 5,
+                                "classes": [dict(_LINE3_CLASS, rate=0.5)]})
+    for command in ("run", "capacity"):
+        with pytest.raises(SystemExit, match=f"umwsim {command}: error: .*{re.escape(str(missing))}"):
+            cli_main([command, "--config", str(cfg)])
+
+
 def test_cli_capacity(tmp_path):
     cfg = _write_cfg(tmp_path, {"topology": "grid3x3_broadcast", "horizon": 10})
     out = tmp_path / "cert.json"
@@ -408,6 +450,35 @@ def test_unknown_metrics_key_rejected():
         doc = {"topology": "line3", "metrics": {"diagnostics": True, key: 5}}
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"topology": "line3", "horizn": 5}, "horizn"),
+    ({"topology": "line3", "arrival": {"kind": "binomial", "trails": 2}}, "arrival.trails"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rat=0.5, rate=0.5)]}, "classes[0].rat"),
+], ids=["top", "arrival", "class"])
+def test_unknown_key_rejected_at_every_level(doc, key):
+    # Only metrics used to reject unknown keys: {"horizn": 5} ran 1000 slots.
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        config_from_dict(doc)
+
+
+def test_defaults_are_the_dataclass_defaults():
+    cfg = config_from_dict({"topology": "line3"})
+    assert cfg == SimulationConfig(topology="line3")
+    assert cfg.horizon == 1000
+
+
+def test_report_verdict_defaults_to_config_thresholds():
+    # verdict() used to default to 0.05 whatever the config said, so it
+    # disagreed with the summary's verdict under a stricter stability_eps.
+    cfg = _line3_cfg(horizon=2000, load_factor=0.5, metrics=MetricsOptions(stability_eps=1e-9))
+    report = run(cfg)
+    assert report.verdict() == report.summary()["verdict"] == report.verdict(1e-9, 3.0)
+    assert report.verdict(0.05) == "stable" != report.verdict()
+    assert report.avg_total_queue() == report.avg_total_queue(cfg.metrics.warmup_frac)
+    assert sweep(cfg, [0.5])[0]["verdict"] == run(
+        dataclasses.replace(cfg, seed=sweep_subseed(cfg.seed, 0))).verdict()
 
 
 # ---------------------------------------------------------------------------

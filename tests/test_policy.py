@@ -18,10 +18,10 @@ WIRED4 = ActivationSet("wired", 4)
 
 
 def _stepper(policy_name, g, aset, classes, cache=None):
-    # The stepper reads only the policy and the Steiner mode from the
-    # config; the topology comes in as g and aset.
+    # The stepper reads the policy, the Steiner mode and the diagnostics
+    # switch from the config; the topology comes in as g and aset.
     cfg = SimulationConfig(topology="line3", horizon=10, policy=policy_name)
-    return _MaxWeightStepper(cfg, g, aset, classes, cache or RouteCache(), None, frozenset())
+    return _MaxWeightStepper(cfg, g, aset, classes, cache or RouteCache(), frozenset())
 
 
 def test_umw_zero_queues_fewest_hops():

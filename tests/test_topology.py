@@ -53,6 +53,14 @@ def test_malformed_file_rejected(tmp_path):
         load_topology(path)
 
 
+def test_non_object_activation_rejected(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": 2, "edges": [[0, 1]], "activation": [1]}))
+    g = load_topology(path)
+    with pytest.raises(TopologyError, match=f"{path}: activation must be a JSON object"):
+        load_activation(path, g)
+
+
 def test_round_trip_identical(tmp_path):
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
