@@ -6,6 +6,7 @@ are checked against; they never call the code paths under test.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from umwsim.errors import CapExceededError, TopologyError
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
 from umwsim.traffic import TrafficClass
+from umwsim.virtual_net import AssociatedQueues
 
 
 def random_connected_graph(rng: np.random.Generator, max_edges: int = 12) -> Graph:
@@ -211,3 +213,44 @@ def brute_force_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[str, 
     if any(_dot(c, ray) > 0 for ray in rays):
         return "unbounded", None
     return "optimal", max(_dot(c, x) for x in verts)
+
+
+class SlotDiagnosticState:
+    """Reference for `umwsim.engine._DiagnosticState`: the same three
+    queue-identity checks, re-evaluated one slot at a time.
+
+    Maintains the cumulative arrivals-minus-service vector and its running
+    minimum (the running-sup form of the windowed-load expression), the
+    companion queue recursion, and running maxima, without ever reading the
+    Lindley state it is checking. Failed checks count into ``violations``
+    under "skorokhod", "sandwich" and "loading".
+    """
+
+    def __init__(self, m: int, amax_bound: float, violations: dict[str, int]):
+        self.G = np.zeros(m, dtype=np.int64)
+        self.run_min = np.zeros(m, dtype=np.int64)
+        self.assoc = AssociatedQueues(m)
+        self.amax_bound = amax_bound
+        self.observed_amax = 0
+        self.run_max_vq = 0
+        violations.update(skorokhod=0, sandwich=0, loading=0)
+        self.violations = violations
+
+    def step(self, A: np.ndarray, mu: np.ndarray, q_after: np.ndarray, total_external: int) -> None:
+        self.observed_amax = max(self.observed_amax, total_external)
+        np.minimum(self.run_min, self.G, out=self.run_min)
+        self.G += A
+        self.G -= mu
+        expected = np.maximum(self.G - self.run_min, 0)
+        if not np.array_equal(expected, q_after):
+            self.violations["skorokhod"] += 1
+        self.assoc.update(A, mu)
+        amax = self.amax_bound if math.isfinite(self.amax_bound) else self.observed_amax
+        if np.any(self.assoc.qhat < q_after) or np.any(self.assoc.qhat > q_after + amax):
+            self.violations["sandwich"] += 1
+        # Largest windowed load ending now, per edge, must stay below the
+        # running peak queue.
+        peak = max(self.run_max_vq, int(q_after.max()) if len(q_after) else 0)
+        self.run_max_vq = peak
+        if np.any(expected > peak):
+            self.violations["loading"] += 1
