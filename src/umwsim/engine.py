@@ -32,7 +32,7 @@ from .traffic import (
     sweep_subseed,
     validate_classes,
 )
-from .virtual_net import AssociatedQueues, VirtualQueues, virtual_arrival_vector
+from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 
 @dataclass(frozen=True)
@@ -280,20 +280,35 @@ def write_csv_rows(path: str | Path, rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-class _DiagnosticState:
-    """Independent per-slot re-evaluations of the queue identities.
+DIAG_BLOCK = 256  # slots the diagnostics buffer before checking them in one pass
 
-    Maintains the cumulative arrivals-minus-service vector and its running
-    minimum (the running-sup form of the windowed-load expression), the
-    companion queue recursion, and running maxima, without ever reading the
-    Lindley state it is checking. Failed checks count into ``violations``
-    under "skorokhod", "sandwich" and "loading".
+
+class _DiagnosticState:
+    """Independent re-evaluations of the queue identities, a block of slots at a time.
+
+    Each step copies the slot's arrivals, service, post-update queue and
+    external arrival count into buffers of min(DIAG_BLOCK, horizon) slots.
+    When they fill, and after the run's last slot, one pass checks every
+    buffered slot exactly, in int64. The checker keeps the cumulative
+    arrivals-minus-service vector and its running minimum (the running-sup
+    form of the windowed-load expression), the companion queue, and the
+    running maxima, and carries each from block to block. It never reads the
+    Lindley state it is checking beyond the q_after it is given. Each count
+    is the number of slots whose check fails, under "skorokhod", "sandwich"
+    and "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
     """
 
-    def __init__(self, m: int, amax_bound: float, violations: dict[str, int]):
+    def __init__(self, m: int, amax_bound: float, horizon: int, violations: dict[str, int]):
+        b = min(DIAG_BLOCK, horizon)
+        self.A = np.zeros((b, m), dtype=np.int64)
+        self.mu = np.zeros((b, m), dtype=np.int64)
+        self.q = np.zeros((b, m), dtype=np.int64)
+        self.ext = np.zeros(b, dtype=np.int64)
+        self.filled = 0
+        self.slots_left = horizon
         self.G = np.zeros(m, dtype=np.int64)
         self.run_min = np.zeros(m, dtype=np.int64)
-        self.assoc = AssociatedQueues(m)
+        self.qhat = np.zeros(m, dtype=np.int64)
         self.amax_bound = amax_bound
         self.observed_amax = 0
         self.run_max_vq = 0
@@ -301,23 +316,58 @@ class _DiagnosticState:
         self.violations = violations
 
     def step(self, A: np.ndarray, mu: np.ndarray, q_after: np.ndarray, total_external: int) -> None:
-        self.observed_amax = max(self.observed_amax, total_external)
-        np.minimum(self.run_min, self.G, out=self.run_min)
-        self.G += A
-        self.G -= mu
-        expected = np.maximum(self.G - self.run_min, 0)
-        if not np.array_equal(expected, q_after):
-            self.violations["skorokhod"] += 1
-        self.assoc.update(A, mu)
-        amax = self.amax_bound if math.isfinite(self.amax_bound) else self.observed_amax
-        if np.any(self.assoc.qhat < q_after) or np.any(self.assoc.qhat > q_after + amax):
-            self.violations["sandwich"] += 1
-        # Largest windowed load ending now, per edge, must stay below the
-        # running peak queue.
-        peak = max(self.run_max_vq, int(q_after.max()) if len(q_after) else 0)
-        self.run_max_vq = peak
-        if np.any(expected > peak):
-            self.violations["loading"] += 1
+        i = self.filled
+        self.A[i] = A
+        self.mu[i] = mu
+        self.q[i] = q_after
+        self.ext[i] = total_external
+        self.filled = i + 1
+        self.slots_left -= 1
+        if self.filled == len(self.ext) or self.slots_left == 0:
+            self._check_block()
+
+    def _check_block(self) -> None:
+        n = self.filled
+        A, mu, q, ext = self.A[:n], self.mu[:n], self.q[:n], self.ext[:n]
+        # Skorokhod: the queue after slot t is G_t minus the minimum of G
+        # before it, where G is the cumulative arrivals minus service.
+        G = np.cumsum(A - mu, axis=0)
+        G += self.G
+        before = np.empty_like(G)
+        before[0] = np.minimum(self.run_min, self.G)
+        before[1:] = G[:-1]
+        run_min = np.minimum.accumulate(before, axis=0)
+        expected = np.maximum(G - run_min, 0)
+        skorokhod = np.any(expected != q, axis=1)
+        # Sandwich: the companion queue is qhat_t = r_t + A_t, where
+        # r_t = max(r_{t-1} + A_{t-1} - mu_t, 0) is a Lindley recursion in
+        # shifted arrivals, so r_t = max(qhat_0 + S_t, S_t - min_{k<=t} S_k)
+        # with S the cumulative sum of A_{t-1} - mu_t.
+        d = -mu
+        d[1:] += A[:-1]
+        S = np.cumsum(d, axis=0)
+        qhat = np.maximum(S + self.qhat, S - np.minimum.accumulate(S, axis=0))
+        qhat += A
+        if math.isfinite(self.amax_bound):
+            amax = self.amax_bound
+        else:
+            observed = np.maximum.accumulate(np.maximum(ext, self.observed_amax))
+            self.observed_amax = int(observed[-1])
+            amax = observed[:, None]
+        sandwich = np.any(qhat < q, axis=1) | np.any(qhat > q + amax, axis=1)
+        # Largest windowed load ending at each slot, per edge, must stay
+        # below the running peak queue.
+        peak = np.maximum.accumulate(q.max(axis=1, initial=self.run_max_vq))
+        loading = np.any(expected > peak[:, None], axis=1)
+
+        self.violations["skorokhod"] += int(np.count_nonzero(skorokhod))
+        self.violations["sandwich"] += int(np.count_nonzero(sandwich))
+        self.violations["loading"] += int(np.count_nonzero(loading))
+        self.G = G[-1].copy()
+        self.run_min = run_min[-1].copy()
+        self.qhat = qhat[-1].copy()
+        self.run_max_vq = int(peak[-1])
+        self.filled = 0
 
 
 def _checkpoints(every: int, horizon: int) -> frozenset[int]:
@@ -336,7 +386,7 @@ class _MaxWeightStepper:
     for "umw", the physical buffer lengths for "umw-heuristic". Both arrays
     are updated in place, so the vector is bound once. Then admits and
     forwards the physical copies and applies the Lindley update. With
-    metrics.diagnostics on, each slot also runs the _DiagnosticState checks.
+    metrics.diagnostics on, each slot also feeds the _DiagnosticState checks.
     """
 
     def __init__(self, config: SimulationConfig, g: Graph, aset: ActivationSet,
@@ -357,7 +407,7 @@ class _MaxWeightStepper:
         self.diag = None
         if config.metrics.diagnostics:
             amax = effective_amax(classes, config.arrival)
-            self.diag = _DiagnosticState(g.m, amax, self.violations)
+            self.diag = _DiagnosticState(g.m, amax, config.horizon, self.violations)
 
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
         g, net, vq, weights, classes = self.graph, self.net, self.vq, self.weights, self.classes

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from helpers import SlotDiagnosticState
-from umwsim.engine import _DiagnosticState
+from umwsim.engine import DIAG_BLOCK, _DiagnosticState
 
 ARRIVALS = ("bernoulli", "binomial", "poisson")
-BLOCK = 256
+BLOCK = DIAG_BLOCK
 
 
 def _checker(m, amax_bound, horizon, violations):
-    return _DiagnosticState(m, amax_bound, violations)
+    return _DiagnosticState(m, amax_bound, horizon, violations)
 
 
 def _slots(rng, m, horizon, kind, corrupt_p):
