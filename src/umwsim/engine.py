@@ -35,6 +35,15 @@ from .traffic import (
 from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 
+def _is_int(value) -> bool:
+    """An integer; JSON true and false are not numbers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MetricsOptions:
     warmup_frac: float = 0.1
@@ -45,17 +54,17 @@ class MetricsOptions:
     divergence_factor: float = 3.0
 
     def __post_init__(self):
-        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
+        if not (_is_int(self.record_every) and self.record_every >= 1):
             raise ConfigError(f"metrics.record_every must be an integer >= 1, got {self.record_every!r}")
-        if not (isinstance(self.eq17_every, numbers.Integral) and self.eq17_every >= 0):
+        if not (_is_int(self.eq17_every) and self.eq17_every >= 0):
             raise ConfigError(f"metrics.eq17_every must be an integer >= 0, got {self.eq17_every!r}")
-        if not (isinstance(self.warmup_frac, numbers.Real) and 0 <= self.warmup_frac < 1):
+        if not (_is_number(self.warmup_frac) and 0 <= self.warmup_frac < 1):
             raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
         if not isinstance(self.diagnostics, bool):
             raise ConfigError(f"metrics.diagnostics must be true or false, got {self.diagnostics!r}")
         for name in ("stability_eps", "divergence_factor"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"metrics.{name} must be finite and > 0, got {value!r}")
 
 
@@ -72,9 +81,11 @@ class SimulationConfig:
     metrics: MetricsOptions = MetricsOptions()
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not (math.isfinite(self.load_factor) and self.load_factor >= 0):
+        if not (_is_int(self.horizon) and self.horizon >= 1):
+            raise ConfigError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (_is_number(self.load_factor) and math.isfinite(self.load_factor) and self.load_factor >= 0):
             raise ConfigError(f"load_factor must be finite and >= 0, got {self.load_factor}")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
@@ -114,6 +125,18 @@ def _plain(convert):
     return lambda value, path: convert(value)
 
 
+def _integer(value, path):
+    if not _is_int(value):
+        raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, path) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _classes(docs, path) -> tuple[TrafficClass, ...]:
     return tuple(_from_doc(TrafficClass, c, f"{path}[{i}]") for i, c in enumerate(docs))
 
@@ -121,16 +144,17 @@ def _classes(docs, path) -> tuple[TrafficClass, ...]:
 # Each dataclass key's converter from its JSON value (default: taken as is).
 _CONVERTERS = {
     SimulationConfig: {
-        "topology": _plain(str), "horizon": _plain(int), "seed": _plain(int),
-        "load_factor": _plain(float), "classes": _classes,
+        # horizon and seed are taken as is: __post_init__ checks them.
+        "topology": _plain(str), "load_factor": _number, "classes": _classes,
         "arrival": lambda doc, path: _from_doc(ArrivalProcess, doc, path),
         "metrics": lambda doc, path: _from_doc(MetricsOptions, doc, path),
     },
-    ArrivalProcess: {"trials": _plain(int)},
+    ArrivalProcess: {"trials": _integer},
     MetricsOptions: {},
     TrafficClass: {
-        "id": _plain(int), "kind": _plain(str), "source": _plain(int),
-        "destinations": _plain(lambda ds: frozenset(int(d) for d in ds)), "rate": _plain(float),
+        "id": _integer, "kind": _plain(str), "source": _integer,
+        "destinations": lambda ds, path: frozenset(_integer(d, f"{path}[{i}]") for i, d in enumerate(ds)),
+        "rate": _number,
     },
 }
 

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,12 @@ def _line3_cfg(**kw):
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _src_env() -> dict:
+    src = str(CONFIGS.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
 
 
 def test_zero_horizon_rejected():
@@ -348,9 +357,10 @@ def test_warmup_frac_out_of_range_rejected():
 @pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
 def test_non_finite_load_factor_rejected(load):
     # A NaN load used to run silently: Bernoulli draws against NaN never
-    # arrive, and the verdict read "stable".
+    # arrive, and the verdict read "stable". JSON spells these NaN,
+    # Infinity and -Infinity; a string is no number at all.
     with pytest.raises(ConfigError, match="load_factor must be finite"):
-        config_from_dict({"topology": "line3", "load_factor": load})
+        config_from_dict({"topology": "line3", "load_factor": float(load)})
     with pytest.raises(ConfigError, match="load_factor must be finite"):
         _line3_cfg(load_factor=float(load))
 
@@ -358,7 +368,7 @@ def test_non_finite_load_factor_rejected(load):
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_non_finite_poisson_rate_rejected(rate):
     doc = {"topology": "line3", "arrival": {"kind": "poisson"},
-           "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": rate}]}
+           "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": float(rate)}]}
     with pytest.raises(ConfigError, match="rate must be finite"):
         config_from_dict(doc)
 
@@ -366,7 +376,7 @@ def test_non_finite_poisson_rate_rejected(rate):
 def test_cli_capacity_infinite_rate_exits_with_message(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "topology": "line3",
-        "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": "inf"}],
+        "classes": [{"id": 0, "kind": "unicast", "source": 0, "destinations": [2], "rate": math.inf}],
     })
     with pytest.raises(SystemExit, match="rate must be finite"):
         cli_main(["capacity", "--config", str(cfg)])
@@ -411,11 +421,54 @@ _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
     ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, source="a")]}, "classes[0].source"),
     ({"topology": "line3", "classes": [3]}, "classes"),
     (None, "JSON object"),
+    ({"topology": "line3", "horizon": 5.7}, "horizon"),
+    ({"topology": "line3", "seed": 1.9}, "seed"),
+    ({"topology": "line3", "horizon": True}, "horizon"),
+    ({"topology": "line3", "horizon": "12"}, "horizon"),
+    ({"topology": "line3", "seed": -1}, "seed"),
+    ({"topology": "line3", "arrival": {"kind": "binomial", "trials": 2.9}}, "arrival.trials"),
+    ({"topology": "line3", "arrival": {"kind": "binomial", "trials": True}}, "arrival.trials"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, id=0.5)]}, "classes[0].id"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, source=False)]}, "classes[0].source"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, destinations=[2.0])]},
+     "classes[0].destinations[0]"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=True)]}, "classes[0].rate"),
+    ({"topology": "line3", "classes": [dict(_LINE3_CLASS, rate="0.5")]}, "classes[0].rate"),
+    ({"topology": "line3", "load_factor": True}, "load_factor"),
+    ({"topology": "line3", "load_factor": "1"}, "load_factor"),
+    ({"topology": "line3", "metrics": {"record_every": True}}, "record_every"),
 ], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
-        "record_every_text", "trials_text", "source_text", "class_not_object", "null_document"])
+        "record_every_text", "trials_text", "source_text", "class_not_object", "null_document",
+        "horizon_float", "seed_float", "horizon_bool", "horizon_numeric_text", "seed_negative",
+        "trials_float", "trials_bool", "id_float", "source_bool", "destination_float", "rate_bool",
+        "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool"])
 def test_malformed_config_names_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(doc)
+
+
+def test_integer_keys_reject_floats_and_bools_in_python():
+    for key, bad in (("horizon", 5.5), ("horizon", True), ("seed", 1.5), ("seed", -1), ("seed", False)):
+        with pytest.raises(ConfigError, match=key):
+            _line3_cfg(**{key: bad})
+    with pytest.raises(ConfigError, match="load_factor"):
+        _line3_cfg(load_factor=True)
+
+
+def test_json_ints_still_read_as_float_rates():
+    cfg = config_from_dict({"topology": "line3", "load_factor": 1,
+                            "classes": [dict(_LINE3_CLASS, rate=0)]})
+    assert type(cfg.load_factor) is float and type(cfg.classes[0].rate) is float
+
+
+def test_cli_negative_seed_exits_with_message():
+    proc = subprocess.run(
+        [sys.executable, "-m", "umwsim.cli", "run", "--config", str(CONFIGS / "twinpath_compare.json"),
+         "--horizon", "5", "--seed", "-1"],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert "umwsim run: error: seed must be an integer >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_steiner_mode_rejected_without_multicast():
