@@ -328,6 +328,7 @@ class _DiagnosticState:
         self.mu = np.zeros((b, m), dtype=np.int64)
         self.q = np.zeros((b, m), dtype=np.int64)
         self.ext = np.zeros(b, dtype=np.int64)
+        self.work = np.zeros((2, b, m), dtype=np.int64)  # the block pass's scratch
         self.filled = 0
         self.slots_left = horizon
         self.G = np.zeros(m, dtype=np.int64)
@@ -353,44 +354,51 @@ class _DiagnosticState:
     def _check_block(self) -> None:
         n = self.filled
         A, mu, q, ext = self.A[:n], self.mu[:n], self.q[:n], self.ext[:n]
+        G, low = self.work[0, :n], self.work[1, :n]
         # Skorokhod: the queue after slot t is G_t minus the minimum of G
         # before it, where G is the cumulative arrivals minus service.
-        G = np.cumsum(A - mu, axis=0)
+        np.subtract(A, mu, out=G)
+        np.cumsum(G, axis=0, out=G)
         G += self.G
-        before = np.empty_like(G)
-        before[0] = np.minimum(self.run_min, self.G)
-        before[1:] = G[:-1]
-        run_min = np.minimum.accumulate(before, axis=0)
-        expected = np.maximum(G - run_min, 0)
+        low[0] = np.minimum(self.run_min, self.G)
+        low[1:] = G[:-1]
+        np.minimum.accumulate(low, axis=0, out=low)
+        self.G = G[-1].copy()
+        self.run_min = low[-1].copy()
+        expected = np.subtract(G, low, out=low)
+        np.maximum(expected, 0, out=expected)
         skorokhod = np.any(expected != q, axis=1)
+        # Largest windowed load ending at each slot, per edge, must stay
+        # below the running peak queue.
+        peak = np.maximum.accumulate(q.max(axis=1, initial=self.run_max_vq))
+        self.run_max_vq = int(peak[-1])
+        loading = np.any(expected > peak[:, None], axis=1)
         # Sandwich: the companion queue is qhat_t = r_t + A_t, where
         # r_t = max(r_{t-1} + A_{t-1} - mu_t, 0) is a Lindley recursion in
         # shifted arrivals, so r_t = max(qhat_0 + S_t, S_t - min_{k<=t} S_k)
         # with S the cumulative sum of A_{t-1} - mu_t.
-        d = -mu
-        d[1:] += A[:-1]
-        S = np.cumsum(d, axis=0)
-        qhat = np.maximum(S + self.qhat, S - np.minimum.accumulate(S, axis=0))
+        S, drop = G, low
+        np.negative(mu, out=S)
+        S[1:] += A[:-1]
+        np.cumsum(S, axis=0, out=S)
+        np.minimum.accumulate(S, axis=0, out=drop)
+        np.subtract(S, drop, out=drop)
+        S += self.qhat
+        qhat = np.maximum(S, drop, out=S)
         qhat += A
+        self.qhat = qhat[-1].copy()
         if math.isfinite(self.amax_bound):
             amax = self.amax_bound
         else:
             observed = np.maximum.accumulate(np.maximum(ext, self.observed_amax))
             self.observed_amax = int(observed[-1])
             amax = observed[:, None]
-        sandwich = np.any(qhat < q, axis=1) | np.any(qhat > q + amax, axis=1)
-        # Largest windowed load ending at each slot, per edge, must stay
-        # below the running peak queue.
-        peak = np.maximum.accumulate(q.max(axis=1, initial=self.run_max_vq))
-        loading = np.any(expected > peak[:, None], axis=1)
+        gap = np.subtract(qhat, q, out=drop)  # must lie in [0, amax]
+        sandwich = np.any(gap < 0, axis=1) | np.any(gap > amax, axis=1)
 
         self.violations["skorokhod"] += int(np.count_nonzero(skorokhod))
         self.violations["sandwich"] += int(np.count_nonzero(sandwich))
         self.violations["loading"] += int(np.count_nonzero(loading))
-        self.G = G[-1].copy()
-        self.run_min = run_min[-1].copy()
-        self.qhat = qhat[-1].copy()
-        self.run_max_vq = int(peak[-1])
         self.filled = 0
 
 
