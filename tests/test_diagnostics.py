@@ -32,22 +32,24 @@ def _slots(rng, m, horizon, kind, corrupt_p):
     amax_bound = {"bernoulli": float(n_classes), "binomial": float(trials * n_classes),
                   "poisson": math.inf}[kind]
     rate = rng.uniform(0.2, 0.9)
+    if kind == "bernoulli":
+        counts = rng.random((horizon, n_classes)) < rate
+    elif kind == "binomial":
+        counts = rng.binomial(trials, rate / trials, (horizon, n_classes))
+    else:
+        counts = rng.poisson(rate, (horizon, n_classes))
+    counts = counts.astype(np.int64)
+    routes = rng.random((horizon, n_classes, m)) < 0.5
+    arrivals = (counts[:, :, None] * routes).sum(axis=1)
+    service = (rng.random((horizon, m)) < 0.6).astype(np.int64)
+    corrupt = rng.random(horizon) < corrupt_p
     q = np.zeros(m, dtype=np.int64)
     out = []
-    for _ in range(horizon):
-        if kind == "bernoulli":
-            counts = rng.random(n_classes) < rate
-        elif kind == "binomial":
-            counts = rng.binomial(trials, rate / trials, n_classes)
-        else:
-            counts = rng.poisson(rate, n_classes)
-        counts = counts.astype(np.int64)
-        routes = rng.random((n_classes, m)) < 0.5
-        A = (counts[:, None] * routes).sum(axis=0).astype(np.int64)
-        mu = (rng.random(m) < 0.6).astype(np.int64)
+    for t in range(horizon):
+        A, mu = arrivals[t], service[t]
         q = np.maximum(q + A - mu, 0)
         reported = q.copy()
-        if rng.random() < corrupt_p:
+        if corrupt[t]:
             e = int(rng.integers(m))
             mode = int(rng.integers(4))
             if mode == 0:
@@ -58,7 +60,7 @@ def _slots(rng, m, horizon, kind, corrupt_p):
                 reported //= 2
             else:
                 reported[:] = 0
-        out.append((A, mu, reported, int(counts.sum())))
+        out.append((A, mu, reported, int(counts[t].sum())))
     return amax_bound, out
 
 
