@@ -16,11 +16,6 @@ from helpers import SlotDiagnosticState
 from umwsim.engine import DIAG_BLOCK, _DiagnosticState
 
 ARRIVALS = ("bernoulli", "binomial", "poisson")
-BLOCK = DIAG_BLOCK
-
-
-def _checker(m, amax_bound, horizon, violations):
-    return _DiagnosticState(m, amax_bound, horizon, violations)
 
 
 def _slots(rng, m, horizon, kind, corrupt_p):
@@ -84,12 +79,12 @@ def _assert_same(seed, m, horizon, kind, corrupt_p):
     rng = np.random.default_rng(seed)
     amax_bound, slots = _slots(rng, m, horizon, kind, corrupt_p)
     expected = _counts(_reference, m, amax_bound, horizon, slots)
-    assert _counts(_checker, m, amax_bound, horizon, slots) == expected
+    assert _counts(_DiagnosticState, m, amax_bound, horizon, slots) == expected
     return expected
 
 
 @pytest.mark.parametrize("kind", ARRIVALS)
-@pytest.mark.parametrize("horizon", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 37])
+@pytest.mark.parametrize("horizon", [1, DIAG_BLOCK - 1, DIAG_BLOCK, DIAG_BLOCK + 1, 3 * DIAG_BLOCK + 37])
 def test_block_horizons_match_reference(horizon, kind):
     totals = dict(skorokhod=0, sandwich=0, loading=0)
     for i, m in enumerate((1, 2, 5)):
@@ -117,4 +112,4 @@ def test_random_sequences_match_reference():
 
 def test_clean_sequences_count_nothing():
     for kind in ARRIVALS:
-        assert _assert_same(5, 3, 2 * BLOCK + 9, kind, 0.0) == dict(skorokhod=0, sandwich=0, loading=0)
+        assert _assert_same(5, 3, 2 * DIAG_BLOCK + 9, kind, 0.0) == dict(skorokhod=0, sandwich=0, loading=0)
