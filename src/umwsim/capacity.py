@@ -265,7 +265,6 @@ def verify_certificate(
     g: Graph,
     aset: ActivationSet,
     classes: list[TrafficClass],
-    tol: float = 1e-9,
 ) -> bool:
     """Independently recheck every constraint the certificate claims.
 
@@ -273,7 +272,6 @@ def verify_certificate(
     rates: one that leaves a class out, names an unknown class, or states
     another rate certifies a different problem and does not verify.
     """
-    tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     rates = dict(cert.rates)
     if rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
         return False
@@ -288,7 +286,7 @@ def verify_certificate(
                 return False
             edge_load[e] += v
     for cid, rate in rates.items():
-        if abs(by_class[cid] - cert.rho_star * rate) > tol:
+        if by_class[cid] != cert.rho_star * rate:
             return False
 
     total_p = Fraction(0)
@@ -306,11 +304,11 @@ def verify_certificate(
         total_p += p
         for e in edges:
             edge_service[e] += p
-    if abs(total_p - 1) > tol:
+    if total_p != 1:
         return False
 
     for e in range(g.m):
-        if edge_load[e] > edge_service[e] + tol:
+        if edge_load[e] > edge_service[e]:
             return False
 
     # Structural check: each flow-carrying edge set must orient into a tree

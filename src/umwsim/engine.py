@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -21,27 +20,20 @@ import numpy as np
 from .activation import max_weight_activation
 from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
-from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, solve_route
+from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, require_unicast, solve_route
 from .routing import STEINER_MODES, RouteTree
 from .topology import ActivationSet, Graph, builtin_topology, load_activation, load_topology
 from .traffic import (
     ArrivalProcess,
     TrafficClass,
+    _is_int,
+    _is_number,
     arrival_table,
     effective_amax,
     sweep_subseed,
     validate_classes,
 )
 from .virtual_net import VirtualQueues, virtual_arrival_vector
-
-
-def _is_int(value) -> bool:
-    """An integer; JSON true and false are not numbers here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,17 +47,17 @@ class MetricsOptions:
 
     def __post_init__(self):
         if not (_is_int(self.record_every) and self.record_every >= 1):
-            raise ConfigError(f"metrics.record_every must be an integer >= 1, got {self.record_every!r}")
+            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if not (_is_int(self.eq17_every) and self.eq17_every >= 0):
-            raise ConfigError(f"metrics.eq17_every must be an integer >= 0, got {self.eq17_every!r}")
+            raise ConfigError(f"eq17_every must be an integer >= 0, got {self.eq17_every!r}")
         if not (_is_number(self.warmup_frac) and 0 <= self.warmup_frac < 1):
-            raise ConfigError(f"metrics.warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
+            raise ConfigError(f"warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
         if not isinstance(self.diagnostics, bool):
-            raise ConfigError(f"metrics.diagnostics must be true or false, got {self.diagnostics!r}")
+            raise ConfigError(f"diagnostics must be true or false, got {self.diagnostics!r}")
         for name in ("stability_eps", "divergence_factor"):
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"metrics.{name} must be finite and > 0, got {value!r}")
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,16 +73,25 @@ class SimulationConfig:
     metrics: MetricsOptions = MetricsOptions()
 
     def __post_init__(self):
+        if not isinstance(self.topology, str):
+            raise ConfigError(f"topology must be a builtin name or a file path, got {self.topology!r}")
         if not (_is_int(self.horizon) and self.horizon >= 1):
             raise ConfigError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (_is_number(self.load_factor) and math.isfinite(self.load_factor) and self.load_factor >= 0):
-            raise ConfigError(f"load_factor must be finite and >= 0, got {self.load_factor}")
+            raise ConfigError(f"load_factor must be finite and >= 0, got {self.load_factor!r}")
+        object.__setattr__(self, "load_factor", float(self.load_factor))
         if self.policy not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
+            raise ConfigError(f"policy must be one of {POLICY_NAMES}, got {self.policy!r}")
         if self.steiner_mode not in STEINER_MODES:
-            raise ConfigError(f"unknown steiner_mode {self.steiner_mode!r}; choose from {STEINER_MODES}")
+            raise ConfigError(f"steiner_mode must be one of {STEINER_MODES}, got {self.steiner_mode!r}")
+        for name, kind in (("arrival", ArrivalProcess), ("metrics", MetricsOptions)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        if not (self.classes is None or isinstance(self.classes, tuple)
+                and all(isinstance(c, TrafficClass) for c in self.classes)):
+            raise ConfigError(f"classes must be None or a tuple of TrafficClass, got {self.classes!r}")
 
     def resolve(self) -> tuple[Graph, ActivationSet, list[TrafficClass]]:
         """Materialize topology, activation set, and load-scaled classes."""
@@ -117,51 +118,9 @@ class SimulationConfig:
         return doc
 
 
-def _same(value, path):
-    return value
-
-
-def _plain(convert):
-    return lambda value, path: convert(value)
-
-
-def _integer(value, path):
-    if not _is_int(value):
-        raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, path) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _classes(docs, path) -> tuple[TrafficClass, ...]:
-    return tuple(_from_doc(TrafficClass, c, f"{path}[{i}]") for i, c in enumerate(docs))
-
-
-# Each dataclass key's converter from its JSON value (default: taken as is).
-_CONVERTERS = {
-    SimulationConfig: {
-        # horizon and seed are taken as is: __post_init__ checks them.
-        "topology": _plain(str), "load_factor": _number, "classes": _classes,
-        "arrival": lambda doc, path: _from_doc(ArrivalProcess, doc, path),
-        "metrics": lambda doc, path: _from_doc(MetricsOptions, doc, path),
-    },
-    ArrivalProcess: {"trials": _integer},
-    MetricsOptions: {},
-    TrafficClass: {
-        "id": _integer, "kind": _plain(str), "source": _integer,
-        "destinations": lambda ds, path: frozenset(_integer(d, f"{path}[{i}]") for i, d in enumerate(ds)),
-        "rate": _number,
-    },
-}
-
-
 def _from_doc(cls, doc, path: str = ""):
-    """cls built from the keys doc has, each through its converter; the
-    field defaults fill the rest. A ConfigError names a bad key by its path."""
+    """cls built from the keys doc has; the field defaults fill the rest.
+    Each type checks its own values; a ConfigError names a bad key by its path."""
     if not isinstance(doc, dict):
         where = f"config key {path!r}" if path else "a config"
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
@@ -173,16 +132,22 @@ def _from_doc(cls, doc, path: str = ""):
     for f in fields(cls):
         if f.name not in doc and f.default is MISSING:
             raise ConfigError(f"config key {prefix + f.name!r} is missing")
-    converters = _CONVERTERS[cls]
-    kwargs = {}
-    for key, value in doc.items():
-        try:
-            kwargs[key] = converters.get(key, _same)(value, prefix + key)
-        except ConfigError:
+    kwargs = dict(doc)
+    if cls is SimulationConfig:
+        for key, nested in (("arrival", ArrivalProcess), ("metrics", MetricsOptions)):
+            if key in doc:
+                kwargs[key] = _from_doc(nested, doc[key], key)
+        if "classes" in doc:
+            if not isinstance(doc["classes"], list):
+                raise ConfigError(f"config key 'classes' must be a JSON array, got {doc['classes']!r}")
+            kwargs["classes"] = tuple(_from_doc(TrafficClass, c, f"classes[{i}]")
+                                      for i, c in enumerate(doc["classes"]))
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if not path:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config key {prefix + key!r}: {exc}") from exc
-    return cls(**kwargs)
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def config_from_dict(doc: dict, **overrides) -> SimulationConfig:
@@ -555,6 +520,8 @@ def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsR
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ConfigError(f"compare lists policy {', '.join(map(repr, repeated))} more than once")
+    if "bp" in policies:
+        require_unicast(config.resolve()[2])  # fail before any policy runs
     return {p: run(replace(config, policy=p)) for p in policies}
 
 

@@ -133,13 +133,17 @@ class Forward(NamedTuple):
     class_id: int
 
 
+def require_unicast(classes: list[TrafficClass]) -> None:
+    """Back-pressure routes unicast classes only."""
+    if any(cls.kind != "unicast" for cls in classes):
+        raise ConfigError("back-pressure baseline supports unicast classes only")
+
+
 class BPState:
     """Per-node, per-class FIFO backlogs for classical back-pressure."""
 
     def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass]):
-        for cls in classes:
-            if cls.kind != "unicast":
-                raise ConfigError("back-pressure baseline supports unicast classes only")
+        require_unicast(classes)
         self.graph = g
         self.aset = aset
         self.classes = list(classes)

@@ -451,33 +451,24 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     for t in keep:
         if t not in labels_from[root]:
             raise UnreachableError(f"terminal {t} is not reachable from {root}")
+    # The closure's MST, or its arborescence from the root when directed
+    # (admissible, but without the 2x bound). Closure edge ids follow the
+    # (i, j) pair order, which fixes the tie-break among equal-cost pairs.
+    k = len(points)
+    closure = Graph(
+        k,
+        tuple(
+            (i, j) for i in range(k) for j in range(k)
+            if (i != j if g.directed else i < j) and points[j] in labels_from[points[i]]
+        ),
+        directed=g.directed,
+    )
+    cw = [labels_from[points[u]][points[v]][0] for u, v in closure.edges]
+    chosen = _min_arborescence(closure, cw, 0) if g.directed else _kruskal(closure, cw)
     edge_ids: set[int] = set()
-    if g.directed:
-        # Closure arborescence from the root; admissible but without the 2x bound.
-        closure = Graph(
-            len(points),
-            tuple(
-                (i, j)
-                for i in range(len(points))
-                for j in range(len(points))
-                if i != j and points[j] in labels_from[points[i]]
-            ),
-            directed=True,
-        )
-        cw = [labels_from[points[u]][points[v]][0] for u, v in closure.edges]
-        chosen = _min_arborescence(closure, cw, 0)
-        pairs = [closure.edges[e] for e in chosen]
-    else:
-        pair_list = [
-            (i, j) for i in range(len(points)) for j in range(i + 1, len(points))
-            if points[j] in labels_from[points[i]]
-        ]
-        order = sorted(pair_list, key=lambda p: (labels_from[points[p[0]]][points[p[1]]][0], p))
-        uf = _UnionFind(len(points))
-        pairs = [p for p in order if uf.union(*p)]
-    for i, j in pairs:
-        _, _, seq = labels_from[points[i]][points[j]]
-        edge_ids.update(seq)
+    for e in chosen:
+        u, v = closure.edges[e]
+        edge_ids.update(labels_from[points[u]][points[v]][2])
     return _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapExceededError, TopologyError
-from .traffic import TrafficClass
+from .traffic import TrafficClass, _is_int
 
 ACTIVATION_KINDS = ("wired", "primary_interference", "explicit")
 
@@ -29,20 +29,26 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         n = self.node_count
-        if n < 1:
-            raise TopologyError(f"node_count must be >= 1, got {n}")
+        if not (_is_int(n) and n >= 1):
+            raise TopologyError(f"node_count must be an integer >= 1, got {n!r}")
+        if not isinstance(self.directed, bool):
+            raise TopologyError(f"directed must be true or false, got {self.directed!r}")
+        if not isinstance(self.edges, (tuple, list)):
+            raise TopologyError(f"edges must be a list of node pairs, got {self.edges!r}")
         seen = set()
-        for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise TopologyError(f"edge {eid}: endpoint outside 0..{n - 1}")
+        for eid, edge in enumerate(self.edges):
+            if not (isinstance(edge, (tuple, list)) and len(edge) == 2
+                    and all(_is_int(x) and 0 <= x < n for x in edge)):
+                raise TopologyError(f"edges[{eid}] must be a pair of integers in 0..{n - 1}, got {edge!r}")
+            u, v = edge
             if u == v:
-                raise TopologyError(f"edge {eid}: self-loop at node {u}")
+                raise TopologyError(f"edges[{eid}] is a self-loop at node {u}")
             key = (u, v) if self.directed else (min(u, v), max(u, v))
             if key in seen:
-                raise TopologyError(f"edge {eid}: duplicate of {key}")
+                raise TopologyError(f"edges[{eid}] duplicates edge {key}")
             seen.add(key)
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
     @property
     def m(self) -> int:
@@ -77,8 +83,8 @@ class ActivationVector:
     edge_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "active", frozenset(int(e) for e in self.active))
-        if not all(0 <= e < self.edge_count for e in self.active):
+        object.__setattr__(self, "active", frozenset(self.active))
+        if not all(_is_int(e) and 0 <= e < self.edge_count for e in self.active):
             raise TopologyError("active edge id out of range")
 
     @cached_property
@@ -107,18 +113,18 @@ class ActivationSet:
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
-            raise TopologyError(f"unknown activation kind {self.kind!r}")
+            raise TopologyError(f"kind must be one of {ACTIVATION_KINDS}, got {self.kind!r}")
         if self.kind == "wired":
             if self.members is not None:
-                raise TopologyError("wired activation must not list members")
+                raise TopologyError(f"members must be left out of wired activation, got {self.members!r}")
             return
-        if not self.members:
-            raise TopologyError(f"{self.kind} activation needs at least one member")
-        members = tuple(frozenset(int(e) for e in s) for s in self.members)
-        object.__setattr__(self, "members", members)
-        for s in members:
-            if not all(0 <= e < self.edge_count for e in s):
-                raise TopologyError("activation member references unknown edge id")
+        if not (isinstance(self.members, (tuple, list)) and self.members):
+            raise TopologyError(f"members must list at least one {self.kind} edge set, got {self.members!r}")
+        for i, s in enumerate(self.members):
+            if not (isinstance(s, (frozenset, set, tuple, list))
+                    and all(_is_int(e) and 0 <= e < self.edge_count for e in s)):
+                raise TopologyError(f"members[{i}] must be a set of edge ids in 0..{self.edge_count - 1}, got {s!r}")
+        object.__setattr__(self, "members", tuple(map(frozenset, self.members)))
 
     @cached_property
     def member_matrix(self) -> np.ndarray:
@@ -222,50 +228,44 @@ def save_topology(g: Graph, path: str | Path, activation: ActivationSet | None =
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_topology_doc(doc: dict, where: str) -> Graph:
+def _read_doc(path: str | Path) -> dict:
     try:
-        nodes = int(doc["nodes"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-        directed = bool(doc.get("directed", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"{where}: malformed topology document ({exc})") from exc
-    return Graph(nodes, tuple(edges), directed)
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise TopologyError(f"{path}: a topology must be a JSON object, got {doc!r}")
+    return doc
 
 
 def load_topology(path: str | Path) -> Graph:
     """Parse and validate a topology file, assigning edge ids in file order."""
-    text = Path(path).read_text()
+    doc = _read_doc(path)
+    missing = [key for key in ("nodes", "edges") if key not in doc]
+    if missing:
+        raise TopologyError(f"{path}: topology key(s) {missing} missing")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
-    return _parse_topology_doc(doc, str(path))
+        return Graph(doc["nodes"], doc["edges"], doc.get("directed", False))
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc
 
 
 def load_activation(path: str | Path, g: Graph) -> ActivationSet:
-    """Read the activation block of a topology file (wired when absent)."""
-    doc = json.loads(Path(path).read_text())
-    act = doc.get("activation")
+    """Read the activation block of a topology file (wired when absent);
+    primary interference without members lists every maximal matching."""
+    act = _read_doc(path).get("activation")
     if act is None:
         return ActivationSet("wired", g.m)
     if not isinstance(act, dict):
         raise TopologyError(f"{path}: activation must be a JSON object, got {act!r}")
-    kind = act.get("kind")
-    if kind == "wired":
-        return ActivationSet("wired", g.m)
-    if kind == "primary_interference":
-        members = act.get("members")
-        if members is None:
+    try:
+        if act.get("kind") == "primary_interference" and act.get("members") is None:
             return enumerate_matchings(g)
-        aset = ActivationSet("primary_interference", g.m, tuple(frozenset(s) for s in members))
+        aset = ActivationSet(act.get("kind"), g.m, act.get("members"))
         validate_activation(aset, g)
         return aset
-    if kind == "explicit":
-        members = act.get("members")
-        if not members:
-            raise TopologyError(f"{path}: explicit activation needs members")
-        return ActivationSet("explicit", g.m, tuple(frozenset(s) for s in members))
-    raise TopologyError(f"{path}: unknown activation kind {kind!r}")
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: activation {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ and different policies can be compared on identical sample paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,15 @@ _CLASS_STREAM_TAG = 1
 _SWEEP_SEED_TAG = 2
 
 
+def _is_int(value) -> bool:
+    """An integer; JSON true and false are not numbers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrafficClass:
     """One traffic session: a source, its destination set, flow kind, rate."""
@@ -33,15 +43,23 @@ class TrafficClass:
     rate: float
 
     def __post_init__(self):
+        for name in ("id", "source"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.kind not in FLOW_KINDS:
-            raise ConfigError(f"unknown flow kind {self.kind!r}")
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ConfigError(f"class {self.id}: rate must be finite and >= 0, got {self.rate}")
-        object.__setattr__(self, "destinations", frozenset(int(d) for d in self.destinations))
-        if not self.destinations:
-            raise ConfigError(f"class {self.id}: empty destination set")
+            raise ConfigError(f"kind must be one of {FLOW_KINDS}, got {self.kind!r}")
+        dests = self.destinations
+        if not (isinstance(dests, (frozenset, set, list, tuple)) and dests):
+            raise ConfigError(f"destinations must be a non-empty list of node ids, got {dests!r}")
+        for i, d in enumerate(dests):
+            if not _is_int(d):
+                raise ConfigError(f"destinations[{i}] must be an integer, got {d!r}")
+        object.__setattr__(self, "destinations", frozenset(dests))
         if self.kind == "unicast" and len(self.destinations) != 1:
-            raise ConfigError(f"class {self.id}: unicast needs exactly one destination")
+            raise ConfigError(f"destinations must hold exactly one node for unicast, got {sorted(self.destinations)}")
+        if not (_is_number(self.rate) and math.isfinite(self.rate) and self.rate >= 0):
+            raise ConfigError(f"rate must be finite and >= 0, got {self.rate!r}")
+        object.__setattr__(self, "rate", float(self.rate))
 
     @property
     def destination(self) -> int:
@@ -91,9 +109,9 @@ class ArrivalProcess:
 
     def __post_init__(self):
         if self.kind not in ARRIVAL_KINDS:
-            raise ConfigError(f"unknown arrival process {self.kind!r}")
-        if self.kind == "binomial" and self.trials < 1:
-            raise ConfigError("binomial arrivals need trials >= 1")
+            raise ConfigError(f"kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}")
+        if not (_is_int(self.trials) and (self.trials >= 1 or self.kind != "binomial")):
+            raise ConfigError(f"trials must be an integer (>= 1 for binomial), got {self.trials!r}")
 
 
 def class_stream(master_seed: int, class_id: int) -> np.random.Generator:

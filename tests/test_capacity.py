@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,7 +330,11 @@ def test_certificate_verifies_and_rejects_perturbations():
     mg, maset, mclasses = load_config(CONFIGS / "mixed_kinds.json").resolve()
     partial = max_scaling(mg, maset, mclasses[:1])
     assert partial.rho_star > max_scaling(mg, maset, mclasses).rho_star
+    # Certificates are exact, so a rho* raised by 1e-12 no longer matches
+    # the flows it claims (a 1e-9 tolerance let it through).
+    raised = dataclasses.replace(cert, rho_star=cert.rho_star + Fraction(1, 10**12))
     for tampered, (tg, taset, tclasses) in (
+        (raised, (g, aset, classes)),
         (bumped, (g, aset, classes)),
         (broken_mix, (g, aset, classes)),
         (relabelled, (g, aset, classes)),

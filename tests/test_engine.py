@@ -92,6 +92,23 @@ def test_compare_shares_arrival_sample_paths():
     assert totals["umw"] == totals["umw-heuristic"] == totals["bp"]
 
 
+def test_compare_rejects_bp_before_any_run(monkeypatch):
+    # mixed_kinds carries non-unicast classes, which back-pressure cannot
+    # route; compare used to finish both max-weight runs before saying so.
+    built = []
+    init = engine._MaxWeightStepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine._MaxWeightStepper, "__init__", counting_init)
+    cfg = load_config(CONFIGS / "mixed_kinds.json", horizon=50)
+    with pytest.raises(ConfigError, match="unicast classes only"):
+        compare(cfg, ["umw", "umw-heuristic", "bp"])
+    assert built == []
+
+
 def test_compare_rejects_repeated_policy():
     # Reports are keyed by policy, so a repeated name used to collapse into
     # one summary entry while the CLI wrote its CSV rows twice.
@@ -459,6 +476,32 @@ def test_json_ints_still_read_as_float_rates():
     cfg = config_from_dict({"topology": "line3", "load_factor": 1,
                             "classes": [dict(_LINE3_CLASS, rate=0)]})
     assert type(cfg.load_factor) is float and type(cfg.classes[0].rate) is float
+
+
+def test_integer_rates_echo_alike_from_python_and_json():
+    # load_factor=1 used to echo as 1 from Python and as 1.0 from JSON.
+    doc = {"topology": "line3", "load_factor": 1, "classes": [dict(_LINE3_CLASS, rate=1)]}
+    built = SimulationConfig(topology="line3", load_factor=1,
+                             classes=(TrafficClass(0, "unicast", 0, frozenset({2}), 1),))
+    read = config_from_dict(doc)
+    assert json.dumps(built.echo(), sort_keys=True) == json.dumps(read.echo(), sort_keys=True)
+    assert '"load_factor": 1.0' in json.dumps(built.echo())
+    assert '"rate": 1.0' in json.dumps(built.echo())
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("arrival", "poisson"), ("metrics", {"diagnostics": True}), ("classes", [1]), ("topology", 3),
+])
+def test_config_built_in_python_checks_its_nested_types(key, bad):
+    # arrival="poisson" used to end in an AttributeError once the run started.
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        _line3_cfg(**{key: bad})
+
+
+def test_nested_rule_message_names_the_key_path():
+    doc = {"topology": "line3", "classes": [dict(_LINE3_CLASS, rate=0.5, destinations=[2, 1.0])]}
+    with pytest.raises(ConfigError, match=re.escape("classes[0].destinations[1] must be an integer, got 1.0")):
+        config_from_dict(doc)
 
 
 def test_cli_negative_seed_exits_with_message():

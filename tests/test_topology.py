@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,39 @@ def test_malformed_file_rejected(tmp_path):
     path.write_text(json.dumps({"nodes": 2}))
     with pytest.raises(TopologyError):
         load_topology(path)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3.0, ((0, 1),)), "node_count must be an integer >= 1, got 3.0"),
+    ((3, ((0, 1.5),)), "edges[0] must be a pair of integers in 0..2, got (0, 1.5)"),
+    ((3, ((0, 1), (True, 2))), "edges[1] must be a pair of integers in 0..2, got (True, 2)"),
+    ((3, ((0, 1),), "false"), "directed must be true or false, got 'false'"),
+    ((3, ((0, 1),), 1), "directed must be true or false, got 1"),
+], ids=["float_nodes", "float_endpoint", "bool_endpoint", "text_directed", "int_directed"])
+def test_graph_checks_its_values(args, message):
+    # Graph used to truncate endpoints with int() and never read directed's type.
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        Graph(*args)
+
+
+def test_activation_member_must_hold_edge_ids():
+    with pytest.raises(TopologyError, match=re.escape("members[1] must be a set of edge ids in 0..1")):
+        ActivationSet("explicit", 2, (frozenset({0}), frozenset({1.5})))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": 3.9, "edges": [[0, 1]]}, "node_count must be an integer >= 1, got 3.9"),
+    ({"nodes": 3, "edges": [[0, 1.7]]}, "edges[0] must be a pair of integers in 0..2, got [0, 1.7]"),
+    ({"nodes": 3, "edges": [[0, 1]], "directed": "false"}, "directed must be true or false, got 'false'"),
+    ({"nodes": 2, "edges": [[0, 1]], "activation": {"kind": "explicit", "members": [[0.0]]}},
+     "activation members[0] must be a set of edge ids in 0..0, got [0.0]"),
+], ids=["float_nodes", "float_endpoint", "text_directed", "float_member"])
+def test_topology_file_values_name_the_file(tmp_path, doc, message):
+    # This file used to load as a 3-node directed graph with edge (0, 1).
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
+        load_activation(path, load_topology(path))
 
 
 def test_non_object_activation_rejected(tmp_path):

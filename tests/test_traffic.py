@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ def test_class_shape_validation():
         TrafficClass(0, "warpcast", 0, frozenset({1}), 1.0)
     with pytest.raises(ConfigError):
         TrafficClass(0, "unicast", 0, frozenset({1}), -0.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(dests=(2.7,)), "destinations[0] must be an integer, got 2.7"),
+    (dict(cid=0.0), "id must be an integer, got 0.0"),
+    (dict(cid=True), "id must be an integer, got True"),
+    (dict(source=1.0), "source must be an integer, got 1.0"),
+    (dict(source=False), "source must be an integer, got False"),
+], ids=["float_destination", "float_id", "bool_id", "float_source", "bool_source"])
+def test_class_built_in_python_checks_its_integers(kwargs, message):
+    # A float destination used to be truncated: 2.7 routed to node 2.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _cls(**kwargs)
+
+
+def test_arrival_trials_must_be_an_integer():
+    # trials=2.5 used to pass its check, and a run with it completed.
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ConfigError, match="trials must be an integer"):
+            ArrivalProcess("binomial", trials=bad)
+    with pytest.raises(ConfigError, match="trials"):
+        ArrivalProcess("binomial", trials=0)
+
+
+def test_integer_rate_reads_as_float():
+    assert type(_cls(rate=1).rate) is float
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
