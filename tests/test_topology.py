@@ -80,7 +80,8 @@ def test_activation_member_must_hold_edge_ids():
      "activation members[0] must be a set of edge ids in 0..0, got [0.0]"),
 ], ids=["float_nodes", "float_endpoint", "text_directed", "float_member"])
 def test_topology_file_values_name_the_file(tmp_path, doc, message):
-    # This file used to load as a 3-node directed graph with edge (0, 1).
+    # These files used to load with int()/bool() applied: "nodes": 3.9 as 3 nodes,
+    # edge [0, 1.7] as (0, 1) and "directed": "false" as a directed graph.
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
