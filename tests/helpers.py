@@ -5,6 +5,7 @@ are checked against; they never call the code paths under test.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ import numpy as np
 
 from umwsim.capacity import PATHS_PER_PAIR_CAP, ROUTE_EDGE_CAP
 from umwsim.errors import CapExceededError, TopologyError
+from umwsim.physical_net import DeliveryEvent, Packet
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
 from umwsim.traffic import TrafficClass
@@ -254,3 +256,71 @@ class SlotDiagnosticState:
         self.run_max_vq = peak
         if np.any(expected > peak):
             self.violations["loading"] += 1
+
+
+class TreeWalkNetwork:
+    """Reference for `umwsim.physical_net.PhysicalNetwork`: the same per-edge
+    ENTO buffers and delivery bookkeeping, working out each hop from the
+    route's ``child_node_of`` and ``children_of`` dicts and counting each
+    edge's waiting copies in a numpy ``lengths`` array."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        # Heap entries are (hops, arrival_slot, uid, packet); the leading
+        # triple is the ENTO priority and is unique per entry via uid.
+        self.buffers: list[list[tuple[int, int, int, Packet]]] = [[] for _ in range(g.m)]
+        self.lengths = np.zeros(g.m, dtype=np.int64)
+        self.total_copies = 0
+
+    def _deliver(self, packet: Packet, node: int, slot: int, events: list[DeliveryEvent]) -> None:
+        if node in packet.delivered:
+            raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
+        packet.delivered.add(node)
+        events.append(DeliveryEvent(packet, node, slot))
+        if packet.delivered == packet.route.covered:
+            packet.full_delivery_slot = slot
+
+    def admit(self, packet: Packet, slot: int) -> list[DeliveryEvent]:
+        """Insert fresh copies (priority 0) into every root edge of the route.
+
+        If the source itself is a required destination it is served
+        immediately; a route with no edges therefore completes on admission.
+        """
+        events: list[DeliveryEvent] = []
+        if packet.route.root in packet.route.covered:
+            self._deliver(packet, packet.route.root, slot, events)
+        for te in packet.route.root_edges():
+            heapq.heappush(self.buffers[te.edge_id], (0, packet.arrival_slot, packet.uid, packet))
+            self.lengths[te.edge_id] += 1
+            self.total_copies += 1
+        return events
+
+    def forward(self, active: frozenset[int], slot: int) -> list[DeliveryEvent]:
+        """One slot of ENTO forwarding over the active edges.
+
+        Transmissions are simultaneous: every active nonempty edge pops its
+        top copy first, and only then are the crossed copies duplicated
+        into child buffers, so a copy cannot traverse two edges in one slot.
+        """
+        crossed: list[tuple[int, int, int, int, Packet]] = []
+        for e in sorted(active):
+            buf = self.buffers[e]
+            if buf:
+                hops, arr, uid, packet = heapq.heappop(buf)
+                self.lengths[e] -= 1
+                self.total_copies -= 1
+                crossed.append((e, hops, arr, uid, packet))
+        events: list[DeliveryEvent] = []
+        for e, hops, arr, uid, packet in crossed:
+            tree = packet.route
+            child = tree.child_node_of.get(e)
+            if child is None:
+                raise RuntimeError(f"edge {e} is not on packet {uid}'s route")
+            if child in tree.covered:
+                # a tree reaches each node once; _deliver enforces that
+                self._deliver(packet, child, slot, events)
+            for te in tree.children_of.get(child, ()):
+                heapq.heappush(self.buffers[te.edge_id], (hops + 1, arr, uid, packet))
+                self.lengths[te.edge_id] += 1
+                self.total_copies += 1
+        return events

@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
+from helpers import TreeWalkNetwork, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.physical_net import Packet, PhysicalNetwork
-from umwsim.routing import build_route, shortest_path_edges, spanning_edges, steiner_edges
+from umwsim.routing import (
+    anycast_edges,
+    build_route,
+    shortest_path_edges,
+    spanning_edges,
+    steiner_edges,
+)
 from umwsim.topology import Graph
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -150,6 +159,14 @@ def test_exactly_once_delivery_guard():
         net.forward(frozenset({0}), 0)
 
 
+def test_forward_rejects_an_edge_off_the_route():
+    net = PhysicalNetwork(LINE3)
+    pkt = _packet(4, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 1)))
+    net.buffers[1].append((0, 0, 4, pkt))  # edge 1 is not on the 0->1 path
+    with pytest.raises(RuntimeError, match=re.escape("edge 1 is not on packet 4's route")):
+        net.forward(frozenset({1}), 0)
+
+
 def test_layer_counters():
     net = PhysicalNetwork(LINE3)
     pkt = _packet(1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2)))
@@ -178,3 +195,57 @@ def test_conservation_random_traffic():
         delivered_events += len(net.forward(active, slot))
         assert int(net.layer_counters().sum()) == net.total_copies
         assert np.all(net.lengths >= 0)
+
+
+def _trees_of_every_kind(rng, g, root):
+    """Unicast, broadcast, multicast and anycast routes out of root under
+    random weights, plus the edgeless route of a packet born at its target."""
+    n = g.node_count
+    trees = [build_route(g, shortest_path_edges(g, np.zeros(g.m), root, root))]
+    for _ in range(3):
+        w = random_weights(rng, g.m)
+        target = int(rng.choice([v for v in range(n) if v != root]))
+        terminals = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        trees.append(build_route(g, shortest_path_edges(g, w, root, target)))
+        trees.append(build_route(g, spanning_edges(g, w, root)))
+        trees.append(build_route(g, steiner_edges(g, w, root, terminals)))
+        trees.append(build_route(g, anycast_edges(g, w, root, terminals)))
+    return trees
+
+
+def _network_state(net):
+    return ([[(hops, arr, uid, pkt.uid) for hops, arr, uid, pkt in buf] for buf in net.buffers],
+            [int(x) for x in net.lengths], net.total_copies)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_forwarding_matches_tree_walk_reference(seed):
+    # Random admissions along trees of all four kinds and random active
+    # sets; both forwarders must agree on every event, buffer and packet.
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        g, root = random_rooted_digraph(rng)
+    else:
+        g = random_connected_graph(rng)
+        root = int(rng.integers(0, g.node_count))
+    trees = _trees_of_every_kind(rng, g, root)
+    net, ref = PhysicalNetwork(g), TreeWalkNetwork(g)
+    packets = []
+    for slot in range(300):
+        events, ref_events = [], []
+        for _ in range(int(rng.integers(0, 4))):
+            tree = trees[int(rng.integers(0, len(trees)))]
+            pair = (Packet(len(packets), 0, slot, tree), Packet(len(packets), 0, slot, tree))
+            packets.append(pair)
+            events += net.admit(pair[0], slot)
+            ref_events += ref.admit(pair[1], slot)
+        active = frozenset(int(e) for e in np.flatnonzero(rng.random(g.m) < 0.5))
+        events += net.forward(active, slot)
+        ref_events += ref.forward(active, slot)
+        assert [(ev.packet.uid, ev.node, ev.slot) for ev in events] == \
+            [(ev.packet.uid, ev.node, ev.slot) for ev in ref_events]
+        assert _network_state(net) == _network_state(ref)
+        for pkt, ref_pkt in packets:
+            assert pkt.delivered == ref_pkt.delivered
+            assert pkt.full_delivery_slot == ref_pkt.full_delivery_slot
+    assert any(pkt.complete for pkt, _ in packets) and net.total_copies > 0
