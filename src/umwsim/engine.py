@@ -379,11 +379,10 @@ class _MaxWeightStepper:
     """One slot of UMW or its heuristic (the policy interface of policy.py).
 
     Routes this slot's arrivals by min-cost solves and activates links by
-    the max-weight rule, both under one weight vector: the virtual queues
-    for "umw", the physical buffer lengths for "umw-heuristic". Both arrays
-    are updated in place, so the vector is bound once. Then admits and
-    forwards the physical copies and applies the Lindley update. With
-    metrics.diagnostics on, each slot also feeds the _DiagnosticState checks.
+    the max-weight rule, both under one weight vector (see weights()). Then
+    admits and forwards the physical copies and applies the Lindley update.
+    With metrics.diagnostics on, each slot also feeds the _DiagnosticState
+    checks.
     """
 
     def __init__(self, config: SimulationConfig, g: Graph, aset: ActivationSet,
@@ -397,7 +396,7 @@ class _MaxWeightStepper:
         self.checkpoints = checkpoints
         self.net = PhysicalNetwork(g)
         self.vq = VirtualQueues(g.m)
-        self.weights = self.vq.q if config.policy == "umw" else self.net.lengths
+        self.virtual_weights = config.policy == "umw"
         self.in_flight: dict[int, Packet] = {}
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
@@ -406,8 +405,14 @@ class _MaxWeightStepper:
             amax = effective_amax(classes, config.arrival)
             self.diag = _DiagnosticState(g.m, amax, config.horizon, self.violations)
 
+    def weights(self) -> np.ndarray:
+        """The slot's weight vector: the virtual queues for "umw", the
+        physical buffer sizes at the start of the slot for "umw-heuristic"."""
+        return self.vq.q if self.virtual_weights else self.net.lengths
+
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
-        g, net, vq, weights, classes = self.graph, self.net, self.vq, self.weights, self.classes
+        g, net, vq, classes = self.graph, self.net, self.vq, self.classes
+        weights = self.weights()
         in_flight = self.in_flight
         routes: dict[int, RouteTree] = {}
         for c in classes:
@@ -470,27 +475,30 @@ def run(config: SimulationConfig) -> MetricsReport:
     rec_deliv = np.zeros((n_rec, len(classes)), dtype=np.int64)
     rec_sojourn = np.zeros(n_rec, dtype=np.float64)
 
-    col_of = {c.id: j for j, c in enumerate(classes)}
+    class_ids = [c.id for c in classes]
+    col_of = {cid: j for j, cid in enumerate(class_ids)}
+    full_deliveries = [0] * len(classes)
+    # External arrivals per class in slots [0, counted), summed from the
+    # arrival table when a checkpoint needs them.
     class_arrivals = np.zeros(len(classes), dtype=np.int64)
-    full_deliveries = np.zeros(len(classes), dtype=np.int64)
+    counted = 0
     sojourn_sum = 0.0
     sojourn_n = 0
     eq17_violations = 0
     rec_i = 0
 
     for t in range(T):
-        arr_row = table[t]
-        class_arrivals += arr_row
-        arrivals = {c.id: int(arr_row[j]) for j, c in enumerate(classes)}
-        completed, total_q, total_vq = policy.step(t, arrivals)
+        completed, total_q, total_vq = policy.step(t, dict(zip(class_ids, table[t].tolist())))
         for cid, sojourn in completed:
             full_deliveries[col_of[cid]] += 1
             sojourn_sum += sojourn
             sojourn_n += 1
 
         if t in checkpoints:
-            for j in range(len(classes)):
-                if full_deliveries[j] < class_arrivals[j] - total_q:
+            class_arrivals += table[counted:t + 1].sum(axis=0)
+            counted = t + 1
+            for delivered, arrived in zip(full_deliveries, class_arrivals.tolist()):
+                if delivered < arrived - total_q:
                     eq17_violations += 1
 
         if t % opts.record_every == 0:
@@ -501,9 +509,10 @@ def run(config: SimulationConfig) -> MetricsReport:
             rec_sojourn[rec_i] = sojourn_sum / sojourn_n if sojourn_n else math.nan
             rec_i += 1
 
+    class_arrivals += table[counted:].sum(axis=0)
     return MetricsReport(
         config=config,
-        class_ids=[c.id for c in classes],
+        class_ids=class_ids,
         slots=rec_slots[:rec_i],
         total_q=rec_total_q[:rec_i],
         total_vq=rec_total_vq[:rec_i],

@@ -9,8 +9,8 @@ fan out exactly along their frozen route tree.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from .routing import RouteTree
 from .topology import Graph
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Packet:
     """One admitted packet; its route, frozen at admission, covers the nodes it must reach."""
 
@@ -42,15 +42,23 @@ class DeliveryEvent(NamedTuple):
 
 
 class PhysicalNetwork:
-    """Per-edge ENTO buffers plus delivery bookkeeping for one run."""
+    """Per-edge ENTO buffers plus delivery bookkeeping for one run.
+
+    Copies move by their route's forwarding table (RouteTree.next_hops);
+    an edge's waiting copies are the entries of its buffer.
+    """
 
     def __init__(self, g: Graph):
         self.graph = g
         # Heap entries are (hops, arrival_slot, uid, packet); the leading
         # triple is the ENTO priority and is unique per entry via uid.
         self.buffers: list[list[tuple[int, int, int, Packet]]] = [[] for _ in range(g.m)]
-        self.lengths = np.zeros(g.m, dtype=np.int64)
         self.total_copies = 0
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Copies waiting per edge, as a new int64 array."""
+        return np.array([len(buf) for buf in self.buffers], dtype=np.int64)
 
     def _deliver(self, packet: Packet, node: int, slot: int, events: list[DeliveryEvent]) -> None:
         if node in packet.delivered:
@@ -66,13 +74,17 @@ class PhysicalNetwork:
         If the source itself is a required destination it is served
         immediately; a route with no edges therefore completes on admission.
         """
+        route = packet.route
         events: list[DeliveryEvent] = []
-        if packet.route.root in packet.route.covered:
-            self._deliver(packet, packet.route.root, slot, events)
-        for te in packet.route.root_edges():
-            heapq.heappush(self.buffers[te.edge_id], (0, packet.arrival_slot, packet.uid, packet))
-            self.lengths[te.edge_id] += 1
-            self.total_copies += 1
+        if route.root in route.covered:
+            self._deliver(packet, route.root, slot, events)
+        out = route.root_edge_ids
+        if out:
+            entry = (0, packet.arrival_slot, packet.uid, packet)
+            buffers = self.buffers
+            for e in out:
+                heappush(buffers[e], entry)
+            self.total_copies += len(out)
         return events
 
     def forward(self, active: frozenset[int], slot: int) -> list[DeliveryEvent]:
@@ -82,27 +94,24 @@ class PhysicalNetwork:
         top copy first, and only then are the crossed copies duplicated
         into child buffers, so a copy cannot traverse two edges in one slot.
         """
-        crossed: list[tuple[int, int, int, int, Packet]] = []
-        for e in sorted(active):
-            buf = self.buffers[e]
-            if buf:
-                hops, arr, uid, packet = heapq.heappop(buf)
-                self.lengths[e] -= 1
-                self.total_copies -= 1
-                crossed.append((e, hops, arr, uid, packet))
+        buffers = self.buffers
+        crossed = [(e, heappop(buffers[e])) for e in sorted(active) if buffers[e]]
         events: list[DeliveryEvent] = []
-        for e, hops, arr, uid, packet in crossed:
-            tree = packet.route
-            child = tree.child_node_of.get(e)
-            if child is None:
+        pushed = 0
+        for e, (hops, arr, uid, packet) in crossed:
+            hop = packet.route.next_hops.get(e)
+            if hop is None:
                 raise RuntimeError(f"edge {e} is not on packet {uid}'s route")
-            if child in tree.covered:
+            child, covered, out = hop
+            if covered:
                 # a tree reaches each node once; _deliver enforces that
                 self._deliver(packet, child, slot, events)
-            for te in tree.children_of.get(child, ()):
-                heapq.heappush(self.buffers[te.edge_id], (hops + 1, arr, uid, packet))
-                self.lengths[te.edge_id] += 1
-                self.total_copies += 1
+            if out:
+                entry = (hops + 1, arr, uid, packet)
+                for c in out:
+                    heappush(buffers[c], entry)
+                pushed += len(out)
+        self.total_copies += pushed - len(crossed)
         return events
 
     def layer_counters(self) -> np.ndarray:

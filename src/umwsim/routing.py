@@ -93,6 +93,28 @@ class RouteTree:
     def root_edges(self) -> tuple[TreeEdge, ...]:
         return self.children_of.get(self.root, ())
 
+    @cached_property
+    def root_edge_ids(self) -> tuple[int, ...]:
+        """Ids of the tree edges leaving the root, in edge-id order."""
+        return tuple(te.edge_id for te in self.root_edges())
+
+    @cached_property
+    def next_hops(self) -> dict[int, tuple[int, bool, tuple[int, ...]]]:
+        """Forwarding table: per tree edge id, the node a copy reaches by
+        crossing it, whether that node is covered, and the ids of the tree
+        edges leaving that node, in edge-id order."""
+        children = self.children_of
+        return {te.edge_id: (te.child, te.child in self.covered,
+                             tuple(c.edge_id for c in children.get(te.child, ())))
+                for te in self.edges}
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """The tree's edge ids as an index array (read-only: trees are shared)."""
+        index = np.array([te.edge_id for te in self.edges], dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
     def cache_key(self) -> RouteKey:
         return (self.root, self.edge_ids, self.covered)
 

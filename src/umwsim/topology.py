@@ -128,10 +128,11 @@ class ActivationSet:
 
     @cached_property
     def member_matrix(self) -> np.ndarray:
-        """0/1 matrix (n_members, m) for vectorized member-weight scans."""
+        """0/1 matrix (n_members, m) for vectorized member-weight scans; int64,
+        the dtype of the queue weights, so a scan casts nothing."""
         if self.kind == "wired":
             raise TopologyError("wired activation has no materialized members")
-        mat = np.zeros((len(self.members), self.edge_count), dtype=np.int8)
+        mat = np.zeros((len(self.members), self.edge_count), dtype=np.int64)
         for i, s in enumerate(self.members):
             for e in s:
                 mat[i, e] = 1

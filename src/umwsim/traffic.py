@@ -73,23 +73,25 @@ class TrafficClass:
 
 
 def validate_classes(classes: list[TrafficClass], node_count: int) -> None:
-    """Check destination-set shape constraints of every class against a graph size."""
+    """Check destination-set shape constraints of every class against a graph
+    size; a ConfigError names the class by its key path, classes[i]."""
     seen_ids = set()
     all_nodes = frozenset(range(node_count))
-    for cls in classes:
+    for i, cls in enumerate(classes):
+        where = f"classes[{i}]"
         if cls.id in seen_ids:
-            raise ConfigError(f"duplicate class id {cls.id}")
+            raise ConfigError(f"{where}.id {cls.id} is a duplicate class id")
         seen_ids.add(cls.id)
         if not (0 <= cls.source < node_count):
-            raise ConfigError(f"class {cls.id}: source {cls.source} out of range")
+            raise ConfigError(f"{where}.source {cls.source} out of range")
         if not cls.destinations <= all_nodes:
-            raise ConfigError(f"class {cls.id}: destinations outside node range")
+            raise ConfigError(f"{where}.destinations outside node range")
         if cls.kind == "broadcast" and cls.destinations != all_nodes:
-            raise ConfigError(f"class {cls.id}: broadcast must target every node")
+            raise ConfigError(f"{where}.destinations: broadcast must target every node")
         if cls.kind == "multicast":
             if len(cls.destinations) < 2 or cls.destinations == all_nodes:
                 raise ConfigError(
-                    f"class {cls.id}: multicast needs a proper subset of >= 2 nodes"
+                    f"{where}.destinations: multicast needs a proper subset of >= 2 nodes"
                 )
 
 

@@ -18,11 +18,9 @@ def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int
     single route chosen for class c this slot."""
     A = np.zeros(m, dtype=np.int64)
     for cid, count in arrivals.items():
-        if count <= 0:
-            continue
-        tree = routes[cid]
-        for te in tree.edges:
-            A[te.edge_id] += count
+        if count > 0:
+            # a tree holds each edge once, so no index repeats
+            A[routes[cid].edge_index] += count
     return A
 
 

@@ -464,6 +464,23 @@ def test_malformed_config_names_the_key(doc, key):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"source": 5}, "classes[1].source 5 out of range"),
+    ({"destinations": [3]}, "classes[1].destinations outside node range"),
+    ({"id": 0}, "classes[1].id 0 is a duplicate class id"),
+    ({"kind": "broadcast", "destinations": [0, 1]},
+     "classes[1].destinations: broadcast must target every node"),
+    ({"kind": "multicast"}, "classes[1].destinations: multicast needs a proper subset"),
+], ids=["source", "destinations", "id", "broadcast", "multicast"])
+def test_graph_dependent_class_checks_name_the_key(change, message):
+    # These checks need the graph, so they run in resolve(), after the
+    # document has been read; they still name the class by its key path.
+    good = dict(_LINE3_CLASS, rate=0.5)
+    doc = {"topology": "line3", "classes": [good, {**good, "id": 1, **change}]}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(doc).resolve()
+
+
 def test_integer_keys_reject_floats_and_bools_in_python():
     for key, bad in (("horizon", 5.5), ("horizon", True), ("seed", 1.5), ("seed", -1), ("seed", False)):
         with pytest.raises(ConfigError, match=key):

@@ -68,10 +68,15 @@ def test_heuristic_matches_umw_when_all_empty():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     umw = _stepper("umw", CYCLE4, WIRED4, [cls])
     heur = _stepper("umw-heuristic", CYCLE4, WIRED4, [cls])
-    assert umw.weights is umw.vq.q and heur.weights is heur.net.lengths
-    a, b = umw.weights, heur.weights
+    a, b = umw.weights(), heur.weights()
     assert solve_route(CYCLE4, a, cls).edge_ids == solve_route(CYCLE4, b, cls).edge_ids
     assert max_weight_activation(WIRED4, a).active == max_weight_activation(WIRED4, b).active
+    # Once copies wait, UMW still weighs by its virtual queues and the
+    # heuristic by the copies waiting in each edge's buffer.
+    umw.step(0, {0: 2})
+    heur.step(0, {0: 2})
+    assert umw.weights() is umw.vq.q
+    assert heur.weights().tolist() == [len(buf) for buf in heur.net.buffers] == [1, 1, 0, 0]
 
 
 def test_heuristic_steers_around_physical_backlog():
