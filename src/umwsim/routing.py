@@ -86,17 +86,9 @@ class RouteTree:
         return {u: tuple(sorted(tes)) for u, tes in by_parent.items()}
 
     @cached_property
-    def child_node_of(self) -> dict[int, int]:
-        """Node reached when a copy crosses the given tree edge."""
-        return {te.edge_id: te.child for te in self.edges}
-
-    def root_edges(self) -> tuple[TreeEdge, ...]:
-        return self.children_of.get(self.root, ())
-
-    @cached_property
     def root_edge_ids(self) -> tuple[int, ...]:
         """Ids of the tree edges leaving the root, in edge-id order."""
-        return tuple(te.edge_id for te in self.root_edges())
+        return tuple(te.edge_id for te in self.children_of.get(self.root, ()))
 
     @cached_property
     def next_hops(self) -> dict[int, tuple[int, bool, tuple[int, ...]]]:

@@ -261,8 +261,8 @@ class SlotDiagnosticState:
 class TreeWalkNetwork:
     """Reference for `umwsim.physical_net.PhysicalNetwork`: the same per-edge
     ENTO buffers and delivery bookkeeping, working out each hop from the
-    route's ``child_node_of`` and ``children_of`` dicts and counting each
-    edge's waiting copies in a numpy ``lengths`` array."""
+    route's TreeEdge records and counting each edge's waiting copies in a
+    numpy ``lengths`` array."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -289,7 +289,7 @@ class TreeWalkNetwork:
         events: list[DeliveryEvent] = []
         if packet.route.root in packet.route.covered:
             self._deliver(packet, packet.route.root, slot, events)
-        for te in packet.route.root_edges():
+        for te in packet.route.children_of.get(packet.route.root, ()):
             heapq.heappush(self.buffers[te.edge_id], (0, packet.arrival_slot, packet.uid, packet))
             self.lengths[te.edge_id] += 1
             self.total_copies += 1
@@ -313,7 +313,7 @@ class TreeWalkNetwork:
         events: list[DeliveryEvent] = []
         for e, hops, arr, uid, packet in crossed:
             tree = packet.route
-            child = tree.child_node_of.get(e)
+            child = next((te.child for te in tree.edges if te.edge_id == e), None)
             if child is None:
                 raise RuntimeError(f"edge {e} is not on packet {uid}'s route")
             if child in tree.covered:

@@ -145,7 +145,7 @@ def test_enumerate_multicast_minimal_trees_only():
     cls = TrafficClass(0, "multicast", 0, frozenset({2, 3}), 1.0)
     routes = enumerate_routes(CYCLE4, cls)
     for tree in routes:
-        leaves = set(tree.child_node_of.values()) - set(tree.children_of)
+        leaves = {te.child for te in tree.edges} - set(tree.children_of)
         assert leaves <= {2, 3}
 
 
