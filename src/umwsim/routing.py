@@ -100,13 +100,6 @@ class RouteTree:
                              tuple(c.edge_id for c in children.get(te.child, ())))
                 for te in self.edges}
 
-    @cached_property
-    def edge_index(self) -> np.ndarray:
-        """The tree's edge ids as an index array (read-only: trees are shared)."""
-        index = np.array([te.edge_id for te in self.edges], dtype=np.intp)
-        index.flags.writeable = False
-        return index
-
     def cache_key(self) -> RouteKey:
         return (self.root, self.edge_ids, self.covered)
 

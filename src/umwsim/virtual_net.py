@@ -16,12 +16,14 @@ from .routing import RouteTree
 def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int], m: int) -> np.ndarray:
     """Per-edge virtual arrivals: every class-c arrival hits each edge of the
     single route chosen for class c this slot."""
-    A = np.zeros(m, dtype=np.int64)
+    if not routes:  # a class with arrivals has a route, so none arrived
+        return np.zeros(m, dtype=np.int64)
+    A = [0] * m
     for cid, count in arrivals.items():
         if count > 0:
-            # a tree holds each edge once, so no index repeats
-            A[routes[cid].edge_index] += count
-    return A
+            for e in routes[cid].edge_ids:
+                A[e] += count
+    return np.array(A, dtype=np.int64)
 
 
 class VirtualQueues:
