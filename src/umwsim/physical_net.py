@@ -78,13 +78,10 @@ class PhysicalNetwork:
         events: list[DeliveryEvent] = []
         if route.root in route.covered:
             self._deliver(packet, route.root, slot, events)
-        out = route.root_edge_ids
-        if out:
-            entry = (0, packet.arrival_slot, packet.uid, packet)
-            buffers = self.buffers
-            for e in out:
-                heappush(buffers[e], entry)
-            self.total_copies += len(out)
+        entry = (0, packet.arrival_slot, packet.uid, packet)
+        for e in route.root_edge_ids:
+            heappush(self.buffers[e], entry)
+        self.total_copies += len(route.root_edge_ids)
         return events
 
     def forward(self, active: frozenset[int], slot: int) -> list[DeliveryEvent]:

@@ -15,7 +15,8 @@ from .routing import RouteTree
 
 def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int], m: int) -> np.ndarray:
     """Per-edge virtual arrivals: every class-c arrival hits each edge of the
-    single route chosen for class c this slot."""
+    single route chosen for class c this slot. routes holds a route for
+    every class with arrivals."""
     if not routes:  # a class with arrivals has a route, so none arrived
         return np.zeros(m, dtype=np.int64)
     A = [0] * m
