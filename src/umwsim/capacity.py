@@ -26,7 +26,7 @@ from .simplex import OPTIMAL, UNBOUNDED, solve_lp
 from .topology import ActivationSet, Graph
 from .traffic import TrafficClass
 
-ROUTE_EDGE_CAP = 12
+ROUTE_CAP = 10_000
 PATHS_PER_PAIR_CAP = 100
 
 
@@ -43,7 +43,8 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     as soon as a node of `cover` is no longer reachable from the tree along
     frontier edges, or a childless tree node outside `leaves_in` (which a
     finished tree may not have as a leaf) has no frontier edge left. Such a
-    node's edges are branched on first.
+    node's edges are branched on first. Growing stops with
+    `CapExceededError` as soon as more than `ROUTE_CAP` trees are found.
     """
     n = g.node_count
     out_edges = [tuple((eid, u, v) for eid, v in g.adjacency[u]) for u in range(n)]
@@ -84,6 +85,8 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
         if not frontier:
             if not spanning or nodes == all_nodes:
                 found.append(edges)
+                if len(found) > ROUTE_CAP:
+                    raise CapExceededError("routes grown", len(found), ROUTE_CAP)
             continue
         i = 0
         if needy:
@@ -110,10 +113,9 @@ def enumerate_routes(g: Graph, cls: TrafficClass,
     unicast: all simple source-destination paths; broadcast: all spanning
     trees rooted at the source; multicast: all inclusion-minimal trees
     covering source plus destinations; anycast: union of the per-destination
-    simple paths.
+    simple paths. Each search raises `CapExceededError` past `ROUTE_CAP`
+    routes, and each unicast or anycast pair past `paths_per_pair_cap` paths.
     """
-    if g.m > ROUTE_EDGE_CAP:
-        raise CapExceededError("route enumeration edges", g.m, ROUTE_EDGE_CAP)
     s = cls.source
     if cls.kind == "broadcast":
         return _tree_subsets(g, s, frozenset(range(g.node_count)), frozenset(range(g.node_count)), True)

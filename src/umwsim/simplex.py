@@ -1,24 +1,44 @@
 """Small exact linear-program solver over rationals.
 
 Two-phase primal simplex with Bland's rule on a fraction-free tableau
-(Edmonds/Bareiss integer-preserving pivoting). Every entry is a Python int
-over one shared positive denominator ``det``: the rational tableau of the
-textbook method is ``rows / det``, entry by entry. A pivot on (r, c) with
-``q = rows[r][c]`` keeps row r, replaces every other row i by
+(Edmonds/Bareiss integer-preserving pivoting). The constraint rows
+``[coefficients..., rhs]`` share one positive denominator ``det``, and the
+objective row ``[reduced costs..., -value]`` is over ``det * obj_scale``:
+the rational tableau of the textbook method is the integer one divided
+through, entry by entry. A pivot on (r, c) with ``q = T[r][c]`` keeps row r
+and replaces the whole tableau ``T``, objective row included, by
 
-    rows[i][j] = (q * rows[i][j] - rows[i][c] * rows[r][j]) // det
+    T = (q * T - outer(T[:, c], T[r])) // det
 
 and makes q the new denominator (negating the tableau when q < 0, so that
 ``det`` stays positive and signs read as true signs). Each entry is a minor
 of the row-scaled input, so by Sylvester's identity the divisions are exact,
-entries stay as small as those minors, and no gcd is ever taken. Ratios are
-compared by cross-multiplication with the same (ratio, basis index)
-tie-break, so the pivot sequence, the optimal vertex and the solution are
-those of the same method run over ``Fraction``.
+entries stay as small as those minors, and no gcd is ever taken.
+
+The tableau is held in one of two ways, with the same integers in each:
+
+- a 2-D ``int64`` array, pivoted by whole-array operations. It is used only
+  while every entry is below ``INT64_BOUND = 2**31`` in magnitude, so that
+  ``q * a - f * b`` cannot overflow. The bound is checked when the array is
+  built, when an objective row is loaded and before every pivot;
+- a list of Python-int rows, pivoted row by row. A tableau starts here when
+  it has fewer than ``ARRAY_MIN_ENTRIES`` entries (the measured size below
+  which numpy's per-call cost outweighs its speed) or an entry of 2**31 or
+  more, and it moves here, for good, as soon as the array fails the bound.
+  Rows scaled by the denominators of float inputs (about 2**55 each) start
+  here.
+
+Bland's entering column is the first positive reduced cost. The ratio test
+cross-multiplies ratios on columns read out as Python ints, with the same
+(ratio, basis index) tie-break. Both see the same numbers on either path,
+so the pivot sequence, the optimal vertex and the solution are those of the
+same method run over ``Fraction``, whichever path runs and wherever it
+switches. ``det``, the solution and the value leave the tableau as Python
+ints and ``Fraction``s.
 
 Inputs may be ints, Fractions, floats or anything else ``Fraction`` accepts;
 they are read exactly. Built for the desk-scale capacity programs in this
-package (tens of rows, a few hundred columns), where exact optima let
+package (tens of rows, up to a few thousand columns), where exact optima let
 certificates verify to arbitrary tolerance and keep results deterministic.
 Not intended as a general-purpose LP code.
 """
@@ -28,64 +48,130 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Entries below this in magnitude keep q * a - f * b inside int64.
+INT64_BOUND = 1 << 31
+# Below this many entries a tableau pivots faster as Python-int rows.
+ARRAY_MIN_ENTRIES = 220
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """The values scaled to integers by their least common denominator, and
     that denominator."""
+    if all(isinstance(v, int) for v in values):
+        return list(values), 1
     exact = [v if isinstance(v, int) else Fraction(v) for v in values]
     d = math.lcm(*(v.denominator for v in exact))
     return [v.numerator * (d // v.denominator) for v in exact], d
 
 
+def _fits(t: np.ndarray) -> bool:
+    """Every entry is below INT64_BOUND in magnitude."""
+    return int(np.abs(t).max()) < INT64_BOUND
+
+
 class _Tableau:
     """Constraint rows ``[coefficients..., rhs]`` over the common denominator
-    ``det``, and the objective row ``[reduced costs..., -value]`` over
-    ``det * obj_scale``."""
+    ``det``, then the objective row ``[reduced costs..., -value]`` over
+    ``det * obj_scale``: the int64 array ``t`` while it is in use, else the
+    Python-int lists ``rows``. The other of the two is None."""
 
     def __init__(self, rows: list[list[int]], basis: list[int], det: int):
-        self.rows = rows
+        self.rows: list[list[int]] | None = rows
+        self.t: np.ndarray | None = None
         self.basis = basis
         self.det = det
-        self.obj: list[int] = []
         self.obj_scale = 1
+        # det is an entry of every slack or artificial column.
+        if det < INT64_BOUND and len(rows) * len(rows[0]) >= ARRAY_MIN_ENTRIES:
+            try:
+                t = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                return
+            if _fits(t):
+                self.rows, self.t = None, t
+
+    def row(self, i: int) -> list[int]:
+        return self.rows[i] if self.t is None else self.t[i].tolist()
+
+    def column(self, j: int) -> list[int]:
+        """Column j, the objective row's entry last."""
+        if self.t is None:
+            return [row[j] for row in self.rows]
+        return self.t[:, j].tolist()
+
+    def to_rows(self) -> None:
+        self.rows, self.t = self.t.tolist(), None
+
+    def drop(self, i: int) -> None:
+        if self.t is None:
+            del self.rows[i]
+        else:
+            self.t = np.delete(self.t, i, axis=0)
+        del self.basis[i]
 
     def set_objective(self, cost: list[int], scale: int) -> None:
         """Load reduced costs c_j - z_j for the current basis, where the
         costs are ``cost / scale``."""
         obj = [self.det * c for c in cost] + [0]
-        for row, bi in zip(self.rows, self.basis):
+        for i, bi in enumerate(self.basis):
             cb = cost[bi]
             if cb:
-                obj = [o - cb * a for o, a in zip(obj, row)]
-        self.obj = obj
+                obj = [o - cb * a for o, a in zip(obj, self.row(i))]
         self.obj_scale = scale
+        if self.t is not None and max(map(abs, obj)) >= INT64_BOUND:
+            self.to_rows()
+        if self.t is None:
+            self.rows[-1] = obj
+        else:
+            self.t[-1] = obj
 
     def value(self) -> Fraction:
-        return Fraction(-self.obj[-1], self.det * self.obj_scale)
+        return Fraction(-self.column(-1)[-1], self.det * self.obj_scale)
+
+    def entering(self, eligible: int) -> int:
+        """Bland's rule: the first of the `eligible` columns with a positive
+        reduced cost, or -1."""
+        if self.t is None:
+            obj = self.rows[-1]
+            return next((j for j in range(eligible) if obj[j] > 0), -1)
+        positive = self.t[-1, :eligible] > 0
+        return int(positive.argmax()) if positive.any() else -1
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        q = prow[c]
+        if self.t is not None and not _fits(self.t):
+            self.to_rows()
+        q = self.rows[r][c] if self.t is None else int(self.t[r, c])
         # Dividing by det carrying q's sign negates the tableau when q < 0.
         d = self.det if q > 0 else -self.det
+        if self.t is None:
+            prow = self.rows[r]
 
-        def update(row: list[int]) -> list[int]:
-            f = row[c]
-            if f:
-                return [(q * a - f * b) // d for a, b in zip(row, prow)]
-            if q == d:
-                return row
-            return [q * a // d for a in row]
+            def update(row: list[int]) -> list[int]:
+                f = row[c]
+                if f:
+                    return [(q * a - f * b) // d for a, b in zip(row, prow)]
+                if q == d:
+                    return row
+                return [q * a // d for a in row]
 
-        self.rows = [
-            (prow if q > 0 else [-b for b in prow]) if i == r else update(row)
-            for i, row in enumerate(self.rows)
-        ]
-        self.obj = update(self.obj)
+            self.rows = [
+                (prow if q > 0 else [-b for b in prow]) if i == r else update(row)
+                for i, row in enumerate(self.rows)
+            ]
+        else:
+            t = self.t
+            prow = t[r].copy()
+            f = t[:, c].copy()
+            t *= q
+            t -= np.outer(f, prow)
+            t //= d
+            t[r] = prow if q > 0 else -prow
         self.det = abs(q)
         self.basis[r] = c
 
@@ -93,21 +179,20 @@ class _Tableau:
         """Run primal simplex steps until optimal or unbounded (Bland's rule);
         only the first `eligible` columns may enter the basis."""
         while True:
-            obj = self.obj
-            enter = next((j for j in range(eligible) if obj[j] > 0), -1)
+            enter = self.entering(eligible)
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            for i, row in enumerate(self.rows):
-                a = row[enter]
+            # zip stops at the last constraint row: basis has one entry per row.
+            for i, (_, a, b) in enumerate(zip(self.basis, self.column(enter), self.column(-1))):
                 if a > 0:
                     if leave >= 0:
-                        # rhs / a against the best ratio num / den, both
+                        # b / a against the best ratio num / den, both
                         # denominators positive; ties go to the lower basis index.
-                        lhs, rhs = row[-1] * den, num * a
+                        lhs, rhs = b * den, num * a
                         if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leave]):
                             continue
-                    leave, num, den = i, row[-1], a
+                    leave, num, den = i, b, a
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
@@ -171,6 +256,7 @@ def solve_lp(
             basis.append(i_art)
             i_art += 1
         rows.append(row)
+    rows.append([0] * (total + 1))  # the objective row, loaded per phase
 
     tab = _Tableau(rows, basis, p0)
 
@@ -182,13 +268,13 @@ def solve_lp(
             return INFEASIBLE, None, None
         # Pivot leftover artificials out of the basis; a row where that is
         # impossible is redundant and can be dropped.
-        for i in reversed(range(len(tab.rows))):
+        for i in reversed(range(len(tab.basis))):
             if tab.basis[i] < art_start:
                 continue
-            row = tab.rows[i]
+            row = tab.row(i)
             piv_col = next((j for j in range(art_start) if row[j] != 0), None)
             if piv_col is None:
-                del tab.rows[i], tab.basis[i]
+                tab.drop(i)
             else:
                 tab.pivot(i, piv_col)
 
@@ -198,7 +284,7 @@ def solve_lp(
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
-    for row, bi in zip(tab.rows, tab.basis):
+    for v, bi in zip(tab.column(-1), tab.basis):
         if bi < n:
-            x[bi] = Fraction(row[-1], tab.det)
+            x[bi] = Fraction(v, tab.det)
     return OPTIMAL, tab.value(), x

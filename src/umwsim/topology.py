@@ -229,6 +229,17 @@ def save_topology(g: Graph, path: str | Path, activation: ActivationSet | None =
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# The keys a topology file may hold, and those of its activation block.
+_FILE_KEYS = ("nodes", "edges", "directed", "activation")
+_ACTIVATION_KEYS = ("kind", "members")
+
+
+def _unknown_keys(path: str | Path, doc: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    unknown = sorted(repr(prefix + str(k)) for k in doc if k not in known)
+    if unknown:
+        raise TopologyError(f"{path}: unknown topology key(s): {', '.join(unknown)}")
+
+
 def _read_doc(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
@@ -236,6 +247,7 @@ def _read_doc(path: str | Path) -> dict:
         raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: a topology must be a JSON object, got {doc!r}")
+    _unknown_keys(path, doc, _FILE_KEYS)
     return doc
 
 
@@ -248,7 +260,10 @@ def load_topology(path: str | Path) -> Graph:
     try:
         return Graph(doc["nodes"], doc["edges"], doc.get("directed", False))
     except TopologyError as exc:
-        raise TopologyError(f"{path}: {exc}") from exc
+        # Graph's messages start with the field at fault; the file calls node_count "nodes".
+        field, _, rest = str(exc).partition(" ")
+        field = "nodes" if field == "node_count" else field
+        raise TopologyError(f"{path}: {field} {rest}") from exc
 
 
 def load_activation(path: str | Path, g: Graph) -> ActivationSet:
@@ -259,6 +274,7 @@ def load_activation(path: str | Path, g: Graph) -> ActivationSet:
         return ActivationSet("wired", g.m)
     if not isinstance(act, dict):
         raise TopologyError(f"{path}: activation must be a JSON object, got {act!r}")
+    _unknown_keys(path, act, _ACTIVATION_KEYS, "activation.")
     try:
         if act.get("kind") == "primary_interference" and act.get("members") is None:
             return enumerate_matchings(g)

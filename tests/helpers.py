@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from umwsim.capacity import PATHS_PER_PAIR_CAP, ROUTE_EDGE_CAP
+from umwsim import simplex
+from umwsim.capacity import PATHS_PER_PAIR_CAP
 from umwsim.errors import CapExceededError, TopologyError
 from umwsim.physical_net import DeliveryEvent, Packet
 from umwsim.routing import RouteTree, orient_tree
@@ -104,6 +105,10 @@ def bfs_depths(g: Graph, tree) -> dict[int, int]:
     return depths
 
 
+# The subset scan tests 2^m edge subsets, so it refuses larger graphs.
+SUBSET_SCAN_EDGE_CAP = 12
+
+
 def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int],
                  spanning: bool) -> list[RouteTree]:
     """All edge subsets that form a root-oriented tree covering `cover`
@@ -140,11 +145,13 @@ def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset
     return out
 
 
-def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = ROUTE_EDGE_CAP,
+def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = SUBSET_SCAN_EDGE_CAP,
                        paths_per_pair_cap: int = PATHS_PER_PAIR_CAP) -> list[RouteTree]:
     """Reference route catalogue for `umwsim.capacity.enumerate_routes`: the
-    same classes, caps and order, found by testing every one of the 2^m edge
-    subsets instead of growing trees."""
+    same classes, pair cap and order, found by testing every one of the 2^m
+    edge subsets instead of growing trees. It refuses graphs of more than
+    `edge_cap` edges; the graphs it takes have fewer than 2^12 edge subsets,
+    so none reaches the route cap."""
     if g.m > edge_cap:
         raise CapExceededError("route enumeration edges", g.m, edge_cap)
     s = cls.source
@@ -215,6 +222,39 @@ def brute_force_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[str, 
     if any(_dot(c, ray) > 0 for ray in rays):
         return "unbounded", None
     return "optimal", max(_dot(c, x) for x in verts)
+
+
+def solve_on_tableau_path(monkeypatch, path: str | None, fn, *args):
+    """fn(*args) with `umwsim.simplex` held to one tableau path; returns its
+    result, the last tableau's (basis, det, entries as Python ints) and the
+    path each of that tableau's pivots ran on ("array" or "rows").
+
+    path "array" starts every tableau whose entries fit on the int64 array,
+    however small; "rows" keeps every tableau on Python-int rows (the int64
+    bound is 0); None leaves the module's settings as they are.
+    """
+    tabs = []
+
+    class Recording(simplex._Tableau):
+        def __init__(self, *init_args):
+            super().__init__(*init_args)
+            self.pivots: list[str] = []
+            tabs.append(self)
+
+        def pivot(self, r: int, c: int) -> None:
+            super().pivot(r, c)
+            self.pivots.append("rows" if self.t is None else "array")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_Tableau", Recording)
+        if path == "array":
+            mp.setattr(simplex, "ARRAY_MIN_ENTRIES", 0)
+        elif path == "rows":
+            mp.setattr(simplex, "INT64_BOUND", 0)
+        out = fn(*args)
+    tab = tabs[-1]
+    entries = tab.rows if tab.t is None else tab.t.tolist()
+    return out, (tab.basis, tab.det, entries), tab.pivots
 
 
 class SlotDiagnosticState:

@@ -9,6 +9,7 @@ from helpers import (
     brute_force_lp,
     random_connected_graph,
     random_rooted_digraph,
+    solve_on_tableau_path,
     subset_scan,
     subset_scan_routes,
 )
@@ -22,7 +23,7 @@ from umwsim.capacity import (
 from umwsim.engine import load_config
 from umwsim.errors import CapExceededError, ConfigError
 from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from umwsim.topology import ActivationSet, Graph, builtin_topology, enumerate_matchings
+from umwsim.topology import ActivationSet, Graph, _grid_graph, builtin_topology, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -120,6 +121,68 @@ def test_lp_matches_vertex_enumeration():
     assert min(seen.values()) >= 20, seen
 
 
+def test_tableau_paths_agree_on_random_lps(monkeypatch):
+    # The LPs of test_lp_matches_vertex_enumeration, each solved on the int64
+    # array and on Python-int rows: the same result, basis, det and entries.
+    rng = np.random.default_rng(77)
+    on_array = 0
+    for i in range(240):
+        lp = _random_lp(rng, ("int", "fraction", "float")[i % 3])
+        got, state, pivots = solve_on_tableau_path(monkeypatch, "array", solve_lp, *lp)
+        want, want_state, want_pivots = solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)
+        assert (got, state) == (want, want_state), lp
+        assert set(want_pivots) <= {"rows"}
+        on_array += "array" in pivots
+    assert on_array >= 80, on_array  # float rows start past the bound
+
+
+def _growing_lp():
+    """Six rows of 40 coefficients near 10**6: every entry fits in 31 bits,
+    but the minors that later tableaus hold do not."""
+    a_ub = [[(j * 7919 + i * 104729) % 999_983 + 1 for j in range(40)] for i in range(6)]
+    return [1 + j % 5 for j in range(40)], a_ub, [10**6] * 6
+
+
+def test_tableau_leaves_the_array_mid_solve_exactly(monkeypatch):
+    lp = _growing_lp()
+    got, state, pivots = solve_on_tableau_path(monkeypatch, None, solve_lp, *lp)
+    assert pivots[0] == "array" and pivots[-1] == "rows", pivots
+    assert got == solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)[0]
+    assert state == solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)[1]
+    status, value, x = got
+    objective, a_ub, b_ub = lp
+    assert status == OPTIMAL and value == sum(c * v for c, v in zip(objective, x))
+    for row, b in zip(a_ub, b_ub):
+        assert sum(a * v for a, v in zip(row, x)) <= b
+    # A small LP of the same kind, checked against vertex enumeration.
+    small = ([1, 1, 1], [[999_983, 3, 7], [5, 1_000_003, 11], [13, 17, 999_979]], [10**6] * 3)
+    got, _, pivots = solve_on_tableau_path(monkeypatch, "array", solve_lp, *small)
+    assert pivots[0] == "array" and pivots[-1] == "rows", pivots
+    assert got[:2] == brute_force_lp(*small)
+
+
+def test_tableau_leaves_the_array_for_a_large_objective(monkeypatch):
+    # Costs of 2**70 put the objective row out of int64's reach before any pivot.
+    objective, a_ub, b_ub = _growing_lp()
+    lp = ([c << 70 for c in objective], a_ub, b_ub)
+    got, state, pivots = solve_on_tableau_path(monkeypatch, None, solve_lp, *lp)
+    assert set(pivots) == {"rows"}
+    want, want_state, _ = solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)
+    assert (got, state) == (want, want_state)
+    assert got[1] == solve_lp(*_growing_lp())[1] * 2**70
+
+
+@pytest.mark.parametrize("top, first_pivot", [(2**31 - 1, "array"), (2**31, "rows")])
+def test_tableau_int64_bound_is_tight(monkeypatch, top, first_pivot):
+    # Two entries of 2**31 can make q*a - f*b reach 2**63; 2**31 - 1 cannot.
+    lp = ([1, 1], [[top, 1], [1, top]], [top, top])
+    got, state, pivots = solve_on_tableau_path(monkeypatch, "array", solve_lp, *lp)
+    assert pivots[0] == first_pivot and pivots[-1] == "rows", pivots
+    want, want_state, _ = solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)
+    assert (got, state) == (want, want_state)
+    assert got[:2] == brute_force_lp(*lp)
+
+
 # --- route enumeration -------------------------------------------------------
 
 def test_enumerate_line3_unicast_single_path():
@@ -164,11 +227,32 @@ def test_enumerate_degenerate_source_in_destinations():
     assert any(r.edges == () for r in routes)
 
 
-def test_enumeration_caps():
-    big = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8))[:13])
-    cls = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
-    with pytest.raises(CapExceededError):
-        enumerate_routes(big, cls)
+def test_enumeration_caps(monkeypatch):
+    # Route growing stops as soon as it passes ROUTE_CAP: the 4 spanning
+    # trees of a 4-cycle fit a cap of 4 and overflow a cap of 3.
+    cls = TrafficClass(0, "broadcast", 0, frozenset(range(4)), 1.0)
+    monkeypatch.setattr(capacity, "ROUTE_CAP", 4)
+    assert len(enumerate_routes(CYCLE4, cls)) == 4
+    monkeypatch.setattr(capacity, "ROUTE_CAP", 3)
+    with pytest.raises(CapExceededError, match=r"routes grown: size 4 exceeds enumeration cap 3"):
+        enumerate_routes(CYCLE4, cls)
+    monkeypatch.undo()
+    # The 4x4 undirected grid has 100352 spanning trees.
+    grid = _grid_graph(4, 4)
+    cls = TrafficClass(0, "broadcast", 0, frozenset(range(16)), 1.0)
+    with pytest.raises(CapExceededError, match=r"routes grown: size 10001 exceeds enumeration cap 10000"):
+        enumerate_routes(grid, cls)
+
+
+def test_grid3x4_undirected_broadcast_capacity():
+    # 17 edges, past the old 12-edge enumeration cap; 2415 spanning trees.
+    g = _grid_graph(3, 4)
+    aset = enumerate_matchings(g)
+    classes = [TrafficClass(0, "broadcast", 0, frozenset(range(12)), 1.0)]
+    assert len(enumerate_routes(g, classes[0])) == 2415
+    cert = max_scaling(g, aset, classes)
+    assert cert.rho_star == Fraction(6, 11)
+    assert verify_certificate(cert, g, aset, classes)
 
 
 def _assert_same_catalogue(g, cls, **caps):
@@ -254,9 +338,12 @@ def test_enumerate_routes_matches_subset_scan_on_edge_cases(g, cls, count):
 
 
 def test_enumerate_routes_cap_errors_match_subset_scan():
+    # Past the subset scan's 12 edges only the grown catalogue exists.
     big = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8))[:13])
     uni = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
-    assert _assert_same_catalogue(big, uni) is None
+    with pytest.raises(CapExceededError, match=r"route enumeration edges: size 13 exceeds enumeration cap 12"):
+        subset_scan_routes(big, uni)
+    assert len(enumerate_routes(big, uni)) == 7  # 0-1 and 0-k-1 for k = 2..7
     k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
     assert len(_assert_same_catalogue(k4, uni, paths_per_pair_cap=5)) == 5
     with pytest.raises(CapExceededError, match=r"paths 0->1: size 5 exceeds enumeration cap 4"):

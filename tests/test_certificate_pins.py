@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, solve_on_tableau_path
 from umwsim.capacity import max_scaling, verify_certificate
 from umwsim.engine import load_config
 from umwsim.topology import Graph, builtin_topology, enumerate_matchings
@@ -96,6 +96,17 @@ def test_certificate_pin(name):
     cert = max_scaling(g, aset, classes)
     assert verify_certificate(cert, g, aset, classes)
     assert certificate_digest(cert) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_instances()))
+def test_tableau_paths_agree_on_pinned_instances(name, monkeypatch):
+    # The int64 array (forced on however small a tableau) and Python-int
+    # rows (forced on every tableau) reach the same final tableau and pin.
+    g, aset, classes = _instances()[name]
+    cert, state, _ = solve_on_tableau_path(monkeypatch, "array", max_scaling, g, aset, classes)
+    want, want_state, _ = solve_on_tableau_path(monkeypatch, "rows", max_scaling, g, aset, classes)
+    assert state == want_state
+    assert certificate_digest(cert) == certificate_digest(want) == PINS[name]
 
 
 if __name__ == "__main__":

@@ -73,19 +73,39 @@ def test_activation_member_must_hold_edge_ids():
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"nodes": 3.9, "edges": [[0, 1]]}, "node_count must be an integer >= 1, got 3.9"),
+    ({"nodes": 3.9, "edges": [[0, 1]]}, "nodes must be an integer >= 1, got 3.9"),
+    ({"nodes": 0, "edges": []}, "nodes must be an integer >= 1, got 0"),
     ({"nodes": 3, "edges": [[0, 1.7]]}, "edges[0] must be a pair of integers in 0..2, got [0, 1.7]"),
     ({"nodes": 3, "edges": [[0, 1]], "directed": "false"}, "directed must be true or false, got 'false'"),
     ({"nodes": 2, "edges": [[0, 1]], "activation": {"kind": "explicit", "members": [[0.0]]}},
      "activation members[0] must be a set of edge ids in 0..0, got [0.0]"),
-], ids=["float_nodes", "float_endpoint", "text_directed", "float_member"])
+], ids=["float_nodes", "zero_nodes", "float_endpoint", "text_directed", "float_member"])
 def test_topology_file_values_name_the_file(tmp_path, doc, message):
     # These files used to load with int()/bool() applied: "nodes": 3.9 as 3 nodes,
-    # edge [0, 1.7] as (0, 1) and "directed": "false" as a directed graph.
+    # edge [0, 1.7] as (0, 1) and "directed": "false" as a directed graph. A
+    # bad node count is named by its file key, not by Graph's node_count.
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
         load_activation(path, load_topology(path))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": 2, "edges": [[0, 1]], "direced": True}, "unknown topology key(s): 'direced'"),
+    ({"nodes": 2, "edges": [[0, 1]], "activaton": {"kind": "primary_interference"}},
+     "unknown topology key(s): 'activaton'"),
+    ({"nodes": 2, "edges": [[0, 1]], "activation": {"kind": "explicit", "membres": [[0]]}},
+     "unknown topology key(s): 'activation.membres'"),
+], ids=["top_level", "activation_block", "inside_activation"])
+def test_unknown_topology_file_key_rejected(tmp_path, doc, message):
+    # The first file used to load as an undirected graph, the second as wired.
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
+        load_activation(path, Graph(2, ((0, 1),)))
+    if "activation" not in doc:
+        with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
+            load_topology(path)
 
 
 def test_non_object_activation_rejected(tmp_path):
