@@ -33,9 +33,7 @@ from .topology import (
 )
 from .traffic import ArrivalProcess, TrafficClass, arrival_table, effective_amax
 from .virtual_net import (
-    AssociatedQueues,
     VirtualQueues,
-    loading_slack,
     skorokhod_profile,
     skorokhod_value,
     virtual_arrival_vector,

@@ -165,21 +165,6 @@ class CapacityCertificate:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CapacityCertificate":
-        return cls(
-            rho_star=Fraction(doc["rho_star_exact"]),
-            rates=tuple((int(r["class"]), Fraction(r["rate_exact"])) for r in doc["rates"]),
-            flows=tuple(
-                (int(f["class"]), tuple(int(e) for e in f["edges"]), Fraction(f["rate_exact"]))
-                for f in doc["flows"]
-            ),
-            activation_mix=tuple(
-                (tuple(int(e) for e in a["edges"]), Fraction(a["prob_exact"]))
-                for a in doc["activation_mix"]
-            ),
-        )
-
 
 def max_scaling(
     g: Graph,

@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .physical_net import Packet, PhysicalNetwork
 from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, require_unicast, solve_route
 from .routing import STEINER_MODES, RouteTree
-from .topology import ActivationSet, Graph, builtin_topology, load_activation, load_topology
+from .topology import ActivationSet, Graph, builtin_topology, load_topology
 from .traffic import (
     ArrivalProcess,
     TrafficClass,
@@ -96,8 +96,7 @@ class SimulationConfig:
     def resolve(self) -> tuple[Graph, ActivationSet, list[TrafficClass]]:
         """Materialize topology, activation set, and load-scaled classes."""
         if Path(self.topology).suffix == ".json" or "/" in self.topology:
-            g = load_topology(self.topology)
-            aset = load_activation(self.topology, g)
+            g, aset = load_topology(self.topology)
             if self.classes is None:
                 raise ConfigError("file topologies need explicit traffic classes")
             classes = list(self.classes)
@@ -190,33 +189,29 @@ class MetricsReport:
     def mean_sojourn(self) -> float:
         return float(self.mean_sojourn_running[-1]) if len(self.mean_sojourn_running) else math.nan
 
-    def avg_total_queue(self, warmup_frac: float | None = None) -> float:
-        """Time-average of the total queue after the warm-up prefix
-        (by default the config's metrics.warmup_frac)."""
-        if warmup_frac is None:
-            warmup_frac = self.config.metrics.warmup_frac
-        start = int(len(self.total_q) * warmup_frac)
+    def avg_total_queue(self) -> float:
+        """Time-average of the total queue after the config's
+        metrics.warmup_frac prefix."""
+        start = int(len(self.total_q) * self.config.metrics.warmup_frac)
         tail = self.total_q[start:]
         return float(tail.mean()) if len(tail) else math.nan
 
-    def verdict(self, eps: float | None = None, factor: float | None = None) -> str:
+    def verdict(self) -> str:
         """Stability call: "stable" when the final queue is o(horizon) small,
         "diverging" when the last-decile mean dwarfs the mean observed by
         mid-run (a linearly growing queue scores about 3.8x). The thresholds
-        default to the config's metrics.stability_eps and divergence_factor."""
+        are the config's metrics.stability_eps and divergence_factor."""
         opts = self.config.metrics
-        eps = opts.stability_eps if eps is None else eps
-        factor = opts.divergence_factor if factor is None else factor
         if len(self.total_q) == 0:
             return "stable"
-        if float(self.total_q[-1]) / self.config.horizon < eps:
+        if float(self.total_q[-1]) / self.config.horizon < opts.stability_eps:
             return "stable"
         k = len(self.total_q)
         mid = self.total_q[: max(k // 2, 1)]
         last = self.total_q[int(0.9 * k):]
         mid_mean = float(mid.mean())
         last_mean = float(last.mean()) if len(last) else 0.0
-        if mid_mean > 0 and last_mean >= factor * mid_mean:
+        if mid_mean > 0 and last_mean >= opts.divergence_factor * mid_mean:
             return "diverging"
         if mid_mean == 0 and last_mean > 0:
             return "diverging"
@@ -397,7 +392,6 @@ class _MaxWeightStepper:
         self.net = PhysicalNetwork(g)
         self.vq = VirtualQueues(g.m)
         self.virtual_weights = config.policy == "umw"
-        self.in_flight: dict[int, Packet] = {}
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
         self.diag = None
@@ -413,7 +407,6 @@ class _MaxWeightStepper:
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
         g, net, vq, classes = self.graph, self.net, self.vq, self.classes
         weights = self.weights()
-        in_flight = self.in_flight
         routes: dict[int, RouteTree] = {}
         for c in classes:
             if arrivals[c.id] > 0:
@@ -423,16 +416,9 @@ class _MaxWeightStepper:
         completed: list[Packet] = []
         for c in classes:
             for _ in range(arrivals[c.id]):
-                pkt = Packet(self.uid, c.id, t, routes[c.id])
+                completed += net.admit(Packet(self.uid, c.id, t, routes[c.id]), t)
                 self.uid += 1
-                net.admit(pkt, t)
-                if pkt.complete:
-                    completed.append(pkt)
-                else:
-                    in_flight[pkt.uid] = pkt
-        for ev in net.forward(act.active, t):
-            if ev.packet.complete and ev.packet.uid in in_flight:
-                completed.append(in_flight.pop(ev.packet.uid))
+        completed += net.forward(act.active, t)
         for pkt in completed:
             if pkt.delivered != pkt.route.covered:
                 self.violations["delivery"] += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +27,7 @@ class Packet:
     arrival_slot: int
     route: RouteTree
     delivered: set[int] = field(default_factory=set)
-    full_delivery_slot: int | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.full_delivery_slot is not None
-
-
-class DeliveryEvent(NamedTuple):
-    packet: Packet
-    node: int
-    slot: int
+    full_delivery_slot: int | None = None  # set when the packet completes
 
 
 class PhysicalNetwork:
@@ -60,32 +49,34 @@ class PhysicalNetwork:
         """Copies waiting per edge, as a new int64 array."""
         return np.array([len(buf) for buf in self.buffers], dtype=np.int64)
 
-    def _deliver(self, packet: Packet, node: int, slot: int, events: list[DeliveryEvent]) -> None:
+    def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
         if node in packet.delivered:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
         packet.delivered.add(node)
-        events.append(DeliveryEvent(packet, node, slot))
         if packet.delivered == packet.route.covered:
             packet.full_delivery_slot = slot
+            completed.append(packet)
 
-    def admit(self, packet: Packet, slot: int) -> list[DeliveryEvent]:
-        """Insert fresh copies (priority 0) into every root edge of the route.
+    def admit(self, packet: Packet, slot: int) -> list[Packet]:
+        """Insert fresh copies (priority 0) into every root edge of the route;
+        returns [packet] if the packet completes on admission, else [].
 
         If the source itself is a required destination it is served
         immediately; a route with no edges therefore completes on admission.
         """
         route = packet.route
-        events: list[DeliveryEvent] = []
+        completed: list[Packet] = []
         if route.root in route.covered:
-            self._deliver(packet, route.root, slot, events)
+            self._deliver(packet, route.root, slot, completed)
         entry = (0, packet.arrival_slot, packet.uid, packet)
         for e in route.root_edge_ids:
             heappush(self.buffers[e], entry)
         self.total_copies += len(route.root_edge_ids)
-        return events
+        return completed
 
-    def forward(self, active: frozenset[int], slot: int) -> list[DeliveryEvent]:
-        """One slot of ENTO forwarding over the active edges.
+    def forward(self, active: frozenset[int], slot: int) -> list[Packet]:
+        """One slot of ENTO forwarding over the active edges; returns the
+        packets it completes, each once, in the order they complete.
 
         Transmissions are simultaneous: every active nonempty edge pops its
         top copy first, and only then are the crossed copies duplicated
@@ -93,7 +84,7 @@ class PhysicalNetwork:
         """
         buffers = self.buffers
         crossed = [(e, heappop(buffers[e])) for e in sorted(active) if buffers[e]]
-        events: list[DeliveryEvent] = []
+        completed: list[Packet] = []
         pushed = 0
         for e, (hops, arr, uid, packet) in crossed:
             hop = packet.route.next_hops.get(e)
@@ -102,14 +93,14 @@ class PhysicalNetwork:
             child, covered, out = hop
             if covered:
                 # a tree reaches each node once; _deliver enforces that
-                self._deliver(packet, child, slot, events)
+                self._deliver(packet, child, slot, completed)
             if out:
                 entry = (hops + 1, arr, uid, packet)
                 for c in out:
                     heappush(buffers[c], entry)
                 pushed += len(out)
         self.total_copies += pushed - len(crossed)
-        return events
+        return completed
 
     def layer_counters(self) -> np.ndarray:
         """Copies per hop count: R_k = number of copies that traversed k edges."""

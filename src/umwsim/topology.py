@@ -162,7 +162,7 @@ def validate_activation(aset: ActivationSet, g: Graph) -> None:
             nodes.update((u, v))
 
 
-def enumerate_matchings(g: Graph, cap: int = MATCHING_ENUMERATION_CAP) -> ActivationSet:
+def enumerate_matchings(g: Graph) -> ActivationSet:
     """All maximal matchings, as a primary-interference activation set.
 
     Node exclusivity ignores link direction, so directed graphs are matched
@@ -170,8 +170,8 @@ def enumerate_matchings(g: Graph, cap: int = MATCHING_ENUMERATION_CAP) -> Activa
     nonnegative weights, so restricting to maximal ones loses no max-weight
     argmax.
     """
-    if g.m > cap:
-        raise CapExceededError("maximal matching enumeration", g.m, cap)
+    if g.m > MATCHING_ENUMERATION_CAP:
+        raise CapExceededError("maximal matching enumeration", g.m, MATCHING_ENUMERATION_CAP)
 
     edges = g.edges
     m = g.m
@@ -240,7 +240,10 @@ def _unknown_keys(path: str | Path, doc: dict, known: tuple[str, ...], prefix: s
         raise TopologyError(f"{path}: unknown topology key(s): {', '.join(unknown)}")
 
 
-def _read_doc(path: str | Path) -> dict:
+def load_topology(path: str | Path) -> tuple[Graph, ActivationSet]:
+    """Read and validate a topology file once: the graph, with edge ids in
+    file order, and its activation set (wired when the file has none;
+    primary interference without members lists every maximal matching)."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -248,39 +251,28 @@ def _read_doc(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: a topology must be a JSON object, got {doc!r}")
     _unknown_keys(path, doc, _FILE_KEYS)
-    return doc
-
-
-def load_topology(path: str | Path) -> Graph:
-    """Parse and validate a topology file, assigning edge ids in file order."""
-    doc = _read_doc(path)
     missing = [key for key in ("nodes", "edges") if key not in doc]
     if missing:
         raise TopologyError(f"{path}: topology key(s) {missing} missing")
     try:
-        return Graph(doc["nodes"], doc["edges"], doc.get("directed", False))
+        g = Graph(doc["nodes"], doc["edges"], doc.get("directed", False))
     except TopologyError as exc:
         # Graph's messages start with the field at fault; the file calls node_count "nodes".
         field, _, rest = str(exc).partition(" ")
         field = "nodes" if field == "node_count" else field
         raise TopologyError(f"{path}: {field} {rest}") from exc
-
-
-def load_activation(path: str | Path, g: Graph) -> ActivationSet:
-    """Read the activation block of a topology file (wired when absent);
-    primary interference without members lists every maximal matching."""
-    act = _read_doc(path).get("activation")
+    act = doc.get("activation")
     if act is None:
-        return ActivationSet("wired", g.m)
+        return g, ActivationSet("wired", g.m)
     if not isinstance(act, dict):
         raise TopologyError(f"{path}: activation must be a JSON object, got {act!r}")
     _unknown_keys(path, act, _ACTIVATION_KEYS, "activation.")
     try:
         if act.get("kind") == "primary_interference" and act.get("members") is None:
-            return enumerate_matchings(g)
+            return g, enumerate_matchings(g)
         aset = ActivationSet(act.get("kind"), g.m, act.get("members"))
         validate_activation(aset, g)
-        return aset
+        return g, aset
     except TopologyError as exc:
         raise TopologyError(f"{path}: activation {exc}") from exc
 

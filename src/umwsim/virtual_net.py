@@ -3,8 +3,8 @@
 One integer counter per edge. A packet admitted on a route deposits one
 virtual arrival at *every* edge of the route in the admission slot; the
 counters then follow the Lindley recursion q <- (q + A - mu)^+ with the
-allocated (not necessarily used) service vector mu. The Skorokhod and
-windowed-load functions, the oracles for that state, read a raw (A, mu) history.
+allocated (not necessarily used) service vector mu. The Skorokhod
+functions, the oracles for that state, read a raw (A, mu) history.
 """
 from __future__ import annotations
 
@@ -43,23 +43,6 @@ class VirtualQueues:
         return int(self.q.sum())
 
 
-class AssociatedQueues:
-    """Companion recursion qhat <- (qhat - mu)^+ + A.
-
-    Differs from the Lindley queue only in when arrivals are counted;
-    per slot it stays within [q, q + A_max] of the Lindley state, which
-    is the sandwich property the diagnostics verify.
-    """
-
-    def __init__(self, m: int):
-        self.qhat = np.zeros(m, dtype=np.int64)
-
-    def update(self, A: np.ndarray, mu: np.ndarray) -> None:
-        np.subtract(self.qhat, mu, out=self.qhat)
-        np.maximum(self.qhat, 0, out=self.qhat)
-        np.add(self.qhat, A, out=self.qhat)
-
-
 def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -> int:
     """Queue value at slot t recomputed from raw history, one window at a time.
 
@@ -91,9 +74,3 @@ def skorokhod_profile(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     running_min = np.minimum.accumulate(np.minimum(prev, 0), axis=0)
     return np.maximum(G - running_min, 0)
 
-
-def loading_slack(arrivals: np.ndarray, service: np.ndarray, e: int, t0: int, t: int) -> int:
-    """Window arrivals minus window allocated service on [t0, t)."""
-    if not (0 <= t0 < t <= len(arrivals)):
-        raise ValueError(f"bad window [{t0}, {t}) for history of {len(arrivals)} slots")
-    return int(arrivals[t0:t, e].sum() - service[t0:t, e].sum())

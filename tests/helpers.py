@@ -13,13 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from umwsim import simplex
-from umwsim.capacity import PATHS_PER_PAIR_CAP
+from umwsim.capacity import PATHS_PER_PAIR_CAP, CapacityCertificate
 from umwsim.errors import CapExceededError, TopologyError
-from umwsim.physical_net import DeliveryEvent, Packet
+from umwsim.physical_net import Packet
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
 from umwsim.traffic import TrafficClass
-from umwsim.virtual_net import AssociatedQueues
 
 
 def random_connected_graph(rng: np.random.Generator, max_edges: int = 12) -> Graph:
@@ -224,6 +223,23 @@ def brute_force_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[str, 
     return "optimal", max(_dot(c, x) for x in verts)
 
 
+def certificate_from_json_dict(doc: dict) -> CapacityCertificate:
+    """The certificate that `CapacityCertificate.to_json_dict` wrote, read
+    back from its exact fields."""
+    return CapacityCertificate(
+        rho_star=Fraction(doc["rho_star_exact"]),
+        rates=tuple((int(r["class"]), Fraction(r["rate_exact"])) for r in doc["rates"]),
+        flows=tuple(
+            (int(f["class"]), tuple(int(e) for e in f["edges"]), Fraction(f["rate_exact"]))
+            for f in doc["flows"]
+        ),
+        activation_mix=tuple(
+            (tuple(int(e) for e in a["edges"]), Fraction(a["prob_exact"]))
+            for a in doc["activation_mix"]
+        ),
+    )
+
+
 def solve_on_tableau_path(monkeypatch, path: str | None, fn, *args):
     """fn(*args) with `umwsim.simplex` held to one tableau path; returns its
     result, the last tableau's (basis, det, entries as Python ints) and the
@@ -255,6 +271,30 @@ def solve_on_tableau_path(monkeypatch, path: str | None, fn, *args):
     tab = tabs[-1]
     entries = tab.rows if tab.t is None else tab.t.tolist()
     return out, (tab.basis, tab.det, entries), tab.pivots
+
+
+class AssociatedQueues:
+    """Companion recursion qhat <- (qhat - mu)^+ + A.
+
+    Differs from the Lindley queue only in when arrivals are counted;
+    per slot it stays within [q, q + A_max] of the Lindley state, which
+    is the sandwich property the diagnostics verify.
+    """
+
+    def __init__(self, m: int):
+        self.qhat = np.zeros(m, dtype=np.int64)
+
+    def update(self, A: np.ndarray, mu: np.ndarray) -> None:
+        np.subtract(self.qhat, mu, out=self.qhat)
+        np.maximum(self.qhat, 0, out=self.qhat)
+        np.add(self.qhat, A, out=self.qhat)
+
+
+def loading_slack(arrivals: np.ndarray, service: np.ndarray, e: int, t0: int, t: int) -> int:
+    """Window arrivals minus window allocated service on [t0, t)."""
+    if not (0 <= t0 < t <= len(arrivals)):
+        raise ValueError(f"bad window [{t0}, {t}) for history of {len(arrivals)} slots")
+    return int(arrivals[t0:t, e].sum() - service[t0:t, e].sum())
 
 
 class SlotDiagnosticState:
@@ -312,31 +352,33 @@ class TreeWalkNetwork:
         self.lengths = np.zeros(g.m, dtype=np.int64)
         self.total_copies = 0
 
-    def _deliver(self, packet: Packet, node: int, slot: int, events: list[DeliveryEvent]) -> None:
+    def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
         if node in packet.delivered:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
         packet.delivered.add(node)
-        events.append(DeliveryEvent(packet, node, slot))
         if packet.delivered == packet.route.covered:
             packet.full_delivery_slot = slot
+            completed.append(packet)
 
-    def admit(self, packet: Packet, slot: int) -> list[DeliveryEvent]:
-        """Insert fresh copies (priority 0) into every root edge of the route.
+    def admit(self, packet: Packet, slot: int) -> list[Packet]:
+        """Insert fresh copies (priority 0) into every root edge of the route;
+        returns [packet] if the packet completes on admission, else [].
 
         If the source itself is a required destination it is served
         immediately; a route with no edges therefore completes on admission.
         """
-        events: list[DeliveryEvent] = []
+        completed: list[Packet] = []
         if packet.route.root in packet.route.covered:
-            self._deliver(packet, packet.route.root, slot, events)
+            self._deliver(packet, packet.route.root, slot, completed)
         for te in packet.route.children_of.get(packet.route.root, ()):
             heapq.heappush(self.buffers[te.edge_id], (0, packet.arrival_slot, packet.uid, packet))
             self.lengths[te.edge_id] += 1
             self.total_copies += 1
-        return events
+        return completed
 
-    def forward(self, active: frozenset[int], slot: int) -> list[DeliveryEvent]:
-        """One slot of ENTO forwarding over the active edges.
+    def forward(self, active: frozenset[int], slot: int) -> list[Packet]:
+        """One slot of ENTO forwarding over the active edges; returns the
+        packets it completes, each once, in the order they complete.
 
         Transmissions are simultaneous: every active nonempty edge pops its
         top copy first, and only then are the crossed copies duplicated
@@ -350,7 +392,7 @@ class TreeWalkNetwork:
                 self.lengths[e] -= 1
                 self.total_copies -= 1
                 crossed.append((e, hops, arr, uid, packet))
-        events: list[DeliveryEvent] = []
+        completed: list[Packet] = []
         for e, hops, arr, uid, packet in crossed:
             tree = packet.route
             child = next((te.child for te in tree.edges if te.edge_id == e), None)
@@ -358,9 +400,9 @@ class TreeWalkNetwork:
                 raise RuntimeError(f"edge {e} is not on packet {uid}'s route")
             if child in tree.covered:
                 # a tree reaches each node once; _deliver enforces that
-                self._deliver(packet, child, slot, events)
+                self._deliver(packet, child, slot, completed)
             for te in tree.children_of.get(child, ()):
                 heapq.heappush(self.buffers[te.edge_id], (hops + 1, arr, uid, packet))
                 self.lengths[te.edge_id] += 1
                 self.total_copies += 1
-        return events
+        return completed

@@ -25,6 +25,7 @@ SEEDS = (1, 2, 3)
 STABILITY_EPS = 0.05
 DIVERGENCE_FACTOR = 3.0
 THROUGHPUT_RTOL = 0.02
+VERDICT_THRESHOLDS = MetricsOptions(stability_eps=STABILITY_EPS, divergence_factor=DIVERGENCE_FACTOR)
 
 
 def _grid_cfg(load, seed, policy="umw", horizon=200_000, **kw):
@@ -77,8 +78,8 @@ def test_criterion_02_stability_below_capacity(grid_stable_reports):
 
 def test_criterion_03_instability_above_capacity():
     for seed in SEEDS:
-        rep = run(_grid_cfg(0.44, seed))
-        verdict = rep.verdict(STABILITY_EPS, DIVERGENCE_FACTOR)
+        rep = run(_grid_cfg(0.44, seed, metrics=VERDICT_THRESHOLDS))
+        verdict = rep.verdict()
         assert verdict == "diverging", f"seed {seed}: verdict {verdict}"
         print(f"criterion 3 seed {seed}: final queue {int(rep.total_q[-1])}, "
               f"verdict {verdict} PASS")
@@ -97,8 +98,8 @@ def test_criterion_04_unicast_rate_point():
         for cid, thr in rep.throughput.items():
             target = rates[cid] * 0.9
             assert abs(thr - target) / target < THROUGHPUT_RTOL
-        bad = run(_twinpath_cfg(1.1, seed))
-        assert bad.verdict(STABILITY_EPS, DIVERGENCE_FACTOR) == "diverging"
+        bad = run(_twinpath_cfg(1.1, seed, metrics=VERDICT_THRESHOLDS))
+        assert bad.verdict() == "diverging"
     print(f"criterion 4: twinpath rho* = {cert.rho_star} (target 1); "
           f"stable at 0.9 and diverging at 1.1 on seeds {SEEDS} PASS")
 

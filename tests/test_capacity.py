@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     brute_force_lp,
+    certificate_from_json_dict,
     random_connected_graph,
     random_rooted_digraph,
     solve_on_tableau_path,
@@ -434,7 +435,7 @@ def test_json_round_trip():
     g, aset, classes = builtin_topology("grid3x3_broadcast")
     cert = max_scaling(g, aset, classes)
     doc = cert.to_json_dict()
-    back = CapacityCertificate.from_json_dict(doc)
+    back = certificate_from_json_dict(doc)
     assert back == cert
     assert verify_certificate(back, g, aset, classes)
 

@@ -224,6 +224,26 @@ def test_file_topology_with_classes(tmp_path):
     assert rep.throughput[0] > 0
 
 
+def test_file_topology_resolve_reads_the_file_once(tmp_path, monkeypatch):
+    # resolve() used to read the file twice: once for the graph, once more
+    # for its activation block.
+    g = Graph(3, ((0, 1), (1, 2)))
+    net = tmp_path / "net.json"
+    save_topology(g, net)
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    cfg = SimulationConfig(topology=str(net), classes=(TrafficClass(0, "unicast", 0, frozenset({2}), 0.5),))
+    resolved_g, aset, _ = cfg.resolve()
+    assert reads == [net]
+    assert resolved_g == g and aset.kind == "wired"
+
+
 def test_file_topology_requires_classes(tmp_path):
     net = tmp_path / "net.json"
     save_topology(Graph(2, ((0, 1),)), net)
@@ -550,7 +570,8 @@ def test_summary_verdict_uses_configured_thresholds():
     assert default.summary()["verdict"] == "stable"
     strict = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=final / 2))
     report = run(strict)
-    expected = report.verdict(final / 2, MetricsOptions.divergence_factor)
+    assert report.total_q.tolist() == default.total_q.tolist()  # thresholds only judge
+    expected = report.verdict()
     assert expected != "stable"
     assert report.summary()["verdict"] == expected
     echoed = report.summary()["config"]["metrics"]
@@ -585,11 +606,14 @@ def test_defaults_are_the_dataclass_defaults():
 def test_report_verdict_defaults_to_config_thresholds():
     # verdict() used to default to 0.05 whatever the config said, so it
     # disagreed with the summary's verdict under a stricter stability_eps.
+    # The thresholds come only from the config's metrics options.
     cfg = _line3_cfg(horizon=2000, load_factor=0.5, metrics=MetricsOptions(stability_eps=1e-9))
     report = run(cfg)
-    assert report.verdict() == report.summary()["verdict"] == report.verdict(1e-9, 3.0)
-    assert report.verdict(0.05) == "stable" != report.verdict()
-    assert report.avg_total_queue() == report.avg_total_queue(cfg.metrics.warmup_frac)
+    assert report.verdict() == report.summary()["verdict"] != "stable"
+    loose = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=0.05))
+    assert dataclasses.replace(report, config=loose).verdict() == "stable"
+    start = int(len(report.total_q) * cfg.metrics.warmup_frac)
+    assert report.avg_total_queue() == float(report.total_q[start:].mean())
     assert sweep(cfg, [0.5])[0]["verdict"] == run(
         dataclasses.replace(cfg, seed=sweep_subseed(cfg.seed, 0))).verdict()
 

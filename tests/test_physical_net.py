@@ -25,8 +25,8 @@ def _packet(uid, route, slot=0):
 def test_admit_unicast_single_copy():
     net = PhysicalNetwork(LINE3)
     route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
-    events = net.admit(_packet(1, route), 0)
-    assert events == []
+    completed = net.admit(_packet(1, route), 0)
+    assert completed == []
     assert net.lengths.tolist() == [1, 0]
     assert net.buffers[0][0][0] == 0  # hops priority 0
 
@@ -42,8 +42,8 @@ def test_admit_degenerate_source_destination():
     net = PhysicalNetwork(LINE3)
     route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 1))
     pkt = _packet(7, route, slot=3)
-    events = net.admit(pkt, 3)
-    assert [(e.node, e.slot) for e in events] == [(1, 3)]
+    completed = net.admit(pkt, 3)
+    assert completed == [pkt] and pkt.delivered == {1}
     assert pkt.full_delivery_slot == 3
     assert net.total_copies == 0
 
@@ -53,11 +53,11 @@ def test_forward_delivers_at_leaf():
     route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
-    events = net.forward(frozenset({0, 1}), 0)
-    assert events == []  # copy moved from edge 0 to edge 1, no delivery yet
+    completed = net.forward(frozenset({0, 1}), 0)
+    assert completed == []  # copy moved from edge 0 to edge 1, no delivery yet
     assert net.lengths.tolist() == [0, 1]
-    events = net.forward(frozenset({0, 1}), 1)
-    assert [(e.node, e.slot) for e in events] == [(2, 1)]
+    completed = net.forward(frozenset({0, 1}), 1)
+    assert completed == [pkt] and pkt.delivered == {2}
     assert pkt.full_delivery_slot == 1
 
 
@@ -69,8 +69,8 @@ def test_lowest_hops_copy_crosses_first():
     net.forward(frozenset({0}), 0)  # veteran copy now waits at edge 1 with hops=1
     near = Packet(2, 0, 1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 2)))
     net.admit(near, 1)              # fresh copy at edge 1 with hops=0
-    events = net.forward(frozenset({1}), 1)
-    assert [e.packet.uid for e in events] == [2]  # the fewest-hops copy wins
+    completed = net.forward(frozenset({1}), 1)
+    assert [pkt.uid for pkt in completed] == [2]  # the fewest-hops copy wins
 
 
 def test_crossing_duplicates_to_children():
@@ -98,10 +98,22 @@ def test_broadcast_delivery_bookkeeping():
     assert net.total_copies == 0
 
 
+def test_star_broadcast_reaching_both_leaves_in_one_slot_returned_once():
+    # Both leaves of the two-leaf star are reached in slot 0; the packet
+    # comes back once, from the crossing that completes it.
+    star = Graph(3, ((0, 1), (0, 2)))
+    net = PhysicalNetwork(star)
+    pkt = _packet(1, build_route(star, spanning_edges(star, [0, 0], 0)))
+    assert net.admit(pkt, 0) == []
+    assert net.forward(frozenset({0, 1}), 0) == [pkt]
+    assert pkt.delivered == {0, 1, 2} and pkt.full_delivery_slot == 0
+    assert net.forward(frozenset({0, 1}), 1) == []
+
+
 def test_active_empty_edge_is_noop():
     net = PhysicalNetwork(LINE3)
-    events = net.forward(frozenset({0, 1}), 0)
-    assert events == [] and net.total_copies == 0
+    completed = net.forward(frozenset({0, 1}), 0)
+    assert completed == [] and net.total_copies == 0
 
 
 def test_one_copy_per_active_edge_per_slot():
@@ -181,20 +193,21 @@ def test_conservation_random_traffic():
     rng = np.random.default_rng(10)
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3)))
     net = PhysicalNetwork(g)
-    created = 0
-    delivered_events = 0
-    uid = 0
+    packets = []
+    completed = []
     w = np.zeros(g.m)
     route = build_route(g, steiner_edges(g, w, 0, {2, 4}, mode="exact"))
     for slot in range(200):
         if rng.random() < 0.4:
-            pkt = Packet(uid, 0, slot, route)
-            uid += 1
-            net.admit(pkt, slot)
+            packets.append(Packet(len(packets), 0, slot, route))
+            completed += net.admit(packets[-1], slot)
         active = frozenset(int(x) for x in rng.choice(g.m, size=2, replace=False))
-        delivered_events += len(net.forward(active, slot))
+        completed += net.forward(active, slot)
         assert int(net.layer_counters().sum()) == net.total_copies
         assert np.all(net.lengths >= 0)
+    # every packet that completed was returned, and only once
+    assert sorted(pkt.uid for pkt in completed) == [pkt.uid for pkt in packets if pkt.full_delivery_slot is not None]
+    assert completed
 
 
 def _trees_of_every_kind(rng, g, root):
@@ -221,7 +234,8 @@ def _network_state(net):
 @pytest.mark.parametrize("seed", range(12))
 def test_forwarding_matches_tree_walk_reference(seed):
     # Random admissions along trees of all four kinds and random active
-    # sets; both forwarders must agree on every event, buffer and packet.
+    # sets; both forwarders must return the same completed packets, in the
+    # same order, and agree on every buffer and packet.
     rng = np.random.default_rng(seed)
     if seed % 2:
         g, root = random_rooted_digraph(rng)
@@ -232,20 +246,20 @@ def test_forwarding_matches_tree_walk_reference(seed):
     net, ref = PhysicalNetwork(g), TreeWalkNetwork(g)
     packets = []
     for slot in range(300):
-        events, ref_events = [], []
+        completed, ref_completed = [], []
         for _ in range(int(rng.integers(0, 4))):
             tree = trees[int(rng.integers(0, len(trees)))]
             pair = (Packet(len(packets), 0, slot, tree), Packet(len(packets), 0, slot, tree))
             packets.append(pair)
-            events += net.admit(pair[0], slot)
-            ref_events += ref.admit(pair[1], slot)
+            completed += net.admit(pair[0], slot)
+            ref_completed += ref.admit(pair[1], slot)
         active = frozenset(int(e) for e in np.flatnonzero(rng.random(g.m) < 0.5))
-        events += net.forward(active, slot)
-        ref_events += ref.forward(active, slot)
-        assert [(ev.packet.uid, ev.node, ev.slot) for ev in events] == \
-            [(ev.packet.uid, ev.node, ev.slot) for ev in ref_events]
+        completed += net.forward(active, slot)
+        ref_completed += ref.forward(active, slot)
+        assert [pkt.uid for pkt in completed] == [pkt.uid for pkt in ref_completed]
+        assert all(pkt.full_delivery_slot == slot for pkt in completed)
         assert _network_state(net) == _network_state(ref)
         for pkt, ref_pkt in packets:
             assert pkt.delivered == ref_pkt.delivered
             assert pkt.full_delivery_slot == ref_pkt.full_delivery_slot
-    assert any(pkt.complete for pkt, _ in packets) and net.total_copies > 0
+    assert any(pkt.full_delivery_slot is not None for pkt, _ in packets) and net.total_copies > 0

@@ -10,8 +10,8 @@ from umwsim.topology import (
     ActivationSet,
     Graph,
     builtin_topology,
+    _grid_graph,
     enumerate_matchings,
-    load_activation,
     load_topology,
     save_topology,
     validate_activation,
@@ -21,8 +21,9 @@ from umwsim.topology import (
 def test_smallest_graph(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"directed": False, "nodes": 2, "edges": [[0, 1]]}))
-    g = load_topology(path)
+    g, aset = load_topology(path)
     assert g.node_count == 2 and g.m == 1 and not g.directed
+    assert aset == ActivationSet("wired", 1)  # no activation block: wired
 
 
 def test_self_loop_rejected(tmp_path):
@@ -87,7 +88,7 @@ def test_topology_file_values_name_the_file(tmp_path, doc, message):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
-        load_activation(path, load_topology(path))
+        load_topology(path)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -102,25 +103,21 @@ def test_unknown_topology_file_key_rejected(tmp_path, doc, message):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
-        load_activation(path, Graph(2, ((0, 1),)))
-    if "activation" not in doc:
-        with pytest.raises(TopologyError, match=re.escape(f"{path}: {message}")):
-            load_topology(path)
+        load_topology(path)
 
 
 def test_non_object_activation_rejected(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"nodes": 2, "edges": [[0, 1]], "activation": [1]}))
-    g = load_topology(path)
     with pytest.raises(TopologyError, match=f"{path}: activation must be a JSON object"):
-        load_activation(path, g)
+        load_topology(path)
 
 
 def test_round_trip_identical(tmp_path):
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_topology(g, p1)
-    g2 = load_topology(p1)
+    g2, _ = load_topology(p1)
     assert g2 == g
     save_topology(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -131,9 +128,18 @@ def test_round_trip_with_activation(tmp_path):
     aset = ActivationSet("explicit", 2, (frozenset({0}), frozenset({1})))
     path = tmp_path / "net.json"
     save_topology(g, path, aset)
-    g2 = load_topology(path)
-    a2 = load_activation(path, g2)
+    g2, a2 = load_topology(path)
+    assert g2 == g
     assert a2.kind == "explicit" and a2.members == aset.members
+
+
+def test_primary_interference_without_members_lists_maximal_matchings(tmp_path):
+    g = _grid_graph(3, 3)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"nodes": 9, "edges": [list(e) for e in g.edges],
+                                "activation": {"kind": "primary_interference"}}))
+    g2, aset = load_topology(path)
+    assert g2 == g and aset == enumerate_matchings(g)
 
 
 def test_grid_builtin_shape():
@@ -181,9 +187,12 @@ def test_enumerate_matchings_four_cycle():
 
 
 def test_matching_cap():
-    g = Graph(6, tuple((u, v) for u in range(6) for v in range(u + 1, 6)))
-    with pytest.raises(CapExceededError):
-        enumerate_matchings(g, cap=10)
+    # The undirected 5x5 grid has 40 edges; the cap check comes before any
+    # enumeration, so this is cheap.
+    g = _grid_graph(5, 5)
+    assert g.m == 40
+    with pytest.raises(CapExceededError, match="size 40 exceeds enumeration cap 24"):
+        enumerate_matchings(g)
 
 
 def test_maximal_matchings_cover_all_max_weights():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import AssociatedQueues, loading_slack
 from umwsim.routing import RouteTree, TreeEdge
 from umwsim.virtual_net import (
-    AssociatedQueues,
     VirtualQueues,
-    loading_slack,
     skorokhod_profile,
     skorokhod_value,
     virtual_arrival_vector,
