@@ -14,11 +14,14 @@ def max_weight_activation(aset: ActivationSet, w) -> ActivationVector:
     Ties resolve to the first maximizing member, which is the smallest
     member index for explicit sets and the lexicographically smallest
     edge set for materialized matchings (members are stored sorted).
-    The result is the set's shared vector for that member.
+    The result is the set's shared vector for that member. w is a list,
+    tuple or array of edge_count weights; a wired set reads only its length.
     """
-    w = np.asarray(w)
-    if w.shape != (aset.edge_count,):
-        raise TopologyError(f"expected {aset.edge_count} weights, got {w.shape}")
+    if len(w) != aset.edge_count:
+        raise TopologyError(f"expected {aset.edge_count} weights, got {len(w)}")
     if aset.kind == "wired":
         return aset.vectors[0]
-    return aset.vectors[int(np.argmax(aset.member_matrix @ w))]
+    scores = aset.member_matrix @ w
+    if scores.ndim != 1:
+        raise TopologyError(f"weights must be a flat vector, got shape {np.shape(w)}")
+    return aset.vectors[scores.argmax()]

@@ -300,7 +300,7 @@ class _DiagnosticState:
         violations.update(skorokhod=0, sandwich=0, loading=0)
         self.violations = violations
 
-    def step(self, A: np.ndarray, mu: np.ndarray, q_after: np.ndarray, total_external: int) -> None:
+    def step(self, A: list[int], mu: tuple[int, ...], q_after: list[int], total_external: int) -> None:
         i = self.filled
         self.A[i] = A
         self.mu[i] = mu
@@ -399,7 +399,7 @@ class _MaxWeightStepper:
             amax = effective_amax(classes, config.arrival)
             self.diag = _DiagnosticState(g.m, amax, config.horizon, self.violations)
 
-    def weights(self) -> np.ndarray:
+    def weights(self) -> list[int]:
         """The slot's weight vector: the virtual queues for "umw", the
         physical buffer sizes at the start of the slot for "umw-heuristic"."""
         return self.vq.q if self.virtual_weights else self.net.lengths
@@ -424,7 +424,7 @@ class _MaxWeightStepper:
                 self.violations["delivery"] += 1
 
         A = virtual_arrival_vector(routes, arrivals, g.m)
-        mu = act.as_array
+        mu = act.service
         vq.lindley_update(A, mu)
         if self.diag is not None:
             self.diag.step(A, mu, vq.q, sum(arrivals.values()))
@@ -439,8 +439,10 @@ class _MaxWeightStepper:
         )
 
 
-def run(config: SimulationConfig) -> MetricsReport:
-    g, aset, classes = config.resolve()
+def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
+    """One run of config. compare() passes the (g, aset, classes) it has
+    already resolved as _resolved, so its policies share one resolution."""
+    g, aset, classes = _resolved or config.resolve()
     T = config.horizon
     opts = config.metrics
     table = arrival_table(classes, config.arrival, T, config.seed)
@@ -515,9 +517,10 @@ def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsR
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ConfigError(f"compare lists policy {', '.join(map(repr, repeated))} more than once")
+    resolved = config.resolve()
     if "bp" in policies:
-        require_unicast(config.resolve()[2])  # fail before any policy runs
-    return {p: run(replace(config, policy=p)) for p in policies}
+        require_unicast(resolved[2])  # fail before any policy runs
+    return {p: run(replace(config, policy=p), _resolved=resolved) for p in policies}
 
 
 def sweep(config: SimulationConfig, loads: list[float]) -> list[dict]:

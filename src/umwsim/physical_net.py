@@ -45,9 +45,9 @@ class PhysicalNetwork:
         self.total_copies = 0
 
     @property
-    def lengths(self) -> np.ndarray:
-        """Copies waiting per edge, as a new int64 array."""
-        return np.array([len(buf) for buf in self.buffers], dtype=np.int64)
+    def lengths(self) -> list[int]:
+        """Copies waiting per edge, as a new list."""
+        return [len(buf) for buf in self.buffers]
 
     def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
         if node in packet.delivered:

@@ -25,14 +25,13 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-import numpy as np
-
 from .activation import ActivationVector, max_weight_activation
 from .errors import ConfigError
 from .routing import (
     RouteKey,
     RouteTree,
     anycast_edges,
+    as_weights,
     build_route,
     shortest_path_edges,
     spanning_edges,
@@ -61,12 +60,12 @@ class RouteCache:
     """Route memo and tree intern table of one run (one graph, one Steiner mode).
 
     A route is a pure function of the class and the weight vector, so the
-    memo maps (class id, weight dtype, shape, weight bytes) to the tree
-    solved for it. It keeps at most ROUTE_MEMO_CAP entries and evicts the
-    oldest first. On a miss the solver runs in full, weight checks
-    included; the intern table then hands back the tree already built for
-    the same solved edge set, so each distinct tree is oriented and
-    validated once and shared by every packet routed along it.
+    memo maps (class id, weight tuple) to the tree solved for it; weights
+    that are not all ints add their element types to the key. It keeps at
+    most ROUTE_MEMO_CAP entries and evicts the oldest first. On a miss the
+    solver runs in full; the intern table then hands back the tree already
+    built for the same solved edge set, so each distinct tree is oriented
+    and validated once and shared by every packet routed along it.
     """
 
     def __init__(self):
@@ -98,10 +97,14 @@ def solve_route(
     cache: RouteCache | None = None,
 ) -> RouteTree:
     """Min-cost admissible route for one class under the given weights."""
-    w = np.asarray(w)
-    if cache is None or w.dtype.hasobject:
+    w = as_weights(w, g.m)
+    if cache is None:
         return build_route(g, _route_edges(g, w, cls, steiner_mode))
-    key = (cls.id, w.dtype.str, w.shape, w.tobytes())
+    # Equal keys mean equal solver inputs: int weights key on their values
+    # alone, any other element type on the types too (float 3.0 rounds
+    # where int 3 does not, so the two never share an entry).
+    ws = tuple(w)
+    key = (cls.id, ws) if type(sum(ws)) is int else (cls.id, ws, tuple(map(type, ws)))
     tree = cache.memo.get(key)
     if tree is not None:
         cache.hits += 1
@@ -194,7 +197,7 @@ class BPState:
         class id and then the forward (u->v) direction.
         """
         g = self.graph
-        weights = np.zeros(g.m, dtype=np.int64)
+        weights = [0] * g.m
         plans: list[Forward | None] = [None] * g.m
         for e, (u, v) in enumerate(g.edges):
             best = None

@@ -104,13 +104,25 @@ class RouteTree:
         return (self.root, self.edge_ids, self.covered)
 
 
-def as_weights(w, m: int) -> np.ndarray:
-    arr = np.asarray(w)
-    if arr.shape != (m,):
-        raise TopologyError(f"expected {m} edge weights, got shape {arr.shape}")
-    if np.any(arr < 0):
+def as_weights(w, m: int) -> list:
+    """The entry check of every solver. w must be a flat list, tuple or 1-D
+    array of m nonnegative numbers; it comes back as a list of Python
+    numbers (an array through tolist()), which the solvers index."""
+    if isinstance(w, np.ndarray):
+        if w.ndim != 1:
+            raise TopologyError(f"expected {m} edge weights, got shape {w.shape}")
+        w = w.tolist()
+    elif not isinstance(w, (list, tuple)):
+        raise TopologyError(f"edge weights must be a list, tuple or array, got {type(w).__name__}")
+    if len(w) != m:
+        raise TopologyError(f"expected {m} edge weights, got {len(w)}")
+    try:
+        negative = bool(w) and min(w) < 0
+    except TypeError as exc:
+        raise TopologyError("edge weights must be numbers") from exc
+    if negative:
         raise TopologyError("edge weights must be nonnegative")
-    return arr
+    return w if isinstance(w, list) else list(w)
 
 
 def route_cost(tree: RouteTree, w) -> float:
@@ -251,11 +263,11 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
     Arc selection is ordered by (weight, edge id), which fixes a
     deterministic optimum when weights tie.
     """
-    arcs = [(float(w[e]), e, u, v) for e, (u, v) in enumerate(g.edges)]
+    arcs = [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)]
     n = g.node_count
 
-    def solve(node_ids: list[int], arcs_in: list[tuple[float, int, int, int]], root_id: int) -> list[int]:
-        best: dict[int, tuple[float, int, int, int]] = {}
+    def solve(node_ids: list[int], arcs_in: list[tuple], root_id: int) -> list[int]:
+        best: dict[int, tuple] = {}
         for arc in arcs_in:
             cost, eid, u, v = arc
             if v == root_id or u == v:
@@ -291,7 +303,7 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
         cycle_cost = {v: best[v][0] for v in cycle}
         new_nodes = [v for v in node_ids if v not in cycle_set] + [super_id]
         new_arcs = []
-        entering: dict[int, tuple[float, int, int, int]] = {}
+        entering: dict[int, tuple] = {}
         for arc in arcs_in:
             cost, eid, u, v = arc
             nu = super_id if u in cycle_set else u
@@ -397,7 +409,7 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
         bits = [i for i in range(k) if mask >> i & 1]
         if len(bits) == 1:
             t = terminals[bits[0]]
-            seeds.append((0.0, t, ("stop",)))
+            seeds.append((0, t, ("stop",)))
         else:
             low = mask & (-mask)
             for v in range(n):
@@ -446,7 +458,7 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     collect(root, full)
     keep = set(terminals)
     tree_edges = _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
-    assert sum(w[e] for e in sorted(tree_edges)) <= dp[root][full] + 1e-9
+    assert sum(w[e] for e in sorted(tree_edges)) - dp[root][full] <= 1e-9  # 0 on int weights
     return tree_edges
 
 

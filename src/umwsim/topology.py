@@ -88,13 +88,9 @@ class ActivationVector:
             raise TopologyError("active edge id out of range")
 
     @cached_property
-    def as_array(self) -> np.ndarray:
-        """0/1 service vector of length m (read-only: vectors are shared)."""
-        mu = np.zeros(self.edge_count, dtype=np.int64)
-        for e in self.active:
-            mu[e] = 1
-        mu.flags.writeable = False
-        return mu
+    def service(self) -> tuple[int, ...]:
+        """0/1 service per edge, length m; a tuple, since vectors are shared."""
+        return tuple(int(e in self.active) for e in range(self.edge_count))
 
 
 @dataclass(frozen=True)

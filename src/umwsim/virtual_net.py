@@ -8,39 +8,37 @@ functions, the oracles for that state, read a raw (A, mu) history.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .routing import RouteTree
 
 
-def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int], m: int) -> np.ndarray:
+def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int], m: int) -> list[int]:
     """Per-edge virtual arrivals: every class-c arrival hits each edge of the
     single route chosen for class c this slot. routes holds a route for
     every class with arrivals."""
-    if not routes:  # a class with arrivals has a route, so none arrived
-        return np.zeros(m, dtype=np.int64)
     A = [0] * m
     for cid, count in arrivals.items():
         if count > 0:
             for e in routes[cid].edge_ids:
                 A[e] += count
-    return np.array(A, dtype=np.int64)
+    return A
 
 
 class VirtualQueues:
-    """State of the m virtual queues."""
+    """State of the m virtual queues, a list of Python ints."""
 
     def __init__(self, m: int):
-        self.q = np.zeros(m, dtype=np.int64)
+        self.q = [0] * m
 
-    def lindley_update(self, A: np.ndarray, mu: np.ndarray) -> None:
-        """One slot: q <- (q + A - mu)^+."""
-        np.add(self.q, A, out=self.q)
-        np.subtract(self.q, mu, out=self.q)
-        np.maximum(self.q, 0, out=self.q)
+    def lindley_update(self, A: Sequence[int], mu: Sequence[int]) -> None:
+        """One slot: q <- (q + A - mu)^+, as a new list."""
+        self.q = [x + a - s if x + a > s else 0 for x, a, s in zip(self.q, A, mu, strict=True)]
 
     def total(self) -> int:
-        return int(self.q.sum())
+        return sum(self.q)
 
 
 def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -> int:

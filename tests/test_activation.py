@@ -45,6 +45,10 @@ def test_weight_length_checked():
     aset = ActivationSet("wired", 3)
     with pytest.raises(TopologyError):
         max_weight_activation(aset, [1, 2])
+    matchings = enumerate_matchings(Graph(4, ((0, 1), (1, 2), (2, 3))))
+    for bad in ([1, 2], [[1, 1], [2, 2], [3, 3]], np.ones((3, 2), np.int64)):
+        with pytest.raises(TopologyError):
+            max_weight_activation(matchings, bad)
 
 
 def test_exactness_against_subset_brute_force():
@@ -58,9 +62,10 @@ def test_exactness_against_subset_brute_force():
             assert sum(w[e] for e in act.active) == brute_force_max_weight(g, w)
 
 
-def test_as_array():
+def test_service_tuple():
     act = ActivationVector({1, 3}, 5)
-    assert act.as_array.tolist() == [0, 1, 0, 1, 0]
+    assert act.service == (0, 1, 0, 1, 0)
+    assert all(type(x) is int for x in act.service)
 
 
 def _first_argmax(aset, w) -> int:
@@ -94,7 +99,7 @@ def test_equal_weights_return_the_same_vector():
     w = np.array([3, 1, 3], np.int64)
     a = max_weight_activation(aset, w)
     assert max_weight_activation(aset, w.copy()) is a
-    assert a.as_array is max_weight_activation(aset, [3, 1, 3]).as_array
+    assert a.service is max_weight_activation(aset, [3, 1, 3]).service
     wired = ActivationSet("wired", 3)
     assert max_weight_activation(wired, w) is max_weight_activation(wired, [0, 0, 0])
-    assert not a.as_array.flags.writeable
+    assert isinstance(a.service, tuple)  # immutable: vectors are shared

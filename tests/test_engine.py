@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umwsim import engine, policy
+from umwsim import engine, policy, topology
 from umwsim.cli import main as cli_main
 from umwsim.engine import (
     MetricsOptions,
@@ -242,6 +242,39 @@ def test_file_topology_resolve_reads_the_file_once(tmp_path, monkeypatch):
     resolved_g, aset, _ = cfg.resolve()
     assert reads == [net]
     assert resolved_g == g and aset.kind == "wired"
+
+
+def test_compare_resolves_a_file_topology_once(tmp_path, monkeypatch):
+    # compare used to resolve the config once per policy and once more for
+    # the back-pressure check: 4 reads and 4 matching enumerations here.
+    net = tmp_path / "grid.json"
+    grid = Graph(9, ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
+                     (4, 7), (5, 8), (6, 7), (7, 8)))
+    net.write_text(json.dumps({"nodes": 9, "edges": [list(e) for e in grid.edges],
+                               "activation": {"kind": "primary_interference"}}))
+    reads, enumerations = [], []
+    read_text, enumerate_matchings = Path.read_text, topology.enumerate_matchings
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    def counting_enumerate(g):
+        enumerations.append(g)
+        return enumerate_matchings(g)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(topology, "enumerate_matchings", counting_enumerate)
+    cfg = SimulationConfig(topology=str(net), horizon=60, seed=1, load_factor=0.4, classes=(
+        TrafficClass(0, "unicast", 0, frozenset({8}), 1.0),
+        TrafficClass(1, "unicast", 2, frozenset({6}), 1.0)))
+    reports = compare(cfg, ["umw", "umw-heuristic", "bp"])
+    assert reads == [net] and enumerations == [grid]
+    monkeypatch.undo()
+    for p, rep in reports.items():
+        alone = run(dataclasses.replace(cfg, policy=p))
+        assert list(rep.csv_rows()) == list(alone.csv_rows())
+        assert rep.summary() == alone.summary()
 
 
 def test_file_topology_requires_classes(tmp_path):

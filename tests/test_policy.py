@@ -55,7 +55,7 @@ def test_umw_no_arrival_no_route(monkeypatch):
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
     assert cache.hits + cache.misses == 0
-    assert len(deposits) == 1 and not deposits[0].any()
+    assert deposits == [[0, 0, 0, 0]]
 
 
 def test_umw_broadcast_line3_unique_tree():
@@ -76,7 +76,7 @@ def test_heuristic_matches_umw_when_all_empty():
     umw.step(0, {0: 2})
     heur.step(0, {0: 2})
     assert umw.weights() is umw.vq.q
-    assert heur.weights().tolist() == [len(buf) for buf in heur.net.buffers] == [1, 1, 0, 0]
+    assert heur.weights() == [len(buf) for buf in heur.net.buffers] == [1, 1, 0, 0]
 
 
 def test_heuristic_steers_around_physical_backlog():
@@ -204,6 +204,45 @@ def test_cached_solve_matches_uncached(mode):
             by_key = {t.cache_key(): t for t in trees}
             assert all(t is by_key[t.cache_key()] for t in trees)
             assert cache.stats()["distinct_trees"] == len(by_key)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_cached_solve_on_lists_matches_uncached_on_arrays(mode):
+    # The slot path hands solve_route lists of Python ints; the reference is
+    # the uncached solve on the same weights as an int64 array. Arrays,
+    # lists and tuples of equal ints key one memo entry.
+    rng = np.random.default_rng(31)
+    for directed in (False, True):
+        for _ in range(8):
+            g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
+            cache = RouteCache()
+            for cls in _kind_classes(g):
+                for arr in _weight_sequence(rng, g.m, 12):
+                    ref = solve_route(g, arr, cls, mode)
+                    w = arr.tolist()
+                    assert solve_route(g, w, cls, mode) == ref
+                    misses = cache.misses
+                    assert solve_route(g, w, cls, mode, cache) == ref
+                    assert solve_route(g, arr, cls, mode, cache) == ref
+                    assert solve_route(g, tuple(w), cls, mode, cache) == ref
+                    assert cache.misses - misses <= 1
+
+
+def test_route_memo_keeps_int_and_float_weights_apart():
+    # Unicast 0->2: edge 0 directly, or edges 1 and 2. In ints the two-edge
+    # path costs 2**53 + 3 < 2**53 + 4; in floats it rounds up to a tie, and
+    # the one-hop path wins the tie. The values compare equal, so a memo
+    # keyed on values alone would hand the float solve the int tree.
+    g = Graph(3, ((0, 2), (0, 1), (1, 2)))
+    cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
+    ints = [2**53 + 4, 2**53 + 2, 1]
+    floats = [float(x) for x in ints]
+    assert floats == ints
+    cache = RouteCache()
+    assert solve_route(g, ints, cls, cache=cache).edge_ids == {1, 2}
+    assert solve_route(g, floats, cls, cache=cache).edge_ids == {0}
+    assert solve_route(g, np.array(floats), cls, cache=cache).edge_ids == {0}
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_route_memo_stays_within_cap(monkeypatch):

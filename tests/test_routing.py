@@ -3,11 +3,12 @@ import pytest
 
 from helpers import bfs_depths, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.capacity import enumerate_routes
-from umwsim.errors import CapExceededError, DisconnectedError, UnreachableError
+from umwsim.errors import CapExceededError, DisconnectedError, TopologyError, UnreachableError
 from umwsim.policy import solve_route
 from umwsim.routing import (
     RouteTree,
     anycast_edges,
+    as_weights,
     build_route,
     route_cost,
     shortest_path_edges,
@@ -92,6 +93,50 @@ def test_arborescence_respects_direction():
     g2 = Graph(3, ((1, 0), (1, 2)), directed=True)
     with pytest.raises(DisconnectedError):
         build_route(g2, spanning_edges(g2, [1, 1], 0))
+
+
+# Arcs 0->2 (edge 0) and 1->2 (edge 1) both enter node 2; 0->1 (edge 2)
+# is free. As floats, 2**53 + 1 rounds to 2**53 and the two arcs tie.
+BIG = 2**53
+FORK = Graph(3, ((0, 2), (1, 2), (0, 1)), directed=True)
+
+
+def test_arborescence_arc_costs_are_exact():
+    w = [BIG + 1, BIG, 0]
+    tree = build_route(FORK, spanning_edges(FORK, w, 0))
+    assert tree.edge_ids == {1, 2}
+    assert route_cost(tree, w) == BIG
+
+
+def test_steiner_exact_costs_are_exact():
+    # The same two ways into node 2, as a Steiner tree for terminals {1, 2}:
+    # the DP's costs stay ints, so the cheaper arc wins.
+    w = [BIG + 1, BIG, 0]
+    tree = build_route(FORK, steiner_edges(FORK, w, 0, {1, 2}, mode="exact"))
+    assert tree.edge_ids == {1, 2}
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("bad, message", [
+    ([1, -1, 0], "nonnegative"),
+    ([1, 1], "expected 3 edge weights"),
+    ([[1, 1, 1], [1, 1, 1]], None),
+    ([[1], [1], [1]], None),
+])
+def test_as_weights_rejects_malformed_weights(kind, bad, message):
+    w = kind(bad)
+    for check in (lambda: as_weights(w, 3),
+                  lambda: solve_route(TRIANGLE, w, TrafficClass(0, "unicast", 0, frozenset({2}), 1.0))):
+        with pytest.raises(TopologyError, match=message):
+            check()
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_as_weights_returns_a_list_of_python_numbers(kind):
+    for values in ([3, 0, 2], [0.5, 1.0, 2.0]):
+        w = as_weights(kind(values), 3)
+        assert type(w) is list and w == values
+        assert [type(x) for x in w] == [type(x) for x in values]
 
 
 def test_steiner_all_nodes_matches_spanning_cost():

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import AssociatedQueues, loading_slack
+from umwsim.policy import solve_route
 from umwsim.routing import RouteTree, TreeEdge
+from umwsim.topology import Graph
+from umwsim.traffic import TrafficClass
 from umwsim.virtual_net import (
     VirtualQueues,
     skorokhod_profile,
@@ -18,23 +21,23 @@ def _v(*xs):
 def test_lindley_nonnegative_part():
     vq = VirtualQueues(1)
     vq.lindley_update(_v(0), _v(1))
-    assert vq.q.tolist() == [0]
+    assert vq.q == [0]
 
 
 def test_lindley_arithmetic():
     vq = VirtualQueues(1)
     vq.lindley_update(_v(3), _v(0))
     vq.lindley_update(_v(2), _v(1))
-    assert vq.q.tolist() == [4]
+    assert vq.q == [4]
 
 
 def test_lindley_absorbing_at_zero():
     vq = VirtualQueues(1)
     vq.lindley_update(_v(1), _v(0))
     vq.lindley_update(_v(0), _v(1))
-    assert vq.q.tolist() == [0]
+    assert vq.q == [0]
     vq.lindley_update(_v(0), _v(1))
-    assert vq.q.tolist() == [0]
+    assert vq.q == [0]
 
 
 def test_skorokhod_zero_history():
@@ -105,8 +108,9 @@ def test_sandwich_property_random():
         mu = rng.integers(0, 2, size=m).astype(np.int64)
         vq.lindley_update(A, mu)
         aq.update(A, mu)
-        assert np.all(vq.q <= aq.qhat)
-        assert np.all(aq.qhat <= vq.q + amax)
+        q = np.array(vq.q)
+        assert np.all(q <= aq.qhat)
+        assert np.all(aq.qhat <= q + amax)
 
 
 def test_loading_slack_examples():
@@ -129,7 +133,7 @@ def test_slack_bounded_by_running_max_queue():
         A = rng.integers(0, 3, size=2).astype(np.int64)
         mu = rng.integers(0, 2, size=2).astype(np.int64)
         vq.lindley_update(A, mu)
-        peak = max(peak, int(vq.q.max()))
+        peak = max(peak, max(vq.q))
         arrivals.append(A)
         service.append(mu)
         hist_A, hist_S = np.stack(arrivals), np.stack(service)
@@ -144,11 +148,74 @@ def _route(edge_ids_with_nodes, root, covered):
 
 
 def test_virtual_arrival_vector_examples():
-    assert virtual_arrival_vector({}, {}, 4).tolist() == [0, 0, 0, 0]
+    assert virtual_arrival_vector({}, {}, 4) == [0, 0, 0, 0]
     path = _route([(0, 0, 1, 0), (1, 1, 2, 1)], 0, {2})
     A = virtual_arrival_vector({0: path}, {0: 2}, 4)
-    assert A.tolist() == [2, 2, 0, 0]
+    assert A == [2, 2, 0, 0]
     one_edge = _route([(0, 0, 1, 0)], 0, {1})
     forked = _route([(0, 0, 1, 0), (2, 1, 2, 1)], 0, {2})
     A2 = virtual_arrival_vector({0: one_edge, 1: forked}, {0: 1, 1: 1}, 4)
-    assert A2.tolist() == [2, 0, 1, 0]
+    assert A2 == [2, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# The list kernels of the slot path against numpy references
+
+def _graph_with_edges(rng, m: int) -> Graph:
+    """Random connected undirected graph with exactly m edges."""
+    n = int(rng.integers(2, m + 2))
+    while n * (n - 1) // 2 < m:
+        n += 1
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    rng.shuffle(spare)
+    edges += spare[:m - len(edges)]
+    return Graph(n, tuple(edges))
+
+
+def _classes(rng, n: int) -> list[TrafficClass]:
+    kinds = ["unicast", "broadcast", "multicast", "anycast"]
+    out = []
+    for cid in range(int(rng.integers(1, 4))):
+        kind = kinds[int(rng.integers(4))]
+        dests = frozenset(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        if kind == "unicast":
+            dests = frozenset({max(dests)})
+        if kind == "broadcast":
+            dests = frozenset(range(n))
+        out.append(TrafficClass(cid, kind, int(rng.integers(n)), dests, 1.0))
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_list_kernels_match_numpy_references(m):
+    rng = np.random.default_rng(100 + m)
+    g = _graph_with_edges(rng, m)
+    assert g.m == m
+    classes = _classes(rng, g.node_count)
+    vq = VirtualQueues(m)
+    ref_q = np.zeros(m, dtype=np.int64)
+    for t in range(150):
+        # About one slot in three has no arrival at all.
+        arrivals = {c.id: int(rng.integers(0, 4)) if rng.random() < 0.6 else 0 for c in classes}
+        routes = {c.id: solve_route(g, vq.q, c) for c in classes if arrivals[c.id] > 0}
+        A = virtual_arrival_vector(routes, arrivals, m)
+        ref_A = np.zeros(m, dtype=np.int64)
+        for cid, tree in routes.items():
+            ref_A[sorted(tree.edge_ids)] += arrivals[cid]
+        assert A == ref_A.tolist() and all(type(x) is int for x in A)
+        # 0/1 service as the activation gives it, and some larger service.
+        mu = tuple(int(x) for x in rng.integers(0, 2 if t % 2 else 4, size=m))
+        vq.lindley_update(A, mu)
+        ref_q = np.maximum(ref_q + ref_A - np.array(mu, dtype=np.int64), 0)
+        assert vq.q == ref_q.tolist() and all(type(x) is int for x in vq.q)
+        assert vq.total() == int(ref_q.sum())
+
+
+def test_lindley_update_rejects_vectors_of_another_length():
+    vq = VirtualQueues(3)
+    with pytest.raises(ValueError):
+        vq.lindley_update([1, 1], (0, 0, 0))
+    with pytest.raises(ValueError):
+        vq.lindley_update([1, 1, 1], (0, 0))
+    assert vq.q == [0, 0, 0]
