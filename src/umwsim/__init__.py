@@ -10,6 +10,7 @@ from .engine import (
     compare,
     load_config,
     run,
+    run_many,
     sweep,
 )
 from .errors import (

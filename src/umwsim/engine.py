@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import pickle
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -441,7 +443,8 @@ class _MaxWeightStepper:
 
 def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     """One run of config. compare() passes the (g, aset, classes) it has
-    already resolved as _resolved, so its policies share one resolution."""
+    already resolved as _resolved (through run_many), so its policies share
+    one resolution."""
     g, aset, classes = _resolved or config.resolve()
     T = config.horizon
     opts = config.metrics
@@ -512,6 +515,93 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_lane(lane: list[SimulationConfig], resolved, open_reads: list[int]) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that runs lane and sends back
+    the pickled (True, reports) or (False, the exception that stopped it);
+    what fails to pickle arrives as no result. The child closes every read
+    end (its own and open_reads, the earlier lanes'), so a write to a pipe
+    the parent has closed fails instead of blocking. It always leaves by
+    os._exit, so it never flushes output it inherited buffered and never
+    runs atexit handlers."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        for fd in open_reads + [read_fd]:
+            os.close(fd)
+        try:
+            result = True, [run(c, _resolved=resolved) for c in lane]
+        except BaseException as exc:
+            result = False, exc
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _lane_result(lane: int, pid: int, read_fd: int) -> list[MetricsReport]:
+    """The reports a forked lane sent back; the exception it sent is raised."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:
+        raise RuntimeError(f"run_many lane {lane} (pid {pid}) exited without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def run_many(configs: list[SimulationConfig], *, _resolved=None) -> list[MetricsReport]:
+    """Exactly [run(c) for c in configs], in order, the runs spread over
+    the usable CPUs.
+
+    The list is cut into k = min(len(configs), usable CPUs) contiguous
+    lanes, the first ones a run longer when k does not divide it. This
+    process runs lane 0; every other lane runs in a child made by
+    os.fork() (see _fork_lane). A run is a pure function of its config, so
+    the reports equal the serial loop's. A child's exception is raised
+    here with its type and message, and the first failing lane's error is
+    the one the serial loop would raise first. Without os.fork, or with
+    one lane, everything runs in this process. Every child is reaped
+    before the call returns or raises."""
+    configs = list(configs)
+    k = min(len(configs), _usable_cpus() if hasattr(os, "fork") else 1)
+    if k == 0:
+        return []
+    size, extra = divmod(len(configs), k)
+    cuts = [i * size + min(i, extra) for i in range(k + 1)]
+    lanes = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+    children: list[tuple[int, int]] = []
+    try:
+        for lane in lanes[1:]:
+            children.append(_fork_lane(lane, _resolved, [fd for _, fd in children]))
+        reports = [run(c, _resolved=_resolved) for c in lanes[0]]
+        for i, (pid, read_fd) in enumerate(children, 1):
+            reports += _lane_result(i, pid, read_fd)
+        return reports
+    finally:
+        for _, read_fd in children:
+            os.close(read_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
 def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsReport]:
     """Run several policies on identical arrival sample paths (same seed)."""
     repeated = sorted({p for p in policies if policies.count(p) > 1})
@@ -520,17 +610,18 @@ def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsR
     resolved = config.resolve()
     if "bp" in policies:
         require_unicast(resolved[2])  # fail before any policy runs
-    return {p: run(replace(config, policy=p), _resolved=resolved) for p in policies}
+    reports = run_many([replace(config, policy=p) for p in policies], _resolved=resolved)
+    return dict(zip(policies, reports))
 
 
 def sweep(config: SimulationConfig, loads: list[float]) -> list[dict]:
     """One run per load value, each with a derived sub-seed; rows for plotting."""
     if list(loads) != sorted(loads):
         raise ConfigError("sweep loads must be ascending")
+    subs = [replace(config, load_factor=load, seed=sweep_subseed(config.seed, i))
+            for i, load in enumerate(loads)]
     rows = []
-    for i, load in enumerate(loads):
-        sub = replace(config, load_factor=load, seed=sweep_subseed(config.seed, i))
-        report = run(sub)
+    for load, sub, report in zip(loads, subs, run_many(subs)):
         row = {
             "load": load,
             "policy": sub.policy,

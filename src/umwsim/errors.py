@@ -18,6 +18,9 @@ class CapExceededError(UmwsimError):
         self.cap = cap
         super().__init__(f"{what}: size {size} exceeds enumeration cap {cap}")
 
+    def __reduce__(self):  # pickle by the constructor's arguments, not the message
+        return type(self), (self.what, self.size, self.cap)
+
 
 class UnreachableError(UmwsimError):
     """A required destination cannot be reached from the source."""

@@ -106,7 +106,7 @@ class RouteTree:
 
 def as_weights(w, m: int) -> list:
     """The entry check of every solver. w must be a flat list, tuple or 1-D
-    array of m nonnegative numbers; it comes back as a list of Python
+    array of m finite nonnegative numbers; it comes back as a list of Python
     numbers (an array through tolist()), which the solvers index."""
     if isinstance(w, np.ndarray):
         if w.ndim != 1:
@@ -118,10 +118,15 @@ def as_weights(w, m: int) -> list:
         raise TopologyError(f"expected {m} edge weights, got {len(w)}")
     try:
         negative = bool(w) and min(w) < 0
+        # Ints are finite. Other weights are checked one by one: NaN passes
+        # the sign test and would leave the solvers' comparisons arbitrary.
+        finite = type(sum(w)) is int or all(-math.inf < x < math.inf for x in w)
     except TypeError as exc:
         raise TopologyError("edge weights must be numbers") from exc
     if negative:
         raise TopologyError("edge weights must be nonnegative")
+    if not finite:
+        raise TopologyError("edge weights must be finite")
     return w if isinstance(w, list) else list(w)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from umwsim.engine import (
     run,
     sweep,
 )
-from umwsim.errors import ConfigError
+from umwsim.errors import CapExceededError, ConfigError
 from umwsim.traffic import ArrivalProcess, TrafficClass, sweep_subseed
 from umwsim.topology import Graph, save_topology
 
@@ -693,3 +694,140 @@ def test_route_cache_counts_every_solve(monkeypatch):
         assert 0 < stats["distinct_trees"] <= stats["misses"]
     bp = run(dataclasses.replace(_cache_cases()[1], policy="bp"))
     assert bp.summary()["route_cache"] == {"hits": 0, "misses": 0, "distinct_trees": 0}
+
+
+# ---------------------------------------------------------------------------
+# run_many: the serial loop's reports from forked lanes
+
+def _lanes(monkeypatch, k):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: k)
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 60 s instead of hanging in a wait on a child."""
+    def expire(signum, frame):
+        raise TimeoutError("run_many did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_many_cases():
+    twin = load_config(CONFIGS / "twinpath_compare.json", horizon=300)
+    cases = []
+    for diagnostics in (False, True):
+        for p in ("umw", "umw-heuristic", "bp"):
+            metrics = dataclasses.replace(twin.metrics, diagnostics=diagnostics)
+            cases.append(dataclasses.replace(twin, policy=p, seed=len(cases), metrics=metrics))
+    return cases
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_run_many_matches_the_serial_loop(lanes, tmp_path, monkeypatch, deadline):
+    configs = _run_many_cases()
+    serial = [run(c) for c in configs]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _lanes(monkeypatch, lanes)
+    reports = engine.run_many(configs)
+    monkeypatch.undo()
+    assert len(forks) == lanes - 1
+    _assert_no_child_left()
+    assert [r.config for r in reports] == configs
+    for i, (got, want) in enumerate(zip(reports, serial)):
+        got.write_csv(tmp_path / f"got{i}.csv")
+        want.write_csv(tmp_path / f"want{i}.csv")
+        assert (tmp_path / f"got{i}.csv").read_bytes() == (tmp_path / f"want{i}.csv").read_bytes()
+        assert got.summary() == want.summary()
+
+
+def test_run_many_of_nothing_is_empty(monkeypatch):
+    _lanes(monkeypatch, 2)
+    assert engine.run_many([]) == []
+
+
+def test_run_many_runs_in_process_without_fork(monkeypatch):
+    configs = _run_many_cases()[:3]
+    _lanes(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    reports = engine.run_many(configs)
+    monkeypatch.undo()
+    assert [r.summary() for r in reports] == [run(c).summary() for c in configs]
+
+
+def test_compare_and_sweep_match_on_any_lane_count(monkeypatch, deadline):
+    cfg = load_config(CONFIGS / "twinpath_compare.json", horizon=300)
+    policies = ["umw", "umw-heuristic", "bp"]
+    _lanes(monkeypatch, 1)
+    one = compare(cfg, policies), sweep(cfg, [0.2, 0.5, 0.8])
+    _lanes(monkeypatch, 3)
+    three = compare(cfg, policies), sweep(cfg, [0.2, 0.5, 0.8])
+    assert {p: r.summary() for p, r in one[0].items()} == {p: r.summary() for p, r in three[0].items()}
+    assert one[1] == three[1]
+    _assert_no_child_left()
+
+
+def test_run_many_raises_a_child_lanes_error_as_is(monkeypatch, deadline):
+    good = _line3_cfg(horizon=20)
+    bad = SimulationConfig(topology="grid3x3_broadcast", horizon=20, policy="bp")
+    with pytest.raises(ConfigError) as serial:
+        run(bad)
+    _lanes(monkeypatch, 2)
+    with pytest.raises(ConfigError) as forked:
+        engine.run_many([good, bad])
+    assert type(forked.value) is ConfigError
+    assert str(forked.value) == str(serial.value)
+    _assert_no_child_left()
+
+
+def test_run_many_keeps_the_type_of_an_error_built_from_arguments(monkeypatch, deadline):
+    # CapExceededError's constructor takes (what, size, cap), not its message.
+    parent = os.getpid()
+    real_run = engine.run
+
+    def run_raising_in_child(config, **kwargs):
+        if os.getpid() != parent:
+            raise CapExceededError("routes", 10001, 10000)
+        return real_run(config, **kwargs)
+
+    monkeypatch.setattr(engine, "run", run_raising_in_child)
+    _lanes(monkeypatch, 2)
+    with pytest.raises(CapExceededError, match="size 10001 exceeds enumeration cap 10000") as info:
+        engine.run_many([_line3_cfg(horizon=20)] * 2)
+    assert (info.value.what, info.value.size, info.value.cap) == ("routes", 10001, 10000)
+    _assert_no_child_left()
+
+
+def test_run_many_child_that_exits_without_a_result(monkeypatch, deadline):
+    parent = os.getpid()
+    real_run = engine.run
+
+    def run_dying_in_child(config, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_run(config, **kwargs)
+
+    monkeypatch.setattr(engine, "run", run_dying_in_child)
+    _lanes(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="lane 1 .* without a result"):
+        engine.run_many([_line3_cfg(horizon=20)] * 3)
+    _assert_no_child_left()
+
+
+def test_run_many_reaps_children_when_its_own_lane_fails(monkeypatch, deadline):
+    bad = SimulationConfig(topology="grid3x3_broadcast", horizon=20, policy="bp")
+    slow = _line3_cfg(horizon=3000)
+    _lanes(monkeypatch, 3)
+    with pytest.raises(ConfigError, match="unicast classes only"):
+        engine.run_many([bad, slow, slow])
+    _assert_no_child_left()

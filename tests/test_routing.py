@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import bfs_depths, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.capacity import enumerate_routes
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError, UnreachableError
-from umwsim.policy import solve_route
+from umwsim.policy import RouteCache, solve_route
 from umwsim.routing import (
     RouteTree,
     anycast_edges,
@@ -129,6 +131,31 @@ def test_as_weights_rejects_malformed_weights(kind, bad, message):
                   lambda: solve_route(TRIANGLE, w, TrafficClass(0, "unicast", 0, frozenset({2}), 1.0))):
         with pytest.raises(TopologyError, match=message):
             check()
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("bad", [
+    [math.nan, 0, 5],
+    [0, math.nan, 5],
+    [0.0, 0.0, math.inf],
+    [1, 2, math.nan],
+])
+def test_solvers_reject_non_finite_weights(kind, bad):
+    # NaN passes the sign test, and the solvers then ordered paths by NaN
+    # comparisons: both of the first two returned the direct edge 0-2.
+    triangle = Graph(3, ((0, 1), (1, 2), (0, 2)))
+    w = kind(bad)
+    cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
+    for check in (lambda: as_weights(w, 3),
+                  lambda: solve_route(triangle, w, cls),
+                  lambda: solve_route(triangle, w, cls, cache=RouteCache())):
+        with pytest.raises(TopologyError, match="finite"):
+            check()
+
+
+def test_as_weights_accepts_large_finite_floats():
+    # Their sum overflows to inf; each weight is finite, and so is accepted.
+    assert as_weights([1e308, 1e308, 0.0], 3) == [1e308, 1e308, 0.0]
 
 
 @pytest.mark.parametrize("kind", [list, tuple, np.array])
