@@ -515,6 +515,13 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     )
 
 
+# A forked lane costs about 5-10 ms (the fork, copy-on-write page faults
+# and its pickled reports; 2-CPU x86 host). run_many gives each lane at
+# least LANE_SLOTS slots of runs: at 500 slots a lane some sweeps ran 15-30%
+# slower forked than serial, from 1000 none was slower.
+LANE_SLOTS = 1000
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     has one, else the machine's CPU count."""
@@ -523,14 +530,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_lane(lane: list[SimulationConfig], resolved, open_reads: list[int]) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a child that runs lane and sends back
-    the pickled (True, reports) or (False, the exception that stopped it);
-    what fails to pickle arrives as no result. The child closes every read
-    end (its own and open_reads, the earlier lanes'), so a write to a pipe
-    the parent has closed fails instead of blocking. It always leaves by
-    os._exit, so it never flushes output it inherited buffered and never
-    runs atexit handlers."""
+def _fork_lane(lane: int, configs: list[SimulationConfig], resolved,
+               open_reads: list[int]) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that runs configs and sends
+    back the pickled (True, reports) or (False, the exception that stopped
+    it). An exception that does not survive a pickle round trip, or reports
+    that do not pickle, arrive as a RuntimeError naming the lane and the
+    repr of what failed. The child closes every read end (its own and
+    open_reads, the earlier lanes'), so a write to a pipe the parent has
+    closed fails instead of blocking. It always leaves by os._exit, so it
+    never flushes output it inherited buffered and never runs atexit
+    handlers."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -545,11 +555,19 @@ def _fork_lane(lane: list[SimulationConfig], resolved, open_reads: list[int]) ->
         for fd in open_reads + [read_fd]:
             os.close(fd)
         try:
-            result = True, [run(c, _resolved=resolved) for c in lane]
+            result = True, [run(c, _resolved=resolved) for c in configs]
         except BaseException as exc:
             result = False, exc
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if not result[0]:
+                pickle.loads(data)  # the parent must be able to rebuild it
+        except Exception as exc:
+            what = repr(result[1]) if not result[0] else "its reports"
+            data = pickle.dumps((False, RuntimeError(
+                f"run_many lane {lane}: {what} could not be sent back ({exc!r})")))
         with open(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.write(data)
     finally:
         os._exit(0)
 
@@ -571,26 +589,29 @@ def run_many(configs: list[SimulationConfig], *, _resolved=None) -> list[Metrics
     """Exactly [run(c) for c in configs], in order, the runs spread over
     the usable CPUs.
 
-    The list is cut into k = min(len(configs), usable CPUs) contiguous
-    lanes, the first ones a run longer when k does not divide it. This
-    process runs lane 0; every other lane runs in a child made by
-    os.fork() (see _fork_lane). A run is a pure function of its config, so
-    the reports equal the serial loop's. A child's exception is raised
-    here with its type and message, and the first failing lane's error is
-    the one the serial loop would raise first. Without os.fork, or with
-    one lane, everything runs in this process. Every child is reaped
-    before the call returns or raises."""
+    The list is cut into k contiguous lanes, the first ones a run longer
+    when k does not divide it: k = min(len(configs), usable CPUs, total
+    slots // LANE_SLOTS), at least 1. This process runs lane 0; every
+    other lane runs in a child made by os.fork() (see _fork_lane), so
+    run_many must not be called from a process with other threads. A run
+    is a pure function of its config, so the reports equal the serial
+    loop's. A child's exception is raised here with its type and message,
+    and the first failing lane's error is the one the serial loop would
+    raise first. Without os.fork, or with one lane, everything runs in
+    this process. Every child is reaped before the call returns or
+    raises."""
     configs = list(configs)
-    k = min(len(configs), _usable_cpus() if hasattr(os, "fork") else 1)
-    if k == 0:
+    if not configs:
         return []
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    k = max(1, min(len(configs), cpus, sum(c.horizon for c in configs) // LANE_SLOTS))
     size, extra = divmod(len(configs), k)
     cuts = [i * size + min(i, extra) for i in range(k + 1)]
     lanes = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []
     try:
-        for lane in lanes[1:]:
-            children.append(_fork_lane(lane, _resolved, [fd for _, fd in children]))
+        for i, lane in enumerate(lanes[1:], 1):
+            children.append(_fork_lane(i, lane, _resolved, [fd for _, fd in children]))
         reports = [run(c, _resolved=_resolved) for c in lanes[0]]
         for i, (pid, read_fd) in enumerate(children, 1):
             reports += _lane_result(i, pid, read_fd)

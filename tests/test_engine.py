@@ -700,7 +700,16 @@ def test_route_cache_counts_every_solve(monkeypatch):
 # run_many: the serial loop's reports from forked lanes
 
 def _lanes(monkeypatch, k):
+    """k usable CPUs, and lanes of any length, so short runs fork too."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(engine, "LANE_SLOTS", 1)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.fixture
@@ -735,9 +744,7 @@ def _run_many_cases():
 def test_run_many_matches_the_serial_loop(lanes, tmp_path, monkeypatch, deadline):
     configs = _run_many_cases()
     serial = [run(c) for c in configs]
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch)
     _lanes(monkeypatch, lanes)
     reports = engine.run_many(configs)
     monkeypatch.undo()
@@ -749,6 +756,20 @@ def test_run_many_matches_the_serial_loop(lanes, tmp_path, monkeypatch, deadline
         want.write_csv(tmp_path / f"want{i}.csv")
         assert (tmp_path / f"got{i}.csv").read_bytes() == (tmp_path / f"want{i}.csv").read_bytes()
         assert got.summary() == want.summary()
+
+
+@pytest.mark.parametrize("horizon, lanes", [(300, 1), (700, 2), (1000, 3)])
+def test_run_many_gives_each_lane_enough_slots(horizon, lanes, monkeypatch, deadline):
+    # Three runs on three CPUs fork only as many lanes as LANE_SLOTS allows.
+    configs = [_line3_cfg(horizon=horizon, seed=s) for s in (1, 2, 3)]
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    forks = _count_forks(monkeypatch)
+    reports = engine.run_many(configs)
+    monkeypatch.undo()
+    assert engine.LANE_SLOTS == 1000
+    assert len(forks) == lanes - 1
+    _assert_no_child_left()
+    assert [r.summary() for r in reports] == [run(c).summary() for c in configs]
 
 
 def test_run_many_of_nothing_is_empty(monkeypatch):
@@ -805,6 +826,38 @@ def test_run_many_keeps_the_type_of_an_error_built_from_arguments(monkeypatch, d
     with pytest.raises(CapExceededError, match="size 10001 exceeds enumeration cap 10000") as info:
         engine.run_many([_line3_cfg(horizon=20)] * 2)
     assert (info.value.what, info.value.size, info.value.cap) == ("routes", 10001, 10000)
+    _assert_no_child_left()
+
+
+class _HoldsALambda(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None  # does not pickle
+
+
+class _NeedsTwoArguments(Exception):
+    def __init__(self, what, size):
+        super().__init__(f"{what} of size {size}")  # pickles, but cannot be rebuilt
+
+
+@pytest.mark.parametrize("error, shown", [
+    (_HoldsALambda("held a lambda"), "_HoldsALambda('held a lambda')"),
+    (_NeedsTwoArguments("route", 7), "_NeedsTwoArguments('route of size 7')"),
+], ids=["unpicklable", "not_rebuildable"])
+def test_run_many_names_a_child_error_that_cannot_be_sent_back(error, shown, monkeypatch, deadline):
+    parent = os.getpid()
+    real_run = engine.run
+
+    def run_raising_in_child(config, **kwargs):
+        if os.getpid() != parent:
+            raise error
+        return real_run(config, **kwargs)
+
+    monkeypatch.setattr(engine, "run", run_raising_in_child)
+    _lanes(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as info:
+        engine.run_many([_line3_cfg(horizon=20)] * 2)
+    assert str(info.value).startswith(f"run_many lane 1: {shown} could not be sent back (")
     _assert_no_child_left()
 
 
