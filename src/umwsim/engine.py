@@ -517,8 +517,9 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
 
 # A forked lane costs about 5-10 ms (the fork, copy-on-write page faults
 # and its pickled reports; 2-CPU x86 host). run_many gives each lane at
-# least LANE_SLOTS slots of runs: at 500 slots a lane some sweeps ran 15-30%
-# slower forked than serial, from 1000 none was slower.
+# least LANE_SLOTS slots of runs: at 500 slots a lane two of the shipped
+# configs' sweeps ran 14% and 28% slower forked than serial, from 1000 none
+# was more than 1% slower.
 LANE_SLOTS = 1000
 
 
