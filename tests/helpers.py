@@ -14,7 +14,7 @@ import numpy as np
 
 from umwsim import simplex
 from umwsim.capacity import PATHS_PER_PAIR_CAP, CapacityCertificate
-from umwsim.errors import CapExceededError, TopologyError
+from umwsim.errors import CapExceededError, DisconnectedError, TopologyError
 from umwsim.physical_net import Packet
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import Graph
@@ -62,6 +62,88 @@ def random_rooted_digraph(rng: np.random.Generator, max_edges: int = 12) -> tupl
 def random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
     """Small integer weights including zeros, to exercise tie-breaking."""
     return rng.integers(0, 11, size=m).astype(np.int64)
+
+
+def contraction_arborescence(g: Graph, w, root: int) -> list[int]:
+    """Minimum-weight arborescence (recursive cycle contraction).
+
+    Reference for `umwsim.routing._min_arborescence`: the contraction-only
+    solver it replaced, which contracts whenever the cheapest in-arcs
+    form a cycle and otherwise returns them.
+
+    Arc selection is ordered by (weight, edge id), which fixes a
+    deterministic optimum when weights tie.
+    """
+    arcs = [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)]
+    n = g.node_count
+
+    def solve(node_ids: list[int], arcs_in: list[tuple], root_id: int) -> list[int]:
+        best: dict[int, tuple] = {}
+        for arc in arcs_in:
+            cost, eid, u, v = arc
+            if v == root_id or u == v:
+                continue
+            cur = best.get(v)
+            if cur is None or (cost, eid) < (cur[0], cur[1]):
+                best[v] = arc
+        for v in node_ids:
+            if v != root_id and v not in best:
+                raise DisconnectedError(f"node {v} has no incoming arc from root {root_id}")
+        # Look for a cycle among the selected arcs.
+        cycle = None
+        color = {v: 0 for v in node_ids}
+        for start in node_ids:
+            if color[start] or start == root_id:
+                continue
+            path = []
+            v = start
+            while v != root_id and color[v] == 0:
+                color[v] = 1
+                path.append(v)
+                v = best[v][2]
+            if v != root_id and color[v] == 1:
+                cycle = path[path.index(v):]
+                break
+            for x in path:
+                color[x] = 2
+        if cycle is None:
+            return [best[v][1] for v in node_ids if v != root_id]
+
+        cycle_set = set(cycle)
+        super_id = max(node_ids) + 1
+        cycle_cost = {v: best[v][0] for v in cycle}
+        new_nodes = [v for v in node_ids if v not in cycle_set] + [super_id]
+        new_arcs = []
+        entering: dict[int, tuple] = {}
+        for arc in arcs_in:
+            cost, eid, u, v = arc
+            nu = super_id if u in cycle_set else u
+            nv = super_id if v in cycle_set else v
+            if nu == nv:
+                continue
+            if nv == super_id:
+                new_arcs.append((cost - cycle_cost[v], eid, nu, nv))
+                entering[eid] = arc
+            else:
+                new_arcs.append((cost, eid, nu, nv))
+        chosen = solve(new_nodes, new_arcs, root_id if root_id not in cycle_set else super_id)
+        chosen_set = set(chosen)
+        # Expand: the one chosen arc entering the supernode displaces the
+        # cycle arc of the node it lands on; all other cycle arcs stay.
+        landed = None
+        for eid in chosen:
+            if eid in entering:
+                landed = entering[eid][3]
+                break
+        result = list(chosen_set)
+        for v in cycle:
+            if v != landed:
+                result.append(best[v][1])
+        return result
+
+    if n == 1:
+        return []
+    return solve(list(range(n)), arcs, root)
 
 
 def is_matching(g: Graph, edge_ids) -> bool:
