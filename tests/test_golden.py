@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from umwsim.engine import SimulationConfig, load_config, run
-from umwsim.traffic import ArrivalProcess
+from umwsim.traffic import ArrivalProcess, TrafficClass
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 UNHASHED_SUMMARY_KEYS = ("config", "route_cache")
@@ -29,9 +29,25 @@ BUILTINS = {
     "twinpath_unicast": dict(load_factor=0.5, arrival=ArrivalProcess("poisson"), seed=7),
 }
 
+# A directed file topology on which the cheapest in-arcs of a broadcast
+# route often form a cycle (1->2->1, 2->3->2, 1->2->3->1), so its runs take
+# both the arborescence solver's first-pass return and its contraction.
+DIRECTED_NET = {
+    "nodes": 4,
+    "edges": [[0, 1], [1, 2], [2, 1], [2, 3], [3, 2], [3, 1], [0, 3]],
+    "directed": True,
+    "activation": {"kind": "primary_interference"},
+}
 
-def _cases() -> dict[str, SimulationConfig]:
+
+def _cases(tmp_dir: Path) -> dict[str, SimulationConfig]:
     cases = {}
+    net = tmp_dir / "directed_net.json"
+    net.write_text(json.dumps(DIRECTED_NET))
+    broadcast = (TrafficClass(0, "broadcast", 0, frozenset(range(4)), 1.0),)
+    for policy in ("umw", "umw-heuristic"):
+        cases[f"directed_cycles-{policy}"] = SimulationConfig(
+            topology=str(net), horizon=2000, seed=1, policy=policy, load_factor=0.3, classes=broadcast)
     for name, kw in BUILTINS.items():
         for policy in ("umw", "umw-heuristic"):
             cases[f"{name}-{policy}"] = SimulationConfig(topology=name, horizon=2000, policy=policy, **kw)
@@ -53,6 +69,8 @@ def output_digest(report, tmp_dir: Path) -> str:
 
 
 GOLDEN = {
+    "directed_cycles-umw": "8e225ad0b918f2d39a2b02bd4ee940a9318e8a5b53bbc79d678b723aabbcf668",
+    "directed_cycles-umw-heuristic": "19f08575ddfb70a07415c66a37b6405e5e8958298b8c410ed501a7c3fd51164b",
     "grid3x3_broadcast-umw": "347995e2a6fe91e67fd4ac0459b5d2b95a7ca36189484105b88e88d35483b583",
     "grid3x3_broadcast-umw-heuristic": "5d60830a0e4e7eecf8d6fe28dc1197a36bc0a076a4cec137514e725e74eefc5c",
     "line3-umw": "53524d8151423575db0f7defc1c84b7dded5c668fb4f4d46cb6078f615f97858",
@@ -65,15 +83,15 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_cases()))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, tmp_path):
-    assert output_digest(run(_cases()[name]), tmp_path) == GOLDEN[name]
+    assert output_digest(run(_cases(tmp_path)[name]), tmp_path) == GOLDEN[name]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in sorted(_cases().items()):
+        for name, cfg in sorted(_cases(Path(tmp)).items()):
             print(f'    "{name}": "{output_digest(run(cfg), Path(tmp))}",')
     sys.exit(0)
