@@ -658,10 +658,12 @@ def test_report_verdict_defaults_to_config_thresholds():
 def _cache_cases():
     mixed = load_config(CONFIGS / "mixed_kinds.json", horizon=1500)
     twin = load_config(CONFIGS / "twinpath_compare.json", horizon=2000, policy="umw-heuristic")
-    return [mixed, twin]
+    # 1.1 of capacity: queues diverge, so nearly every broadcast solve misses.
+    overload = load_config(CONFIGS / "grid3x3_broadcast.json", horizon=2000, load_factor=0.44)
+    return [mixed, twin, overload]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["mixed_kinds", "twinpath_heuristic"])
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["mixed_kinds", "twinpath_heuristic", "grid_overload"])
 def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     cfg = _cache_cases()[case]
     cached = run(cfg)

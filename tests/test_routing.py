@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bfs_depths, random_connected_graph, random_rooted_digraph, random_weights
+from helpers import (
+    bfs_depths,
+    contraction_arborescence,
+    random_connected_graph,
+    random_rooted_digraph,
+    random_weights,
+)
+from umwsim import routing
 from umwsim.capacity import enumerate_routes
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError, UnreachableError
 from umwsim.policy import RouteCache, solve_route
@@ -17,7 +24,7 @@ from umwsim.routing import (
     spanning_edges,
     steiner_edges,
 )
-from umwsim.topology import Graph
+from umwsim.topology import Graph, builtin_topology
 from umwsim.traffic import TrafficClass
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -303,3 +310,99 @@ def test_directed_solvers_match_enumeration():
             mc = TrafficClass(2, "multicast", root, dests, 1.0)
             opt = _brute_min_cost(enumerate_routes(g, mc), w)
             assert route_cost(solve_route(g, w, mc, "exact"), w) == opt
+
+
+# ---------------------------------------------------------------------------
+# The arborescence solver against the contraction-only reference
+
+def _first_pass_has_cycle(g: Graph, w, root: int) -> bool:
+    """Whether the cheapest in-arcs, by (weight, edge id), close a cycle."""
+    tail = {v: min(g.in_adjacency[v], key=lambda arc: (w[arc[0]], arc[0]))[1]
+            for v in range(g.node_count) if v != root}
+    for v in tail:
+        seen = set()
+        while v != root and v not in seen:
+            seen.add(v)
+            v = tail[v]
+        if v != root:
+            return True
+    return False
+
+
+def _same_as_reference(g: Graph, w, root: int) -> bool:
+    return spanning_edges(g, w, root)[1] == frozenset(contraction_arborescence(g, w, root))
+
+
+def test_arborescence_matches_contraction_reference_on_random_digraphs():
+    # Weights in {0, 1, 2} force ties, so the edge sets, not just the costs,
+    # must agree. Some first passes close a cycle and some do not, so both
+    # the contraction and the first-pass return run.
+    rng = np.random.default_rng(15)
+    cyclic = 0
+    for _ in range(1200):
+        g, root = random_rooted_digraph(rng)
+        w = rng.integers(0, 3, g.m).tolist()
+        assert _same_as_reference(g, w, root)
+        cyclic += _first_pass_has_cycle(g, w, root)
+    assert 0 < cyclic < 1200
+
+
+def test_arborescence_matches_contraction_reference_on_the_grid():
+    g = builtin_topology("grid3x3_broadcast")[0]
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        assert _same_as_reference(g, rng.integers(0, 11, g.m).tolist(), 0)
+        assert _same_as_reference(g, rng.integers(0, 3, g.m).tolist(), 0)
+        assert _same_as_reference(g, rng.random(g.m).tolist(), 0)
+
+
+def test_arborescence_matches_contraction_reference_on_exact_costs():
+    w = [BIG + 1, BIG, 0]
+    for weights in (w, [float(x) for x in w]):
+        assert _same_as_reference(FORK, weights, 0)
+
+
+def test_arborescence_contracts_nested_cycles():
+    # Cheapest in-arcs 2->1, 1->2 and 2->3 close the cycle {1, 2}; with it
+    # contracted, its cheapest way in (3->2, at 1 over the cycle arc it
+    # displaces) and 3's (2->3) close a second cycle around it. The optimum
+    # 0->3->2->1 costs 6.
+    g = Graph(4, ((1, 2), (2, 1), (2, 3), (3, 2), (0, 1), (0, 3), (3, 1)), directed=True)
+    w = [0, 0, 0, 1, 10, 5, 3]
+    assert _first_pass_has_cycle(g, w, 0)
+    tree = build_route(g, spanning_edges(g, w, 0))
+    assert tree.edge_ids == {1, 3, 5}
+    assert [(te.parent, te.child) for te in tree.edges] == [(0, 3), (3, 2), (2, 1)]
+    bc = TrafficClass(0, "broadcast", 0, frozenset(range(4)), 1.0)
+    assert route_cost(tree, w) == 6 == _brute_min_cost(enumerate_routes(g, bc), w)
+    assert frozenset(contraction_arborescence(g, w, 0)) == tree.edge_ids
+
+
+def test_directed_steiner_approx_matches_contraction_reference(monkeypatch):
+    # _steiner_approx solves an arborescence of its metric closure on
+    # directed graphs. Cached solves with the solver must give the trees
+    # of uncached solves with the contraction-only reference.
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(120):
+        g, root = random_rooted_digraph(rng)
+        n = g.node_count
+        if n < 4:
+            continue
+        k = int(rng.integers(2, n))
+        dests = frozenset(int(x) for x in rng.choice(np.arange(1, n), size=k, replace=False))
+        cls = TrafficClass(0, "multicast", root, dests, 1.0)
+        ws = [rng.integers(0, 3, g.m).tolist() for _ in range(4)] * 2
+        cache = RouteCache()
+        cases.append((g, cls, ws, [solve_route(g, w, cls, "approx", cache) for w in ws]))
+        assert cache.hits == 4
+    closures = []
+
+    def reference(g, w, root):
+        closures.append(_first_pass_has_cycle(g, w, root))
+        return contraction_arborescence(g, w, root)
+
+    monkeypatch.setattr(routing, "_min_arborescence", reference)
+    for g, cls, ws, cached in cases:
+        assert [solve_route(g, w, cls, "approx") for w in ws] == cached
+    assert 0 < sum(closures) < len(closures)
