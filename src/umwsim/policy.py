@@ -30,12 +30,12 @@ from .errors import ConfigError
 from .routing import (
     RouteKey,
     RouteTree,
-    anycast_edges,
+    _anycast,
+    _shortest_path,
+    _spanning,
+    _steiner,
     as_weights,
     build_route,
-    shortest_path_edges,
-    spanning_edges,
-    steiner_edges,
 )
 from .topology import ActivationSet, Graph
 from .traffic import TrafficClass
@@ -78,15 +78,16 @@ class RouteCache:
         return {"hits": self.hits, "misses": self.misses, "distinct_trees": len(self.trees)}
 
 
-def _route_edges(g: Graph, w, cls: TrafficClass, steiner_mode: str = "exact") -> RouteKey:
-    """Min-cost admissible route for one class, before orientation."""
+def _route_edges(g: Graph, w: list, cls: TrafficClass, steiner_mode: str) -> RouteKey:
+    """Min-cost admissible route for one class, before orientation; w has
+    passed as_weights."""
     if cls.kind == "unicast":
-        return shortest_path_edges(g, w, cls.source, cls.destination)
+        return _shortest_path(g, w, cls.source, cls.destination)
     if cls.kind == "broadcast":
-        return spanning_edges(g, w, cls.source)
+        return _spanning(g, w, cls.source)
     if cls.kind == "multicast":
-        return steiner_edges(g, w, cls.source, cls.destinations, mode=steiner_mode)
-    return anycast_edges(g, w, cls.source, cls.destinations)
+        return _steiner(g, w, cls.source, cls.destinations, steiner_mode)
+    return _anycast(g, w, cls.source, cls.destinations)
 
 
 def solve_route(

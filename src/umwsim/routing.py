@@ -2,9 +2,11 @@
 
 Every solver takes the graph plus a nonnegative per-edge weight vector and
 finds a route, an out-tree rooted at the source. A ``*_edges`` function
-returns it as a key ``(root, edge ids, covered)``, the form of
-``RouteTree.cache_key()``, and ``build_route`` orients and validates it
-into a RouteTree whose edges carry their hop depth.
+checks the weights with ``as_weights`` and returns the route as a key
+``(root, edge ids, covered)``, the form of ``RouteTree.cache_key()``;
+``build_route`` orients and validates it into a RouteTree whose edges
+carry their hop depth. Each has an unchecked form (``_spanning`` for
+``spanning_edges``, and so on) for a caller that has checked the weights.
 Orientation depends on the key alone, so a caller may reuse the tree built
 for an equal key. Tie-breaking is fully deterministic so that simulation
 runs are reproducible bit-for-bit:
@@ -105,7 +107,7 @@ class RouteTree:
 
 
 def as_weights(w, m: int) -> list:
-    """The entry check of every solver. w must be a flat list, tuple or 1-D
+    """The entry check of every public solver. w must be a flat list, tuple or 1-D
     array of m finite nonnegative numbers; it comes back as a list of Python
     numbers (an array through tolist()), which the solvers index."""
     if isinstance(w, np.ndarray):
@@ -193,9 +195,7 @@ def _shortest_labels(
     return labels
 
 
-def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
-    """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
-    w = as_weights(w, g.m)
+def _shortest_path(g: Graph, w: list, s: int, t: int) -> RouteKey:
     if s == t:
         return (s, frozenset(), frozenset({t}))
     labels = _shortest_labels(g, w, s)
@@ -205,9 +205,12 @@ def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
     return (s, frozenset(seq), frozenset({t}))
 
 
-def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
-    """Cheapest of the per-destination shortest paths; ties by smaller node id."""
-    w = as_weights(w, g.m)
+def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
+    """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
+    return _shortest_path(g, as_weights(w, g.m), s, t)
+
+
+def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
     dests = sorted(set(dests))
     if not dests:
         raise UnreachableError("anycast needs at least one destination")
@@ -226,6 +229,11 @@ def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
         raise UnreachableError(f"no anycast destination reachable from {s}")
     _, t, seq = best
     return (s, frozenset(seq), frozenset({t}))
+
+
+def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
+    """Cheapest of the per-destination shortest paths; ties by smaller node id."""
+    return _anycast(g, as_weights(w, g.m), s, dests)
 
 
 # ---------------------------------------------------------------------------
@@ -262,87 +270,108 @@ def _kruskal(g: Graph, w) -> list[int]:
     return chosen
 
 
+def _contract(node_ids: list[int], arcs_in: list[tuple], root_id: int) -> list[int]:
+    """Minimum-weight arborescence by recursive cycle contraction; arcs are
+    (weight, edge id, tail, head) tuples."""
+    best: dict[int, tuple] = {}
+    for arc in arcs_in:
+        cost, eid, u, v = arc
+        if v == root_id or u == v:
+            continue
+        cur = best.get(v)
+        if cur is None or (cost, eid) < (cur[0], cur[1]):
+            best[v] = arc
+    for v in node_ids:
+        if v != root_id and v not in best:
+            raise DisconnectedError(f"node {v} has no incoming arc from root {root_id}")
+    # Look for a cycle among the selected arcs.
+    cycle = None
+    color = {v: 0 for v in node_ids}
+    for start in node_ids:
+        if color[start] or start == root_id:
+            continue
+        path = []
+        v = start
+        while v != root_id and color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = best[v][2]
+        if v != root_id and color[v] == 1:
+            cycle = path[path.index(v):]
+            break
+        for x in path:
+            color[x] = 2
+    if cycle is None:
+        return [best[v][1] for v in node_ids if v != root_id]
+
+    cycle_set = set(cycle)
+    super_id = max(node_ids) + 1
+    cycle_cost = {v: best[v][0] for v in cycle}
+    new_nodes = [v for v in node_ids if v not in cycle_set] + [super_id]
+    new_arcs = []
+    entering: dict[int, tuple] = {}
+    for arc in arcs_in:
+        cost, eid, u, v = arc
+        nu = super_id if u in cycle_set else u
+        nv = super_id if v in cycle_set else v
+        if nu == nv:
+            continue
+        if nv == super_id:
+            new_arcs.append((cost - cycle_cost[v], eid, nu, nv))
+            entering[eid] = arc
+        else:
+            new_arcs.append((cost, eid, nu, nv))
+    chosen = _contract(new_nodes, new_arcs, root_id if root_id not in cycle_set else super_id)
+    chosen_set = set(chosen)
+    # Expand: the one chosen arc entering the supernode displaces the
+    # cycle arc of the node it lands on; all other cycle arcs stay.
+    landed = None
+    for eid in chosen:
+        if eid in entering:
+            landed = entering[eid][3]
+            break
+    result = list(chosen_set)
+    for v in cycle:
+        if v != landed:
+            result.append(best[v][1])
+    return result
+
+
 def _min_arborescence(g: Graph, w, root: int) -> list[int]:
-    """Minimum-weight arborescence (recursive cycle contraction).
+    """Minimum-weight arborescence (Chu-Liu/Edmonds).
 
-    Arc selection is ordered by (weight, edge id), which fixes a
-    deterministic optimum when weights tie.
+    Every non-root node picks its cheapest in-arc, ordered by (weight, edge
+    id), which fixes a deterministic optimum when weights tie. Picks that
+    close no cycle are the optimum and come back at once; otherwise cycle
+    contraction solves the graph from the start.
     """
-    arcs = [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)]
     n = g.node_count
-
-    def solve(node_ids: list[int], arcs_in: list[tuple], root_id: int) -> list[int]:
-        best: dict[int, tuple] = {}
-        for arc in arcs_in:
-            cost, eid, u, v = arc
-            if v == root_id or u == v:
-                continue
-            cur = best.get(v)
-            if cur is None or (cost, eid) < (cur[0], cur[1]):
-                best[v] = arc
-        for v in node_ids:
-            if v != root_id and v not in best:
-                raise DisconnectedError(f"node {v} has no incoming arc from root {root_id}")
-        # Look for a cycle among the selected arcs.
-        cycle = None
-        color = {v: 0 for v in node_ids}
-        for start in node_ids:
-            if color[start] or start == root_id:
-                continue
-            path = []
-            v = start
-            while v != root_id and color[v] == 0:
-                color[v] = 1
-                path.append(v)
-                v = best[v][2]
-            if v != root_id and color[v] == 1:
-                cycle = path[path.index(v):]
-                break
-            for x in path:
-                color[x] = 2
-        if cycle is None:
-            return [best[v][1] for v in node_ids if v != root_id]
-
-        cycle_set = set(cycle)
-        super_id = max(node_ids) + 1
-        cycle_cost = {v: best[v][0] for v in cycle}
-        new_nodes = [v for v in node_ids if v not in cycle_set] + [super_id]
-        new_arcs = []
-        entering: dict[int, tuple] = {}
-        for arc in arcs_in:
-            cost, eid, u, v = arc
-            nu = super_id if u in cycle_set else u
-            nv = super_id if v in cycle_set else v
-            if nu == nv:
-                continue
-            if nv == super_id:
-                new_arcs.append((cost - cycle_cost[v], eid, nu, nv))
-                entering[eid] = arc
-            else:
-                new_arcs.append((cost, eid, nu, nv))
-        chosen = solve(new_nodes, new_arcs, root_id if root_id not in cycle_set else super_id)
-        chosen_set = set(chosen)
-        # Expand: the one chosen arc entering the supernode displaces the
-        # cycle arc of the node it lands on; all other cycle arcs stay.
-        landed = None
-        for eid in chosen:
-            if eid in entering:
-                landed = entering[eid][3]
-                break
-        result = list(chosen_set)
-        for v in cycle:
-            if v != landed:
-                result.append(best[v][1])
-        return result
-
-    if n == 1:
-        return []
-    return solve(list(range(n)), arcs, root)
+    picks = []
+    tail = [root] * n
+    for v, arcs in enumerate(g.in_adjacency):
+        if v == root:
+            continue
+        best = None
+        for e, u in arcs:  # edge-id order, so a strict < keeps the smaller id
+            if best is None or w[e] < cost:
+                best, cost, tail[v] = e, w[e], u
+        if best is None:
+            raise DisconnectedError(f"node {v} has no incoming arc from root {root}")
+        picks.append(best)
+    # Follow the picks toward the root; a walk that meets itself is a cycle.
+    walked = [0] * n
+    walked[root] = -1
+    for start in range(n):
+        v = start
+        while not walked[v]:
+            walked[v] = start + 1
+            v = tail[v]
+        if walked[v] == start + 1:
+            return _contract(list(range(n)), [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)], root)
+    return picks
 
 
-def spanning_edges(g: Graph, w, root: int) -> RouteKey:
-    """Min-weight spanning tree (undirected) or arborescence (directed), rooted."""
-    w = as_weights(w, g.m)
+def _spanning(g: Graph, w: list, root: int) -> RouteKey:
     if g.directed:
         chosen = _min_arborescence(g, w, root)
         if len(chosen) != g.node_count - 1:
@@ -351,7 +380,12 @@ def spanning_edges(g: Graph, w, root: int) -> RouteKey:
         chosen = _kruskal(g, w)
         if len(chosen) != g.node_count - 1:
             raise DisconnectedError("graph is not connected")
-    return (root, frozenset(chosen), frozenset(range(g.node_count)))
+    return (root, frozenset(chosen), g.node_set)
+
+
+def spanning_edges(g: Graph, w, root: int) -> RouteKey:
+    """Min-weight spanning tree (undirected) or arborescence (directed), rooted."""
+    return _spanning(g, as_weights(w, g.m), root)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +530,7 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     return _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
 
 
-def steiner_edges(g: Graph, w, root: int, terminals: Iterable[int], mode: str = "exact") -> RouteKey:
-    """Min-weight tree rooted at root covering the terminals.
-
-    mode="exact" solves the problem optimally (terminal count capped);
-    mode="approx" builds the classic metric-closure 2-approximation.
-    """
-    w = as_weights(w, g.m)
+def _steiner(g: Graph, w: list, root: int, terminals: Iterable[int], mode: str) -> RouteKey:
     covered = frozenset(terminals) or frozenset({root})
     terms = sorted(covered - {root})
     if not terms:
@@ -516,3 +544,12 @@ def steiner_edges(g: Graph, w, root: int, terminals: Iterable[int], mode: str = 
     else:
         raise TopologyError(f"unknown Steiner mode {mode!r}")
     return (root, frozenset(edge_ids), covered)
+
+
+def steiner_edges(g: Graph, w, root: int, terminals: Iterable[int], mode: str = "exact") -> RouteKey:
+    """Min-weight tree rooted at root covering the terminals.
+
+    mode="exact" solves the problem optimally (terminal count capped);
+    mode="approx" builds the classic metric-closure 2-approximation.
+    """
+    return _steiner(g, as_weights(w, g.m), root, terminals, mode)

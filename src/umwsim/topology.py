@@ -55,6 +55,11 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def node_set(self) -> frozenset[int]:
+        """All node ids, as one shared set (a spanning route's covered set)."""
+        return frozenset(range(self.node_count))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node, the outgoing (edge_id, neighbor) pairs sorted by edge id."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
