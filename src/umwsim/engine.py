@@ -442,9 +442,9 @@ class _MaxWeightStepper:
 
 
 def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
-    """One run of config. compare() passes the (g, aset, classes) it has
-    already resolved as _resolved (through run_many), so its policies share
-    one resolution."""
+    """One run of config. compare() and sweep() pass the (g, aset, classes)
+    they have already resolved as _resolved (through run_many), so their
+    runs share one reading of the topology."""
     g, aset, classes = _resolved or config.resolve()
     T = config.horizon
     opts = config.metrics
@@ -531,7 +531,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_lane(lane: int, configs: list[SimulationConfig], resolved,
+def _fork_lane(lane: int, configs: list[SimulationConfig], resolved: list,
                open_reads: list[int]) -> tuple[int, int]:
     """(pid, read end of its pipe) of a child that runs configs and sends
     back the pickled (True, reports) or (False, the exception that stopped
@@ -556,7 +556,7 @@ def _fork_lane(lane: int, configs: list[SimulationConfig], resolved,
         for fd in open_reads + [read_fd]:
             os.close(fd)
         try:
-            result = True, [run(c, _resolved=resolved) for c in configs]
+            result = True, [run(c, _resolved=r) for c, r in zip(configs, resolved)]
         except BaseException as exc:
             result = False, exc
         try:
@@ -588,7 +588,8 @@ def _lane_result(lane: int, pid: int, read_fd: int) -> list[MetricsReport]:
 
 def run_many(configs: list[SimulationConfig], *, _resolved=None) -> list[MetricsReport]:
     """Exactly [run(c) for c in configs], in order, the runs spread over
-    the usable CPUs.
+    the usable CPUs. _resolved, if given, holds each config's resolution,
+    passed on to its run.
 
     The list is cut into k contiguous lanes, the first ones a run longer
     when k does not divide it: k = min(len(configs), usable CPUs, total
@@ -604,16 +605,17 @@ def run_many(configs: list[SimulationConfig], *, _resolved=None) -> list[Metrics
     configs = list(configs)
     if not configs:
         return []
+    resolved = _resolved or [None] * len(configs)
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
     k = max(1, min(len(configs), cpus, sum(c.horizon for c in configs) // LANE_SLOTS))
     size, extra = divmod(len(configs), k)
     cuts = [i * size + min(i, extra) for i in range(k + 1)]
-    lanes = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+    lanes = [(configs[a:b], resolved[a:b]) for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []
     try:
-        for i, lane in enumerate(lanes[1:], 1):
-            children.append(_fork_lane(i, lane, _resolved, [fd for _, fd in children]))
-        reports = [run(c, _resolved=_resolved) for c in lanes[0]]
+        for i, (lane, lane_resolved) in enumerate(lanes[1:], 1):
+            children.append(_fork_lane(i, lane, lane_resolved, [fd for _, fd in children]))
+        reports = [run(c, _resolved=r) for c, r in zip(*lanes[0])]
         for i, (pid, read_fd) in enumerate(children, 1):
             reports += _lane_result(i, pid, read_fd)
         return reports
@@ -632,7 +634,8 @@ def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsR
     resolved = config.resolve()
     if "bp" in policies:
         require_unicast(resolved[2])  # fail before any policy runs
-    reports = run_many([replace(config, policy=p) for p in policies], _resolved=resolved)
+    reports = run_many([replace(config, policy=p) for p in policies],
+                       _resolved=[resolved] * len(policies))
     return dict(zip(policies, reports))
 
 
@@ -642,8 +645,12 @@ def sweep(config: SimulationConfig, loads: list[float]) -> list[dict]:
         raise ConfigError("sweep loads must be ascending")
     subs = [replace(config, load_factor=load, seed=sweep_subseed(config.seed, i))
             for i, load in enumerate(loads)]
+    # One resolution for every point: rate * 1.0 is exact, so scaling the
+    # unit-load classes gives each point's classes bit for bit.
+    g, aset, classes = replace(config, load_factor=1.0).resolve()
+    resolved = [(g, aset, [c.scaled(load) for c in classes]) for load in loads]
     rows = []
-    for load, sub, report in zip(loads, subs, run_many(subs)):
+    for load, sub, report in zip(loads, subs, run_many(subs, _resolved=resolved)):
         row = {
             "load": load,
             "policy": sub.policy,

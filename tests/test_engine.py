@@ -278,6 +278,42 @@ def test_compare_resolves_a_file_topology_once(tmp_path, monkeypatch):
         assert rep.summary() == alone.summary()
 
 
+def test_sweep_resolves_a_file_topology_once(tmp_path, monkeypatch):
+    # sweep used to resolve the config once per load point: 3 reads and 3
+    # matching enumerations here, and a file changed mid-sweep gave points
+    # on two versions of it.
+    net = tmp_path / "grid.json"
+    grid = Graph(9, ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
+                     (4, 7), (5, 8), (6, 7), (7, 8)))
+    net.write_text(json.dumps({"nodes": 9, "edges": [list(e) for e in grid.edges],
+                               "activation": {"kind": "primary_interference"}}))
+    reads, enumerations = [], []
+    read_text, enumerate_matchings = Path.read_text, topology.enumerate_matchings
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    def counting_enumerate(g):
+        enumerations.append(g)
+        return enumerate_matchings(g)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(topology, "enumerate_matchings", counting_enumerate)
+    cfg = SimulationConfig(topology=str(net), horizon=60, seed=1, load_factor=0.7, classes=(
+        TrafficClass(0, "unicast", 0, frozenset({8}), 0.3),
+        TrafficClass(1, "unicast", 2, frozenset({6}), 1.0)))
+    loads = [0.1, 0.4, 0.9]
+    rows = sweep(cfg, loads)
+    assert reads == [net] and enumerations == [grid]
+    monkeypatch.undo()
+    for i, (load, row) in enumerate(zip(loads, rows)):
+        alone = run(dataclasses.replace(cfg, load_factor=load, seed=sweep_subseed(cfg.seed, i)))
+        assert row == {"load": load, "policy": "umw", "avg_total_queue": alone.avg_total_queue(),
+                       "final_total_queue": int(alone.total_q[-1]), "verdict": alone.verdict(),
+                       **{f"throughput_c{cid}": thr for cid, thr in alone.throughput.items()}}
+
+
 def test_file_topology_requires_classes(tmp_path):
     net = tmp_path / "net.json"
     save_topology(Graph(2, ((0, 1),)), net)
