@@ -115,6 +115,8 @@ def test_arborescence_arc_costs_are_exact():
     tree = build_route(FORK, spanning_edges(FORK, w, 0))
     assert tree.edge_ids == {1, 2}
     assert route_cost(tree, w) == BIG
+    for weights in (w, [float(x) for x in w]):
+        assert _same_as_reference(FORK, weights, 0)
 
 
 def test_steiner_exact_costs_are_exact():
@@ -354,12 +356,6 @@ def test_arborescence_matches_contraction_reference_on_the_grid():
         assert _same_as_reference(g, rng.integers(0, 11, g.m).tolist(), 0)
         assert _same_as_reference(g, rng.integers(0, 3, g.m).tolist(), 0)
         assert _same_as_reference(g, rng.random(g.m).tolist(), 0)
-
-
-def test_arborescence_matches_contraction_reference_on_exact_costs():
-    w = [BIG + 1, BIG, 0]
-    for weights in (w, [float(x) for x in w]):
-        assert _same_as_reference(FORK, weights, 0)
 
 
 def test_arborescence_contracts_nested_cycles():
