@@ -107,9 +107,9 @@ class RouteTree:
 
 
 def as_weights(w, m: int) -> list:
-    """The entry check of every public solver. w must be a flat list, tuple or 1-D
-    array of m finite nonnegative numbers; it comes back as a list of Python
-    numbers (an array through tolist()), which the solvers index."""
+    """The entry check of every public solver. w must be a flat list, tuple
+    or 1-D array of m finite nonnegative numbers; it comes back as a list of
+    Python numbers (an array through tolist()), which the solvers index."""
     if isinstance(w, np.ndarray):
         if w.ndim != 1:
             raise TopologyError(f"expected {m} edge weights, got shape {w.shape}")
