@@ -59,13 +59,12 @@ class SlotOutcome(NamedTuple):
 class RouteCache:
     """Route memo and tree intern table of one run (one graph, one Steiner mode).
 
-    A route is a pure function of the class and the weight vector, so the
-    memo maps (class id, weight tuple) to the tree solved for it; weights
-    that are not all ints add their element types to the key. It keeps at
-    most ROUTE_MEMO_CAP entries and evicts the oldest first. On a miss the
-    solver runs in full; the intern table then hands back the tree already
-    built for the same solved edge set, so each distinct tree is oriented
-    and validated once and shared by every packet routed along it.
+    A route is a pure function of the class and the integer weight vector,
+    so the memo maps (class id, weight tuple) to the tree solved for it. It
+    keeps at most ROUTE_MEMO_CAP entries and evicts the oldest first. On a
+    miss the solver runs in full; the intern table then hands back the tree
+    already built for the same solved edge set, so each distinct tree is
+    oriented and validated once and shared by every packet routed along it.
     """
 
     def __init__(self):
@@ -97,15 +96,15 @@ def solve_route(
     steiner_mode: str = "exact",
     cache: RouteCache | None = None,
 ) -> RouteTree:
-    """Min-cost admissible route for one class under the given weights."""
+    """Min-cost admissible route for one class under the given weights.
+
+    The one public way to solve a route, and the one place its weights are
+    checked: w must be a list, tuple or 1-D array of g.m nonnegative ints.
+    """
     w = as_weights(w, g.m)
     if cache is None:
         return build_route(g, _route_edges(g, w, cls, steiner_mode))
-    # Equal keys mean equal solver inputs: int weights key on their values
-    # alone, any other element type on the types too (float 3.0 rounds
-    # where int 3 does not, so the two never share an entry).
-    ws = tuple(w)
-    key = (cls.id, ws) if type(sum(ws)) is int else (cls.id, ws, tuple(map(type, ws)))
+    key = (cls.id, tuple(w))
     tree = cache.memo.get(key)
     if tree is not None:
         cache.hits += 1

