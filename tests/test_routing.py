@@ -126,7 +126,7 @@ def test_steiner_exact_costs_are_exact():
 def _assert_rejected(w, message):
     # Through the check alone and through uncached and cached solves; a
     # rejected call leaves the memo and its counts as they were.
-    cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
+    cls = flow("unicast", 0, {2})
     cache = RouteCache()
     solve_route(TRIANGLE, [0, 0, 0], cls, cache=cache)
     memo, counts = dict(cache.memo), (cache.hits, cache.misses)
