@@ -39,12 +39,28 @@ DIRECTED_NET = {
     "activation": {"kind": "primary_interference"},
 }
 
+# The undirected 3x3 grid under primary interference, as in the CI file
+# topology smoke. Back-pressure runs on it with its classes listed out of
+# id order, so the pin covers a non-wired activation set and the class-id
+# tie-break of its forwarding decisions.
+GRID_NET = {
+    "nodes": 9,
+    "edges": [[0, 1], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [3, 6], [4, 5], [4, 7], [5, 8], [6, 7], [7, 8]],
+    "activation": {"kind": "primary_interference"},
+}
+
 
 def _cases(tmp_dir: Path) -> dict[str, SimulationConfig]:
     cases = {}
     net = tmp_dir / "directed_net.json"
     net.write_text(json.dumps(DIRECTED_NET))
     broadcast = (TrafficClass(0, "broadcast", 0, frozenset(range(4)), 1.0),)
+    grid = tmp_dir / "grid_net.json"
+    grid.write_text(json.dumps(GRID_NET))
+    unicast = (TrafficClass(5, "unicast", 0, frozenset({8}), 1.0),
+               TrafficClass(2, "unicast", 2, frozenset({6}), 1.0))
+    cases["grid_undirected-bp"] = SimulationConfig(
+        topology=str(grid), horizon=2000, seed=1, policy="bp", load_factor=0.4, classes=unicast)
     for policy in ("umw", "umw-heuristic"):
         cases[f"directed_cycles-{policy}"] = SimulationConfig(
             topology=str(net), horizon=2000, seed=1, policy=policy, load_factor=0.3, classes=broadcast)
@@ -73,6 +89,7 @@ GOLDEN = {
     "directed_cycles-umw-heuristic": "19f08575ddfb70a07415c66a37b6405e5e8958298b8c410ed501a7c3fd51164b",
     "grid3x3_broadcast-umw": "347995e2a6fe91e67fd4ac0459b5d2b95a7ca36189484105b88e88d35483b583",
     "grid3x3_broadcast-umw-heuristic": "5d60830a0e4e7eecf8d6fe28dc1197a36bc0a076a4cec137514e725e74eefc5c",
+    "grid_undirected-bp": "732a0e989e0467ebde8bc215ebf05d64e0fccd113ae1dd50532594488ac09461",
     "line3-umw": "53524d8151423575db0f7defc1c84b7dded5c668fb4f4d46cb6078f615f97858",
     "line3-umw-heuristic": "c4ef4a882c2e7edf34fb50d9a32b844cea5029dcf51e50871326572fa6e59cb3",
     "mixed_kinds-approx": "8a0cad8ed72b2e8e5b2b86e8bafbd5c99f8b7e321a38d8ff8a302a7281d84b2d",
