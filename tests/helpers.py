@@ -8,16 +8,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from umwsim import simplex
 from umwsim.capacity import PATHS_PER_PAIR_CAP, CapacityCertificate
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError
+from umwsim.activation import ActivationVector, max_weight_activation
 from umwsim.physical_net import Packet
+from umwsim.policy import SlotOutcome, require_unicast
 from umwsim.routing import RouteTree, orient_tree
-from umwsim.topology import Graph
+from umwsim.topology import ActivationSet, Graph
 from umwsim.traffic import TrafficClass
 
 
@@ -494,3 +498,113 @@ class TreeWalkNetwork:
                 self.lengths[te.edge_id] += 1
                 self.total_copies += 1
         return completed
+
+
+class BPPacket(NamedTuple):
+    uid: int
+    class_id: int
+    arrival_slot: int
+
+
+class Forward(NamedTuple):
+    edge_id: int
+    from_node: int
+    to_node: int
+    class_id: int
+
+
+class ReferenceBPState:
+    """Reference for `umwsim.policy.BPState`: classical back-pressure with
+    its slot split over `absorb_arrivals`, `decide` and `apply`. Packets
+    carry a uid, plans carry their edge id, backlogs are keyed by
+    (node, class id), and the tie-break compares
+    (-differential, class id, direction) tuples."""
+
+    def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass]):
+        require_unicast(classes)
+        self.graph = g
+        self.aset = aset
+        self.classes = list(classes)
+        self.dest = {cls.id: cls.destination for cls in classes}
+        self.queues: dict[tuple[int, int], deque[BPPacket]] = {
+            (u, cls.id): deque() for u in range(g.node_count) for cls in classes
+        }
+        self.total_packets = 0
+        self._uid = 0
+        # Packets carry no route tree and copies no hop layers, so neither
+        # check applies to back-pressure; both read 0.
+        self.violations = {"delivery": 0, "layer_identity": 0}
+
+    def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
+        """One slot: enqueue the arrivals, then forward along the best differentials."""
+        done = self.absorb_arrivals(arrivals, slot)
+        _, forwards = self.decide()
+        done += self.apply(forwards, slot)
+        return SlotOutcome([(pkt.class_id, slot - pkt.arrival_slot) for pkt in done],
+                           self.total_packets, 0)
+
+    def backlog(self, node: int, class_id: int) -> int:
+        # The destination absorbs instantly, so its backlog reads as zero.
+        if node == self.dest[class_id]:
+            return 0
+        return len(self.queues[(node, class_id)])
+
+    def absorb_arrivals(self, arrivals: dict[int, int], slot: int) -> list[BPPacket]:
+        """Enqueue new packets at their sources (destination arrivals exit at once)."""
+        done: list[BPPacket] = []
+        for cls in self.classes:
+            for _ in range(arrivals.get(cls.id, 0)):
+                pkt = BPPacket(self._uid, cls.id, slot)
+                self._uid += 1
+                if cls.source == self.dest[cls.id]:
+                    done.append(pkt)
+                    continue
+                self.queues[(cls.source, cls.id)].append(pkt)
+                self.total_packets += 1
+        return done
+
+    def decide(self) -> tuple[ActivationVector, list[Forward]]:
+        """Max-weight activation over backlog differentials plus, per active
+        edge with positive weight, the commodity and direction to forward.
+
+        Each edge's weight is the best positive differential over classes
+        and (for undirected graphs) both directions; ties prefer the lower
+        class id and then the forward (u->v) direction.
+        """
+        g = self.graph
+        weights = [0] * g.m
+        plans: list[Forward | None] = [None] * g.m
+        for e, (u, v) in enumerate(g.edges):
+            best = None
+            for cls in self.classes:
+                cid = cls.id
+                diff = self.backlog(u, cid) - self.backlog(v, cid)
+                if diff > 0 and (best is None or (-diff, cid, 0) < best[0]):
+                    best = ((-diff, cid, 0), Forward(e, u, v, cid))
+                if not g.directed:
+                    rdiff = -diff
+                    if rdiff > 0 and (best is None or (-rdiff, cid, 1) < best[0]):
+                        best = ((-rdiff, cid, 1), Forward(e, v, u, cid))
+            if best is not None:
+                weights[e] = -best[0][0]
+                plans[e] = best[1]
+        activation = max_weight_activation(self.aset, weights)
+        forwards = [plans[e] for e in sorted(activation.active) if plans[e] is not None and weights[e] > 0]
+        return activation, forwards
+
+    def apply(self, forwards: list[Forward], slot: int) -> list[BPPacket]:
+        """Move one FIFO packet per planned edge; returns packets that reached
+        their destination this slot."""
+        delivered: list[BPPacket] = []
+        for fwd in forwards:
+            q = self.queues[(fwd.from_node, fwd.class_id)]
+            if not q:
+                continue  # drained by an earlier edge this slot
+            pkt = q.popleft()
+            self.total_packets -= 1
+            if fwd.to_node == self.dest[fwd.class_id]:
+                delivered.append(pkt)
+            else:
+                self.queues[(fwd.to_node, fwd.class_id)].append(pkt)
+                self.total_packets += 1
+        return delivered
