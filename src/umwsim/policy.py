@@ -16,16 +16,18 @@ it is driving. There are two implementations:
       also runs the per-slot virtual-queue checks and counts their
       failures (``skorokhod``, ``sandwich``, ``loading``) in its own
       ``violations`` dict.
-  ``BPState`` serves "bp", classical back-pressure (unicast baseline):
-      forwarding along maximal per-commodity backlog differentials, so
-      packets may wander and cycle.
+  ``BPState`` serves "bp", classical back-pressure (unicast baseline).
+      Its step enqueues the arrivals and moves one packet along each edge
+      that ``decide`` plans from the max-weight activation over per-class
+      backlog differentials. Packets carry no route, so they may wander
+      and cycle.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import NamedTuple
 
-from .activation import ActivationVector, max_weight_activation
+from .activation import max_weight_activation
 from .errors import ConfigError
 from .routing import (
     RouteKey,
@@ -124,13 +126,11 @@ def solve_route(
 # Back-pressure baseline (unicast only)
 
 class BPPacket(NamedTuple):
-    uid: int
     class_id: int
     arrival_slot: int
 
 
 class Forward(NamedTuple):
-    edge_id: int
     from_node: int
     to_node: int
     class_id: int
@@ -143,7 +143,11 @@ def require_unicast(classes: list[TrafficClass]) -> None:
 
 
 class BPState:
-    """Per-node, per-class FIFO backlogs for classical back-pressure."""
+    """Classical back-pressure over FIFO backlogs ``queues[class id][node]``.
+
+    A packet leaves the network as it reaches its destination, so a class's
+    backlog at its destination is always empty.
+    """
 
     def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass]):
         require_unicast(classes)
@@ -151,85 +155,57 @@ class BPState:
         self.aset = aset
         self.classes = list(classes)
         self.dest = {cls.id: cls.destination for cls in classes}
-        self.queues: dict[tuple[int, int], deque[BPPacket]] = {
-            (u, cls.id): deque() for u in range(g.node_count) for cls in classes
+        # Built in class-id order, which decide() scans for its tie-break.
+        self.queues: dict[int, list[deque[BPPacket]]] = {
+            cid: [deque() for _ in range(g.node_count)] for cid in sorted(self.dest)
         }
         self.total_packets = 0
-        self._uid = 0
         # Packets carry no route tree and copies no hop layers, so neither
         # check applies to back-pressure; both read 0.
         self.violations = {"delivery": 0, "layer_identity": 0}
 
     def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
-        """One slot: enqueue the arrivals, then forward along the best differentials."""
-        done = self.absorb_arrivals(arrivals, slot)
-        _, forwards = self.decide()
-        done += self.apply(forwards, slot)
-        return SlotOutcome([(pkt.class_id, slot - pkt.arrival_slot) for pkt in done],
-                           self.total_packets, 0)
-
-    def backlog(self, node: int, class_id: int) -> int:
-        # The destination absorbs instantly, so its backlog reads as zero.
-        if node == self.dest[class_id]:
-            return 0
-        return len(self.queues[(node, class_id)])
-
-    def absorb_arrivals(self, arrivals: dict[int, int], slot: int) -> list[BPPacket]:
-        """Enqueue new packets at their sources (destination arrivals exit at once)."""
-        done: list[BPPacket] = []
+        """One slot: enqueue the arrivals at their sources (a packet born at
+        its destination exits at once), then move the oldest packet along
+        each edge that decide() plans, if one is still queued there."""
+        done: list[tuple[int, int]] = []
         for cls in self.classes:
-            for _ in range(arrivals.get(cls.id, 0)):
-                pkt = BPPacket(self._uid, cls.id, slot)
-                self._uid += 1
-                if cls.source == self.dest[cls.id]:
-                    done.append(pkt)
-                    continue
-                self.queues[(cls.source, cls.id)].append(pkt)
-                self.total_packets += 1
-        return done
+            n = arrivals.get(cls.id, 0)
+            if cls.source == cls.destination:
+                done += [(cls.id, 0)] * n
+            else:
+                self.queues[cls.id][cls.source].extend([BPPacket(cls.id, slot)] * n)
+                self.total_packets += n
+        for fwd in self.decide():
+            queues = self.queues[fwd.class_id]
+            if not queues[fwd.from_node]:
+                continue  # drained by an earlier edge this slot
+            pkt = queues[fwd.from_node].popleft()
+            if fwd.to_node == self.dest[fwd.class_id]:
+                done.append((pkt.class_id, slot - pkt.arrival_slot))
+                self.total_packets -= 1
+            else:
+                queues[fwd.to_node].append(pkt)
+        return SlotOutcome(done, self.total_packets, 0)
 
-    def decide(self) -> tuple[ActivationVector, list[Forward]]:
-        """Max-weight activation over backlog differentials plus, per active
-        edge with positive weight, the commodity and direction to forward.
+    def decide(self) -> list[Forward]:
+        """The forwards of the max-weight activation over backlog differentials.
 
-        Each edge's weight is the best positive differential over classes
-        and (for undirected graphs) both directions; ties prefer the lower
-        class id and then the forward (u->v) direction.
+        An edge's weight is its largest positive differential over the
+        classes and, on an undirected graph, both directions; a tie goes to
+        the lower class id. (A class's differential is positive in one
+        direction at most, so the direction never breaks a tie.) Each
+        active edge of positive weight forwards its best class that way.
         """
         g = self.graph
         weights = [0] * g.m
         plans: list[Forward | None] = [None] * g.m
         for e, (u, v) in enumerate(g.edges):
-            best = None
-            for cls in self.classes:
-                cid = cls.id
-                diff = self.backlog(u, cid) - self.backlog(v, cid)
-                if diff > 0 and (best is None or (-diff, cid, 0) < best[0]):
-                    best = ((-diff, cid, 0), Forward(e, u, v, cid))
-                if not g.directed:
-                    rdiff = -diff
-                    if rdiff > 0 and (best is None or (-rdiff, cid, 1) < best[0]):
-                        best = ((-rdiff, cid, 1), Forward(e, v, u, cid))
-            if best is not None:
-                weights[e] = -best[0][0]
-                plans[e] = best[1]
-        activation = max_weight_activation(self.aset, weights)
-        forwards = [plans[e] for e in sorted(activation.active) if plans[e] is not None and weights[e] > 0]
-        return activation, forwards
-
-    def apply(self, forwards: list[Forward], slot: int) -> list[BPPacket]:
-        """Move one FIFO packet per planned edge; returns packets that reached
-        their destination this slot."""
-        delivered: list[BPPacket] = []
-        for fwd in forwards:
-            q = self.queues[(fwd.from_node, fwd.class_id)]
-            if not q:
-                continue  # drained by an earlier edge this slot
-            pkt = q.popleft()
-            self.total_packets -= 1
-            if fwd.to_node == self.dest[fwd.class_id]:
-                delivered.append(pkt)
-            else:
-                self.queues[(fwd.to_node, fwd.class_id)].append(pkt)
-                self.total_packets += 1
-        return delivered
+            for cid, queues in self.queues.items():
+                diff = len(queues[u]) - len(queues[v])
+                if diff > weights[e]:
+                    weights[e], plans[e] = diff, Forward(u, v, cid)
+                elif -diff > weights[e] and not g.directed:
+                    weights[e], plans[e] = -diff, Forward(v, u, cid)
+        active = max_weight_activation(self.aset, weights).active
+        return [plans[e] for e in sorted(active) if plans[e] is not None]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph, random_rooted_digraph
+from helpers import ReferenceBPState, random_connected_graph, random_rooted_digraph
 from umwsim import engine, policy
 from umwsim.activation import max_weight_activation
 from umwsim.engine import SimulationConfig, _MaxWeightStepper
 from umwsim.errors import ConfigError
-from umwsim.policy import BPPacket, BPState, RouteCache, solve_route
+from umwsim.policy import BPPacket, BPState, Forward, RouteCache, SlotOutcome, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
@@ -108,58 +108,109 @@ def test_bp_requires_unicast():
 def test_bp_idle_when_empty():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
-    _, forwards = bp.decide()
-    assert forwards == []
+    assert bp.decide() == []
+    assert bp.step(0, {0: 0}) == ([], 0, 0)
 
 
 def test_bp_lone_edge_differential():
     g = Graph(2, ((0, 1),))
     c0 = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
     bp = BPState(g, WIRED1, [c0])
-    bp.absorb_arrivals({0: 3}, 0)
-    activation, forwards = bp.decide()
     # backlog difference 3 - 0: one class-0 packet crosses and exits
-    assert len(forwards) == 1 and forwards[0].class_id == 0
-    delivered = bp.apply(forwards, 0)
-    assert len(delivered) == 1
+    assert bp.step(0, {0: 3}) == ([(0, 0)], 2, 0)
     assert bp.total_packets == 2
+    assert bp.decide() == [Forward(0, 1, 0)]
 
 
 def test_bp_destination_absorbs():
     cls = TrafficClass(0, "unicast", 0, frozenset({0}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
-    done = bp.absorb_arrivals({0: 2}, 5)
-    assert len(done) == 2 and bp.total_packets == 0
+    assert bp.step(5, {0: 2}) == ([(0, 0), (0, 0)], 0, 0)
+    assert bp.total_packets == 0
 
 
 def test_bp_never_forwards_nonpositive_differential():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
-    bp.absorb_arrivals({0: 1}, 0)
-    bp.queues[(1, 0)].append(BPPacket(99, 0, 0))
-    bp.total_packets += 1
-    # edge 0 sees equal backlogs (diff 0) and must idle; edge 1 forwards
-    _, forwards = bp.decide()
-    assert [(f.from_node, f.to_node) for f in forwards] == [(1, 2)]
+    bp.step(0, {0: 1})   # the packet crosses edge 0 to node 1
+    # Slot 1: nodes 0 and 1 hold one packet each, so edge 0 sees a
+    # differential of 0 and must idle; edge 1 forwards the slot-0 packet.
+    assert bp.step(1, {0: 1}) == ([(0, 1)], 1, 0)
+    assert [len(q) for q in bp.queues[0]] == [1, 0, 0]
 
 
 def test_bp_fifo_order():
     g = Graph(2, ((0, 1),))
     cls = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
     bp = BPState(g, WIRED1, [cls])
-    bp.absorb_arrivals({0: 2}, 0)
-    bp.absorb_arrivals({0: 1}, 1)
-    _, forwards = bp.decide()
-    delivered = bp.apply(forwards, 1)
-    assert delivered[0].arrival_slot == 0  # oldest first
+    bp.step(0, {0: 2})
+    # the slot-0 packet left behind goes before the slot-1 arrival
+    assert bp.step(1, {0: 1}).completed == [(0, 1)]  # oldest first
+    assert list(bp.queues[0][0]) == [BPPacket(0, 1)]
 
 
 def test_bp_undirected_uses_better_direction():
     cls = TrafficClass(0, "unicast", 2, frozenset({0}), 1.0)  # flows right to left
     bp = BPState(LINE3, WIRED2, [cls])
-    bp.absorb_arrivals({0: 4}, 0)
-    _, forwards = bp.decide()
-    assert any(f.from_node == 2 and f.to_node == 1 for f in forwards)
+    bp.step(0, {0: 4})
+    assert [len(q) for q in bp.queues[0]] == [0, 1, 3]
+    # Both edges forward against their u->v orientation.
+    assert bp.decide() == [Forward(1, 0, 0), Forward(2, 1, 0)]
+
+
+def test_bp_tie_goes_to_the_lower_class_id():
+    g = Graph(2, ((0, 1),))
+    # Listed out of id order, so the tie-break cannot come from list order.
+    c7 = TrafficClass(7, "unicast", 0, frozenset({1}), 1.0)
+    c3 = TrafficClass(3, "unicast", 0, frozenset({1}), 1.0)
+    bp = BPState(g, WIRED1, [c7, c3])
+    assert bp.step(0, {7: 2, 3: 2}) == ([(3, 0)], 3, 0)
+    # The larger differential wins over the lower id...
+    assert bp.decide() == [Forward(0, 1, 7)]
+    # ...and with the differentials tied at 2 again, class 3 forwards.
+    assert bp.step(1, {7: 0, 3: 1}) == ([(3, 1)], 3, 0)
+
+
+def _recorded_decide(monkeypatch, bp) -> list:
+    """Calls of bp.decide() during its steps; each call's forwards are
+    appended to the returned list."""
+    calls = []
+    real = bp.decide
+
+    def recording():
+        calls.append(real())
+        return calls[-1]
+
+    monkeypatch.setattr(bp, "decide", recording)
+    return calls
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("interference", [False, True])
+def test_bp_matches_reference(monkeypatch, directed, interference):
+    # The reference splits a slot over absorb_arrivals, decide and apply and
+    # breaks ties with (-differential, class id, direction) tuples. Heavy
+    # arrivals on small graphs make backlogs tie often.
+    rng = np.random.default_rng(17 + 2 * directed + interference)
+    for _ in range(10):
+        g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
+        aset = enumerate_matchings(g) if interference else ActivationSet("wired", g.m)
+        ids = rng.permutation(9)[:int(rng.integers(1, 5))].tolist()   # out of id order
+        classes = [TrafficClass(cid, "unicast", int(rng.integers(g.node_count)),
+                                frozenset({int(rng.integers(g.node_count))}), 1.0) for cid in ids]
+        ref, bp = ReferenceBPState(g, aset, classes), BPState(g, aset, classes)
+        forwards = _recorded_decide(monkeypatch, bp)
+        for t in range(120):
+            arrivals = {cid: int(rng.integers(0, 4)) for cid in ids}
+            done = ref.absorb_arrivals(arrivals, t)
+            _, ref_forwards = ref.decide()
+            done += ref.apply(ref_forwards, t)
+            want = SlotOutcome([(p.class_id, t - p.arrival_slot) for p in done], ref.total_packets, 0)
+            assert bp.step(t, arrivals) == want
+            assert len(forwards) == t + 1 and forwards[-1] == [(f.from_node, f.to_node, f.class_id) for f in ref_forwards]
+        for cid in ids:
+            for u in range(g.node_count):
+                assert list(bp.queues[cid][u]) == [(p.class_id, p.arrival_slot) for p in ref.queues[(u, cid)]]
 
 
 # ---------------------------------------------------------------------------
