@@ -118,12 +118,8 @@ def as_weights(w, m: int) -> list[int]:
         raise TopologyError(f"edge weights must be a list, tuple or array, got {type(w).__name__}")
     if len(w) != m:
         raise TopologyError(f"expected {m} edge weights, got {len(w)}")
-    try:
-        integral = type(sum(w)) is int  # only a sum of ints (or bools) is an int
-    except TypeError:
-        integral = False
-    if not integral:
-        bad = next(x for x in w if type(x) not in (int, bool))
+    if not set(map(type, w)) <= {int}:  # bools too are not weights
+        bad = next(x for x in w if type(x) is not int)
         raise TopologyError(f"edge weights must be integers, got {bad!r}")
     if w and min(w) < 0:
         raise TopologyError("edge weights must be nonnegative")

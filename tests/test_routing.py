@@ -147,9 +147,17 @@ def _assert_rejected(w, message):
     ([0.0, 1.0, 2.0], "integers"),
     ([0, Fraction(1, 2), 1], "integers"),
     (np.zeros(3), "integers"),  # a float64 array, or its np.float64 entries
+    ([True, False, True], "integers"),  # a sum of bools is an int; a bool array
 ])
 def test_as_weights_rejects_malformed_weights(kind, bad, message):
     _assert_rejected(kind(bad), message)
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_as_weights_rejects_a_bool_among_ints(kind):
+    _assert_rejected(kind([0, True, 2]), "integers")
+    # numpy reads the same list as an int array, which is legal.
+    assert as_weights(np.array([0, True, 2]), 3) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("kind", [list, tuple, np.array])
