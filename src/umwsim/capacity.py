@@ -30,11 +30,10 @@ ROUTE_CAP = 10_000
 PATHS_PER_PAIR_CAP = 100
 
 
-def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int],
-                  spanning: bool) -> list[RouteTree]:
+def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int]) -> list[RouteTree]:
     """All out-trees from `root` that reach every node of `cover` and have
-    every leaf in `leaves_in` (and, when `spanning`, every node), oriented by
-    `orient_tree` and listed in ascending edge-bitmask order.
+    every leaf in `leaves_in`, oriented by `orient_tree` and listed in
+    ascending edge-bitmask order.
 
     Trees are grown from the root. The frontier holds every edge not yet
     decided whose tail is in the tree and whose head is not. Each step takes
@@ -43,7 +42,9 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     as soon as a node of `cover` is no longer reachable from the tree along
     frontier edges, or a childless tree node outside `leaves_in` (which a
     finished tree may not have as a leaf) has no frontier edge left. Such a
-    node's edges are branched on first. Growing stops with
+    node's edges are branched on first. Including an edge keeps every path
+    to `cover`, so a finished tree holds every node of `cover`: with every
+    node in `cover`, as for a broadcast, it spans. Growing stops with
     `CapExceededError` as soon as more than `ROUTE_CAP` trees are found.
     """
     n = g.node_count
@@ -52,7 +53,6 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     cover_bits = sum(1 << v for v in cover)
     leaf_bits = sum(1 << v for v in leaves_in)
     root_bit = 1 << root
-    all_nodes = (1 << n) - 1
     found: list[int] = []
 
     def reaches_cover(nodes: int, frontier: tuple) -> bool:
@@ -83,10 +83,9 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
         if needy & ~tails:
             continue
         if not frontier:
-            if not spanning or nodes == all_nodes:
-                found.append(edges)
-                if len(found) > ROUTE_CAP:
-                    raise CapExceededError("routes grown", len(found), ROUTE_CAP)
+            found.append(edges)
+            if len(found) > ROUTE_CAP:
+                raise CapExceededError("routes grown", len(found), ROUTE_CAP)
             continue
         i = 0
         if needy:
@@ -106,29 +105,29 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     ]
 
 
-def enumerate_routes(g: Graph, cls: TrafficClass,
-                     paths_per_pair_cap: int = PATHS_PER_PAIR_CAP) -> list[RouteTree]:
+def enumerate_routes(g: Graph, cls: TrafficClass) -> list[RouteTree]:
     """The complete admissible-route catalog for one class.
 
     unicast: all simple source-destination paths; broadcast: all spanning
     trees rooted at the source; multicast: all inclusion-minimal trees
     covering source plus destinations; anycast: union of the per-destination
     simple paths. Each search raises `CapExceededError` past `ROUTE_CAP`
-    routes, and each unicast or anycast pair past `paths_per_pair_cap` paths.
+    routes, and each unicast or anycast pair past `PATHS_PER_PAIR_CAP` paths.
     """
     s = cls.source
     if cls.kind == "broadcast":
-        return _tree_subsets(g, s, frozenset(range(g.node_count)), frozenset(range(g.node_count)), True)
+        nodes = frozenset(range(g.node_count))
+        return _tree_subsets(g, s, nodes, nodes)
     if cls.kind == "multicast":
         cover = frozenset(cls.destinations | {s})
-        return _tree_subsets(g, s, cls.destinations, cover, False)
+        return _tree_subsets(g, s, cls.destinations, cover)
     # unicast and anycast: simple paths per destination; each anycast route
     # covers exactly the one destination its path ends at.
     routes: list[RouteTree] = []
     for t in sorted(cls.destinations):
-        pair = _tree_subsets(g, s, frozenset({t}), frozenset({t}), False)
-        if len(pair) > paths_per_pair_cap:
-            raise CapExceededError(f"paths {s}->{t}", len(pair), paths_per_pair_cap)
+        pair = _tree_subsets(g, s, frozenset({t}), frozenset({t}))
+        if len(pair) > PATHS_PER_PAIR_CAP:
+            raise CapExceededError(f"paths {s}->{t}", len(pair), PATHS_PER_PAIR_CAP)
         routes.extend(pair)
     return routes
 

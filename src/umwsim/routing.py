@@ -1,15 +1,14 @@
 """Min-cost route selection: shortest paths, spanning trees, Steiner trees.
 
 Every solver takes the graph plus a list of nonnegative integer edge
-weights and finds a route, an out-tree rooted at the source, as a key
-``(root, edge ids, covered)``, the form of ``RouteTree.cache_key()``;
-``build_route`` orients and validates it into a RouteTree whose edges
-carry their hop depth. The solvers are private: ``policy.solve_route`` is
-the one public way to solve a route, and it checks the weights with
-``as_weights`` first. Orientation depends on the key alone, so a caller
-may reuse the tree built for an equal key. Integer weights keep every cost
-exact, and tie-breaking is fully deterministic, so simulation runs are
-reproducible bit-for-bit:
+weights and finds a route, an out-tree rooted at the source, as a
+``RouteKey`` ``(root, edge ids, covered)``; ``build_route`` orients and
+validates it into a RouteTree whose edges carry their hop depth. The
+solvers are private: ``policy.solve_route`` is the one public way to solve
+a route, and it checks the weights with ``as_weights`` first. Orientation
+depends on the key alone, so a caller may reuse the tree built for an
+equal key. Integer weights keep every cost exact, and tie-breaking is
+fully deterministic, so simulation runs are reproducible bit-for-bit:
 
   * shortest paths minimize (cost, hop count, edge-id sequence),
   * spanning trees and arborescences use greedy selection ordered by
@@ -102,9 +101,6 @@ class RouteTree:
                              tuple(c.edge_id for c in children.get(te.child, ())))
                 for te in self.edges}
 
-    def cache_key(self) -> RouteKey:
-        return (self.root, self.edge_ids, self.covered)
-
 
 def as_weights(w, m: int) -> list[int]:
     """The weight check of ``policy.solve_route``. w must be a flat list,
@@ -156,7 +152,7 @@ def orient_tree(g: Graph, edge_ids: Iterable[int], root: int, covered: Iterable[
 
 
 def build_route(g: Graph, key: RouteKey) -> RouteTree:
-    """Orient and validate a solved route given in cache_key() form."""
+    """Orient and validate a solved route given as a RouteKey."""
     root, edge_ids, covered = key
     return orient_tree(g, edge_ids, root, covered)
 

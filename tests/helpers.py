@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from umwsim import simplex
-from umwsim.capacity import PATHS_PER_PAIR_CAP, CapacityCertificate
+from umwsim import capacity, simplex
+from umwsim.capacity import CapacityCertificate
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError
 from umwsim.activation import ActivationVector, max_weight_activation
 from umwsim.physical_net import Packet
@@ -200,8 +200,7 @@ def bfs_depths(g: Graph, tree) -> dict[int, int]:
 SUBSET_SCAN_EDGE_CAP = 12
 
 
-def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int],
-                 spanning: bool) -> list[RouteTree]:
+def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int]) -> list[RouteTree]:
     """All edge subsets that form a root-oriented tree covering `cover`
     with every leaf in `leaves_in`. Exhaustive over 2^m subsets."""
     m = g.m
@@ -210,8 +209,6 @@ def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset
     for bits in range(1 << m):
         edge_ids = [e for e in range(m) if bits >> e & 1]
         k = len(edge_ids)
-        if spanning and k != n - 1:
-            continue
         if k > n - 1:
             continue
         nodes: set[int] = set()
@@ -236,26 +233,27 @@ def subset_scan(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset
     return out
 
 
-def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = SUBSET_SCAN_EDGE_CAP,
-                       paths_per_pair_cap: int = PATHS_PER_PAIR_CAP) -> list[RouteTree]:
+def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = SUBSET_SCAN_EDGE_CAP) -> list[RouteTree]:
     """Reference route catalogue for `umwsim.capacity.enumerate_routes`: the
-    same classes, pair cap and order, found by testing every one of the 2^m
-    edge subsets instead of growing trees. It refuses graphs of more than
+    same classes, pair cap (`capacity.PATHS_PER_PAIR_CAP`, read per call)
+    and order, found by testing every one of the 2^m edge subsets instead of
+    growing trees. It refuses graphs of more than
     `edge_cap` edges; the graphs it takes have fewer than 2^12 edge subsets,
     so none reaches the route cap."""
     if g.m > edge_cap:
         raise CapExceededError("route enumeration edges", g.m, edge_cap)
     s = cls.source
     if cls.kind == "broadcast":
-        return subset_scan(g, s, frozenset(range(g.node_count)), frozenset(range(g.node_count)), True)
+        nodes = frozenset(range(g.node_count))
+        return subset_scan(g, s, nodes, nodes)
     if cls.kind == "multicast":
         cover = frozenset(cls.destinations | {s})
-        return subset_scan(g, s, cls.destinations, cover, False)
+        return subset_scan(g, s, cls.destinations, cover)
     routes: list[RouteTree] = []
     for t in sorted(cls.destinations):
-        pair = subset_scan(g, s, frozenset({t}), frozenset({t}), False)
-        if len(pair) > paths_per_pair_cap:
-            raise CapExceededError(f"paths {s}->{t}", len(pair), paths_per_pair_cap)
+        pair = subset_scan(g, s, frozenset({t}), frozenset({t}))
+        if len(pair) > capacity.PATHS_PER_PAIR_CAP:
+            raise CapExceededError(f"paths {s}->{t}", len(pair), capacity.PATHS_PER_PAIR_CAP)
         routes.extend(pair)
     return routes
 

@@ -16,6 +16,7 @@ from helpers import (
 )
 from umwsim import capacity
 from umwsim.capacity import (
+    PATHS_PER_PAIR_CAP,
     CapacityCertificate,
     enumerate_routes,
     max_scaling,
@@ -256,21 +257,21 @@ def test_grid3x4_undirected_broadcast_capacity():
     assert verify_certificate(cert, g, aset, classes)
 
 
-def _assert_same_catalogue(g, cls, **caps):
+def _assert_same_catalogue(g, cls):
     """enumerate_routes returns the subset scan's list, in its order, or
     raises the same CapExceededError; returns that list (None on a raise)."""
     try:
-        want = subset_scan_routes(g, cls, **caps)
+        want = subset_scan_routes(g, cls)
     except CapExceededError as err:
         with pytest.raises(CapExceededError) as got:
-            enumerate_routes(g, cls, **caps)
+            enumerate_routes(g, cls)
         assert str(got.value) == str(err)
         return None
-    assert enumerate_routes(g, cls, **caps) == want
+    assert enumerate_routes(g, cls) == want
     return want
 
 
-def test_enumerate_routes_matches_subset_scan_on_random_graphs():
+def test_enumerate_routes_matches_subset_scan_on_random_graphs(monkeypatch):
     rng = np.random.default_rng(20)
     seen = {"empty": 0, "cap": 0, "into_root": 0}
     for trial in range(240):
@@ -283,14 +284,14 @@ def test_enumerate_routes_matches_subset_scan_on_random_graphs():
         seen["into_root"] += g.directed and any(v == source for _, v in g.edges)
         picks = [int(x) for x in rng.permutation(n)]
         k = int(rng.integers(1, n + 1))
-        caps = {"paths_per_pair_cap": 3} if trial % 5 == 0 else {}
+        monkeypatch.setattr(capacity, "PATHS_PER_PAIR_CAP", 3 if trial % 5 == 0 else PATHS_PER_PAIR_CAP)
         for cls in (
             TrafficClass(0, "unicast", source, frozenset(picks[:1]), 1.0),
             TrafficClass(1, "broadcast", source, frozenset(range(n)), 1.0),
             TrafficClass(2, "multicast", source, frozenset(picks[:k]), 1.0),
             TrafficClass(3, "anycast", source, frozenset(picks[:k]), 1.0),
         ):
-            routes = _assert_same_catalogue(g, cls, **caps)
+            routes = _assert_same_catalogue(g, cls)
             seen["cap"] += routes is None
             seen["empty"] += routes == []
     assert min(seen.values()) >= 10, seen
@@ -298,7 +299,7 @@ def test_enumerate_routes_matches_subset_scan_on_random_graphs():
 
 def test_tree_subsets_match_subset_scan_on_arbitrary_arguments():
     # Covers and leaf sets no traffic class produces, e.g. a root outside
-    # `leaves_in` or a spanning request with a partial cover.
+    # `leaves_in`.
     rng = np.random.default_rng(21)
     for trial in range(200):
         if trial % 2:
@@ -309,9 +310,8 @@ def test_tree_subsets_match_subset_scan_on_arbitrary_arguments():
         root = int(rng.integers(0, n))
         cover = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.4))
         leaves_in = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6))
-        spanning = bool(rng.random() < 0.3)
-        want = subset_scan(g, root, cover, leaves_in, spanning)
-        assert capacity._tree_subsets(g, root, cover, leaves_in, spanning) == want
+        want = subset_scan(g, root, cover, leaves_in)
+        assert capacity._tree_subsets(g, root, cover, leaves_in) == want
 
 
 @pytest.mark.parametrize("g, cls, count", [
@@ -338,7 +338,7 @@ def test_enumerate_routes_matches_subset_scan_on_edge_cases(g, cls, count):
     assert len(_assert_same_catalogue(g, cls)) == count
 
 
-def test_enumerate_routes_cap_errors_match_subset_scan():
+def test_enumerate_routes_cap_errors_match_subset_scan(monkeypatch):
     # Past the subset scan's 12 edges only the grown catalogue exists.
     big = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8))[:13])
     uni = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
@@ -346,13 +346,15 @@ def test_enumerate_routes_cap_errors_match_subset_scan():
         subset_scan_routes(big, uni)
     assert len(enumerate_routes(big, uni)) == 7  # 0-1 and 0-k-1 for k = 2..7
     k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
-    assert len(_assert_same_catalogue(k4, uni, paths_per_pair_cap=5)) == 5
+    monkeypatch.setattr(capacity, "PATHS_PER_PAIR_CAP", 5)
+    assert len(_assert_same_catalogue(k4, uni)) == 5
+    monkeypatch.setattr(capacity, "PATHS_PER_PAIR_CAP", 4)
     with pytest.raises(CapExceededError, match=r"paths 0->1: size 5 exceeds enumeration cap 4"):
-        enumerate_routes(k4, uni, paths_per_pair_cap=4)
-    assert _assert_same_catalogue(k4, uni, paths_per_pair_cap=4) is None
+        enumerate_routes(k4, uni)
+    assert _assert_same_catalogue(k4, uni) is None
     any_ = TrafficClass(0, "anycast", 0, frozenset({2, 3}), 1.0)
     with pytest.raises(CapExceededError, match=r"paths 0->2: size 5"):
-        enumerate_routes(k4, any_, paths_per_pair_cap=4)
+        enumerate_routes(k4, any_)
 
 
 def test_positive_rate_needs_route():

@@ -252,8 +252,8 @@ def test_cached_solve_matches_uncached(mode):
                     trees.append(cached)
             assert cache.hits > 0 and cache.hits + cache.misses == len(trees)
             # Interning: one object per distinct tree.
-            by_key = {t.cache_key(): t for t in trees}
-            assert all(t is by_key[t.cache_key()] for t in trees)
+            by_key = {(t.root, t.edge_ids, t.covered): t for t in trees}
+            assert all(t is by_key[t.root, t.edge_ids, t.covered] for t in trees)
             assert cache.stats()["distinct_trees"] == len(by_key)
 
 
