@@ -192,7 +192,7 @@ def test_bp_matches_reference(monkeypatch, directed, interference):
     # breaks ties with (-differential, class id, direction) tuples. Heavy
     # arrivals on small graphs make backlogs tie often.
     rng = np.random.default_rng(17 + 2 * directed + interference)
-    for _ in range(10):
+    for _ in range(20):
         g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
         aset = enumerate_matchings(g) if interference else ActivationSet("wired", g.m)
         ids = rng.permutation(9)[:int(rng.integers(1, 5))].tolist()   # out of id order
