@@ -2,8 +2,11 @@
 
 Enumerates every admissible route per class by growing out-trees from the
 class source (branching on each frontier edge, pruning a branch as soon as
-it can no longer reach what the class requires), then solves the
-fractional route-decomposition plus activation-mixing program exactly:
+it can no longer reach what the class requires). Each route is kept as its
+edge bitmask, which is all the program below reads; only the public
+`enumerate_routes` orients the masks into `RouteTree`s. The oracle then
+solves the fractional route-decomposition plus activation-mixing program
+exactly:
 
     maximize rho
     s.t.  sum_i flow(c, i)            = rho * rate(c)        for each class c
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import CapExceededError, ConfigError, TopologyError
 from .routing import RouteTree, orient_tree
@@ -30,10 +34,10 @@ ROUTE_CAP = 10_000
 PATHS_PER_PAIR_CAP = 100
 
 
-def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int]) -> list[RouteTree]:
+def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int]) -> list[int]:
     """All out-trees from `root` that reach every node of `cover` and have
-    every leaf in `leaves_in`, oriented by `orient_tree` and listed in
-    ascending edge-bitmask order.
+    every leaf in `leaves_in`, as edge bitmasks (bit e set for edge id e)
+    in ascending order.
 
     Trees are grown from the root. The frontier holds every edge not yet
     decided whose tail is in the tree and whose head is not. Each step takes
@@ -99,14 +103,45 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
         stack.append((grown, parents | 1 << u, edges | 1 << eid,
                       tuple(f for f in rest if f[2] != v)
                       + tuple(f for f in out_edges[v] if not grown >> f[2] & 1)))
-    return [
-        orient_tree(g, [e for e in range(g.m) if bits >> e & 1], root, cover)
-        for bits in sorted(found)
-    ]
+    return sorted(found)
+
+
+def _route_masks(g: Graph, cls: TrafficClass) -> list[tuple[frozenset[int], list[int]]]:
+    """The class's routes as edge bitmasks, grouped by the nodes each group
+    covers: one group for a broadcast or multicast, one per destination (in
+    ascending order) for a unicast or anycast. Raises `CapExceededError`
+    past `ROUTE_CAP` routes, and past `PATHS_PER_PAIR_CAP` paths to one
+    destination."""
+    s = cls.source
+    if cls.kind == "broadcast":
+        nodes = frozenset(range(g.node_count))
+        return [(nodes, _tree_subsets(g, s, nodes, nodes))]
+    if cls.kind == "multicast":
+        return [(cls.destinations, _tree_subsets(g, s, cls.destinations, cls.destinations | {s}))]
+    # unicast and anycast: simple paths per destination; each anycast route
+    # covers exactly the one destination its path ends at.
+    groups = []
+    for t in sorted(cls.destinations):
+        pair = _tree_subsets(g, s, frozenset({t}), frozenset({t}))
+        if len(pair) > PATHS_PER_PAIR_CAP:
+            raise CapExceededError(f"paths {s}->{t}", len(pair), PATHS_PER_PAIR_CAP)
+        groups.append((frozenset({t}), pair))
+    return groups
+
+
+def _edge_ids(bits: int) -> list[int]:
+    """The set bits of an edge bitmask, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def enumerate_routes(g: Graph, cls: TrafficClass) -> list[RouteTree]:
-    """The complete admissible-route catalog for one class.
+    """The complete admissible-route catalog for one class, in ascending
+    edge-bitmask order per destination.
 
     unicast: all simple source-destination paths; broadcast: all spanning
     trees rooted at the source; multicast: all inclusion-minimal trees
@@ -114,22 +149,11 @@ def enumerate_routes(g: Graph, cls: TrafficClass) -> list[RouteTree]:
     simple paths. Each search raises `CapExceededError` past `ROUTE_CAP`
     routes, and each unicast or anycast pair past `PATHS_PER_PAIR_CAP` paths.
     """
-    s = cls.source
-    if cls.kind == "broadcast":
-        nodes = frozenset(range(g.node_count))
-        return _tree_subsets(g, s, nodes, nodes)
-    if cls.kind == "multicast":
-        cover = frozenset(cls.destinations | {s})
-        return _tree_subsets(g, s, cls.destinations, cover)
-    # unicast and anycast: simple paths per destination; each anycast route
-    # covers exactly the one destination its path ends at.
-    routes: list[RouteTree] = []
-    for t in sorted(cls.destinations):
-        pair = _tree_subsets(g, s, frozenset({t}), frozenset({t}))
-        if len(pair) > PATHS_PER_PAIR_CAP:
-            raise CapExceededError(f"paths {s}->{t}", len(pair), PATHS_PER_PAIR_CAP)
-        routes.extend(pair)
-    return routes
+    return [
+        orient_tree(g, _edge_ids(bits), cls.source, cover)
+        for cover, masks in _route_masks(g, cls)
+        for bits in masks
+    ]
 
 
 def _activation_members(aset: ActivationSet) -> list[frozenset[int]]:
@@ -172,54 +196,66 @@ def max_scaling(
     catalog: dict[int, list[RouteTree]] | None = None,
 ) -> CapacityCertificate:
     """Largest rho such that rho-scaled rates admit a feasible flow split
-    and activation mixture; solved exactly over rationals."""
+    and activation mixture; solved exactly over rationals.
+
+    The routes are the enumerated catalogue's edge bitmasks, or those of the
+    `catalog` trees given per class id; each is one LP column, in catalogue
+    order. Class ids must be distinct, as the catalogue is keyed on them."""
+    if aset.edge_count != g.m:
+        raise ConfigError(f"activation set is over {aset.edge_count} edges, the graph has {g.m}")
+    seen: set[int] = set()
+    for c in classes:
+        if c.id in seen:
+            raise ConfigError(f"capacity scaling got duplicate class id {c.id}")
+        seen.add(c.id)
     active_classes = [c for c in classes if c.rate > 0]
     if not active_classes:
         raise ConfigError("capacity scaling needs at least one class with positive rate")
     if catalog is None:
-        catalog = {c.id: enumerate_routes(g, c) for c in active_classes}
+        masks = {c.id: [bits for _, group in _route_masks(g, c) for bits in group]
+                 for c in active_classes}
+    else:
+        masks = {c.id: [sum(1 << e for e in tree.edge_ids) for tree in catalog.get(c.id) or ()]
+                 for c in active_classes}
     for c in active_classes:
-        if not catalog.get(c.id):
+        if not masks[c.id]:
             raise ConfigError(f"class {c.id} has positive rate but no admissible route")
 
     members = _activation_members(aset)
-    route_index: list[tuple[int, RouteTree]] = [
-        (c.id, tree) for c in active_classes for tree in catalog[c.id]
+    route_index: list[tuple[int, int]] = [
+        (c.id, bits) for c in active_classes for bits in masks[c.id]
     ]
     n_routes = len(route_index)
     n_members = len(members)
     nvars = 1 + n_routes + n_members  # rho, flows, mixture
 
     # Int coefficients except the rates: solve_lp scales each row to integers
-    # by its common denominator, and an all-int row needs no scaling.
+    # by its common denominator, and an all-int row needs no scaling. A
+    # class's routes are consecutive columns.
     a_eq: list[list] = []
     b_eq: list[int] = []
+    start = 1
     for c in active_classes:
+        end = start + len(masks[c.id])
         row = [0] * nvars
         row[0] = -Fraction(c.rate)
-        for j, (cid, _) in enumerate(route_index):
-            if cid == c.id:
-                row[1 + j] = 1
+        row[start:end] = [1] * (end - start)
         a_eq.append(row)
         b_eq.append(0)
+        start = end
     row = [0] * nvars
-    for j in range(n_members):
-        row[1 + n_routes + j] = 1
+    row[1 + n_routes:] = [1] * n_members
     a_eq.append(row)
     b_eq.append(1)
 
-    a_ub: list[list[int]] = []
-    b_ub: list[int] = []
-    for e in range(g.m):
-        row = [0] * nvars
-        for j, (_, tree) in enumerate(route_index):
-            if e in tree.edge_ids:
-                row[1 + j] = 1
-        for j, member in enumerate(members):
-            if e in member:
-                row[1 + n_routes + j] = -1
-        a_ub.append(row)
-        b_ub.append(0)
+    a_ub: list[list[int]] = [[0] * nvars for _ in range(g.m)]
+    for j, (_, bits) in enumerate(route_index, start=1):
+        for e in _edge_ids(bits):
+            a_ub[e][j] = 1
+    for j, member in enumerate(members, start=1 + n_routes):
+        for e in member:
+            a_ub[e][j] = -1
+    b_ub = [0] * g.m
 
     objective = [0] * nvars
     objective[0] = 1
@@ -233,9 +269,9 @@ def max_scaling(
         raise ConfigError(f"capacity program is {status}")
 
     flows = tuple(
-        (cid, tuple(sorted(tree.edge_ids)), x[1 + j])
-        for j, (cid, tree) in enumerate(route_index)
-        if x[1 + j] > 0
+        (cid, tuple(_edge_ids(bits)), x[j])
+        for j, (cid, bits) in enumerate(route_index, start=1)
+        if x[j] > 0
     )
     mix = tuple(
         (tuple(sorted(members[j])), x[1 + n_routes + j])
@@ -256,7 +292,10 @@ def verify_certificate(
 
     The certificate must cover exactly the loaded classes at their offered
     rates: one that leaves a class out, names an unknown class, or states
-    another rate certifies a different problem and does not verify.
+    another rate certifies a different problem and does not verify. Nor does
+    one whose flow amounts or probabilities are not rational numbers (a
+    float is not), or whose flow edge ids are not ints in 0..m-1 (a bool
+    is not).
     """
     rates = dict(cert.rates)
     if rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
@@ -264,11 +303,11 @@ def verify_certificate(
     by_class: dict[int, Fraction] = {cid: Fraction(0) for cid in rates}
     edge_load = [Fraction(0)] * g.m
     for cid, edges, v in cert.flows:
-        if v < 0 or cid not in rates:
+        if not isinstance(v, Rational) or v < 0 or cid not in rates:
             return False
         by_class[cid] += v
         for e in edges:
-            if not (0 <= e < g.m):
+            if not (type(e) is int and 0 <= e < g.m):
                 return False
             edge_load[e] += v
     for cid, rate in rates.items():
@@ -279,7 +318,7 @@ def verify_certificate(
     edge_service = [Fraction(0)] * g.m
     admissible = None if aset.kind == "wired" else set(aset.members)
     for edges, p in cert.activation_mix:
-        if p < 0:
+        if not isinstance(p, Rational) or p < 0:
             return False
         member = frozenset(edges)
         if admissible is None:

@@ -299,7 +299,7 @@ def test_enumerate_routes_matches_subset_scan_on_random_graphs(monkeypatch):
 
 def test_tree_subsets_match_subset_scan_on_arbitrary_arguments():
     # Covers and leaf sets no traffic class produces, e.g. a root outside
-    # `leaves_in`.
+    # `leaves_in`. `_tree_subsets` returns edge bitmasks, in the scan's order.
     rng = np.random.default_rng(21)
     for trial in range(200):
         if trial % 2:
@@ -310,7 +310,7 @@ def test_tree_subsets_match_subset_scan_on_arbitrary_arguments():
         root = int(rng.integers(0, n))
         cover = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.4))
         leaves_in = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6))
-        want = subset_scan(g, root, cover, leaves_in)
+        want = [sum(1 << e for e in tree.edge_ids) for tree in subset_scan(g, root, cover, leaves_in)]
         assert capacity._tree_subsets(g, root, cover, leaves_in) == want
 
 
@@ -355,6 +355,59 @@ def test_enumerate_routes_cap_errors_match_subset_scan(monkeypatch):
     any_ = TrafficClass(0, "anycast", 0, frozenset({2, 3}), 1.0)
     with pytest.raises(CapExceededError, match=r"paths 0->2: size 5"):
         enumerate_routes(k4, any_)
+
+
+def test_catalogue_of_trees_gives_the_enumerated_certificate():
+    # Criterion 9's random graphs and rooted digraphs, each carrying its four
+    # class kinds at unequal rates, under primary interference or wired.
+    rng = np.random.default_rng(2025)
+    directed = kinds = 0
+    for trial in range(240):
+        if trial % 2:
+            g = random_connected_graph(rng, max_edges=12)
+        else:
+            g, _ = random_rooted_digraph(rng, max_edges=12)
+        n = g.node_count
+        classes = [
+            TrafficClass(0, "unicast", 0, frozenset({int(rng.integers(1, n))}), 1.0),
+            TrafficClass(1, "broadcast", 0, frozenset(range(n)), 0.5),
+        ]
+        if n >= 4:
+            dests = frozenset(int(x) for x in rng.choice(np.arange(1, n), size=2, replace=False))
+            classes.append(TrafficClass(2, "multicast", 0, dests, 0.25))
+            classes.append(TrafficClass(3, "anycast", 0, dests, 0.75))
+        aset = enumerate_matchings(g) if trial % 3 else ActivationSet("wired", g.m)
+        want = max_scaling(g, aset, classes)
+        catalog = {c.id: enumerate_routes(g, c) for c in classes}
+        assert max_scaling(g, aset, classes, catalog) == want
+        assert verify_certificate(want, g, aset, classes)
+        directed += g.directed
+        kinds += len(classes) == 4
+    assert directed == 120 and kinds >= 100, (directed, kinds)
+
+
+def test_duplicate_class_ids_rejected(monkeypatch):
+    # Keyed on class id, the second class's routes would replace the first's
+    # and both rate rows would share them: rho* = 0 with no flows.
+    classes = [
+        TrafficClass(0, "unicast", 0, frozenset({2}), 1.0),
+        TrafficClass(0, "unicast", 0, frozenset({1}), 0.5),
+    ]
+
+    def no_enumeration(*args):
+        raise AssertionError("routes enumerated before the class ids were checked")
+    monkeypatch.setattr(capacity, "_tree_subsets", no_enumeration)
+    with pytest.raises(ConfigError, match=r"duplicate class id 0"):
+        max_scaling(LINE3, ActivationSet("wired", 2), classes)
+
+
+@pytest.mark.parametrize("edge_count", [1, 3])
+def test_activation_set_must_match_graph(edge_count):
+    # LINE3 has 2 edges: a 1-edge wired set left edge 1 unserved (rho* = 0),
+    # and a 3-edge one names an edge the graph does not have.
+    cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
+    with pytest.raises(ConfigError, match=rf"activation set is over {edge_count} edges, the graph has 2"):
+        max_scaling(LINE3, ActivationSet("wired", edge_count), [cls])
 
 
 def test_positive_rate_needs_route():
@@ -423,12 +476,28 @@ def test_certificate_verifies_and_rejects_perturbations():
     # Certificates are exact, so a rho* raised by 1e-12 no longer matches
     # the flows it claims (a 1e-9 tolerance let it through).
     raised = dataclasses.replace(cert, rho_star=cert.rho_star + Fraction(1, 10**12))
+
+    # Malformed entries: flow edge ids that are not ints in 0..m-1, and flow
+    # amounts or probabilities that are not rational numbers. Each returns
+    # False, not TypeError, including a bool or float that equals the right
+    # number (the same flow with int edge ids and a Fraction verifies).
+    def first_flow(edges=None, v=None):
+        cid, old_edges, old_v = cert.flows[0]
+        flow = (cid, old_edges if edges is None else edges, old_v if v is None else v)
+        return dataclasses.replace(cert, flows=(flow,) + cert.flows[1:])
+    assert cert.flows[0][1:] == ((0, 1, 2), 1)
+    assert verify_certificate(first_flow(edges=[0, 1, 2], v=Fraction(1)), g, aset, classes)
+    (member, p), = cert.activation_mix
+    malformed = [first_flow(edges=edges) for edges in ((0, 1.5), (0, "1"), (0, True, 2), (0, 1.0, 2))]
+    malformed += [first_flow(v=v) for v in ("1", 1.0, complex(1))]
+    malformed += [dataclasses.replace(cert, activation_mix=((member, q),)) for q in ("1", 1.0)]
     for tampered, (tg, taset, tclasses) in (
         (raised, (g, aset, classes)),
         (bumped, (g, aset, classes)),
         (broken_mix, (g, aset, classes)),
         (relabelled, (g, aset, classes)),
         (partial, (mg, maset, mclasses)),
+        *((t, (g, aset, classes)) for t in malformed),
     ):
         assert not verify_certificate(tampered, tg, taset, tclasses)
 
