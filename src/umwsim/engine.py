@@ -38,28 +38,24 @@ from .traffic import (
 from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 
+# How every run reports its result. Every slot is recorded.
+WARMUP_FRAC = 0.1        # leading share of the slots avg_total_queue leaves out
+CHECK_EVERY = 1000       # the eq17 and layer-identity checks run after every CHECK_EVERY-th slot and the last
+STABILITY_EPS = 0.05     # verdict "stable" below this final queue / horizon
+DIVERGENCE_FACTOR = 3.0  # verdict "diverging" from this last-decile / mid-run queue ratio
+
+
 @dataclass(frozen=True)
 class MetricsOptions:
-    warmup_frac: float = 0.1
-    record_every: int = 1
-    eq17_every: int = 1000
+    """What a run measures beyond its CSV and summary. diagnostics turns on
+    the per-slot virtual-queue identity checks (_DiagnosticState); they cost
+    time and never change the CSV bytes."""
+
     diagnostics: bool = False
-    stability_eps: float = 0.05
-    divergence_factor: float = 3.0
 
     def __post_init__(self):
-        if not (_is_int(self.record_every) and self.record_every >= 1):
-            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if not (_is_int(self.eq17_every) and self.eq17_every >= 0):
-            raise ConfigError(f"eq17_every must be an integer >= 0, got {self.eq17_every!r}")
-        if not (_is_number(self.warmup_frac) and 0 <= self.warmup_frac < 1):
-            raise ConfigError(f"warmup_frac must be in [0, 1), got {self.warmup_frac!r}")
         if not isinstance(self.diagnostics, bool):
             raise ConfigError(f"diagnostics must be true or false, got {self.diagnostics!r}")
-        for name in ("stability_eps", "divergence_factor"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ class MetricsReport:
 
     config: SimulationConfig         # the config that ran
     class_ids: list[int]
-    slots: np.ndarray            # recorded slot indices
+    # One row per slot, slot t at index t:
     total_q: np.ndarray          # physical copies waiting (or BP backlog)
     total_vq: np.ndarray         # sum of virtual queues (0 for bp)
     deliveries: np.ndarray       # cumulative full deliveries, shape (slots, classes)
@@ -184,36 +180,31 @@ class MetricsReport:
 
     @property
     def throughput(self) -> dict[int, float]:
-        final = self.deliveries[-1] if len(self.deliveries) else np.zeros(len(self.class_ids))
+        final = self.deliveries[-1]
         return {cid: float(final[i]) / self.config.horizon for i, cid in enumerate(self.class_ids)}
 
     @property
     def mean_sojourn(self) -> float:
-        return float(self.mean_sojourn_running[-1]) if len(self.mean_sojourn_running) else math.nan
+        return float(self.mean_sojourn_running[-1])
 
     def avg_total_queue(self) -> float:
-        """Time-average of the total queue after the config's
-        metrics.warmup_frac prefix."""
-        start = int(len(self.total_q) * self.config.metrics.warmup_frac)
-        tail = self.total_q[start:]
-        return float(tail.mean()) if len(tail) else math.nan
+        """Time-average of the total queue after the first WARMUP_FRAC of the slots."""
+        start = int(len(self.total_q) * WARMUP_FRAC)
+        return float(self.total_q[start:].mean())
 
     def verdict(self) -> str:
         """Stability call: "stable" when the final queue is o(horizon) small,
         "diverging" when the last-decile mean dwarfs the mean observed by
         mid-run (a linearly growing queue scores about 3.8x). The thresholds
-        are the config's metrics.stability_eps and divergence_factor."""
-        opts = self.config.metrics
-        if len(self.total_q) == 0:
-            return "stable"
-        if float(self.total_q[-1]) / self.config.horizon < opts.stability_eps:
+        are STABILITY_EPS and DIVERGENCE_FACTOR."""
+        if float(self.total_q[-1]) / self.config.horizon < STABILITY_EPS:
             return "stable"
         k = len(self.total_q)
         mid = self.total_q[: max(k // 2, 1)]
         last = self.total_q[int(0.9 * k):]
         mid_mean = float(mid.mean())
-        last_mean = float(last.mean()) if len(last) else 0.0
-        if mid_mean > 0 and last_mean >= opts.divergence_factor * mid_mean:
+        last_mean = float(last.mean())
+        if mid_mean > 0 and last_mean >= DIVERGENCE_FACTOR * mid_mean:
             return "diverging"
         if mid_mean == 0 and last_mean > 0:
             return "diverging"
@@ -225,11 +216,10 @@ class MetricsReport:
         header += ["mean_sojourn"]
         yield header
         policy = self.config.policy
-        for i, slot in enumerate(self.slots):
-            row = [str(int(slot)), policy, str(int(self.total_q[i])), str(int(self.total_vq[i]))]
-            denom = int(slot) + 1
-            row += [f"{self.deliveries[i, j] / denom:.12g}" for j in range(len(self.class_ids))]
-            soj = self.mean_sojourn_running[i]
+        for t in range(len(self.total_q)):
+            row = [str(t), policy, str(int(self.total_q[t])), str(int(self.total_vq[t]))]
+            row += [f"{self.deliveries[t, j] / (t + 1):.12g}" for j in range(len(self.class_ids))]
+            soj = self.mean_sojourn_running[t]
             row += ["nan" if math.isnan(soj) else f"{soj:.12g}"]
             yield row
 
@@ -249,8 +239,8 @@ class MetricsReport:
                 for i, cid in enumerate(self.class_ids)
             },
             "avg_total_queue": self.avg_total_queue(),
-            "final_total_queue": int(self.total_q[-1]) if len(self.total_q) else 0,
-            "normalized_final_queue": float(self.total_q[-1]) / cfg.horizon if len(self.total_q) else 0.0,
+            "final_total_queue": int(self.total_q[-1]),
+            "normalized_final_queue": float(self.total_q[-1]) / cfg.horizon,
             "mean_sojourn": None if math.isnan(self.mean_sojourn) else self.mean_sojourn,
             "verdict": self.verdict(),
             "violations": dict(self.violations),
@@ -364,14 +354,6 @@ class _DiagnosticState:
         self.filled = 0
 
 
-def _checkpoints(every: int, horizon: int) -> frozenset[int]:
-    """Slots after which the periodic invariant checks run: every
-    `every`-th slot and the last one; none when `every` is 0."""
-    if every == 0:
-        return frozenset()
-    return frozenset(range(every - 1, horizon, every)) | {horizon - 1}
-
-
 class _MaxWeightStepper:
     """One slot of UMW or its heuristic (the policy interface of policy.py).
 
@@ -447,10 +429,10 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     runs share one reading of the topology."""
     g, aset, classes = _resolved or config.resolve()
     T = config.horizon
-    opts = config.metrics
     table = arrival_table(classes, config.arrival, T, config.seed)
 
-    checkpoints = _checkpoints(opts.eq17_every, T)
+    # Slots after which the periodic invariant checks run.
+    checkpoints = frozenset(range(CHECK_EVERY - 1, T, CHECK_EVERY)) | {T - 1}
     route_cache = RouteCache()
     if config.policy == "bp":
         # Back-pressure keeps no virtual queues, so the virtual-queue
@@ -459,12 +441,10 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     else:
         policy = _MaxWeightStepper(config, g, aset, classes, route_cache, checkpoints)
 
-    n_rec = (T + opts.record_every - 1) // opts.record_every
-    rec_slots = np.zeros(n_rec, dtype=np.int64)
-    rec_total_q = np.zeros(n_rec, dtype=np.int64)
-    rec_total_vq = np.zeros(n_rec, dtype=np.int64)
-    rec_deliv = np.zeros((n_rec, len(classes)), dtype=np.int64)
-    rec_sojourn = np.zeros(n_rec, dtype=np.float64)
+    rec_total_q = np.zeros(T, dtype=np.int64)
+    rec_total_vq = np.zeros(T, dtype=np.int64)
+    rec_deliv = np.zeros((T, len(classes)), dtype=np.int64)
+    rec_sojourn = np.zeros(T, dtype=np.float64)
 
     class_ids = [c.id for c in classes]
     col_of = {cid: j for j, cid in enumerate(class_ids)}
@@ -476,7 +456,6 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     sojourn_sum = 0.0
     sojourn_n = 0
     eq17_violations = 0
-    rec_i = 0
 
     for t in range(T):
         completed, total_q, total_vq = policy.step(t, dict(zip(class_ids, table[t].tolist())))
@@ -492,23 +471,19 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
                 if delivered < arrived - total_q:
                     eq17_violations += 1
 
-        if t % opts.record_every == 0:
-            rec_slots[rec_i] = t
-            rec_total_q[rec_i] = total_q
-            rec_total_vq[rec_i] = total_vq
-            rec_deliv[rec_i] = full_deliveries
-            rec_sojourn[rec_i] = sojourn_sum / sojourn_n if sojourn_n else math.nan
-            rec_i += 1
+        rec_total_q[t] = total_q
+        rec_total_vq[t] = total_vq
+        rec_deliv[t] = full_deliveries
+        rec_sojourn[t] = sojourn_sum / sojourn_n if sojourn_n else math.nan
 
     class_arrivals += table[counted:].sum(axis=0)
     return MetricsReport(
         config=config,
         class_ids=class_ids,
-        slots=rec_slots[:rec_i],
-        total_q=rec_total_q[:rec_i],
-        total_vq=rec_total_vq[:rec_i],
-        deliveries=rec_deliv[:rec_i],
-        mean_sojourn_running=rec_sojourn[:rec_i],
+        total_q=rec_total_q,
+        total_vq=rec_total_vq,
+        deliveries=rec_deliv,
+        mean_sojourn_running=rec_sojourn,
         arrivals_per_class=class_arrivals,
         violations={"eq17": eq17_violations, **policy.violations},
         route_cache=route_cache.stats(),

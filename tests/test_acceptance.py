@@ -15,6 +15,7 @@ from helpers import brute_force_max_weight, random_connected_graph, random_weigh
 from umwsim.activation import max_weight_activation
 from umwsim.capacity import enumerate_routes, max_scaling, verify_certificate
 from umwsim.cli import main as cli_main
+from umwsim import engine
 from umwsim.engine import MetricsOptions, SimulationConfig, compare, run, run_many
 from umwsim.policy import solve_route
 from umwsim.routing import route_cost
@@ -25,7 +26,6 @@ SEEDS = (1, 2, 3)
 STABILITY_EPS = 0.05
 DIVERGENCE_FACTOR = 3.0
 THROUGHPUT_RTOL = 0.02
-VERDICT_THRESHOLDS = MetricsOptions(stability_eps=STABILITY_EPS, divergence_factor=DIVERGENCE_FACTOR)
 
 
 def _grid_cfg(load, seed, policy="umw", horizon=200_000, **kw):
@@ -80,7 +80,8 @@ def test_criterion_02_stability_below_capacity(grid_stable_reports):
 
 
 def test_criterion_03_instability_above_capacity():
-    reports = run_many([_grid_cfg(0.44, seed, metrics=VERDICT_THRESHOLDS) for seed in SEEDS])
+    assert (engine.STABILITY_EPS, engine.DIVERGENCE_FACTOR) == (STABILITY_EPS, DIVERGENCE_FACTOR)
+    reports = run_many([_grid_cfg(0.44, seed) for seed in SEEDS])
     for seed, rep in zip(SEEDS, reports):
         verdict = rep.verdict()
         assert verdict == "diverging", f"seed {seed}: verdict {verdict}"
@@ -89,13 +90,14 @@ def test_criterion_03_instability_above_capacity():
 
 
 def test_criterion_04_unicast_rate_point():
+    assert (engine.STABILITY_EPS, engine.DIVERGENCE_FACTOR) == (STABILITY_EPS, DIVERGENCE_FACTOR)
     g, aset, classes = builtin_topology("twinpath_unicast")
     cert = max_scaling(g, aset, classes)
     assert abs(float(cert.rho_star) - 1.0) < 1e-6
     assert verify_certificate(cert, g, aset, classes)
     rates = {c.id: c.rate for c in classes}
     reports = run_many([_twinpath_cfg(0.9, seed) for seed in SEEDS]
-                       + [_twinpath_cfg(1.1, seed, metrics=VERDICT_THRESHOLDS) for seed in SEEDS])
+                       + [_twinpath_cfg(1.1, seed) for seed in SEEDS])
     for seed, rep, bad in zip(SEEDS, reports, reports[len(SEEDS):]):
         normalized = rep.total_q[-1] / rep.config.horizon
         assert normalized < STABILITY_EPS, f"rho=0.9 seed {seed}: queue/T = {normalized}"
@@ -199,7 +201,7 @@ def test_criterion_09_solver_exactness_oracles():
           f"route oracle checks on 200 random graphs, zero failures PASS")
 
 
-def test_criterion_10_delivery_correctness(grid_stable_reports):
+def test_criterion_10_delivery_correctness(grid_stable_reports, monkeypatch):
     classes = (
         TrafficClass(0, "unicast", 0, frozenset({3}), 0.4),
         TrafficClass(1, "broadcast", 6, frozenset(range(8)), 0.15),
@@ -209,8 +211,9 @@ def test_criterion_10_delivery_correctness(grid_stable_reports):
     cfg = SimulationConfig(
         topology="twinpath_unicast", horizon=10_000, seed=10, classes=classes,
         arrival=ArrivalProcess("binomial", trials=2),
-        metrics=MetricsOptions(diagnostics=True, eq17_every=200),
+        metrics=MetricsOptions(diagnostics=True),
     )
+    monkeypatch.setattr(engine, "CHECK_EVERY", 200)
     rep = run(cfg)
     assert rep.violations["delivery"] == 0
     assert rep.violations["eq17"] == 0

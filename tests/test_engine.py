@@ -171,7 +171,7 @@ def test_bp_diagnostics_report_no_virtual_queue_checks():
     assert not virtual_checks & set(reports["bp"].violations)
 
 
-def test_mixed_traffic_kinds_run_clean():
+def test_mixed_traffic_kinds_run_clean(monkeypatch):
     classes = (
         TrafficClass(0, "unicast", 0, frozenset({3}), 0.3),
         TrafficClass(1, "broadcast", 6, frozenset(range(8)), 0.1),
@@ -180,7 +180,8 @@ def test_mixed_traffic_kinds_run_clean():
     )
     cfg = SimulationConfig(topology="twinpath_unicast", horizon=2500, seed=4,
                            classes=classes, arrival=ArrivalProcess("binomial", trials=2),
-                           metrics=MetricsOptions(diagnostics=True, eq17_every=250))
+                           metrics=MetricsOptions(diagnostics=True))
+    monkeypatch.setattr(engine, "CHECK_EVERY", 250)
     rep = run(cfg)
     assert all(v == 0 for v in rep.violations.values())
     assert rep.verdict() == "stable"
@@ -441,26 +442,6 @@ def test_cli_capacity(tmp_path):
     assert doc["rho_star_exact"] == "2/5"
 
 
-def test_record_every_zero_rejected():
-    with pytest.raises(ConfigError, match="record_every"):
-        config_from_dict({"topology": "line3", "metrics": {"record_every": 0}})
-    with pytest.raises(ConfigError):
-        MetricsOptions(record_every=-1)
-
-
-def test_negative_eq17_every_rejected():
-    with pytest.raises(ConfigError, match="eq17_every"):
-        config_from_dict({"topology": "line3", "metrics": {"eq17_every": -5}})
-    assert MetricsOptions(eq17_every=0).eq17_every == 0   # 0 turns the checks off
-
-
-def test_warmup_frac_out_of_range_rejected():
-    for bad in (2.0, 1.0, -0.1, float("nan")):
-        with pytest.raises(ConfigError, match="warmup_frac"):
-            config_from_dict({"topology": "line3", "metrics": {"warmup_frac": bad}})
-    assert MetricsOptions(warmup_frac=0.0).warmup_frac == 0.0
-
-
 @pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
 def test_non_finite_load_factor_rejected(load):
     # A NaN load used to run silently: Bernoulli draws against NaN never
@@ -506,14 +487,6 @@ def test_diagnostics_must_be_bool():
     assert config_from_dict({"topology": "line3", "metrics": {"diagnostics": False}}).metrics.diagnostics is False
 
 
-@pytest.mark.parametrize("name", ["stability_eps", "divergence_factor"])
-def test_verdict_thresholds_must_be_finite_and_positive(name):
-    for bad in (0, -1.0, math.nan, math.inf, "3"):
-        with pytest.raises(ConfigError, match=name):
-            MetricsOptions(**{name: bad})
-    assert getattr(MetricsOptions(**{name: 2}), name) == 2
-
-
 _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
 
 
@@ -544,11 +517,14 @@ _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
     ({"topology": "line3", "load_factor": True}, "load_factor"),
     ({"topology": "line3", "load_factor": "1"}, "load_factor"),
     ({"topology": "line3", "metrics": {"record_every": True}}, "record_every"),
+    ({"topology": "line3", "metrics": {"diagnostics": "true"}}, "diagnostics"),
+    ({"topology": "line3", "metrics": {"diagnostics": 1}}, "diagnostics"),
 ], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
         "record_every_text", "trials_text", "source_text", "class_not_object", "null_document",
         "horizon_float", "seed_float", "horizon_bool", "horizon_numeric_text", "seed_negative",
         "trials_float", "trials_bool", "id_float", "source_bool", "destination_float", "rate_bool",
-        "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool"])
+        "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool",
+        "diagnostics_text", "diagnostics_int"])
 def test_malformed_config_names_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(doc)
@@ -630,29 +606,30 @@ def test_unknown_steiner_mode_rejected_without_multicast():
         config_from_dict({"topology": "line3", "steiner_mode": "greedy"})
 
 
-def test_summary_verdict_uses_configured_thresholds():
+def test_summary_verdict_uses_configured_thresholds(monkeypatch):
     # At load 1.0 on line3 the final queue is a few packets: small against
-    # the horizon but not against a strict stability_eps.
+    # the horizon but not against a strict STABILITY_EPS.
     cfg = _line3_cfg(horizon=400)
     default = run(cfg)
     final = float(default.total_q[-1]) / cfg.horizon
-    assert 0 < final < MetricsOptions.stability_eps
+    assert 0 < final < engine.STABILITY_EPS
     assert default.summary()["verdict"] == "stable"
-    strict = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=final / 2))
-    report = run(strict)
+    monkeypatch.setattr(engine, "STABILITY_EPS", final / 2)
+    report = run(cfg)
     assert report.total_q.tolist() == default.total_q.tolist()  # thresholds only judge
     expected = report.verdict()
     assert expected != "stable"
     assert report.summary()["verdict"] == expected
-    echoed = report.summary()["config"]["metrics"]
-    assert echoed["stability_eps"] == final / 2
-    assert echoed["divergence_factor"] == MetricsOptions.divergence_factor
 
 
 def test_unknown_metrics_key_rejected():
-    for key in ("record_evry", "history_window"):
+    # The last five are the settings that became engine constants
+    # (WARMUP_FRAC, CHECK_EVERY, STABILITY_EPS, DIVERGENCE_FACTOR; every
+    # slot is recorded).
+    for key in ("record_evry", "history_window", "warmup_frac", "record_every", "eq17_every",
+                "stability_eps", "divergence_factor"):
         doc = {"topology": "line3", "metrics": {"diagnostics": True, key: 5}}
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key(s): 'metrics.{key}'")):
             config_from_dict(doc)
 
 
@@ -673,19 +650,20 @@ def test_defaults_are_the_dataclass_defaults():
     assert cfg.horizon == 1000
 
 
-def test_report_verdict_defaults_to_config_thresholds():
+def test_report_verdict_defaults_to_config_thresholds(monkeypatch):
     # verdict() used to default to 0.05 whatever the config said, so it
-    # disagreed with the summary's verdict under a stricter stability_eps.
-    # The thresholds come only from the config's metrics options.
-    cfg = _line3_cfg(horizon=2000, load_factor=0.5, metrics=MetricsOptions(stability_eps=1e-9))
+    # disagreed with the summary's verdict under a stricter threshold.
+    # verdict(), the summary and sweep all read STABILITY_EPS.
+    monkeypatch.setattr(engine, "STABILITY_EPS", 1e-9)
+    cfg = _line3_cfg(horizon=2000, load_factor=0.5)
     report = run(cfg)
     assert report.verdict() == report.summary()["verdict"] != "stable"
-    loose = dataclasses.replace(cfg, metrics=MetricsOptions(stability_eps=0.05))
-    assert dataclasses.replace(report, config=loose).verdict() == "stable"
-    start = int(len(report.total_q) * cfg.metrics.warmup_frac)
-    assert report.avg_total_queue() == float(report.total_q[start:].mean())
     assert sweep(cfg, [0.5])[0]["verdict"] == run(
         dataclasses.replace(cfg, seed=sweep_subseed(cfg.seed, 0))).verdict()
+    start = int(len(report.total_q) * engine.WARMUP_FRAC)
+    assert report.avg_total_queue() == float(report.total_q[start:].mean())
+    monkeypatch.setattr(engine, "STABILITY_EPS", 0.05)
+    assert report.verdict() == "stable"
 
 
 # ---------------------------------------------------------------------------
