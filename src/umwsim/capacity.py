@@ -282,6 +282,12 @@ def max_scaling(
     return CapacityCertificate(rho_star=value, rates=rates, flows=flows, activation_mix=mix)
 
 
+def _are_edge_ids(edges, m: int) -> bool:
+    """Whether every entry of edges is an int in 0..m-1 (a bool or a float
+    equal to one is not)."""
+    return all(type(e) is int and 0 <= e < m for e in edges)
+
+
 def verify_certificate(
     cert: CapacityCertificate,
     g: Graph,
@@ -291,24 +297,25 @@ def verify_certificate(
     """Independently recheck every constraint the certificate claims.
 
     The certificate must cover exactly the loaded classes at their offered
-    rates: one that leaves a class out, names an unknown class, or states
-    another rate certifies a different problem and does not verify. Nor does
-    one whose flow amounts or probabilities are not rational numbers (a
-    float is not), or whose flow edge ids are not ints in 0..m-1 (a bool
-    is not).
+    rates, each once: one that leaves a class out, names an unknown class,
+    lists a class twice, or states another rate certifies a different
+    problem and does not verify. Nor does one whose rho_star, flow amounts
+    or probabilities are not rational numbers (a float is not), whose flow
+    or mixture-member edge ids are not ints in 0..m-1 (a bool is not), or
+    whose member lists an edge twice.
     """
+    if not isinstance(cert.rho_star, Rational):
+        return False
     rates = dict(cert.rates)
-    if rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
+    if len(rates) != len(cert.rates) or rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
         return False
     by_class: dict[int, Fraction] = {cid: Fraction(0) for cid in rates}
     edge_load = [Fraction(0)] * g.m
     for cid, edges, v in cert.flows:
-        if not isinstance(v, Rational) or v < 0 or cid not in rates:
+        if not isinstance(v, Rational) or v < 0 or cid not in rates or not _are_edge_ids(edges, g.m):
             return False
         by_class[cid] += v
         for e in edges:
-            if not (type(e) is int and 0 <= e < g.m):
-                return False
             edge_load[e] += v
     for cid, rate in rates.items():
         if by_class[cid] != cert.rho_star * rate:
@@ -321,10 +328,9 @@ def verify_certificate(
         if not isinstance(p, Rational) or p < 0:
             return False
         member = frozenset(edges)
-        if admissible is None:
-            if not member <= set(range(g.m)):
-                return False
-        elif member not in admissible:
+        if not _are_edge_ids(edges, g.m) or len(member) != len(edges):
+            return False
+        if admissible is not None and member not in admissible:
             return False
         total_p += p
         for e in edges:

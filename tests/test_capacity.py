@@ -491,7 +491,25 @@ def test_certificate_verifies_and_rejects_perturbations():
     malformed = [first_flow(edges=edges) for edges in ((0, 1.5), (0, "1"), (0, True, 2), (0, 1.0, 2))]
     malformed += [first_flow(v=v) for v in ("1", 1.0, complex(1))]
     malformed += [dataclasses.replace(cert, activation_mix=((member, q),)) for q in ("1", 1.0)]
+    # The same for rho*, mixture-member edge ids (frozenset reads 1.0 and
+    # True as 1), and a rates tuple that lists a class twice.
+    assert member == tuple(range(8))
+    malformed += [dataclasses.replace(cert, activation_mix=(((0, e) + member[2:], p),)) for e in (1.0, True)]
+    malformed += [dataclasses.replace(cert, rho_star=q) for q in (1.0, "1")]
+    malformed += [dataclasses.replace(cert, rates=cert.rates + cert.rates[:1])]
+    # On the grid: members given as floats, and members that list each edge
+    # twice to double its service, with rho* and the flows doubled to match.
+    gg, gaset, gclasses = builtin_topology("grid3x3_broadcast")
+    gcert = max_scaling(gg, gaset, gclasses)
+    float_members = dataclasses.replace(gcert, activation_mix=tuple(
+        (tuple(map(float, edges)), p) for edges, p in gcert.activation_mix))
+    doubled = dataclasses.replace(
+        gcert, rho_star=2 * gcert.rho_star,
+        flows=tuple((cid, edges, 2 * v) for cid, edges, v in gcert.flows),
+        activation_mix=tuple((edges + edges, p) for edges, p in gcert.activation_mix))
     for tampered, (tg, taset, tclasses) in (
+        (float_members, (gg, gaset, gclasses)),
+        (doubled, (gg, gaset, gclasses)),
         (raised, (g, aset, classes)),
         (bumped, (g, aset, classes)),
         (broken_mix, (g, aset, classes)),

@@ -16,7 +16,7 @@ from umwsim import routing
 from umwsim.capacity import enumerate_routes
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError, UnreachableError
 from umwsim.policy import RouteCache, solve_route
-from umwsim.routing import RouteTree, as_weights, route_cost
+from umwsim.routing import RouteTree, TreeEdge, as_weights, route_cost
 from umwsim.topology import Graph, builtin_topology
 from umwsim.traffic import TrafficClass
 
@@ -236,6 +236,17 @@ def test_anycast_no_reachable_destination():
     g = Graph(3, ((0, 1),))
     with pytest.raises(UnreachableError):
         solve_route(g, [1], flow("anycast", 0, {2}))
+
+
+@pytest.mark.parametrize("edges, covered, message", [
+    ((TreeEdge(0, 0, 1, 0), TreeEdge(1, 0, 1, 0)), {1}, "node 1 has two parents"),
+    ((TreeEdge(1, 1, 2, 0),), {2}, "edge 1 dangles from node 1"),
+    ((TreeEdge(0, 0, 1, 1),), {1}, "edge 0 has depth 1, expected 0"),
+    ((TreeEdge(0, 0, 1, 0),), {2}, "covered destinations outside the tree"),
+], ids=["two_parents", "dangling_edge", "wrong_depth", "covered_outside"])
+def test_route_tree_rejects_malformed_trees(edges, covered, message):
+    with pytest.raises(TopologyError, match=message):
+        RouteTree(0, edges, frozenset(covered))
 
 
 def test_route_cost_examples():
