@@ -20,18 +20,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EVERY_OPTION = {
     "topology": "line3", "horizon": 77, "seed": 5, "policy": "umw-heuristic",
     "arrival": {"kind": "binomial", "trials": 3}, "load_factor": 0.25, "steiner_mode": "approx",
-    "metrics": {"warmup_frac": 0.2, "record_every": 3, "eq17_every": 50, "diagnostics": True,
-                "stability_eps": 0.01, "divergence_factor": 2.5},
+    "metrics": {"diagnostics": True},
     "classes": [
         {"id": 4, "kind": "multicast", "source": 0, "destinations": [2, 1], "rate": 0.5},
         {"id": 1, "kind": "unicast", "source": 2, "destinations": [0], "rate": 0.125},
     ],
 }
 
-_DEFAULT_METRICS = (
-    '"metrics": {"diagnostics": false, "divergence_factor": 3.0, "eq17_every": 1000, '
-    '"record_every": 1, "stability_eps": 0.05, "warmup_frac": 0.1}'
-)
+_DEFAULT_METRICS = '"metrics": {"diagnostics": false}'
 
 ECHOES = {
     "grid3x3_broadcast": (
@@ -58,8 +54,7 @@ ECHOES = {
         '{"arrival": {"kind": "binomial", "trials": 3}, "classes": ['
         '{"destinations": [1, 2], "id": 4, "kind": "multicast", "rate": 0.5, "source": 0}, '
         '{"destinations": [0], "id": 1, "kind": "unicast", "rate": 0.125, "source": 2}], '
-        '"horizon": 77, "load_factor": 0.25, "metrics": {"diagnostics": true, "divergence_factor": 2.5, '
-        '"eq17_every": 50, "record_every": 3, "stability_eps": 0.01, "warmup_frac": 0.2}, '
+        '"horizon": 77, "load_factor": 0.25, "metrics": {"diagnostics": true}, '
         '"policy": "umw-heuristic", "seed": 5, "steiner_mode": "approx", "topology": "line3"}'
     ),
 }
