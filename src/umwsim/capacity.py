@@ -288,6 +288,11 @@ def _are_edge_ids(edges, m: int) -> bool:
     return all(type(e) is int and 0 <= e < m for e in edges)
 
 
+def _is_rational(x) -> bool:
+    """Whether x is a rational number; a float or a bool is not."""
+    return isinstance(x, Rational) and not isinstance(x, bool)
+
+
 def verify_certificate(
     cert: CapacityCertificate,
     g: Graph,
@@ -300,11 +305,11 @@ def verify_certificate(
     rates, each once: one that leaves a class out, names an unknown class,
     lists a class twice, or states another rate certifies a different
     problem and does not verify. Nor does one whose rho_star, flow amounts
-    or probabilities are not rational numbers (a float is not), whose flow
-    or mixture-member edge ids are not ints in 0..m-1 (a bool is not), or
-    whose member lists an edge twice.
+    or probabilities are not rational numbers (a float or a bool is not),
+    whose flow or mixture-member edge ids are not ints in 0..m-1 (a bool is
+    not), or whose member lists an edge twice.
     """
-    if not isinstance(cert.rho_star, Rational):
+    if not _is_rational(cert.rho_star):
         return False
     rates = dict(cert.rates)
     if len(rates) != len(cert.rates) or rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
@@ -312,7 +317,7 @@ def verify_certificate(
     by_class: dict[int, Fraction] = {cid: Fraction(0) for cid in rates}
     edge_load = [Fraction(0)] * g.m
     for cid, edges, v in cert.flows:
-        if not isinstance(v, Rational) or v < 0 or cid not in rates or not _are_edge_ids(edges, g.m):
+        if not _is_rational(v) or v < 0 or cid not in rates or not _are_edge_ids(edges, g.m):
             return False
         by_class[cid] += v
         for e in edges:
@@ -325,7 +330,7 @@ def verify_certificate(
     edge_service = [Fraction(0)] * g.m
     admissible = None if aset.kind == "wired" else set(aset.members)
     for edges, p in cert.activation_mix:
-        if not isinstance(p, Rational) or p < 0:
+        if not _is_rational(p) or p < 0:
             return False
         member = frozenset(edges)
         if not _are_edge_ids(edges, g.m) or len(member) != len(edges):

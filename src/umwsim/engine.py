@@ -40,7 +40,7 @@ from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 # How every run reports its result. Every slot is recorded.
 WARMUP_FRAC = 0.1        # leading share of the slots avg_total_queue leaves out
-CHECK_EVERY = 1000       # the eq17 and layer-identity checks run after every CHECK_EVERY-th slot and the last
+CHECK_EVERY = 1000       # eq17 and layer-identity checks after every CHECK_EVERY-th slot and the last
 STABILITY_EPS = 0.05     # verdict "stable" below this final queue / horizon
 DIVERGENCE_FACTOR = 3.0  # verdict "diverging" from this last-decile / mid-run queue ratio
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_max_weight, random_connected_graph, random_weights
+from umwsim import engine
 from umwsim.activation import max_weight_activation
 from umwsim.capacity import enumerate_routes, max_scaling, verify_certificate
 from umwsim.cli import main as cli_main
-from umwsim import engine
 from umwsim.engine import MetricsOptions, SimulationConfig, compare, run, run_many
 from umwsim.policy import solve_route
 from umwsim.routing import route_cost

@@ -489,13 +489,13 @@ def test_certificate_verifies_and_rejects_perturbations():
     assert verify_certificate(first_flow(edges=[0, 1, 2], v=Fraction(1)), g, aset, classes)
     (member, p), = cert.activation_mix
     malformed = [first_flow(edges=edges) for edges in ((0, 1.5), (0, "1"), (0, True, 2), (0, 1.0, 2))]
-    malformed += [first_flow(v=v) for v in ("1", 1.0, complex(1))]
-    malformed += [dataclasses.replace(cert, activation_mix=((member, q),)) for q in ("1", 1.0)]
+    malformed += [first_flow(v=v) for v in ("1", 1.0, complex(1), True)]
+    malformed += [dataclasses.replace(cert, activation_mix=((member, q),)) for q in ("1", 1.0, True)]
     # The same for rho*, mixture-member edge ids (frozenset reads 1.0 and
     # True as 1), and a rates tuple that lists a class twice.
     assert member == tuple(range(8))
     malformed += [dataclasses.replace(cert, activation_mix=(((0, e) + member[2:], p),)) for e in (1.0, True)]
-    malformed += [dataclasses.replace(cert, rho_star=q) for q in (1.0, "1")]
+    malformed += [dataclasses.replace(cert, rho_star=q) for q in (1.0, "1", True)]
     malformed += [dataclasses.replace(cert, rates=cert.rates + cert.rates[:1])]
     # On the grid: members given as floats, and members that list each edge
     # twice to double its service, with rho* and the flows doubled to match.
