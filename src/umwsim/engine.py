@@ -262,26 +262,26 @@ DIAG_BLOCK = 256  # slots the diagnostics buffer before checking them in one pas
 class _DiagnosticState:
     """Independent re-evaluations of the queue identities, a block of slots at a time.
 
-    Each step copies the slot's arrivals, service, post-update queue and
-    external arrival count into buffers of min(DIAG_BLOCK, horizon) slots.
-    When they fill, and after the run's last slot, one pass checks every
-    buffered slot exactly, in int64. The checker keeps the cumulative
-    arrivals-minus-service vector and its running minimum (the running-sup
-    form of the windowed-load expression), the companion queue, and the
-    running maxima, and carries each from block to block. It never reads the
-    Lindley state it is checking beyond the q_after it is given. Each count
+    Each step appends the slot's arrivals, service, post-update queue and
+    external arrival count to one flat list of Python ints (a copy, so a
+    caller may reuse its buffers). When it holds min(DIAG_BLOCK, horizon)
+    slots, and after the run's last slot, it becomes one int64 array of a
+    row per slot, and one pass checks every buffered slot exactly. The
+    checker keeps the cumulative arrivals-minus-service vector and its
+    running minimum (the running-sup form of the windowed-load
+    expression), the companion queue, and the running maxima, and carries
+    each from block to block. It never reads the Lindley state it is
+    checking beyond the q_after it is given. Each count
     is the number of slots whose check fails, under "skorokhod", "sandwich"
     and "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
     """
 
     def __init__(self, m: int, amax_bound: float, horizon: int, violations: dict[str, int]):
-        b = min(DIAG_BLOCK, horizon)
-        self.A = np.zeros((b, m), dtype=np.int64)
-        self.mu = np.zeros((b, m), dtype=np.int64)
-        self.q = np.zeros((b, m), dtype=np.int64)
-        self.ext = np.zeros(b, dtype=np.int64)
-        self.work = np.zeros((2, b, m), dtype=np.int64)  # the block pass's scratch
-        self.filled = 0
+        block = min(DIAG_BLOCK, horizon)
+        self.m = m
+        self.rows: list[int] = []  # A, mu, q_after, total_external of each buffered slot
+        self.full = block * (3 * m + 1)  # len(rows) of a full block
+        self.work = np.zeros((2, block, m), dtype=np.int64)  # the block pass's scratch
         self.slots_left = horizon
         self.G = np.zeros(m, dtype=np.int64)
         self.run_min = np.zeros(m, dtype=np.int64)
@@ -293,19 +293,21 @@ class _DiagnosticState:
         self.violations = violations
 
     def step(self, A: list[int], mu: tuple[int, ...], q_after: list[int], total_external: int) -> None:
-        i = self.filled
-        self.A[i] = A
-        self.mu[i] = mu
-        self.q[i] = q_after
-        self.ext[i] = total_external
-        self.filled = i + 1
+        rows = self.rows
+        rows.extend(A)
+        rows.extend(mu)
+        rows.extend(q_after)
+        rows.append(total_external)
         self.slots_left -= 1
-        if self.filled == len(self.ext) or self.slots_left == 0:
+        if len(rows) == self.full or self.slots_left == 0:
             self._check_block()
 
     def _check_block(self) -> None:
-        n = self.filled
-        A, mu, q, ext = self.A[:n], self.mu[:n], self.q[:n], self.ext[:n]
+        m = self.m
+        block = np.array(self.rows, dtype=np.int64).reshape(-1, 3 * m + 1)
+        self.rows.clear()
+        n = len(block)
+        A, mu, q, ext = block[:, :m], block[:, m:2 * m], block[:, 2 * m:3 * m], block[:, 3 * m]
         G, low = self.work[0, :n], self.work[1, :n]
         # Skorokhod: the queue after slot t is G_t minus the minimum of G
         # before it, where G is the cumulative arrivals minus service.
@@ -351,15 +353,16 @@ class _DiagnosticState:
         self.violations["skorokhod"] += int(np.count_nonzero(skorokhod))
         self.violations["sandwich"] += int(np.count_nonzero(sandwich))
         self.violations["loading"] += int(np.count_nonzero(loading))
-        self.filled = 0
 
 
 class _MaxWeightStepper:
     """One slot of UMW or its heuristic (the policy interface of policy.py).
 
     Routes this slot's arrivals by min-cost solves and activates links by
-    the max-weight rule, both under one weight vector (see weights()). Then
-    admits and forwards the physical copies and applies the Lindley update.
+    the max-weight rule, both under one weight vector (see weights()),
+    whose tuple keys the RouteCache once per slot: the activation and each
+    route are computed only when the memo does not hold them. Then admits
+    and forwards the physical copies and applies the Lindley update.
     With metrics.diagnostics on, each slot also feeds the _DiagnosticState
     checks.
     """
@@ -389,20 +392,31 @@ class _MaxWeightStepper:
         return self.vq.q if self.virtual_weights else self.net.lengths
 
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
-        g, net, vq, classes = self.graph, self.net, self.vq, self.classes
+        g, net, vq, classes, cache = self.graph, self.net, self.vq, self.classes, self.route_cache
+        # The weights are Python ints, so the memo key skips as_weights;
+        # solve_route checks them on a miss.
         weights = self.weights()
+        decision = cache.decision(tuple(weights))
+        act = decision.activation
+        if act is None:
+            act = decision.activation = max_weight_activation(self.aset, weights)
+        known = decision.routes
         routes: dict[int, RouteTree] = {}
         for c in classes:
             if arrivals[c.id] > 0:
-                routes[c.id] = solve_route(g, weights, c, self.steiner_mode, self.route_cache)
-        act = max_weight_activation(self.aset, weights)
+                tree = known.get(c.id)
+                if tree is None:
+                    tree = solve_route(g, weights, c, self.steiner_mode, cache)
+                else:
+                    cache.hits += 1
+                routes[c.id] = tree
 
         completed: list[Packet] = []
         for c in classes:
             for _ in range(arrivals[c.id]):
                 completed += net.admit(Packet(self.uid, c.id, t, routes[c.id]), t)
                 self.uid += 1
-        completed += net.forward(act.active, t)
+        completed += net.forward(act, t)
         for pkt in completed:
             if pkt.delivered != pkt.route.covered:
                 self.violations["delivery"] += 1

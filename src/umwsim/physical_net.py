@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .routing import RouteTree
-from .topology import Graph
+from .topology import ActivationVector, Graph
 
 
 @dataclass(eq=False, slots=True)
@@ -50,10 +50,14 @@ class PhysicalNetwork:
         return [len(buf) for buf in self.buffers]
 
     def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
-        if node in packet.delivered:
+        """Record node as reached. Only covered nodes are ever delivered
+        (admit checks the root, forward the hop's covered flag) and none
+        twice, so the packet is complete once the counts match."""
+        delivered = packet.delivered
+        if node in delivered:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
-        packet.delivered.add(node)
-        if packet.delivered == packet.route.covered:
+        delivered.add(node)
+        if len(delivered) == len(packet.route.covered):
             packet.full_delivery_slot = slot
             completed.append(packet)
 
@@ -74,16 +78,17 @@ class PhysicalNetwork:
         self.total_copies += len(route.root_edge_ids)
         return completed
 
-    def forward(self, active: frozenset[int], slot: int) -> list[Packet]:
-        """One slot of ENTO forwarding over the active edges; returns the
-        packets it completes, each once, in the order they complete.
+    def forward(self, act: ActivationVector, slot: int) -> list[Packet]:
+        """One slot of ENTO forwarding over act's active edges, crossed in
+        increasing edge id; returns the packets it completes, each once, in
+        the order they complete.
 
         Transmissions are simultaneous: every active nonempty edge pops its
         top copy first, and only then are the crossed copies duplicated
         into child buffers, so a copy cannot traverse two edges in one slot.
         """
         buffers = self.buffers
-        crossed = [(e, heappop(buffers[e])) for e in sorted(active) if buffers[e]]
+        crossed = [(e, heappop(buffers[e])) for e in act.edge_ids if buffers[e]]
         completed: list[Packet] = []
         pushed = 0
         for e, (hops, arr, uid, packet) in crossed:

@@ -10,7 +10,9 @@ it is driving. There are two implementations:
 
   ``engine._MaxWeightStepper`` serves "umw" and "umw-heuristic": min-cost
       routing (``solve_route``) and max-weight activation under the virtual
-      queues ("umw") or the physical buffer lengths ("umw-heuristic"). The
+      queues ("umw") or the physical buffer lengths ("umw-heuristic"), both
+      looked up by the slot's weight tuple in the run's RouteCache and
+      computed only when the memo does not hold them. The
       optimal policy's weights are the virtual counters alone; it never
       reads physical state. With ``metrics.diagnostics`` on, the stepper
       also runs the per-slot virtual-queue checks and counts their
@@ -39,7 +41,7 @@ from .routing import (
     as_weights,
     build_route,
 )
-from .topology import ActivationSet, Graph
+from .topology import ActivationSet, ActivationVector, Graph
 from .traffic import TrafficClass
 
 POLICY_NAMES = ("umw", "umw-heuristic", "bp")
@@ -58,22 +60,53 @@ class SlotOutcome(NamedTuple):
     total_vq: int                      # sum of the virtual queues (0 for bp)
 
 
-class RouteCache:
-    """Route memo and tree intern table of one run (one graph, one Steiner mode).
+class SlotDecision:
+    """What one weight vector decides: the max-weight activation (None
+    until a slot under these weights computes it) and the routes solved
+    under them so far, by class id."""
 
-    A route is a pure function of the class and the integer weight vector,
-    so the memo maps (class id, weight tuple) to the tree solved for it. It
-    keeps at most ROUTE_MEMO_CAP entries and evicts the oldest first. On a
-    miss the solver runs in full; the intern table then hands back the tree
-    already built for the same solved edge set, so each distinct tree is
-    oriented and validated once and shared by every packet routed along it.
+    __slots__ = ("activation", "routes")
+
+    def __init__(self):
+        self.activation: ActivationVector | None = None
+        self.routes: dict[int, RouteTree] = {}
+
+
+class RouteCache:
+    """Slot memo and tree intern table of one run (one graph, one Steiner mode).
+
+    A slot's activation and routes are pure functions of its integer weight
+    vector, so the memo maps the weight tuple to the SlotDecision made
+    under it; its route table fills as classes with arrivals need routes.
+    It keeps at most ROUTE_MEMO_CAP weight vectors and evicts the oldest
+    first. hits counts the route lookups the memo answers and misses the
+    route solves. On a miss the solver runs in full; the intern table then
+    hands back the tree already built for the same solved edge set, so
+    each distinct tree is oriented and validated once and shared by every
+    packet routed along it.
     """
 
     def __init__(self):
-        self.memo: dict[tuple, RouteTree] = {}
+        self.memo: dict[tuple[int, ...], SlotDecision] = {}
+        # The memo's keys, oldest first. Evicting through the dict's own
+        # order (next(iter(memo))) would step over the slots of every
+        # entry deleted since its last resize, about 1 µs at the cap.
+        self.order: deque[tuple[int, ...]] = deque()
         self.trees: dict[RouteKey, RouteTree] = {}
         self.hits = 0
         self.misses = 0
+
+    def decision(self, key: tuple[int, ...]) -> SlotDecision:
+        """The memo entry for weight tuple key, made (and the oldest entry
+        past the cap evicted) if it is new. The entry stays usable after
+        its eviction."""
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = SlotDecision()
+            self.order.append(key)
+            if len(self.order) > ROUTE_MEMO_CAP:
+                del self.memo[self.order.popleft()]
+        return entry
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "distinct_trees": len(self.trees)}
@@ -106,8 +139,8 @@ def solve_route(
     w = as_weights(w, g.m)
     if cache is None:
         return build_route(g, _route_edges(g, w, cls, steiner_mode))
-    key = (cls.id, tuple(w))
-    tree = cache.memo.get(key)
+    routes = cache.decision(tuple(w)).routes
+    tree = routes.get(cls.id)
     if tree is not None:
         cache.hits += 1
         return tree
@@ -116,9 +149,7 @@ def solve_route(
     tree = cache.trees.get(solved)
     if tree is None:
         tree = cache.trees[solved] = build_route(g, solved)
-    cache.memo[key] = tree
-    if len(cache.memo) > ROUTE_MEMO_CAP:
-        del cache.memo[next(iter(cache.memo))]
+    routes[cls.id] = tree
     return tree
 
 
@@ -207,5 +238,5 @@ class BPState:
                     weights[e], plans[e] = diff, Forward(u, v, cid)
                 elif -diff > weights[e] and not g.directed:
                     weights[e], plans[e] = -diff, Forward(v, u, cid)
-        active = max_weight_activation(self.aset, weights).active
-        return [plans[e] for e in sorted(active) if plans[e] is not None]
+        active = max_weight_activation(self.aset, weights).edge_ids
+        return [plans[e] for e in active if plans[e] is not None]

@@ -93,6 +93,12 @@ class ActivationVector:
             raise TopologyError("active edge id out of range")
 
     @cached_property
+    def edge_ids(self) -> tuple[int, ...]:
+        """The active edge ids in increasing order, the order in which the
+        physical network crosses them (a frozenset iterates in hash order)."""
+        return tuple(sorted(self.active))
+
+    @cached_property
     def service(self) -> tuple[int, ...]:
         """0/1 service per edge, length m; a tuple, since vectors are shared."""
         return tuple(int(e in self.active) for e in range(self.edge_count))

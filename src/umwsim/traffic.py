@@ -112,8 +112,8 @@ class ArrivalProcess:
     def __post_init__(self):
         if self.kind not in ARRIVAL_KINDS:
             raise ConfigError(f"kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}")
-        if not (_is_int(self.trials) and (self.trials >= 1 or self.kind != "binomial")):
-            raise ConfigError(f"trials must be an integer (>= 1 for binomial), got {self.trials!r}")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
 
 
 def class_stream(master_seed: int, class_id: int) -> np.random.Generator:

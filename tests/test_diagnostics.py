@@ -62,12 +62,14 @@ def _slots(rng, m, horizon, kind, corrupt_p):
 def _counts(make, m, amax_bound, horizon, slots):
     violations = {}
     checker = make(m, amax_bound, horizon, violations)
-    # The engine hands over its live Lindley array, which the next slot
-    # overwrites; feed q_after through one reused buffer the same way.
+    # The checker must copy what it is given: feed A and q_after through
+    # one reused buffer each, which the next slot overwrites.
+    A_live = np.zeros(m, dtype=np.int64)
     q_live = np.zeros(m, dtype=np.int64)
     for A, mu, reported, total_external in slots:
+        A_live[:] = A
         q_live[:] = reported
-        checker.step(A, mu, q_live, total_external)
+        checker.step(A_live, mu, q_live, total_external)
     return violations
 
 

@@ -519,12 +519,14 @@ _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
     ({"topology": "line3", "metrics": {"record_every": True}}, "record_every"),
     ({"topology": "line3", "metrics": {"diagnostics": "true"}}, "diagnostics"),
     ({"topology": "line3", "metrics": {"diagnostics": 1}}, "diagnostics"),
+    ({"topology": "line3", "arrival": {"kind": "bernoulli", "trials": -7}}, "arrival.trials"),
+    ({"topology": "line3", "arrival": {"kind": "poisson", "trials": 0}}, "arrival.trials"),
 ], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
         "record_every_text", "trials_text", "source_text", "class_not_object", "null_document",
         "horizon_float", "seed_float", "horizon_bool", "horizon_numeric_text", "seed_negative",
         "trials_float", "trials_bool", "id_float", "source_bool", "destination_float", "rate_bool",
         "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool",
-        "diagnostics_text", "diagnostics_int"])
+        "diagnostics_text", "diagnostics_int", "bernoulli_trials_negative", "poisson_trials_zero"])
 def test_malformed_config_names_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(doc)
@@ -674,14 +676,35 @@ def _cache_cases():
     twin = load_config(CONFIGS / "twinpath_compare.json", horizon=2000, policy="umw-heuristic")
     # 1.1 of capacity: queues diverge, so nearly every broadcast solve misses.
     overload = load_config(CONFIGS / "grid3x3_broadcast.json", horizon=2000, load_factor=0.44)
-    return [mixed, twin, overload]
+    # 0.9 of capacity: most slots revisit a weight vector, and the grid's
+    # activation is a scan over its maximal matchings.
+    stable = load_config(CONFIGS / "grid3x3_broadcast.json", horizon=2000)
+    diagnosed = dataclasses.replace(mixed, metrics=MetricsOptions(diagnostics=True))
+    return [mixed, twin, overload, stable, diagnosed]
 
 
-@pytest.mark.parametrize("case", [0, 1, 2], ids=["mixed_kinds", "twinpath_heuristic", "grid_overload"])
+def _count_calls(monkeypatch, name) -> list:
+    """Record each call the stepper makes to engine.<name>."""
+    calls = []
+    real = getattr(engine, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(5), ids=["mixed_kinds", "twinpath_heuristic", "grid_overload",
+                                                "grid_broadcast", "mixed_kinds_diagnostics"])
 def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     cfg = _cache_cases()[case]
+    activations = _count_calls(monkeypatch, "max_weight_activation")
     cached = run(cfg)
+    cached_activations = len(activations)
     monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 0)
+    activations.clear()
     memo_free = run(cfg)
     for name, rep in (("cached", cached), ("memo_free", memo_free)):
         rep.write_csv(tmp_path / f"{name}.csv")
@@ -692,21 +715,19 @@ def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     assert stats_a["hits"] > 0 and stats_b["hits"] == 0
     assert stats_b["misses"] == stats_a["hits"] + stats_a["misses"]
     assert stats_b["distinct_trees"] == stats_a["distinct_trees"]
+    # The activation is memoised with the routes: without the memo every
+    # slot computes it, with it only slots under a new weight vector do.
+    assert 0 < cached_activations < len(activations) == cfg.horizon
 
 
 def test_route_cache_counts_every_solve(monkeypatch):
-    calls = []
-    real = engine.solve_route
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "solve_route", counting)
+    # The stepper calls solve_route only when the slot memo holds no route
+    # for the class, so every solve is a miss and every hit skips a call.
+    calls = _count_calls(monkeypatch, "solve_route")
     for cfg in _cache_cases():
         calls.clear()
         stats = run(cfg).summary()["route_cache"]
-        assert stats["hits"] + stats["misses"] == len(calls) > 0
+        assert stats["misses"] == len(calls) > 0 and stats["hits"] > 0
         assert 0 < stats["distinct_trees"] <= stats["misses"]
     bp = run(dataclasses.replace(_cache_cases()[1], policy="bp"))
     assert bp.summary()["route_cache"] == {"hits": 0, "misses": 0, "distinct_trees": 0}

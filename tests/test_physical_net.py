@@ -6,7 +6,7 @@ import pytest
 from helpers import TreeWalkNetwork, flow, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.physical_net import Packet, PhysicalNetwork
 from umwsim.policy import solve_route
-from umwsim.topology import Graph
+from umwsim.topology import ActivationVector, Graph
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))  # root 0 branches three ways
@@ -14,6 +14,10 @@ STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))  # root 0 branches three ways
 
 def _packet(uid, route, slot=0):
     return Packet(uid, 0, slot, route)
+
+
+def _act(net, *edges):
+    return ActivationVector(frozenset(edges), net.graph.m)
 
 
 def test_admit_unicast_single_copy():
@@ -47,10 +51,10 @@ def test_forward_delivers_at_leaf():
     route = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
-    completed = net.forward(frozenset({0, 1}), 0)
+    completed = net.forward(_act(net, 0, 1), 0)
     assert completed == []  # copy moved from edge 0 to edge 1, no delivery yet
     assert net.lengths == [0, 1]
-    completed = net.forward(frozenset({0, 1}), 1)
+    completed = net.forward(_act(net, 0, 1), 1)
     assert completed == [pkt] and pkt.delivered == {2}
     assert pkt.full_delivery_slot == 1
 
@@ -60,10 +64,10 @@ def test_lowest_hops_copy_crosses_first():
     far = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     veteran = _packet(1, far)
     net.admit(veteran, 0)
-    net.forward(frozenset({0}), 0)  # veteran copy now waits at edge 1 with hops=1
+    net.forward(_act(net, 0), 0)  # veteran copy now waits at edge 1 with hops=1
     near = Packet(2, 0, 1, solve_route(LINE3, [0, 0], flow("unicast", 1, {2})))
     net.admit(near, 1)              # fresh copy at edge 1 with hops=0
-    completed = net.forward(frozenset({1}), 1)
+    completed = net.forward(_act(net, 1), 1)
     assert [pkt.uid for pkt in completed] == [2]  # the fewest-hops copy wins
 
 
@@ -73,7 +77,7 @@ def test_crossing_duplicates_to_children():
     route = solve_route(g, [1, 1, 1], flow("broadcast", 0, range(g.node_count)))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
-    net.forward(frozenset({0}), 0)
+    net.forward(_act(net, 0), 0)
     assert net.lengths == [0, 1, 1]
     # both copies carry hops=1
     assert net.buffers[1][0][0] == 1 and net.buffers[2][0][0] == 1
@@ -86,7 +90,7 @@ def test_broadcast_delivery_bookkeeping():
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     assert pkt.delivered == {0}  # the source holds its own broadcast packet
-    net.forward(frozenset({0, 1, 2}), 0)
+    net.forward(_act(net, 0, 1, 2), 0)
     assert pkt.delivered == {0, 1, 2, 3}
     assert pkt.full_delivery_slot == 0
     assert net.total_copies == 0
@@ -99,14 +103,45 @@ def test_star_broadcast_reaching_both_leaves_in_one_slot_returned_once():
     net = PhysicalNetwork(star)
     pkt = _packet(1, solve_route(star, [0, 0], flow("broadcast", 0, range(star.node_count))))
     assert net.admit(pkt, 0) == []
-    assert net.forward(frozenset({0, 1}), 0) == [pkt]
+    assert net.forward(_act(net, 0, 1), 0) == [pkt]
     assert pkt.delivered == {0, 1, 2} and pkt.full_delivery_slot == 0
-    assert net.forward(frozenset({0, 1}), 1) == []
+    assert net.forward(_act(net, 0, 1), 1) == []
+
+
+def test_edges_cross_in_increasing_id_order():
+    # frozenset({1, 8}) iterates as [8, 1]; the crossing order, and so the
+    # order of completions, must still follow the edge ids.
+    star = Graph(10, tuple((0, v) for v in range(1, 10)))
+    net = PhysicalNetwork(star)
+    assert list(frozenset({1, 8})) == [8, 1]
+    far = _packet(0, solve_route(star, [0] * star.m, flow("unicast", 0, {9})))   # edge 8
+    near = _packet(1, solve_route(star, [0] * star.m, flow("unicast", 0, {2})))  # edge 1
+    for pkt in (far, near):
+        net.admit(pkt, 0)
+    act = ActivationVector(frozenset({1, 8}), star.m)
+    assert act.edge_ids == (1, 8)
+    assert net.forward(act, 0) == [near, far]
+
+
+def test_multicast_relay_nodes_are_never_delivered():
+    # Multicast 0 -> {2, 4} relays through nodes 1 and 3; completion is
+    # tested by count, which is exact because only covered nodes enter
+    # delivered.
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3)))
+    route = solve_route(g, [0] * g.m, flow("multicast", 0, {2, 4}))
+    assert route.covered == {2, 4} and route.edge_ids == {0, 1, 3, 4}
+    net = PhysicalNetwork(g)
+    pkt = _packet(1, route)
+    assert net.admit(pkt, 0) == []
+    assert net.forward(_act(net, 0), 0) == [] and pkt.delivered == set()       # reached relay 1
+    assert net.forward(_act(net, 1, 4), 1) == [] and pkt.delivered == {2}      # 2, and relay 3
+    assert net.forward(_act(net, 3), 2) == [pkt] and pkt.delivered == {2, 4}
+    assert pkt.full_delivery_slot == 2 and net.total_copies == 0
 
 
 def test_active_empty_edge_is_noop():
     net = PhysicalNetwork(LINE3)
-    completed = net.forward(frozenset({0, 1}), 0)
+    completed = net.forward(_act(net, 0, 1), 0)
     assert completed == [] and net.total_copies == 0
 
 
@@ -116,7 +151,7 @@ def test_one_copy_per_active_edge_per_slot():
     for uid in range(5):
         net.admit(_packet(uid, r), 0)
     assert net.lengths == [5, 0]
-    net.forward(frozenset({0}), 0)
+    net.forward(_act(net, 0), 0)
     assert net.lengths == [4, 0]
 
 
@@ -125,7 +160,7 @@ def test_no_multi_hop_teleport_within_slot():
     net = PhysicalNetwork(LINE3)
     pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
     net.admit(pkt, 0)
-    net.forward(frozenset({0, 1}), 0)
+    net.forward(_act(net, 0, 1), 0)
     assert pkt.full_delivery_slot is None
 
 
@@ -149,7 +184,7 @@ def test_ento_pop_order_audit():
             e: min((c[0] for c in net.buffers[e]), default=None) for e in active
         }
         heap_top = {e: net.buffers[e][0][0] if net.buffers[e] else None for e in active}
-        net.forward(active, slot)
+        net.forward(ActivationVector(active, LINE3.m), slot)
         for e in active:
             # the heap pops its top, and the top really is the fewest-hops copy
             assert heap_top[e] == scan_min[e]
@@ -162,7 +197,7 @@ def test_exactly_once_delivery_guard():
     net.admit(pkt, 0)
     pkt.delivered.add(1)
     with pytest.raises(RuntimeError):
-        net.forward(frozenset({0}), 0)
+        net.forward(_act(net, 0), 0)
 
 
 def test_forward_rejects_an_edge_off_the_route():
@@ -170,7 +205,7 @@ def test_forward_rejects_an_edge_off_the_route():
     pkt = _packet(4, solve_route(LINE3, [0, 0], flow("unicast", 0, {1})))
     net.buffers[1].append((0, 0, 4, pkt))  # edge 1 is not on the 0->1 path
     with pytest.raises(RuntimeError, match=re.escape("edge 1 is not on packet 4's route")):
-        net.forward(frozenset({1}), 0)
+        net.forward(_act(net, 1), 0)
 
 
 def test_layer_counters():
@@ -178,7 +213,7 @@ def test_layer_counters():
     pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
     net.admit(pkt, 0)
     assert net.layer_counters().tolist() == [1, 0]
-    net.forward(frozenset({0}), 0)
+    net.forward(_act(net, 0), 0)
     assert net.layer_counters().tolist() == [0, 1]
     assert net.layer_counters().sum() == sum(net.lengths)
 
@@ -195,7 +230,7 @@ def test_conservation_random_traffic():
             packets.append(Packet(len(packets), 0, slot, route))
             completed += net.admit(packets[-1], slot)
         active = frozenset(int(x) for x in rng.choice(g.m, size=2, replace=False))
-        completed += net.forward(active, slot)
+        completed += net.forward(ActivationVector(active, g.m), slot)
         assert int(net.layer_counters().sum()) == net.total_copies
         assert min(net.lengths) >= 0
     # every packet that completed was returned, and only once
@@ -247,7 +282,7 @@ def test_forwarding_matches_tree_walk_reference(seed):
             completed += net.admit(pair[0], slot)
             ref_completed += ref.admit(pair[1], slot)
         active = frozenset(int(e) for e in np.flatnonzero(rng.random(g.m) < 0.5))
-        completed += net.forward(active, slot)
+        completed += net.forward(ActivationVector(active, g.m), slot)
         ref_completed += ref.forward(active, slot)
         assert [pkt.uid for pkt in completed] == [pkt.uid for pkt in ref_completed]
         assert all(pkt.full_delivery_slot == slot for pkt in completed)

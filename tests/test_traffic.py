@@ -114,6 +114,15 @@ def test_arrival_trials_must_be_an_integer():
         ArrivalProcess("binomial", trials=0)
 
 
+@pytest.mark.parametrize("kind", ["bernoulli", "binomial", "poisson"])
+@pytest.mark.parametrize("trials", [0, -7])
+def test_arrival_trials_below_one_rejected_for_every_kind(kind, trials):
+    # Only binomial reads trials, but a bernoulli process with trials -7
+    # used to run and echo -7 in its summary.
+    with pytest.raises(ConfigError, match=re.escape(f"trials must be an integer >= 1, got {trials}")):
+        ArrivalProcess(kind, trials=trials)
+
+
 def test_integer_rate_reads_as_float():
     assert type(_cls(rate=1).rate) is float
 
