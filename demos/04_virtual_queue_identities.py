@@ -36,7 +36,9 @@ A = np.array([[2], [0], [3], [0], [0], [1]], dtype=np.int64)
 S = np.array([[1], [1], [1], [1], [1], [1]], dtype=np.int64)
 vq = VirtualQueues(1)
 for t in range(len(A)):
-    vq.lindley_update(A[t].tolist(), S[t].tolist())
+    # The slot's deposit puts A[t] arrivals on the route (edge 0), and the
+    # served list names edge 0 once per unit of service.
+    vq.lindley_update([((0,), int(A[t, 0]))], [0] * int(S[t, 0]))
     recomputed = skorokhod_value(A, S, 0, t + 1)
     print(f"  t={t}: A={A[t,0]} S={S[t,0]}  lindley q={vq.q[0]}  "
           f"windowed-sup form={recomputed}")

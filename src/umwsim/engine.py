@@ -256,7 +256,7 @@ def write_csv_rows(path: str | Path, rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-DIAG_BLOCK = 256  # slots the diagnostics buffer before checking them in one pass
+BLOCK = 256  # slots the run loop records, and the diagnostics check, in one pass
 
 
 class _DiagnosticState:
@@ -264,7 +264,7 @@ class _DiagnosticState:
 
     Each step appends the slot's arrivals, service, post-update queue and
     external arrival count to one flat list of Python ints (a copy, so a
-    caller may reuse its buffers). When it holds min(DIAG_BLOCK, horizon)
+    caller may reuse its buffers). When it holds min(BLOCK, horizon)
     slots, and after the run's last slot, it becomes one int64 array of a
     row per slot, and one pass checks every buffered slot exactly. The
     checker keeps the cumulative arrivals-minus-service vector and its
@@ -277,7 +277,7 @@ class _DiagnosticState:
     """
 
     def __init__(self, m: int, amax_bound: float, horizon: int, violations: dict[str, int]):
-        block = min(DIAG_BLOCK, horizon)
+        block = min(BLOCK, horizon)
         self.m = m
         self.rows: list[int] = []  # A, mu, q_after, total_external of each buffered slot
         self.full = block * (3 * m + 1)  # len(rows) of a full block
@@ -388,7 +388,9 @@ class _MaxWeightStepper:
 
     def weights(self) -> list[int]:
         """The slot's weight vector: the virtual queues for "umw", the
-        physical buffer sizes at the start of the slot for "umw-heuristic"."""
+        physical buffer sizes at the start of the slot for "umw-heuristic".
+        For "umw" it is the live list, which the slot's Lindley update
+        changes in place."""
         return self.vq.q if self.virtual_weights else self.net.lengths
 
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
@@ -421,11 +423,14 @@ class _MaxWeightStepper:
             if pkt.delivered != pkt.route.covered:
                 self.violations["delivery"] += 1
 
-        A = virtual_arrival_vector(routes, arrivals, g.m)
-        mu = act.service
-        vq.lindley_update(A, mu)
+        deposit = virtual_arrival_vector(routes, arrivals)
+        vq.lindley_update(deposit, act.edge_ids)
         if self.diag is not None:
-            self.diag.step(A, mu, vq.q, sum(arrivals.values()))
+            A = [0] * g.m
+            for edge_ids, count in deposit:
+                for e in edge_ids:
+                    A[e] += count
+            self.diag.step(A, act.service, vq.q, sum(arrivals.values()))
 
         total_q = net.total_copies
         if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
@@ -433,7 +438,7 @@ class _MaxWeightStepper:
         return SlotOutcome(
             [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed],
             total_q,
-            vq.total(),
+            vq.total,
         )
 
 
@@ -471,24 +476,33 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     sojourn_n = 0
     eq17_violations = 0
 
-    for t in range(T):
-        completed, total_q, total_vq = policy.step(t, dict(zip(class_ids, table[t].tolist())))
-        for cid, sojourn in completed:
-            full_deliveries[col_of[cid]] += 1
-            sojourn_sum += sojourn
-            sojourn_n += 1
+    # The arrivals are read, and the series written, a block of slots at a time.
+    for start in range(0, T, BLOCK):
+        rows = table[start:start + BLOCK].tolist()
+        blk_q, blk_vq, blk_deliv, blk_sojourn = [], [], [], []
+        for t, row in enumerate(rows, start):
+            completed, total_q, total_vq = policy.step(t, dict(zip(class_ids, row)))
+            for cid, sojourn in completed:
+                full_deliveries[col_of[cid]] += 1
+                sojourn_sum += sojourn
+                sojourn_n += 1
 
-        if t in checkpoints:
-            class_arrivals += table[counted:t + 1].sum(axis=0)
-            counted = t + 1
-            for delivered, arrived in zip(full_deliveries, class_arrivals.tolist()):
-                if delivered < arrived - total_q:
-                    eq17_violations += 1
+            if t in checkpoints:
+                class_arrivals += table[counted:t + 1].sum(axis=0)
+                counted = t + 1
+                for delivered, arrived in zip(full_deliveries, class_arrivals.tolist()):
+                    if delivered < arrived - total_q:
+                        eq17_violations += 1
 
-        rec_total_q[t] = total_q
-        rec_total_vq[t] = total_vq
-        rec_deliv[t] = full_deliveries
-        rec_sojourn[t] = sojourn_sum / sojourn_n if sojourn_n else math.nan
+            blk_q.append(total_q)
+            blk_vq.append(total_vq)
+            blk_deliv.append(tuple(full_deliveries))
+            blk_sojourn.append(sojourn_sum / sojourn_n if sojourn_n else math.nan)
+        end = start + len(rows)
+        rec_total_q[start:end] = blk_q
+        rec_total_vq[start:end] = blk_vq
+        rec_deliv[start:end] = blk_deliv
+        rec_sojourn[start:end] = blk_sojourn
 
     class_arrivals += table[counted:].sum(axis=0)
     return MetricsReport(

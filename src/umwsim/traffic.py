@@ -75,6 +75,8 @@ class TrafficClass:
 def validate_classes(classes: list[TrafficClass], node_count: int) -> None:
     """Check destination-set shape constraints of every class against a graph
     size; a ConfigError names the class by its key path, classes[i]."""
+    if not classes:
+        raise ConfigError("classes must list at least one traffic class")
     seen_ids = set()
     all_nodes = frozenset(range(node_count))
     for i, cls in enumerate(classes):
@@ -114,6 +116,8 @@ class ArrivalProcess:
             raise ConfigError(f"kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}")
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if self.trials >= 2**63:
+            raise ConfigError(f"trials must be below 2**63 (numpy's binomial limit), got {self.trials!r}")
 
 
 def class_stream(master_seed: int, class_id: int) -> np.random.Generator:
@@ -138,7 +142,11 @@ def _draw(process: ArrivalProcess, rng: np.random.Generator, rate: float, size: 
         if p > 1.0:
             raise ConfigError(f"binomial({process.trials}) cannot reach mean {rate}")
         return rng.binomial(process.trials, p, size=size).astype(np.int64)
-    return rng.poisson(rate, size=size).astype(np.int64)
+    try:
+        draws = rng.poisson(rate, size=size)
+    except ValueError as exc:  # numpy draws means up to about 9.2e18 only
+        raise ConfigError(f"poisson arrivals cannot have mean {rate} (numpy: {exc})") from None
+    return draws.astype(np.int64)
 
 
 def arrival_table(

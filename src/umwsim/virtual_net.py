@@ -3,42 +3,49 @@
 One integer counter per edge. A packet admitted on a route deposits one
 virtual arrival at *every* edge of the route in the admission slot; the
 counters then follow the Lindley recursion q <- (q + A - mu)^+ with the
-allocated (not necessarily used) service vector mu. The Skorokhod
-functions, the oracles for that state, read a raw (A, mu) history.
+allocated (not necessarily used) service vector mu. A slot touches only
+the edges of its routes and its active edges, so the update is applied
+sparsely, in place. The Skorokhod functions, the oracles for that state,
+read a raw dense (A, mu) history.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable
 
 import numpy as np
 
 from .routing import RouteTree
 
 
-def virtual_arrival_vector(routes: dict[int, RouteTree], arrivals: dict[int, int], m: int) -> list[int]:
-    """Per-edge virtual arrivals: every class-c arrival hits each edge of the
-    single route chosen for class c this slot. routes holds a route for
-    every class with arrivals."""
-    A = [0] * m
-    for cid, count in arrivals.items():
-        if count > 0:
-            for e in routes[cid].edge_ids:
-                A[e] += count
-    return A
+def virtual_arrival_vector(routes: dict[int, RouteTree],
+                           arrivals: dict[int, int]) -> list[tuple[frozenset[int], int]]:
+    """The slot's virtual arrivals as a deposit: one (edge ids, count) pair
+    per class with arrivals, the count landing on every edge of the route
+    chosen for that class this slot (routes holds one for each)."""
+    return [(routes[cid].edge_ids, count) for cid, count in arrivals.items() if count > 0]
 
 
 class VirtualQueues:
-    """State of the m virtual queues, a list of Python ints."""
+    """State of the m virtual queues, a list of Python ints, and their sum."""
 
     def __init__(self, m: int):
         self.q = [0] * m
+        self.total = 0
 
-    def lindley_update(self, A: Sequence[int], mu: Sequence[int]) -> None:
-        """One slot: q <- (q + A - mu)^+, as a new list."""
-        self.q = [x + a - s if x + a > s else 0 for x, a, s in zip(self.q, A, mu, strict=True)]
-
-    def total(self) -> int:
-        return sum(self.q)
+    def lindley_update(self, deposit: Iterable[tuple[Collection[int], int]], served: Iterable[int]) -> None:
+        """One slot of q <- (q + A - mu)^+, in place. A is the deposit's
+        counts summed per edge, and mu[e] is the number of times served
+        lists edge e (an activation's edge_ids: once per active edge)."""
+        q, total = self.q, self.total
+        for edge_ids, count in deposit:
+            for e in edge_ids:
+                q[e] += count
+            total += count * len(edge_ids)
+        for e in served:
+            if q[e]:
+                q[e] -= 1
+                total -= 1
+        self.total = total
 
 
 def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import SlotDiagnosticState
-from umwsim.engine import DIAG_BLOCK, _DiagnosticState
+from umwsim.engine import BLOCK, _DiagnosticState
 
 ARRIVALS = ("bernoulli", "binomial", "poisson")
 
@@ -86,7 +86,7 @@ def _assert_same(seed, m, horizon, kind, corrupt_p):
 
 
 @pytest.mark.parametrize("kind", ARRIVALS)
-@pytest.mark.parametrize("horizon", [1, DIAG_BLOCK - 1, DIAG_BLOCK, DIAG_BLOCK + 1, 3 * DIAG_BLOCK + 37])
+@pytest.mark.parametrize("horizon", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 37])
 def test_block_horizons_match_reference(horizon, kind):
     totals = dict(skorokhod=0, sandwich=0, loading=0)
     for i, m in enumerate((1, 2, 5)):
@@ -114,4 +114,4 @@ def test_random_sequences_match_reference():
 
 def test_clean_sequences_count_nothing():
     for kind in ARRIVALS:
-        assert _assert_same(5, 3, 2 * DIAG_BLOCK + 9, kind, 0.0) == dict(skorokhod=0, sandwich=0, loading=0)
+        assert _assert_same(5, 3, 2 * BLOCK + 9, kind, 0.0) == dict(skorokhod=0, sandwich=0, loading=0)

@@ -23,7 +23,7 @@ from umwsim.engine import (
     sweep,
 )
 from umwsim.errors import CapExceededError, ConfigError
-from umwsim.traffic import ArrivalProcess, TrafficClass, sweep_subseed
+from umwsim.traffic import ArrivalProcess, TrafficClass, arrival_table, sweep_subseed
 from umwsim.topology import Graph, save_topology
 
 
@@ -83,6 +83,51 @@ def test_determinism_same_seed_same_report():
     assert np.array_equal(a.total_q, b.total_q)
     assert np.array_equal(a.deliveries, b.deliveries)
     assert list(a.csv_rows()) == list(b.csv_rows())
+
+
+def _slot_by_slot_series(cfg: SimulationConfig):
+    """total_q, total_vq, deliveries and mean_sojourn_running of cfg's run,
+    each slot's arrivals read and its values recorded one slot at a time."""
+    g, aset, classes = cfg.resolve()
+    table = arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed)
+    if cfg.policy == "bp":
+        stepper = policy.BPState(g, aset, classes)
+    else:
+        stepper = engine._MaxWeightStepper(cfg, g, aset, classes, policy.RouteCache(), frozenset())
+    ids = [c.id for c in classes]
+    delivered = [0] * len(ids)
+    sojourn_sum, sojourn_n = 0.0, 0
+    total_q, total_vq, deliveries, sojourn = [], [], [], []
+    for t in range(cfg.horizon):
+        completed, q, vq = stepper.step(t, {cid: int(table[t, j]) for j, cid in enumerate(ids)})
+        for cid, wait in completed:
+            delivered[ids.index(cid)] += 1
+            sojourn_sum += wait
+            sojourn_n += 1
+        total_q.append(q)
+        total_vq.append(vq)
+        deliveries.append(list(delivered))
+        sojourn.append(sojourn_sum / sojourn_n if sojourn_n else math.nan)
+    return total_q, total_vq, deliveries, sojourn
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+@pytest.mark.parametrize("policy_name", ["umw", "bp"])
+@pytest.mark.parametrize("horizon", [1, 255, 256, 257, 513])
+def test_block_recording_matches_slot_by_slot_loop(horizon, policy_name, diagnostics):
+    # run reads the arrivals and writes the series a block of
+    # engine.BLOCK = 256 slots at a time; the horizons straddle its edges.
+    cfg = SimulationConfig(topology="twinpath_unicast", horizon=horizon, seed=5, policy=policy_name,
+                           arrival=ArrivalProcess("binomial", trials=3), load_factor=0.9,
+                           metrics=MetricsOptions(diagnostics=diagnostics))
+    rep = run(cfg)
+    total_q, total_vq, deliveries, sojourn = _slot_by_slot_series(cfg)
+    assert rep.total_q.tolist() == total_q
+    assert rep.total_vq.tolist() == total_vq
+    assert rep.deliveries.tolist() == deliveries
+    assert np.array_equal(rep.mean_sojourn_running, np.array(sojourn), equal_nan=True)
+    if horizon > 1:
+        assert rep.deliveries[-1].sum() > 0 and (max(total_vq) > 0) == (policy_name == "umw")
 
 
 def test_compare_shares_arrival_sample_paths():
@@ -488,6 +533,7 @@ def test_diagnostics_must_be_bool():
 
 
 _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
+_RUN_TIME_KEYS = ("poisson arrivals cannot have mean", "classes must list at least one traffic class")
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -521,15 +567,29 @@ _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
     ({"topology": "line3", "metrics": {"diagnostics": 1}}, "diagnostics"),
     ({"topology": "line3", "arrival": {"kind": "bernoulli", "trials": -7}}, "arrival.trials"),
     ({"topology": "line3", "arrival": {"kind": "poisson", "trials": 0}}, "arrival.trials"),
+    ({"topology": "line3", "arrival": {"kind": "binomial", "trials": 10**30}}, "arrival.trials must be below 2**63"),
+    ({"topology": "line3", "arrival": {"kind": "poisson"}, "load_factor": 1e300},
+     "poisson arrivals cannot have mean"),
+    ({"topology": "line3", "classes": []}, "classes must list at least one traffic class"),
 ], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
         "record_every_text", "trials_text", "source_text", "class_not_object", "null_document",
         "horizon_float", "seed_float", "horizon_bool", "horizon_numeric_text", "seed_negative",
         "trials_float", "trials_bool", "id_float", "source_bool", "destination_float", "rate_bool",
         "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool",
-        "diagnostics_text", "diagnostics_int", "bernoulli_trials_negative", "poisson_trials_zero"])
-def test_malformed_config_names_the_key(doc, key):
+        "diagnostics_text", "diagnostics_int", "bernoulli_trials_negative", "poisson_trials_zero",
+        "trials_too_large", "poisson_mean_too_large", "classes_empty"])
+def test_malformed_config_names_the_key(doc, key, monkeypatch):
+    def no_slot(*args):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(engine._MaxWeightStepper, "step", no_slot)
     with pytest.raises(ConfigError, match=re.escape(key)):
-        config_from_dict(doc)
+        cfg = config_from_dict(doc)
+        # The checks that need the resolved, load-scaled classes pass the
+        # document and fail in run: in resolve() or in arrival_table, both
+        # before the first slot.
+        assert key in _RUN_TIME_KEYS, f"{doc!r} was read without an error"
+        run(cfg)
 
 
 @pytest.mark.parametrize("change, message", [

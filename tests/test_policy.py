@@ -49,13 +49,13 @@ def test_umw_no_arrival_no_route(monkeypatch):
         return deposits[-1]
 
     # The wired service would cancel a deposit in the queues themselves, so
-    # the arrival vector is read where the stepper builds it.
+    # the deposit is read where the stepper builds it.
     monkeypatch.setattr(engine, "virtual_arrival_vector", recording)
     stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
     assert cache.hits + cache.misses == 0
-    assert deposits == [[0, 0, 0, 0]]
+    assert deposits == [[]]
 
 
 def test_umw_broadcast_line3_unique_tree():

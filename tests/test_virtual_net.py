@@ -18,25 +18,41 @@ def _v(*xs):
     return np.array(xs, dtype=np.int64)
 
 
+def _sparse(A, mu):
+    """The (deposit, served) arguments of lindley_update for dense vectors
+    A and mu: one single-edge deposit per edge with arrivals, and each edge
+    id listed once per unit of its service."""
+    deposit = [((e,), int(a)) for e, a in enumerate(A) if a]
+    served = [e for e, s in enumerate(mu) for _ in range(int(s))]
+    return deposit, served
+
+
+def _update(vq, A, mu):
+    """One slot of vq under dense A and mu; its running total must stay
+    the sum of its queues, each a Python int."""
+    vq.lindley_update(*_sparse(A, mu))
+    assert vq.total == sum(vq.q) and all(type(x) is int for x in vq.q)
+
+
 def test_lindley_nonnegative_part():
     vq = VirtualQueues(1)
-    vq.lindley_update(_v(0), _v(1))
+    _update(vq, _v(0), _v(1))
     assert vq.q == [0]
 
 
 def test_lindley_arithmetic():
     vq = VirtualQueues(1)
-    vq.lindley_update(_v(3), _v(0))
-    vq.lindley_update(_v(2), _v(1))
+    _update(vq, _v(3), _v(0))
+    _update(vq, _v(2), _v(1))
     assert vq.q == [4]
 
 
 def test_lindley_absorbing_at_zero():
     vq = VirtualQueues(1)
-    vq.lindley_update(_v(1), _v(0))
-    vq.lindley_update(_v(0), _v(1))
+    _update(vq, _v(1), _v(0))
+    _update(vq, _v(0), _v(1))
     assert vq.q == [0]
-    vq.lindley_update(_v(0), _v(1))
+    _update(vq, _v(0), _v(1))
     assert vq.q == [0]
 
 
@@ -77,7 +93,7 @@ def test_lindley_equals_skorokhod_every_slot():
     for _ in range(200):
         A = rng.integers(0, 3, size=m).astype(np.int64)
         mu = rng.integers(0, 2, size=m).astype(np.int64)
-        vq.lindley_update(A, mu)
+        _update(vq, A, mu)
         hist_A.append(A)
         hist_S.append(mu)
         expect = skorokhod_profile(np.stack(hist_A), np.stack(hist_S))[-1]
@@ -106,7 +122,7 @@ def test_sandwich_property_random():
         A = rng.integers(0, amax + 1, size=m).astype(np.int64)
         A = np.minimum(A, amax)
         mu = rng.integers(0, 2, size=m).astype(np.int64)
-        vq.lindley_update(A, mu)
+        _update(vq, A, mu)
         aq.update(A, mu)
         q = np.array(vq.q)
         assert np.all(q <= aq.qhat)
@@ -132,7 +148,7 @@ def test_slack_bounded_by_running_max_queue():
     for t in range(1, 121):
         A = rng.integers(0, 3, size=2).astype(np.int64)
         mu = rng.integers(0, 2, size=2).astype(np.int64)
-        vq.lindley_update(A, mu)
+        _update(vq, A, mu)
         peak = max(peak, max(vq.q))
         arrivals.append(A)
         service.append(mu)
@@ -147,15 +163,25 @@ def _route(edge_ids_with_nodes, root, covered):
     return RouteTree(root, edges, frozenset(covered))
 
 
+def _dense(deposit, m: int) -> list[int]:
+    A = [0] * m
+    for edge_ids, count in deposit:
+        for e in edge_ids:
+            A[e] += count
+    return A
+
+
 def test_virtual_arrival_vector_examples():
-    assert virtual_arrival_vector({}, {}, 4) == [0, 0, 0, 0]
+    assert virtual_arrival_vector({}, {}) == []
     path = _route([(0, 0, 1, 0), (1, 1, 2, 1)], 0, {2})
-    A = virtual_arrival_vector({0: path}, {0: 2}, 4)
-    assert A == [2, 2, 0, 0]
+    deposit = virtual_arrival_vector({0: path}, {0: 2})
+    assert deposit == [(frozenset({0, 1}), 2)]
+    assert _dense(deposit, 4) == [2, 2, 0, 0]
     one_edge = _route([(0, 0, 1, 0)], 0, {1})
     forked = _route([(0, 0, 1, 0), (2, 1, 2, 1)], 0, {2})
-    A2 = virtual_arrival_vector({0: one_edge, 1: forked}, {0: 1, 1: 1}, 4)
-    assert A2 == [2, 0, 1, 0]
+    # A class without arrivals deposits nothing, even with a route.
+    deposit2 = virtual_arrival_vector({0: one_edge, 1: forked, 2: path}, {0: 1, 1: 1, 2: 0})
+    assert _dense(deposit2, 4) == [2, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +225,29 @@ def test_list_kernels_match_numpy_references(m):
         # About one slot in three has no arrival at all.
         arrivals = {c.id: int(rng.integers(0, 4)) if rng.random() < 0.6 else 0 for c in classes}
         routes = {c.id: solve_route(g, vq.q, c) for c in classes if arrivals[c.id] > 0}
-        A = virtual_arrival_vector(routes, arrivals, m)
+        deposit = virtual_arrival_vector(routes, arrivals)
+        assert sorted(cid for cid, n in arrivals.items() if n > 0) == sorted(routes)
+        assert len(deposit) == len(routes) and all(type(n) is int and n > 0 for _, n in deposit)
         ref_A = np.zeros(m, dtype=np.int64)
         for cid, tree in routes.items():
             ref_A[sorted(tree.edge_ids)] += arrivals[cid]
-        assert A == ref_A.tolist() and all(type(x) is int for x in A)
-        # 0/1 service as the activation gives it, and some larger service.
-        mu = tuple(int(x) for x in rng.integers(0, 2 if t % 2 else 4, size=m))
-        vq.lindley_update(A, mu)
-        ref_q = np.maximum(ref_q + ref_A - np.array(mu, dtype=np.int64), 0)
+        # 0/1 service as the activation gives it (each active edge listed
+        # once, in increasing order), and some service up to 3, an edge
+        # listed once per unit in shuffled order.
+        mu = rng.integers(0, 2 if t % 2 else 4, size=m)
+        served = [e for e in range(m) for _ in range(int(mu[e]))]
+        if t % 2 == 0:
+            rng.shuffle(served)
+        vq.lindley_update(deposit, served)
+        ref_q = np.maximum(ref_q + ref_A - mu, 0)
         assert vq.q == ref_q.tolist() and all(type(x) is int for x in vq.q)
-        assert vq.total() == int(ref_q.sum())
+        assert vq.total == sum(vq.q) == int(ref_q.sum())
 
 
-def test_lindley_update_rejects_vectors_of_another_length():
+def test_lindley_update_serves_a_multiset():
+    # Edge 1 listed three times gets three units of service: (q + A - 3)^+.
     vq = VirtualQueues(3)
-    with pytest.raises(ValueError):
-        vq.lindley_update([1, 1], (0, 0, 0))
-    with pytest.raises(ValueError):
-        vq.lindley_update([1, 1, 1], (0, 0))
-    assert vq.q == [0, 0, 0]
+    vq.lindley_update([((0, 1), 2), ((1, 2), 3)], [1, 1, 1, 2])
+    assert vq.q == [2, 2, 2] and vq.total == 6
+    vq.lindley_update([], [1, 1, 1, 0, 0])
+    assert vq.q == [0, 0, 2] and vq.total == 2
