@@ -211,17 +211,26 @@ class MetricsReport:
         return "inconclusive"
 
     def csv_rows(self):
+        """The header, then one row per slot. The series are read as
+        Python numbers a block of BLOCK slots at a time, so the rows cost
+        no numpy scalar per cell and no list for the whole run."""
         header = ["slot", "policy", "total_q", "total_vq"]
         header += [f"throughput_c{cid}" for cid in self.class_ids]
         header += ["mean_sojourn"]
         yield header
         policy = self.config.policy
-        for t in range(len(self.total_q)):
-            row = [str(t), policy, str(int(self.total_q[t])), str(int(self.total_vq[t]))]
-            row += [f"{self.deliveries[t, j] / (t + 1):.12g}" for j in range(len(self.class_ids))]
-            soj = self.mean_sojourn_running[t]
-            row += ["nan" if math.isnan(soj) else f"{soj:.12g}"]
-            yield row
+        last_soj = soj_cell = None
+        for start in range(0, len(self.total_q), BLOCK):
+            end = start + BLOCK
+            block = zip(self.total_q[start:end].tolist(), self.total_vq[start:end].tolist(),
+                        self.deliveries[start:end].tolist(), self.mean_sojourn_running[start:end].tolist())
+            for t, (q, vq, delivered, soj) in enumerate(block, start):
+                # The running mean holds between deliveries, so its cell is
+                # formatted only when it changes (nan never equals itself).
+                if soj != last_soj:
+                    last_soj, soj_cell = soj, "nan" if math.isnan(soj) else f"{soj:.12g}"
+                slots = t + 1
+                yield [str(t), policy, str(q), str(vq), *[f"{d / slots:.12g}" for d in delivered], soj_cell]
 
     def write_csv(self, path: str | Path) -> None:
         write_csv_rows(path, self.csv_rows())
@@ -372,7 +381,7 @@ class _MaxWeightStepper:
                  checkpoints: frozenset[int]):
         self.graph = g
         self.aset = aset
-        self.classes = classes
+        self.class_of = {c.id: c for c in classes}
         self.steiner_mode = config.steiner_mode
         self.route_cache = route_cache
         self.checkpoints = checkpoints
@@ -394,39 +403,52 @@ class _MaxWeightStepper:
         return self.vq.q if self.virtual_weights else self.net.lengths
 
     def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
-        g, net, vq, classes, cache = self.graph, self.net, self.vq, self.classes, self.route_cache
+        """One slot. arrivals maps class id to its arrival count in slot t;
+        a class with no arrivals may be absent. Packets are admitted, and
+        their uids given, in the order arrivals lists the classes (the run
+        loop lists them in config order). A slot without arrivals needs
+        only the activation: it solves no route, admits nothing and
+        deposits nothing."""
+        net, vq, cache = self.net, self.vq, self.route_cache
         # The weights are Python ints, so the memo key skips as_weights;
         # solve_route checks them on a miss.
         weights = self.weights()
-        decision = cache.decision(tuple(weights))
+        key = tuple(weights)
+        decision = cache.memo.get(key) or cache.decision(key)
         act = decision.activation
         if act is None:
             act = decision.activation = max_weight_activation(self.aset, weights)
-        known = decision.routes
-        routes: dict[int, RouteTree] = {}
-        for c in classes:
-            if arrivals[c.id] > 0:
-                tree = known.get(c.id)
+
+        if arrivals:
+            known = decision.routes
+            routes: dict[int, RouteTree] = {}
+            completed: list[Packet] = []
+            uid = self.uid
+            for cid, count in arrivals.items():
+                if count <= 0:
+                    continue
+                tree = known.get(cid)
                 if tree is None:
-                    tree = solve_route(g, weights, c, self.steiner_mode, cache)
+                    tree = solve_route(self.graph, weights, self.class_of[cid], self.steiner_mode, cache)
                 else:
                     cache.hits += 1
-                routes[c.id] = tree
-
-        completed: list[Packet] = []
-        for c in classes:
-            for _ in range(arrivals[c.id]):
-                completed += net.admit(Packet(self.uid, c.id, t, routes[c.id]), t)
-                self.uid += 1
-        completed += net.forward(act, t)
+                routes[cid] = tree
+                for _ in range(count):
+                    completed += net.admit(Packet(uid, cid, t, tree), t)
+                    uid += 1
+            self.uid = uid
+            completed += net.forward(act, t)
+            deposit = virtual_arrival_vector(routes, arrivals)
+        else:
+            completed = net.forward(act, t)
+            deposit = ()
         for pkt in completed:
             if pkt.delivered != pkt.route.covered:
                 self.violations["delivery"] += 1
 
-        deposit = virtual_arrival_vector(routes, arrivals)
         vq.lindley_update(deposit, act.edge_ids)
         if self.diag is not None:
-            A = [0] * g.m
+            A = [0] * self.graph.m
             for edge_ids, count in deposit:
                 for e in edge_ids:
                     A[e] += count
@@ -435,11 +457,7 @@ class _MaxWeightStepper:
         total_q = net.total_copies
         if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
             self.violations["layer_identity"] += 1
-        return SlotOutcome(
-            [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed],
-            total_q,
-            vq.total,
-        )
+        return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
 
 
 def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
@@ -481,7 +499,8 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         rows = table[start:start + BLOCK].tolist()
         blk_q, blk_vq, blk_deliv, blk_sojourn = [], [], [], []
         for t, row in enumerate(rows, start):
-            completed, total_q, total_vq = policy.step(t, dict(zip(class_ids, row)))
+            arrivals = {cid: n for cid, n in zip(class_ids, row) if n} if any(row) else {}
+            completed, total_q, total_vq = policy.step(t, arrivals)
             for cid, sojourn in completed:
                 full_deliveries[col_of[cid]] += 1
                 sojourn_sum += sojourn

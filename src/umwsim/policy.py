@@ -1,9 +1,11 @@
 """Per-slot control policies and the route solve they share.
 
 A run picks its policy once, before the slot loop, and then calls
-``policy.step(t, arrivals)`` every slot. ``arrivals`` maps each class id to
-its external arrival count in slot t; the step makes every decision of the
-slot, applies it to the policy's own queues, and returns a SlotOutcome.
+``policy.step(t, arrivals)`` every slot. ``arrivals`` maps class id to
+its external arrival count in slot t; a class with no arrivals may be
+absent, and the run loop passes ``{}`` for a slot without arrivals and
+only the classes with arrivals otherwise. The step makes every decision of
+the slot, applies it to the policy's own queues, and returns a SlotOutcome.
 Each policy also keeps a ``violations`` dict of its own invariant counts
 (``delivery`` and ``layer_identity``), so the loop never asks which policy
 it is driving. There are two implementations:
@@ -52,12 +54,14 @@ POLICY_NAMES = ("umw", "umw-heuristic", "bp")
 ROUTE_MEMO_CAP = 1024
 
 
-class SlotOutcome(NamedTuple):
-    """What one policy step hands back to the slot loop."""
-
-    completed: list[tuple[int, int]]   # (class id, sojourn) per packet fully delivered this slot
-    total_q: int                       # physical copies or packets still queued
-    total_vq: int                      # sum of the virtual queues (0 for bp)
+# What one policy step hands back to the slot loop, the plain tuple
+# (completed, total_q, total_vq):
+#   completed  (class id, sojourn) per packet fully delivered this slot
+#   total_q    physical copies or packets still queued
+#   total_vq   sum of the virtual queues (0 for bp)
+# A tuple rather than a NamedTuple: building one each slot costs time the
+# loop, which unpacks it at once, has no use for.
+SlotOutcome = tuple[list[tuple[int, int]], int, int]
 
 
 class SlotDecision:
@@ -198,7 +202,9 @@ class BPState:
     def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
         """One slot: enqueue the arrivals at their sources (a packet born at
         its destination exits at once), then move the oldest packet along
-        each edge that decide() plans, if one is still queued there."""
+        each edge that decide() plans, if one is still queued there.
+        arrivals maps class id to its count; a class with no arrivals may
+        be absent."""
         done: list[tuple[int, int]] = []
         for cls in self.classes:
             n = arrivals.get(cls.id, 0)
@@ -217,7 +223,7 @@ class BPState:
                 self.total_packets -= 1
             else:
                 queues[fwd.to_node].append(pkt)
-        return SlotOutcome(done, self.total_packets, 0)
+        return done, self.total_packets, 0
 
     def decide(self) -> list[Forward]:
         """The forwards of the max-weight activation over backlog differentials.

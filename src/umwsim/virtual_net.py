@@ -10,7 +10,7 @@ read a raw dense (A, mu) history.
 """
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection
 
 import numpy as np
 
@@ -31,12 +31,23 @@ class VirtualQueues:
     def __init__(self, m: int):
         self.q = [0] * m
         self.total = 0
+        self.edge_ids = frozenset(range(m))
 
-    def lindley_update(self, deposit: Iterable[tuple[Collection[int], int]], served: Iterable[int]) -> None:
+    def lindley_update(self, deposit: Collection[tuple[Collection[int], int]], served: Collection[int]) -> None:
         """One slot of q <- (q + A - mu)^+, in place. A is the deposit's
         counts summed per edge, and mu[e] is the number of times served
-        lists edge e (an activation's edge_ids: once per active edge)."""
-        q, total = self.q, self.total
+        lists edge e (an activation's edge_ids: once per active edge).
+
+        Every edge id must be one of 0..m-1 and every count an int >= 0
+        (a bool or a numpy integer is not one), else ValueError is raised
+        before anything changes."""
+        q, total, ids = self.q, self.total, self.edge_ids
+        for edge_ids, count in deposit:
+            if type(count) is not int or count < 0 or not ids.issuperset(edge_ids):
+                raise ValueError(f"deposit needs edge ids in 0..{len(q) - 1} and an int count >= 0, "
+                                 f"got ({edge_ids!r}, {count!r})")
+        if not ids.issuperset(served):
+            raise ValueError(f"served edge ids must lie in 0..{len(q) - 1}, got {served!r}")
         for edge_ids, count in deposit:
             for e in edge_ids:
                 q[e] += count

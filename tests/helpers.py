@@ -538,8 +538,7 @@ class ReferenceBPState:
         done = self.absorb_arrivals(arrivals, slot)
         _, forwards = self.decide()
         done += self.apply(forwards, slot)
-        return SlotOutcome([(pkt.class_id, slot - pkt.arrival_slot) for pkt in done],
-                           self.total_packets, 0)
+        return [(pkt.class_id, slot - pkt.arrival_slot) for pkt in done], self.total_packets, 0
 
     def backlog(self, node: int, class_id: int) -> int:
         # The destination absorbs instantly, so its backlog reads as zero.
@@ -606,3 +605,19 @@ class ReferenceBPState:
                 self.queues[(fwd.to_node, fwd.class_id)].append(pkt)
                 self.total_packets += 1
         return delivered
+
+
+def reference_csv_rows(report):
+    """Reference for `umwsim.engine.MetricsReport.csv_rows`: every cell
+    read from the recorded arrays as a numpy scalar, one slot at a time."""
+    header = ["slot", "policy", "total_q", "total_vq"]
+    header += [f"throughput_c{cid}" for cid in report.class_ids]
+    header += ["mean_sojourn"]
+    yield header
+    policy = report.config.policy
+    for t in range(len(report.total_q)):
+        row = [str(t), policy, str(int(report.total_q[t])), str(int(report.total_vq[t]))]
+        row += [f"{report.deliveries[t, j] / (t + 1):.12g}" for j in range(len(report.class_ids))]
+        soj = report.mean_sojourn_running[t]
+        row += ["nan" if math.isnan(soj) else f"{soj:.12g}"]
+        yield row

@@ -6,11 +6,13 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import reference_csv_rows
 from umwsim import engine, policy, topology
 from umwsim.cli import main as cli_main
 from umwsim.engine import (
@@ -128,6 +130,56 @@ def test_block_recording_matches_slot_by_slot_loop(horizon, policy_name, diagnos
     assert np.array_equal(rep.mean_sojourn_running, np.array(sojourn), equal_nan=True)
     if horizon > 1:
         assert rep.deliveries[-1].sum() > 0 and (max(total_vq) > 0) == (policy_name == "umw")
+
+
+def _csv_case(case: str, horizon: int) -> SimulationConfig:
+    if case == "line3-nan":
+        # Two hops: nothing is delivered in slot 0, so the run opens on nan cells.
+        return _line3_cfg(horizon=horizon, seed=2, arrival=ArrivalProcess("poisson"), load_factor=0.6)
+    if case == "mixed_kinds":
+        return load_config(CONFIGS / "mixed_kinds.json", horizon=horizon)
+    return SimulationConfig(topology="twinpath_unicast", horizon=horizon, seed=5, policy="bp",
+                            arrival=ArrivalProcess("binomial", trials=3), load_factor=0.9)
+
+
+@pytest.mark.parametrize("case", ["line3-nan", "mixed_kinds", "twinpath-bp"])
+@pytest.mark.parametrize("horizon", [1, 255, 256, 257, 513])
+def test_csv_rows_match_per_cell_reference(case, horizon):
+    # csv_rows reads the series a block of engine.BLOCK = 256 slots at a
+    # time; the horizons straddle its edges.
+    rep = run(_csv_case(case, horizon))
+    rows = list(rep.csv_rows())
+    assert rows == list(reference_csv_rows(rep))
+    assert len(rows) == horizon + 1
+    if case == "line3-nan":
+        assert rows[1][-1] == "nan"
+    if case == "mixed_kinds":
+        assert len(rep.class_ids) == 4
+
+
+def test_csv_rows_hold_one_block_of_python_numbers():
+    # Reading the whole series with tolist() would hold every cell of a
+    # long run as a Python object at once; csv_rows holds one block.
+    T = 60_000
+    slots = np.arange(T, dtype=np.int64)
+    rep = engine.MetricsReport(
+        config=_line3_cfg(horizon=T), class_ids=[0], total_q=slots + 1000, total_vq=slots + 2000,
+        deliveries=(slots // 2 + 1000).reshape(T, 1), mean_sojourn_running=slots / 7 + 0.5,
+        arrivals_per_class=np.array([T]), route_cache={})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        whole = [a.tolist() for a in (rep.total_q, rep.total_vq, rep.deliveries, rep.mean_sojourn_running)]
+        whole_bytes = tracemalloc.get_traced_memory()[1] - base
+        del whole
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in rep.csv_rows():
+            pass
+        rows_bytes = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rows_bytes * 20 < whole_bytes
 
 
 def test_compare_shares_arrival_sample_paths():

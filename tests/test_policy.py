@@ -1,20 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import ReferenceBPState, random_connected_graph, random_rooted_digraph
 from umwsim import engine, policy
 from umwsim.activation import max_weight_activation
-from umwsim.engine import SimulationConfig, _MaxWeightStepper
+from umwsim.engine import MetricsOptions, SimulationConfig, _MaxWeightStepper, load_config
 from umwsim.errors import ConfigError
-from umwsim.policy import BPPacket, BPState, Forward, RouteCache, SlotOutcome, solve_route
+from umwsim.policy import BPPacket, BPState, Forward, RouteCache, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
-from umwsim.traffic import TrafficClass
+from umwsim.traffic import TrafficClass, arrival_table
 
 CYCLE4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 LINE3 = Graph(3, ((0, 1), (1, 2)))
 WIRED1 = ActivationSet("wired", 1)
 WIRED2 = ActivationSet("wired", 2)
 WIRED4 = ActivationSet("wired", 4)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _stepper(policy_name, g, aset, classes, cache=None):
@@ -54,6 +57,11 @@ def test_umw_no_arrival_no_route(monkeypatch):
     stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
+    assert cache.hits + cache.misses == 0
+    assert deposits == [[]]
+    # A class with no arrivals may be absent; with none at all the step
+    # does not build a deposit.
+    assert stepper.step(1, {}) == ([], 0, 0)
     assert cache.hits + cache.misses == 0
     assert deposits == [[]]
 
@@ -129,6 +137,44 @@ def test_bp_destination_absorbs():
     assert bp.total_packets == 0
 
 
+@pytest.mark.parametrize("config, policy_name, diagnostics", [
+    ("mixed_kinds.json", "umw", True),
+    ("grid3x3_broadcast.json", "umw", False),
+    ("grid3x3_broadcast.json", "umw-heuristic", False),
+    ("twinpath_compare.json", "bp", False),
+])
+def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
+    # The run loop passes only the classes with arrivals, and {} for a slot
+    # without any. Two fresh policies, one fed every class and one fed the
+    # sparse dict, must agree slot by slot and end in the same state.
+    cfg = load_config(CONFIGS / config, horizon=600, policy=policy_name,
+                      metrics=MetricsOptions(diagnostics=diagnostics))
+    g, aset, classes = cfg.resolve()
+    ids = [c.id for c in classes]
+    checkpoints = frozenset({299, 599})
+    if policy_name == "bp":
+        dense, sparse = BPState(g, aset, classes), BPState(g, aset, classes)
+    else:
+        dense, sparse = (_MaxWeightStepper(cfg, g, aset, classes, RouteCache(), checkpoints)
+                         for _ in range(2))
+    empty = 0
+    for t, row in enumerate(arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed).tolist()):
+        full = dict(zip(ids, row))
+        few = {cid: n for cid, n in full.items() if n}
+        empty += not few
+        assert dense.step(t, full) == sparse.step(t, few)
+    assert 0 < empty < cfg.horizon
+    assert dense.violations == sparse.violations
+    if policy_name == "bp":
+        assert dense.queues == sparse.queues and dense.total_packets == sparse.total_packets
+    else:
+        assert (dense.vq.q, dense.vq.total) == (sparse.vq.q, sparse.vq.total)
+        assert dense.net.lengths == sparse.net.lengths
+        assert dense.net.total_copies == sparse.net.total_copies
+        assert dense.route_cache.stats() == sparse.route_cache.stats()
+        assert dense.uid == sparse.uid
+
+
 def test_bp_never_forwards_nonpositive_differential():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
@@ -145,7 +191,8 @@ def test_bp_fifo_order():
     bp = BPState(g, WIRED1, [cls])
     bp.step(0, {0: 2})
     # the slot-0 packet left behind goes before the slot-1 arrival
-    assert bp.step(1, {0: 1}).completed == [(0, 1)]  # oldest first
+    completed, _, _ = bp.step(1, {0: 1})
+    assert completed == [(0, 1)]  # oldest first
     assert list(bp.queues[0][0]) == [BPPacket(0, 1)]
 
 
@@ -205,7 +252,7 @@ def test_bp_matches_reference(monkeypatch, directed, interference):
             done = ref.absorb_arrivals(arrivals, t)
             _, ref_forwards = ref.decide()
             done += ref.apply(ref_forwards, t)
-            want = SlotOutcome([(p.class_id, t - p.arrival_slot) for p in done], ref.total_packets, 0)
+            want = ([(p.class_id, t - p.arrival_slot) for p in done], ref.total_packets, 0)
             assert bp.step(t, arrivals) == want
             assert len(forwards) == t + 1 and forwards[-1] == [(f.from_node, f.to_node, f.class_id) for f in ref_forwards]
         for cid in ids:

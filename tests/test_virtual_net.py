@@ -251,3 +251,22 @@ def test_lindley_update_serves_a_multiset():
     assert vq.q == [2, 2, 2] and vq.total == 6
     vq.lindley_update([], [1, 1, 1, 0, 0])
     assert vq.q == [0, 0, 2] and vq.total == 2
+
+
+@pytest.mark.parametrize("deposit, served", [
+    ([((-1,), 2)], [-3]),          # negative ids would index from the end
+    ([((0, 5), 2)], []),           # edge 5 of 3, after edge 0 is valid
+    ([((0,), 2)], [3]),            # a served id out of range
+    ([((0,), 2)], [-1]),
+    ([((0,), -4)], []),            # a negative count would drive q below 0
+    ([((0,), True)], []),          # bools are not counts
+    ([((0,), 2.0)], []),
+    ([((0,), np.int64(2))], []),   # q must stay Python ints
+], ids=["negative-ids", "id-past-m", "served-past-m", "served-negative",
+        "negative-count", "bool-count", "float-count", "numpy-count"])
+def test_lindley_update_rejects_bad_ids_and_counts_before_any_change(deposit, served):
+    vq = VirtualQueues(3)
+    vq.lindley_update([((1, 2), 3)], [2])
+    with pytest.raises(ValueError):
+        vq.lindley_update(deposit, served)
+    assert vq.q == [0, 3, 2] and vq.total == 5
