@@ -193,14 +193,13 @@ def max_scaling(
     g: Graph,
     aset: ActivationSet,
     classes: list[TrafficClass],
-    catalog: dict[int, list[RouteTree]] | None = None,
 ) -> CapacityCertificate:
     """Largest rho such that rho-scaled rates admit a feasible flow split
     and activation mixture; solved exactly over rationals.
 
-    The routes are the enumerated catalogue's edge bitmasks, or those of the
-    `catalog` trees given per class id; each is one LP column, in catalogue
-    order. Class ids must be distinct, as the catalogue is keyed on them."""
+    The routes are the enumerated catalogue's edge bitmasks; each is one LP
+    column, in catalogue order. Class ids must be distinct, as the
+    catalogue is keyed on them."""
     if aset.edge_count != g.m:
         raise ConfigError(f"activation set is over {aset.edge_count} edges, the graph has {g.m}")
     seen: set[int] = set()
@@ -211,12 +210,8 @@ def max_scaling(
     active_classes = [c for c in classes if c.rate > 0]
     if not active_classes:
         raise ConfigError("capacity scaling needs at least one class with positive rate")
-    if catalog is None:
-        masks = {c.id: [bits for _, group in _route_masks(g, c) for bits in group]
-                 for c in active_classes}
-    else:
-        masks = {c.id: [sum(1 << e for e in tree.edge_ids) for tree in catalog.get(c.id) or ()]
-                 for c in active_classes}
+    masks = {c.id: [bits for _, group in _route_masks(g, c) for bits in group]
+             for c in active_classes}
     for c in active_classes:
         if not masks[c.id]:
             raise ConfigError(f"class {c.id} has positive rate but no admissible route")

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pickle
+from collections.abc import Collection
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .traffic import (
     sweep_subseed,
     validate_classes,
 )
-from .virtual_net import VirtualQueues, virtual_arrival_vector
+from .virtual_net import VirtualQueues, reflected_walk, virtual_arrival_vector
 
 
 # How every run reports its result. Every slot is recorded.
@@ -271,29 +272,27 @@ BLOCK = 256  # slots the run loop records, and the diagnostics check, in one pas
 class _DiagnosticState:
     """Independent re-evaluations of the queue identities, a block of slots at a time.
 
-    Each step appends the slot's arrivals, service, post-update queue and
-    external arrival count to one flat list of Python ints (a copy, so a
-    caller may reuse its buffers). When it holds min(BLOCK, horizon)
-    slots, and after the run's last slot, it becomes one int64 array of a
-    row per slot, and one pass checks every buffered slot exactly. The
-    checker keeps the cumulative arrivals-minus-service vector and its
-    running minimum (the running-sup form of the windowed-load
-    expression), the companion queue, and the running maxima, and carries
-    each from block to block. It never reads the Lindley state it is
-    checking beyond the q_after it is given. Each count
-    is the number of slots whose check fails, under "skorokhod", "sandwich"
-    and "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
+    Each step appends the slot's arrivals (the dense row of its deposit,
+    the argument lindley_update takes), service, post-update queue and
+    external arrival count to one flat list of Python ints, so a caller
+    may reuse its buffers. When it holds min(BLOCK, horizon) slots, and
+    after the run's last slot, it becomes one int64 array of a row per
+    slot, and one pass checks every buffered slot exactly. Both queues it
+    rebuilds are virtual_net.reflected_walk runs, each started from the
+    last row of the block before: the expected Lindley queue, from
+    arrivals and service alone, and the companion queue. Those two rows
+    and the running maxima are all it carries; it never reads the Lindley
+    state it is checking beyond the q_after it is given. Each count is the
+    number of slots whose check fails, under "skorokhod", "sandwich" and
+    "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
     """
 
     def __init__(self, m: int, amax_bound: float, horizon: int, violations: dict[str, int]):
-        block = min(BLOCK, horizon)
         self.m = m
         self.rows: list[int] = []  # A, mu, q_after, total_external of each buffered slot
-        self.full = block * (3 * m + 1)  # len(rows) of a full block
-        self.work = np.zeros((2, block, m), dtype=np.int64)  # the block pass's scratch
+        self.full = min(BLOCK, horizon) * (3 * m + 1)  # len(rows) of a full block
         self.slots_left = horizon
-        self.G = np.zeros(m, dtype=np.int64)
-        self.run_min = np.zeros(m, dtype=np.int64)
+        self.expected = np.zeros(m, dtype=np.int64)
         self.qhat = np.zeros(m, dtype=np.int64)
         self.amax_bound = amax_bound
         self.observed_amax = 0
@@ -301,7 +300,12 @@ class _DiagnosticState:
         violations.update(skorokhod=0, sandwich=0, loading=0)
         self.violations = violations
 
-    def step(self, A: list[int], mu: tuple[int, ...], q_after: list[int], total_external: int) -> None:
+    def step(self, deposit: Collection[tuple[Collection[int], int]], mu: tuple[int, ...],
+             q_after: list[int], total_external: int) -> None:
+        A = [0] * self.m
+        for edge_ids, count in deposit:
+            for e in edge_ids:
+                A[e] += count
         rows = self.rows
         rows.extend(A)
         rows.extend(mu)
@@ -315,21 +319,10 @@ class _DiagnosticState:
         m = self.m
         block = np.array(self.rows, dtype=np.int64).reshape(-1, 3 * m + 1)
         self.rows.clear()
-        n = len(block)
         A, mu, q, ext = block[:, :m], block[:, m:2 * m], block[:, 2 * m:3 * m], block[:, 3 * m]
-        G, low = self.work[0, :n], self.work[1, :n]
-        # Skorokhod: the queue after slot t is G_t minus the minimum of G
-        # before it, where G is the cumulative arrivals minus service.
-        np.subtract(A, mu, out=G)
-        np.cumsum(G, axis=0, out=G)
-        G += self.G
-        low[0] = np.minimum(self.run_min, self.G)
-        low[1:] = G[:-1]
-        np.minimum.accumulate(low, axis=0, out=low)
-        self.G = G[-1].copy()
-        self.run_min = low[-1].copy()
-        expected = np.subtract(G, low, out=low)
-        np.maximum(expected, 0, out=expected)
+        # Skorokhod: the Lindley recursion rerun from arrivals and service alone.
+        expected = reflected_walk(A - mu, self.expected)
+        self.expected = expected[-1]
         skorokhod = np.any(expected != q, axis=1)
         # Largest windowed load ending at each slot, per edge, must stay
         # below the running peak queue.
@@ -338,25 +331,19 @@ class _DiagnosticState:
         loading = np.any(expected > peak[:, None], axis=1)
         # Sandwich: the companion queue is qhat_t = r_t + A_t, where
         # r_t = max(r_{t-1} + A_{t-1} - mu_t, 0) is a Lindley recursion in
-        # shifted arrivals, so r_t = max(qhat_0 + S_t, S_t - min_{k<=t} S_k)
-        # with S the cumulative sum of A_{t-1} - mu_t.
-        S, drop = G, low
-        np.negative(mu, out=S)
-        S[1:] += A[:-1]
-        np.cumsum(S, axis=0, out=S)
-        np.minimum.accumulate(S, axis=0, out=drop)
-        np.subtract(S, drop, out=drop)
-        S += self.qhat
-        qhat = np.maximum(S, drop, out=S)
+        # shifted arrivals; the block's first A_{t-1} is in the carried qhat.
+        shifted = np.negative(mu)
+        shifted[1:] += A[:-1]
+        qhat = reflected_walk(shifted, self.qhat)
         qhat += A
-        self.qhat = qhat[-1].copy()
+        self.qhat = qhat[-1]
         if math.isfinite(self.amax_bound):
             amax = self.amax_bound
         else:
             observed = np.maximum.accumulate(np.maximum(ext, self.observed_amax))
             self.observed_amax = int(observed[-1])
             amax = observed[:, None]
-        gap = np.subtract(qhat, q, out=drop)  # must lie in [0, amax]
+        gap = qhat - q  # must lie in [0, amax]
         sandwich = np.any(gap < 0, axis=1) | np.any(gap > amax, axis=1)
 
         self.violations["skorokhod"] += int(np.count_nonzero(skorokhod))
@@ -448,11 +435,7 @@ class _MaxWeightStepper:
 
         vq.lindley_update(deposit, act.edge_ids)
         if self.diag is not None:
-            A = [0] * self.graph.m
-            for edge_ids, count in deposit:
-                for e in edge_ids:
-                    A[e] += count
-            self.diag.step(A, act.service, vq.q, sum(arrivals.values()))
+            self.diag.step(deposit, act.service, vq.q, sum(arrivals.values()))
 
         total_q = net.total_copies
         if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:

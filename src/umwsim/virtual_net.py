@@ -25,6 +25,11 @@ def virtual_arrival_vector(routes: dict[int, RouteTree],
     return [(routes[cid].edge_ids, count) for cid, count in arrivals.items() if count > 0]
 
 
+def _integers(edge_ids: Collection) -> bool:
+    """Whether every id is an integer, a numpy one included."""
+    return all(isinstance(e, (int, np.integer)) for e in edge_ids)
+
+
 class VirtualQueues:
     """State of the m virtual queues, a list of Python ints, and their sum."""
 
@@ -38,16 +43,19 @@ class VirtualQueues:
         counts summed per edge, and mu[e] is the number of times served
         lists edge e (an activation's edge_ids: once per active edge).
 
-        Every edge id must be one of 0..m-1 and every count an int >= 0
-        (a bool or a numpy integer is not one), else ValueError is raised
-        before anything changes."""
+        Every edge id must be an integer (a numpy one included) in 0..m-1
+        and every count an int >= 0 (a bool or a numpy integer is not one),
+        else ValueError is raised before anything changes."""
+        # Membership passes 1.0 for 1, so the ids' types are checked one by
+        # one only when their sum is not a Python int.
         q, total, ids = self.q, self.total, self.edge_ids
         for edge_ids, count in deposit:
-            if type(count) is not int or count < 0 or not ids.issuperset(edge_ids):
-                raise ValueError(f"deposit needs edge ids in 0..{len(q) - 1} and an int count >= 0, "
-                                 f"got ({edge_ids!r}, {count!r})")
-        if not ids.issuperset(served):
-            raise ValueError(f"served edge ids must lie in 0..{len(q) - 1}, got {served!r}")
+            if (type(count) is not int or count < 0 or not ids.issuperset(edge_ids)
+                    or type(sum(edge_ids)) is not int and not _integers(edge_ids)):
+                raise ValueError(f"deposit needs integer edge ids in 0..{len(q) - 1} and an int "
+                                 f"count >= 0, got ({edge_ids!r}, {count!r})")
+        if not ids.issuperset(served) or type(sum(served)) is not int and not _integers(served):
+            raise ValueError(f"served edge ids must be integers in 0..{len(q) - 1}, got {served!r}")
         for edge_ids, count in deposit:
             for e in edge_ids:
                 q[e] += count
@@ -77,16 +85,19 @@ def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -
     return best
 
 
-def skorokhod_profile(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """Queue trajectory for all edges and slots from raw history.
+def reflected_walk(increments: np.ndarray, start: np.ndarray | int) -> np.ndarray:
+    """Rows q_1..q_n of the Lindley recursion q_t = max(q_{t-1} + x_t, 0)
+    from q_0 = start >= 0, one column per queue, as int64: with S the
+    cumulative sum of the increments, q_t = max(start + S_t, S_t - min_{k<=t} S_k).
+    Started from its last row, the walk of the next block continues it."""
+    walk = np.cumsum(increments, axis=0, dtype=np.int64)
+    drop = walk - np.minimum.accumulate(walk, axis=0)
+    walk += start
+    return np.maximum(walk, drop, out=walk)
 
-    Uses the running-minimum form of the same supremum: with G(t) the
-    cumulative arrivals-minus-service, the queue at t is
-    (G(t) - min_{k<t} G(k))^+. Returns shape (slots, m); row t-1 is the
-    state after slot t-1, i.e. the value at time t.
-    """
-    G = np.cumsum(arrivals - service, axis=0, dtype=np.int64)
-    prev = np.vstack([np.zeros((1, arrivals.shape[1]), np.int64), G[:-1]])
-    running_min = np.minimum.accumulate(np.minimum(prev, 0), axis=0)
-    return np.maximum(G - running_min, 0)
+
+def skorokhod_profile(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Queue trajectory for all edges and slots from raw history: row t-1
+    is the state after slot t-1, i.e. the value at time t."""
+    return reflected_walk(arrivals - service, 0)
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import random_connected_graph, solve_on_tableau_path
-from umwsim.capacity import enumerate_routes, max_scaling, verify_certificate
+from umwsim.capacity import _route_masks, enumerate_routes, max_scaling, verify_certificate
 from umwsim.engine import load_config
 from umwsim.topology import Graph, builtin_topology, enumerate_matchings
 from umwsim.traffic import TrafficClass
@@ -111,11 +111,15 @@ def test_tableau_paths_agree_on_pinned_instances(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_instances()))
 def test_catalogue_of_trees_gives_the_pinned_certificate(name):
-    # max_scaling reads each enumerated route as an edge bitmask; a catalogue
-    # of the oriented trees enumerate_routes returns must give the same LP.
+    # max_scaling's LP columns are the edge bitmasks of the oriented trees
+    # enumerate_routes returns, in its order, so that public catalogue
+    # describes the LP whose certificate is pinned.
     g, aset, classes = _instances()[name]
-    catalog = {c.id: enumerate_routes(g, c) for c in classes if c.rate > 0}
-    assert certificate_digest(max_scaling(g, aset, classes, catalog)) == PINS[name]
+    for c in classes:
+        if c.rate > 0:
+            columns = [bits for _, group in _route_masks(g, c) for bits in group]
+            assert [sum(1 << e for e in tree.edge_ids) for tree in enumerate_routes(g, c)] == columns
+    assert certificate_digest(max_scaling(g, aset, classes)) == PINS[name]
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """The engine's virtual-queue diagnostics against the per-slot reference.
 
-Both checkers see the same (A, mu, q_after, total_external) sequence and
-must end with the same skorokhod/sandwich/loading counts. The sequences
-plant corrupted q_after values, so most counts are nonzero and every
-check is exercised on both its passing and its failing side.
+Both checkers see the same (A, mu, q_after, total_external) sequence, the
+engine's with A as a deposit, and must end with the same
+skorokhod/sandwich/loading counts. The sequences plant corrupted q_after
+values, so most counts are nonzero and every check is exercised on both
+its passing and its failing side.
 """
 from __future__ import annotations
 
@@ -59,17 +60,26 @@ def _slots(rng, m, horizon, kind, corrupt_p):
     return amax_bound, out
 
 
-def _counts(make, m, amax_bound, horizon, slots):
+def _counts(make, m, amax_bound, horizon, slots, sparse=False):
+    """The checker's counts. With sparse, each slot's arrivals come as the
+    deposit lindley_update takes: every edge with arrivals at count 1,
+    then for each a > 1 the edges with a arrivals at count a - 1, so the
+    pairs overlap and each edge's counts sum to its arrivals."""
     violations = {}
     checker = make(m, amax_bound, horizon, violations)
-    # The checker must copy what it is given: feed A and q_after through
-    # one reused buffer each, which the next slot overwrites.
+    # The checker must copy what it is given: feed q_after and a dense A
+    # through one reused buffer each, which the next slot overwrites.
     A_live = np.zeros(m, dtype=np.int64)
     q_live = np.zeros(m, dtype=np.int64)
     for A, mu, reported, total_external in slots:
         A_live[:] = A
         q_live[:] = reported
-        checker.step(A_live, mu, q_live, total_external)
+        if sparse:
+            arrivals = [(np.flatnonzero(A).tolist(), 1)]
+            arrivals += [(np.flatnonzero(A == a).tolist(), a - 1) for a in set(A.tolist()) - {0, 1}]
+        else:
+            arrivals = A_live
+        checker.step(arrivals, mu, q_live, total_external)
     return violations
 
 
@@ -81,7 +91,7 @@ def _assert_same(seed, m, horizon, kind, corrupt_p):
     rng = np.random.default_rng(seed)
     amax_bound, slots = _slots(rng, m, horizon, kind, corrupt_p)
     expected = _counts(_reference, m, amax_bound, horizon, slots)
-    assert _counts(_DiagnosticState, m, amax_bound, horizon, slots) == expected
+    assert _counts(_DiagnosticState, m, amax_bound, horizon, slots, sparse=True) == expected
     return expected
 
 

@@ -4,10 +4,11 @@ import pytest
 from helpers import AssociatedQueues, loading_slack
 from umwsim.policy import solve_route
 from umwsim.routing import RouteTree, TreeEdge
-from umwsim.topology import Graph
+from umwsim.topology import ActivationVector, Graph
 from umwsim.traffic import TrafficClass
 from umwsim.virtual_net import (
     VirtualQueues,
+    reflected_walk,
     skorokhod_profile,
     skorokhod_value,
     virtual_arrival_vector,
@@ -98,6 +99,34 @@ def test_lindley_equals_skorokhod_every_slot():
         hist_S.append(mu)
         expect = skorokhod_profile(np.stack(hist_A), np.stack(hist_S))[-1]
         assert np.array_equal(vq.q, expect)
+
+
+def _stepped_walk(increments, start):
+    """Rows of q_t = max(q_{t-1} + x_t, 0) from q_0 = start, stepped in Python."""
+    q, rows = list(start), []
+    for x in increments:
+        q = [max(a + b, 0) for a, b in zip(q, x)]
+        rows.append(q)
+    return rows
+
+
+def test_reflected_walk_from_a_nonzero_start_and_in_blocks():
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        n, m = int(rng.integers(1, 150)), int(rng.integers(1, 6))
+        increments = rng.integers(-3, 4, size=(n, m))
+        start = rng.integers(1, 9, size=m)
+        walk = reflected_walk(increments, start)
+        assert walk.dtype == np.int64
+        assert walk.tolist() == _stepped_walk(increments.tolist(), start.tolist())
+        # Cut into blocks, each started from the last row of the one before.
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 4), replace=False)) if n > 1 else []
+        carried, rows = start, []
+        for block in np.split(increments, cuts):
+            part = reflected_walk(block, carried)
+            rows += part.tolist()
+            carried = part[-1]
+        assert rows == walk.tolist()
 
 
 def test_associated_queue_examples():
@@ -262,11 +291,31 @@ def test_lindley_update_serves_a_multiset():
     ([((0,), True)], []),          # bools are not counts
     ([((0,), 2.0)], []),
     ([((0,), np.int64(2))], []),   # q must stay Python ints
+    ([((0, 1.0), 2)], []),         # 1.0 passes membership in frozenset(range(3))
+    ([((0,), 2)], [1.0]),
+    ([((0,), 2)], [np.float64(1)]),
 ], ids=["negative-ids", "id-past-m", "served-past-m", "served-negative",
-        "negative-count", "bool-count", "float-count", "numpy-count"])
+        "negative-count", "bool-count", "float-count", "numpy-count",
+        "float-id", "float-served", "numpy-float-served"])
 def test_lindley_update_rejects_bad_ids_and_counts_before_any_change(deposit, served):
     vq = VirtualQueues(3)
     vq.lindley_update([((1, 2), 3)], [2])
     with pytest.raises(ValueError):
         vq.lindley_update(deposit, served)
     assert vq.q == [0, 3, 2] and vq.total == 5
+
+
+def test_lindley_update_rejects_a_float_edge_id_before_any_change():
+    vq = VirtualQueues(3)
+    with pytest.raises(ValueError):
+        vq.lindley_update([((0, 1.0), 2)], [])
+    assert vq.q == [0, 0, 0] and vq.total == 0
+
+
+def test_lindley_update_takes_numpy_integer_ids():
+    # An explicit ActivationSet may hold numpy ints, and so may its vectors.
+    served = ActivationVector(frozenset({np.int64(2)}), 3).edge_ids
+    vq = VirtualQueues(3)
+    vq.lindley_update([((np.int64(0), np.int32(2)), 2)], served)
+    assert vq.q == [2, 0, 1] and vq.total == 3
+    assert all(type(x) is int for x in vq.q)
