@@ -20,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .activation import max_weight_activation
 from .errors import ConfigError
-from .physical_net import Packet, PhysicalNetwork
-from .policy import BPState, POLICY_NAMES, RouteCache, SlotOutcome, require_unicast, solve_route
-from .routing import STEINER_MODES, RouteTree
+# solve_route is not called here; the tracer tests in bench/ read engine.solve_route.
+from .policy import BPState, MaxWeightState, POLICY_NAMES, RouteCache, require_unicast, solve_route
+from .routing import STEINER_MODES, _shortest_labels
 from .topology import ActivationSet, Graph, builtin_topology, load_topology
 from .traffic import (
     ArrivalProcess,
@@ -36,7 +35,7 @@ from .traffic import (
     sweep_subseed,
     validate_classes,
 )
-from .virtual_net import VirtualQueues, reflected_walk, virtual_arrival_vector
+from .virtual_net import reflected_walk
 
 
 # How every run reports its result. Every slot is recorded.
@@ -105,6 +104,7 @@ class SimulationConfig:
                 classes = list(self.classes)
         classes = [c.scaled(self.load_factor) for c in classes]
         validate_classes(classes, g.node_count)
+        _check_reachable(g, classes)
         return g, aset, classes
 
     def echo(self) -> dict:
@@ -114,6 +114,20 @@ class SimulationConfig:
         if classes is not None:
             doc["classes"] = [dict(c, destinations=sorted(c["destinations"])) for c in classes]
         return doc
+
+
+def _check_reachable(g: Graph, classes: list[TrafficClass]) -> None:
+    """Every class with a positive rate must reach all its destinations
+    (an anycast class at least one), or its first arrival could not be
+    routed; a ConfigError names the class by its key path. The nodes a
+    source reaches are those its shortest-path search labels."""
+    for i, cls in enumerate(classes):
+        if cls.rate <= 0:
+            continue
+        missing = cls.destinations.difference(_shortest_labels(g, [0] * g.m, cls.source))
+        if missing and (cls.kind != "anycast" or missing == cls.destinations):
+            raise ConfigError(f"classes[{i}].destinations {sorted(missing)} not reachable "
+                              f"from source {cls.source}")
 
 
 def _from_doc(cls, doc, path: str = ""):
@@ -282,12 +296,12 @@ class _DiagnosticState:
     last row of the block before: the expected Lindley queue, from
     arrivals and service alone, and the companion queue. Those two rows
     and the running maxima are all it carries; it never reads the Lindley
-    state it is checking beyond the q_after it is given. Each count is the
-    number of slots whose check fails, under "skorokhod", "sandwich" and
-    "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
+    state it is checking beyond the q_after it is given. Its own violations
+    dict counts the slots whose check fails, under "skorokhod", "sandwich"
+    and "loading"; tests/helpers.SlotDiagnosticState is the per-slot reference.
     """
 
-    def __init__(self, m: int, amax_bound: float, horizon: int, violations: dict[str, int]):
+    def __init__(self, m: int, amax_bound: float, horizon: int):
         self.m = m
         self.rows: list[int] = []  # A, mu, q_after, total_external of each buffered slot
         self.full = min(BLOCK, horizon) * (3 * m + 1)  # len(rows) of a full block
@@ -297,8 +311,7 @@ class _DiagnosticState:
         self.amax_bound = amax_bound
         self.observed_amax = 0
         self.run_max_vq = 0
-        violations.update(skorokhod=0, sandwich=0, loading=0)
-        self.violations = violations
+        self.violations = {"skorokhod": 0, "sandwich": 0, "loading": 0}
 
     def step(self, deposit: Collection[tuple[Collection[int], int]], mu: tuple[int, ...],
              q_after: list[int], total_external: int) -> None:
@@ -351,98 +364,6 @@ class _DiagnosticState:
         self.violations["loading"] += int(np.count_nonzero(loading))
 
 
-class _MaxWeightStepper:
-    """One slot of UMW or its heuristic (the policy interface of policy.py).
-
-    Routes this slot's arrivals by min-cost solves and activates links by
-    the max-weight rule, both under one weight vector (see weights()),
-    whose tuple keys the RouteCache once per slot: the activation and each
-    route are computed only when the memo does not hold them. Then admits
-    and forwards the physical copies and applies the Lindley update.
-    With metrics.diagnostics on, each slot also feeds the _DiagnosticState
-    checks.
-    """
-
-    def __init__(self, config: SimulationConfig, g: Graph, aset: ActivationSet,
-                 classes: list[TrafficClass], route_cache: RouteCache,
-                 checkpoints: frozenset[int]):
-        self.graph = g
-        self.aset = aset
-        self.class_of = {c.id: c for c in classes}
-        self.steiner_mode = config.steiner_mode
-        self.route_cache = route_cache
-        self.checkpoints = checkpoints
-        self.net = PhysicalNetwork(g)
-        self.vq = VirtualQueues(g.m)
-        self.virtual_weights = config.policy == "umw"
-        self.uid = 0
-        self.violations = {"delivery": 0, "layer_identity": 0}
-        self.diag = None
-        if config.metrics.diagnostics:
-            amax = effective_amax(classes, config.arrival)
-            self.diag = _DiagnosticState(g.m, amax, config.horizon, self.violations)
-
-    def weights(self) -> list[int]:
-        """The slot's weight vector: the virtual queues for "umw", the
-        physical buffer sizes at the start of the slot for "umw-heuristic".
-        For "umw" it is the live list, which the slot's Lindley update
-        changes in place."""
-        return self.vq.q if self.virtual_weights else self.net.lengths
-
-    def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
-        """One slot. arrivals maps class id to its arrival count in slot t;
-        a class with no arrivals may be absent. Packets are admitted, and
-        their uids given, in the order arrivals lists the classes (the run
-        loop lists them in config order). A slot without arrivals needs
-        only the activation: it solves no route, admits nothing and
-        deposits nothing."""
-        net, vq, cache = self.net, self.vq, self.route_cache
-        # The weights are Python ints, so the memo key skips as_weights;
-        # solve_route checks them on a miss.
-        weights = self.weights()
-        key = tuple(weights)
-        decision = cache.memo.get(key) or cache.decision(key)
-        act = decision.activation
-        if act is None:
-            act = decision.activation = max_weight_activation(self.aset, weights)
-
-        if arrivals:
-            known = decision.routes
-            routes: dict[int, RouteTree] = {}
-            completed: list[Packet] = []
-            uid = self.uid
-            for cid, count in arrivals.items():
-                if count <= 0:
-                    continue
-                tree = known.get(cid)
-                if tree is None:
-                    tree = solve_route(self.graph, weights, self.class_of[cid], self.steiner_mode, cache)
-                else:
-                    cache.hits += 1
-                routes[cid] = tree
-                for _ in range(count):
-                    completed += net.admit(Packet(uid, cid, t, tree), t)
-                    uid += 1
-            self.uid = uid
-            completed += net.forward(act, t)
-            deposit = virtual_arrival_vector(routes, arrivals)
-        else:
-            completed = net.forward(act, t)
-            deposit = ()
-        for pkt in completed:
-            if pkt.delivered != pkt.route.covered:
-                self.violations["delivery"] += 1
-
-        vq.lindley_update(deposit, act.edge_ids)
-        if self.diag is not None:
-            self.diag.step(deposit, act.service, vq.q, sum(arrivals.values()))
-
-        total_q = net.total_copies
-        if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
-            self.violations["layer_identity"] += 1
-        return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
-
-
 def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     """One run of config. compare() and sweep() pass the (g, aset, classes)
     they have already resolved as _resolved (through run_many), so their
@@ -454,12 +375,16 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     # Slots after which the periodic invariant checks run.
     checkpoints = frozenset(range(CHECK_EVERY - 1, T, CHECK_EVERY)) | {T - 1}
     route_cache = RouteCache()
+    diag = None
     if config.policy == "bp":
         # Back-pressure keeps no virtual queues, so the virtual-queue
         # diagnostics have nothing to check and are left out of its summary.
         policy = BPState(g, aset, classes)
     else:
-        policy = _MaxWeightStepper(config, g, aset, classes, route_cache, checkpoints)
+        if config.metrics.diagnostics:
+            diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival), T)
+        policy = MaxWeightState(g, aset, classes, config.policy, config.steiner_mode,
+                                route_cache, checkpoints, diag)
 
     rec_total_q = np.zeros(T, dtype=np.int64)
     rec_total_vq = np.zeros(T, dtype=np.int64)
@@ -515,7 +440,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         deliveries=rec_deliv,
         mean_sojourn_running=rec_sojourn,
         arrivals_per_class=class_arrivals,
-        violations={"eq17": eq17_violations, **policy.violations},
+        violations={"eq17": eq17_violations, **policy.violations, **(diag.violations if diag else {})},
         route_cache=route_cache.stats(),
     )
 

@@ -1,4 +1,4 @@
-"""Per-slot control policies and the route solve they share.
+"""Per-slot control policies: UMW and its heuristic, and back-pressure.
 
 A run picks its policy once, before the slot loop, and then calls
 ``policy.step(t, arrivals)`` every slot. ``arrivals`` maps class id to
@@ -10,16 +10,15 @@ Each policy also keeps a ``violations`` dict of its own invariant counts
 (``delivery`` and ``layer_identity``), so the loop never asks which policy
 it is driving. There are two implementations:
 
-  ``engine._MaxWeightStepper`` serves "umw" and "umw-heuristic": min-cost
-      routing (``solve_route``) and max-weight activation under the virtual
-      queues ("umw") or the physical buffer lengths ("umw-heuristic"), both
-      looked up by the slot's weight tuple in the run's RouteCache and
-      computed only when the memo does not hold them. The
-      optimal policy's weights are the virtual counters alone; it never
-      reads physical state. With ``metrics.diagnostics`` on, the stepper
-      also runs the per-slot virtual-queue checks and counts their
-      failures (``skorokhod``, ``sandwich``, ``loading``) in its own
-      ``violations`` dict.
+  ``MaxWeightState`` serves "umw" and "umw-heuristic": min-cost routing
+      and max-weight activation under the virtual queues ("umw") or the
+      physical buffer lengths ("umw-heuristic"), both looked up once per
+      slot by the weight tuple in the run's RouteCache and computed only
+      when the memo does not hold them. It is the only code that reads or
+      writes the memo; on a miss it calls ``solve_route`` and stores the
+      tree. The optimal policy's weights are the virtual counters alone;
+      it never reads physical state. Given a diagnostics checker, it feeds
+      it every slot; the checker keeps its own counts.
   ``BPState`` serves "bp", classical back-pressure (unicast baseline).
       Its step enqueues the arrivals and moves one packet along each edge
       that ``decide`` plans from the max-weight activation over per-class
@@ -33,6 +32,7 @@ from typing import NamedTuple
 
 from .activation import max_weight_activation
 from .errors import ConfigError
+from .physical_net import Packet, PhysicalNetwork
 from .routing import (
     RouteKey,
     RouteTree,
@@ -41,10 +41,11 @@ from .routing import (
     _spanning,
     _steiner,
     as_weights,
-    build_route,
+    orient_tree,
 )
 from .topology import ActivationSet, ActivationVector, Graph
 from .traffic import TrafficClass
+from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 POLICY_NAMES = ("umw", "umw-heuristic", "bp")
 
@@ -83,11 +84,11 @@ class RouteCache:
     vector, so the memo maps the weight tuple to the SlotDecision made
     under it; its route table fills as classes with arrivals need routes.
     It keeps at most ROUTE_MEMO_CAP weight vectors and evicts the oldest
-    first. hits counts the route lookups the memo answers and misses the
-    route solves. On a miss the solver runs in full; the intern table then
-    hands back the tree already built for the same solved edge set, so
-    each distinct tree is oriented and validated once and shared by every
-    packet routed along it.
+    first. MaxWeightState fills it and counts in hits the route lookups the
+    memo answers and in misses the route solves. The intern table, which
+    solve_route fills through its trees argument, hands back the tree
+    already built for the same solved edge set, so each distinct tree is
+    oriented and validated once and shared by every packet routed along it.
     """
 
     def __init__(self):
@@ -133,28 +134,113 @@ def solve_route(
     w,
     cls: TrafficClass,
     steiner_mode: str = "exact",
-    cache: RouteCache | None = None,
+    trees: dict[RouteKey, RouteTree] | None = None,
 ) -> RouteTree:
     """Min-cost admissible route for one class under the given weights.
 
     The one public way to solve a route, and the one place its weights are
     checked: w must be a list, tuple or 1-D array of g.m nonnegative ints.
+    Given an intern table trees, it returns the tree already there for the
+    solved route and adds the ones it builds.
     """
-    w = as_weights(w, g.m)
-    if cache is None:
-        return build_route(g, _route_edges(g, w, cls, steiner_mode))
-    routes = cache.decision(tuple(w)).routes
-    tree = routes.get(cls.id)
-    if tree is not None:
-        cache.hits += 1
-        return tree
-    cache.misses += 1
-    solved = _route_edges(g, w, cls, steiner_mode)
-    tree = cache.trees.get(solved)
+    solved = _route_edges(g, as_weights(w, g.m), cls, steiner_mode)
+    trees = {} if trees is None else trees
+    tree = trees.get(solved)
     if tree is None:
-        tree = cache.trees[solved] = build_route(g, solved)
-    routes[cls.id] = tree
+        root, edge_ids, covered = solved
+        tree = trees[solved] = orient_tree(g, edge_ids, root, covered)
     return tree
+
+
+class MaxWeightState:
+    """One slot of UMW or its heuristic.
+
+    Routes this slot's arrivals by min-cost solves and activates links by
+    the max-weight rule, both under one weight vector (see weights()),
+    whose tuple keys the RouteCache once per slot: the activation and each
+    route are computed only when the memo does not hold them. Then admits
+    and forwards the physical copies and applies the Lindley update. A
+    diag checker, if given, gets each slot's deposit, service, queues and
+    arrival count (engine._DiagnosticState).
+    """
+
+    def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass],
+                 policy: str, steiner_mode: str, route_cache: RouteCache,
+                 checkpoints: frozenset[int], diag=None):
+        self.graph = g
+        self.aset = aset
+        self.class_of = {c.id: c for c in classes}
+        self.steiner_mode = steiner_mode
+        self.route_cache = route_cache
+        self.checkpoints = checkpoints
+        self.net = PhysicalNetwork(g)
+        self.vq = VirtualQueues(g.m)
+        self.virtual_weights = policy == "umw"
+        self.uid = 0
+        self.violations = {"delivery": 0, "layer_identity": 0}
+        self.diag = diag
+
+    def weights(self) -> list[int]:
+        """The slot's weight vector: the virtual queues for "umw", the
+        physical buffer sizes at the start of the slot for "umw-heuristic".
+        For "umw" it is the live list, which the slot's Lindley update
+        changes in place."""
+        return self.vq.q if self.virtual_weights else self.net.lengths
+
+    def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
+        """One slot. arrivals maps class id to its arrival count in slot t;
+        a class with no arrivals may be absent. Packets are admitted, and
+        their uids given, in the order arrivals lists the classes (the run
+        loop lists them in config order). A slot without arrivals needs
+        only the activation: it solves no route, admits nothing and
+        deposits nothing."""
+        net, vq, cache = self.net, self.vq, self.route_cache
+        # The weights are Python ints, so the memo key skips as_weights;
+        # solve_route checks them on a miss.
+        weights = self.weights()
+        key = tuple(weights)
+        decision = cache.memo.get(key) or cache.decision(key)
+        act = decision.activation
+        if act is None:
+            act = decision.activation = max_weight_activation(self.aset, weights)
+
+        if arrivals:
+            known = decision.routes
+            routes: dict[int, RouteTree] = {}
+            completed: list[Packet] = []
+            uid = self.uid
+            for cid, count in arrivals.items():
+                if count <= 0:
+                    continue
+                tree = known.get(cid)
+                if tree is None:
+                    tree = known[cid] = solve_route(self.graph, weights, self.class_of[cid],
+                                                    self.steiner_mode, cache.trees)
+                    cache.misses += 1
+                else:
+                    cache.hits += 1
+                routes[cid] = tree
+                for _ in range(count):
+                    completed += net.admit(Packet(uid, cid, t, tree), t)
+                    uid += 1
+            self.uid = uid
+            completed += net.forward(act, t)
+            deposit = virtual_arrival_vector(routes, arrivals)
+        else:
+            completed = net.forward(act, t)
+            deposit = ()
+        for pkt in completed:
+            if pkt.delivered != pkt.route.covered:
+                self.violations["delivery"] += 1
+
+        vq.lindley_update(deposit, act.edge_ids)
+        if self.diag is not None:
+            self.diag.step(deposit, act.service, vq.q, sum(arrivals.values()))
+
+        total_q = net.total_copies
+        if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
+            self.violations["layer_identity"] += 1
+        return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every solver takes the graph plus a list of nonnegative integer edge
 weights and finds a route, an out-tree rooted at the source, as a
-``RouteKey`` ``(root, edge ids, covered)``; ``build_route`` orients and
-validates it into a RouteTree whose edges carry their hop depth. The
+``RouteKey`` ``(root, edge ids, covered)``; ``orient_tree`` turns its
+parts into a validated RouteTree whose edges carry their hop depth. The
 solvers are private: ``policy.solve_route`` is the one public way to solve
 a route, and it checks the weights with ``as_weights`` first. Orientation
 depends on the key alone, so a caller may reuse the tree built for an
@@ -149,12 +149,6 @@ def orient_tree(g: Graph, edge_ids: Iterable[int], root: int, covered: Iterable[
     if remaining:
         raise TopologyError(f"edges {sorted(remaining)} not reachable from root {root}")
     return RouteTree(root, tuple(sorted(records, key=lambda te: (te.depth, te.edge_id))), frozenset(covered))
-
-
-def build_route(g: Graph, key: RouteKey) -> RouteTree:
-    """Orient and validate a solved route given as a RouteKey."""
-    root, edge_ids, covered = key
-    return orient_tree(g, edge_ids, root, covered)
 
 
 # ---------------------------------------------------------------------------

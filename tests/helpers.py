@@ -394,19 +394,18 @@ class SlotDiagnosticState:
     Maintains the cumulative arrivals-minus-service vector and its running
     minimum (the running-sup form of the windowed-load expression), the
     companion queue recursion, and running maxima, without ever reading the
-    Lindley state it is checking. Failed checks count into ``violations``
-    under "skorokhod", "sandwich" and "loading".
+    Lindley state it is checking. Failed checks count into its own
+    ``violations`` under "skorokhod", "sandwich" and "loading".
     """
 
-    def __init__(self, m: int, amax_bound: float, violations: dict[str, int]):
+    def __init__(self, m: int, amax_bound: float):
         self.G = np.zeros(m, dtype=np.int64)
         self.run_min = np.zeros(m, dtype=np.int64)
         self.assoc = AssociatedQueues(m)
         self.amax_bound = amax_bound
         self.observed_amax = 0
         self.run_max_vq = 0
-        violations.update(skorokhod=0, sandwich=0, loading=0)
-        self.violations = violations
+        self.violations = {"skorokhod": 0, "sandwich": 0, "loading": 0}
 
     def step(self, A: np.ndarray, mu: np.ndarray, q_after: np.ndarray, total_external: int) -> None:
         self.observed_amax = max(self.observed_amax, total_external)

@@ -65,8 +65,7 @@ def _counts(make, m, amax_bound, horizon, slots, sparse=False):
     deposit lindley_update takes: every edge with arrivals at count 1,
     then for each a > 1 the edges with a arrivals at count a - 1, so the
     pairs overlap and each edge's counts sum to its arrivals."""
-    violations = {}
-    checker = make(m, amax_bound, horizon, violations)
+    checker = make(m, amax_bound, horizon)
     # The checker must copy what it is given: feed q_after and a dense A
     # through one reused buffer each, which the next slot overwrites.
     A_live = np.zeros(m, dtype=np.int64)
@@ -80,11 +79,11 @@ def _counts(make, m, amax_bound, horizon, slots, sparse=False):
         else:
             arrivals = A_live
         checker.step(arrivals, mu, q_live, total_external)
-    return violations
+    return checker.violations
 
 
-def _reference(m, amax_bound, horizon, violations):
-    return SlotDiagnosticState(m, amax_bound, violations)
+def _reference(m, amax_bound, horizon):
+    return SlotDiagnosticState(m, amax_bound)
 
 
 def _assert_same(seed, m, horizon, kind, corrupt_p):

@@ -95,7 +95,8 @@ def _slot_by_slot_series(cfg: SimulationConfig):
     if cfg.policy == "bp":
         stepper = policy.BPState(g, aset, classes)
     else:
-        stepper = engine._MaxWeightStepper(cfg, g, aset, classes, policy.RouteCache(), frozenset())
+        stepper = policy.MaxWeightState(g, aset, classes, cfg.policy, cfg.steiner_mode,
+                                        policy.RouteCache(), frozenset())
     ids = [c.id for c in classes]
     delivered = [0] * len(ids)
     sojourn_sum, sojourn_n = 0.0, 0
@@ -194,13 +195,13 @@ def test_compare_rejects_bp_before_any_run(monkeypatch):
     # mixed_kinds carries non-unicast classes, which back-pressure cannot
     # route; compare used to finish both max-weight runs before saying so.
     built = []
-    init = engine._MaxWeightStepper.__init__
+    init = policy.MaxWeightState.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine._MaxWeightStepper, "__init__", counting_init)
+    monkeypatch.setattr(policy.MaxWeightState, "__init__", counting_init)
     cfg = load_config(CONFIGS / "mixed_kinds.json", horizon=50)
     with pytest.raises(ConfigError, match="unicast classes only"):
         compare(cfg, ["umw", "umw-heuristic", "bp"])
@@ -585,7 +586,24 @@ def test_diagnostics_must_be_bool():
 
 
 _LINE3_CLASS = {"id": 0, "kind": "unicast", "source": 0, "destinations": [2]}
-_RUN_TIME_KEYS = ("poisson arrivals cannot have mean", "classes must list at least one traffic class")
+
+
+def _grid_unreachable(kind, source, destinations, policy_name="umw") -> dict:
+    """The builtin grid, whose arcs lead right and down from node 0, with
+    a routable unicast class 0->8 and a second class of the given kind
+    from source to destinations."""
+    return {"topology": "grid3x3_broadcast", "policy": policy_name, "classes": [
+        {"id": 0, "kind": "unicast", "source": 0, "destinations": [8], "rate": 0.2},
+        {"id": 1, "kind": kind, "source": source, "destinations": destinations, "rate": 0.2}]}
+
+
+_UNREACHABLE_UNICAST = "classes[1].destinations [0] not reachable from source 8"
+_UNREACHABLE_BROADCAST = "classes[1].destinations [0, 1, 2, 3, 6] not reachable from source 4"
+_UNREACHABLE_MULTICAST = "classes[1].destinations [2] not reachable from source 4"
+_UNREACHABLE_ANYCAST = "classes[1].destinations [0, 3] not reachable from source 4"
+_RUN_TIME_KEYS = ("poisson arrivals cannot have mean", "classes must list at least one traffic class",
+                  _UNREACHABLE_UNICAST, _UNREACHABLE_BROADCAST, _UNREACHABLE_MULTICAST,
+                  _UNREACHABLE_ANYCAST)
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -623,18 +641,27 @@ _RUN_TIME_KEYS = ("poisson arrivals cannot have mean", "classes must list at lea
     ({"topology": "line3", "arrival": {"kind": "poisson"}, "load_factor": 1e300},
      "poisson arrivals cannot have mean"),
     ({"topology": "line3", "classes": []}, "classes must list at least one traffic class"),
+    (_grid_unreachable("unicast", 8, [0]), _UNREACHABLE_UNICAST),
+    (_grid_unreachable("unicast", 8, [0], "umw-heuristic"), _UNREACHABLE_UNICAST),
+    (_grid_unreachable("unicast", 8, [0], "bp"), _UNREACHABLE_UNICAST),
+    (_grid_unreachable("broadcast", 4, list(range(9))), _UNREACHABLE_BROADCAST),
+    (_grid_unreachable("multicast", 4, [2, 5]), _UNREACHABLE_MULTICAST),
+    (_grid_unreachable("anycast", 4, [0, 3]), _UNREACHABLE_ANYCAST),
 ], ids=["no_topology", "class_without_rate", "horizon_text", "metrics_list", "warmup_text",
         "record_every_text", "trials_text", "source_text", "class_not_object", "null_document",
         "horizon_float", "seed_float", "horizon_bool", "horizon_numeric_text", "seed_negative",
         "trials_float", "trials_bool", "id_float", "source_bool", "destination_float", "rate_bool",
         "rate_text", "load_factor_bool", "load_factor_text", "record_every_bool",
         "diagnostics_text", "diagnostics_int", "bernoulli_trials_negative", "poisson_trials_zero",
-        "trials_too_large", "poisson_mean_too_large", "classes_empty"])
+        "trials_too_large", "poisson_mean_too_large", "classes_empty", "unreachable_unicast_umw",
+        "unreachable_unicast_heuristic", "unreachable_unicast_bp", "unreachable_broadcast",
+        "unreachable_multicast", "unreachable_anycast"])
 def test_malformed_config_names_the_key(doc, key, monkeypatch):
     def no_slot(*args):
         raise AssertionError("a slot ran")
 
-    monkeypatch.setattr(engine._MaxWeightStepper, "step", no_slot)
+    monkeypatch.setattr(policy.MaxWeightState, "step", no_slot)
+    monkeypatch.setattr(policy.BPState, "step", no_slot)
     with pytest.raises(ConfigError, match=re.escape(key)):
         cfg = config_from_dict(doc)
         # The checks that need the resolved, load-scaled classes pass the
@@ -642,6 +669,16 @@ def test_malformed_config_names_the_key(doc, key, monkeypatch):
         # before the first slot.
         assert key in _RUN_TIME_KEYS, f"{doc!r} was read without an error"
         run(cfg)
+
+
+def test_reachability_asks_one_anycast_destination_and_a_positive_rate():
+    # Node 4 reaches 8 but not 0; node 8 reaches nothing. A class at rate
+    # 0 never needs a route, and load_factor 0 sets every rate to 0.
+    doc = _grid_unreachable("anycast", 4, [0, 8])
+    doc["classes"].append({"id": 2, "kind": "unicast", "source": 8, "destinations": [0], "rate": 0})
+    assert run(config_from_dict(dict(doc, horizon=50))).route_cache["misses"] > 0
+    idle = dict(_grid_unreachable("unicast", 8, [0]), load_factor=0.0, horizon=50)
+    assert run(config_from_dict(idle)).route_cache["misses"] == 0
 
 
 @pytest.mark.parametrize("change, message", [
@@ -795,16 +832,17 @@ def _cache_cases():
     return [mixed, twin, overload, stable, diagnosed]
 
 
-def _count_calls(monkeypatch, name) -> list:
-    """Record each call the stepper makes to engine.<name>."""
+def _count_calls(monkeypatch, name, owner=policy) -> list:
+    """Record each call made to owner.<name>: by MaxWeightState for a
+    function of policy, or to a method of a class given as owner."""
     calls = []
-    real = getattr(engine, name)
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -817,6 +855,7 @@ def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     cached_activations = len(activations)
     monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 0)
     activations.clear()
+    lookups = _count_calls(monkeypatch, "decision", policy.RouteCache)
     memo_free = run(cfg)
     for name, rep in (("cached", cached), ("memo_free", memo_free)):
         rep.write_csv(tmp_path / f"{name}.csv")
@@ -830,10 +869,13 @@ def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     # The activation is memoised with the routes: without the memo every
     # slot computes it, with it only slots under a new weight vector do.
     assert 0 < cached_activations < len(activations) == cfg.horizon
+    # A route miss solves under the entry its slot already holds, so even
+    # with every entry evicted at once there is one lookup per slot.
+    assert len(lookups) == cfg.horizon
 
 
 def test_route_cache_counts_every_solve(monkeypatch):
-    # The stepper calls solve_route only when the slot memo holds no route
+    # MaxWeightState calls solve_route only when the slot memo holds no route
     # for the class, so every solve is a miss and every hit skips a call.
     calls = _count_calls(monkeypatch, "solve_route")
     for cfg in _cache_cases():

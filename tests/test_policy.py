@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import ReferenceBPState, random_connected_graph, random_rooted_digraph
-from umwsim import engine, policy
+from umwsim import policy
 from umwsim.activation import max_weight_activation
-from umwsim.engine import MetricsOptions, SimulationConfig, _MaxWeightStepper, load_config
+from umwsim.engine import MetricsOptions, _DiagnosticState, load_config
 from umwsim.errors import ConfigError
-from umwsim.policy import BPPacket, BPState, Forward, RouteCache, solve_route
+from umwsim.policy import BPPacket, BPState, Forward, MaxWeightState, RouteCache, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
-from umwsim.traffic import TrafficClass, arrival_table
+from umwsim.traffic import TrafficClass, arrival_table, effective_amax
 
 CYCLE4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -20,11 +20,8 @@ WIRED4 = ActivationSet("wired", 4)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _stepper(policy_name, g, aset, classes, cache=None):
-    # The stepper reads the policy, the Steiner mode and the diagnostics
-    # switch from the config; the topology comes in as g and aset.
-    cfg = SimulationConfig(topology="line3", horizon=10, policy=policy_name)
-    return _MaxWeightStepper(cfg, g, aset, classes, cache or RouteCache(), frozenset())
+def _stepper(policy_name, g, aset, classes, cache=None, steiner_mode="exact"):
+    return MaxWeightState(g, aset, classes, policy_name, steiner_mode, cache or RouteCache(), frozenset())
 
 
 def test_umw_zero_queues_fewest_hops():
@@ -44,7 +41,7 @@ def test_umw_routes_around_congestion():
 def test_umw_no_arrival_no_route(monkeypatch):
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     cache = RouteCache()
-    real = engine.virtual_arrival_vector
+    real = policy.virtual_arrival_vector
     deposits = []
 
     def recording(*args):
@@ -53,7 +50,7 @@ def test_umw_no_arrival_no_route(monkeypatch):
 
     # The wired service would cancel a deposit in the queues themselves, so
     # the deposit is read where the stepper builds it.
-    monkeypatch.setattr(engine, "virtual_arrival_vector", recording)
+    monkeypatch.setattr(policy, "virtual_arrival_vector", recording)
     stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
@@ -101,10 +98,10 @@ def test_heuristic_activation_maximizes_physical_weight():
 
 def test_solve_route_cache_shares_objects():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    cache = RouteCache()
-    t1 = solve_route(LINE3, np.zeros(2, np.int64), cls, cache=cache)
-    t2 = solve_route(LINE3, np.ones(2, np.int64), cls, cache=cache)
-    assert t1 is t2
+    trees = {}
+    t1 = solve_route(LINE3, np.zeros(2, np.int64), cls, trees=trees)
+    t2 = solve_route(LINE3, np.ones(2, np.int64), cls, trees=trees)
+    assert t1 is t2 and list(trees.values()) == [t1]
 
 
 def test_bp_requires_unicast():
@@ -155,8 +152,14 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
     if policy_name == "bp":
         dense, sparse = BPState(g, aset, classes), BPState(g, aset, classes)
     else:
-        dense, sparse = (_MaxWeightStepper(cfg, g, aset, classes, RouteCache(), checkpoints)
-                         for _ in range(2))
+        def state():
+            diag = None
+            if diagnostics:
+                diag = _DiagnosticState(g.m, effective_amax(classes, cfg.arrival), cfg.horizon)
+            return MaxWeightState(g, aset, classes, policy_name, cfg.steiner_mode, RouteCache(),
+                                  checkpoints, diag)
+
+        dense, sparse = state(), state()
     empty = 0
     for t, row in enumerate(arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed).tolist()):
         full = dict(zip(ids, row))
@@ -173,6 +176,8 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
         assert dense.net.total_copies == sparse.net.total_copies
         assert dense.route_cache.stats() == sparse.route_cache.stats()
         assert dense.uid == sparse.uid
+        if diagnostics:
+            assert dense.diag.violations == sparse.diag.violations
 
 
 def test_bp_never_forwards_nonpositive_differential():
@@ -284,17 +289,31 @@ def _weight_sequence(rng, m: int, length: int = 40) -> list[np.ndarray]:
     return seq
 
 
+def _memo_state(g: Graph, classes: list[TrafficClass], mode: str = "exact") -> MaxWeightState:
+    """A UMW state on g whose weights a test sets through _memo_route."""
+    return _stepper("umw", g, ActivationSet("wired", g.m), classes, steiner_mode=mode)
+
+
+def _memo_route(state: MaxWeightState, t: int, w: list[int], cls: TrafficClass):
+    """The route of cls's one arrival in slot t, under weights w, as the
+    state's memo holds it after the slot."""
+    state.weights = lambda: w
+    state.step(t, {cls.id: 1})
+    return state.route_cache.memo[tuple(w)].routes[cls.id]
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_cached_solve_matches_uncached(mode):
     rng = np.random.default_rng(21)
     for directed in (False, True):
         for _ in range(8):
             g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
-            cache = RouteCache()
+            state = _memo_state(g, _kind_classes(g), mode)
+            cache = state.route_cache
             trees = []
             for cls in _kind_classes(g):
                 for w in _weight_sequence(rng, g.m):
-                    cached = solve_route(g, w, cls, mode, cache)
+                    cached = _memo_route(state, len(trees), w.tolist(), cls)
                     assert cached == solve_route(g, w, cls, mode)  # same root, edges, covered
                     trees.append(cached)
             assert cache.hits > 0 and cache.hits + cache.misses == len(trees)
@@ -306,24 +325,25 @@ def test_cached_solve_matches_uncached(mode):
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_cached_solve_on_lists_matches_uncached_on_arrays(mode):
-    # The slot path hands solve_route lists of Python ints; the reference is
-    # the uncached solve on the same weights as an int64 array. Arrays,
-    # lists and tuples of equal ints key one memo entry.
+    # The slot path solves on lists of Python ints; the reference is the
+    # uncached solve on the same weights as an int64 array. Arrays, lists
+    # and tuples of equal ints intern one tree.
     rng = np.random.default_rng(31)
     for directed in (False, True):
         for _ in range(8):
             g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
-            cache = RouteCache()
+            state = _memo_state(g, _kind_classes(g), mode)
+            trees = {}
+            t = 0
             for cls in _kind_classes(g):
                 for arr in _weight_sequence(rng, g.m, 12):
                     ref = solve_route(g, arr, cls, mode)
                     w = arr.tolist()
                     assert solve_route(g, w, cls, mode) == ref
-                    misses = cache.misses
-                    assert solve_route(g, w, cls, mode, cache) == ref
-                    assert solve_route(g, arr, cls, mode, cache) == ref
-                    assert solve_route(g, tuple(w), cls, mode, cache) == ref
-                    assert cache.misses - misses <= 1
+                    assert _memo_route(state, t, w, cls) == ref
+                    t += 1
+                    interned = [solve_route(g, x, cls, mode, trees) for x in (w, arr, tuple(w))]
+                    assert interned[0] == ref and all(x is interned[0] for x in interned)
 
 
 def test_route_memo_solves_2_53_int_weights_exactly():
@@ -332,10 +352,10 @@ def test_route_memo_solves_2_53_int_weights_exactly():
     g = Graph(3, ((0, 2), (0, 1), (1, 2)))
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     ints = [2**53 + 4, 2**53 + 2, 1]
-    cache = RouteCache()
-    assert solve_route(g, ints, cls, cache=cache).edge_ids == {1, 2}
-    assert solve_route(g, ints, cls, cache=cache).edge_ids == {1, 2}
-    assert (cache.hits, cache.misses) == (1, 1)
+    state = _memo_state(g, [cls])
+    assert _memo_route(state, 0, ints, cls).edge_ids == {1, 2}
+    assert _memo_route(state, 1, ints, cls).edge_ids == {1, 2}
+    assert (state.route_cache.hits, state.route_cache.misses) == (1, 1)
 
 
 def test_route_memo_stays_within_cap(monkeypatch):
@@ -343,18 +363,19 @@ def test_route_memo_stays_within_cap(monkeypatch):
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng)
     cls = _kind_classes(g)[1]
-    cache = RouteCache()
+    state = _memo_state(g, [cls])
+    cache = state.route_cache
     ws = []
     for i in range(12):
-        w = rng.integers(0, 9, g.m).astype(np.int64)
+        w = rng.integers(0, 9, g.m).tolist()
         w[0] = 100 + i   # all distinct
         ws.append(w)
-    for w in ws + ws[::-1]:
-        assert solve_route(g, w, cls, cache=cache) == solve_route(g, w, cls)
+    for t, w in enumerate(ws + ws[::-1]):
+        assert _memo_route(state, t, w, cls) == solve_route(g, w, cls)
         assert len(cache.memo) <= 3
     # Oldest first out: only the three most recent insertions hit on the
     # way back, and the memo ends with the last three solved.
     assert (cache.hits, cache.misses) == (3, 21)
-    solve_route(g, ws[0], cls, cache=cache)
-    solve_route(g, ws[3], cls, cache=cache)
+    _memo_route(state, 24, ws[0], cls)
+    _memo_route(state, 25, ws[3], cls)
     assert (cache.hits, cache.misses) == (4, 22)

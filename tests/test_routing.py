@@ -15,7 +15,7 @@ from helpers import (
 from umwsim import routing
 from umwsim.capacity import enumerate_routes
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError, UnreachableError
-from umwsim.policy import RouteCache, solve_route
+from umwsim.policy import solve_route
 from umwsim.routing import RouteTree, TreeEdge, as_weights, route_cost
 from umwsim.topology import Graph, builtin_topology
 from umwsim.traffic import TrafficClass
@@ -124,18 +124,18 @@ def test_steiner_exact_costs_are_exact():
 
 
 def _assert_rejected(w, message):
-    # Through the check alone and through uncached and cached solves; a
-    # rejected call leaves the memo and its counts as they were.
+    # Through the check alone and through plain and interning solves; a
+    # rejected call leaves the intern table as it was.
     cls = flow("unicast", 0, {2})
-    cache = RouteCache()
-    solve_route(TRIANGLE, [0, 0, 0], cls, cache=cache)
-    memo, counts = dict(cache.memo), (cache.hits, cache.misses)
+    trees = {}
+    solve_route(TRIANGLE, [0, 0, 0], cls, trees=trees)
+    before = dict(trees)
     for check in (lambda: as_weights(w, 3),
                   lambda: solve_route(TRIANGLE, w, cls),
-                  lambda: solve_route(TRIANGLE, w, cls, cache=cache)):
+                  lambda: solve_route(TRIANGLE, w, cls, trees=trees)):
         with pytest.raises(TopologyError, match=message):
             check()
-    assert cache.memo == memo and (cache.hits, cache.misses) == counts
+    assert trees == before
 
 
 @pytest.mark.parametrize("kind", [list, tuple, np.array])
@@ -390,8 +390,8 @@ def test_arborescence_contracts_nested_cycles():
 
 def test_directed_steiner_approx_matches_contraction_reference(monkeypatch):
     # _steiner_approx solves an arborescence of its metric closure on
-    # directed graphs. Cached solves with the solver must give the trees
-    # of uncached solves with the contraction-only reference.
+    # directed graphs. Interning solves with the solver must give the trees
+    # of plain solves with the contraction-only reference.
     rng = np.random.default_rng(17)
     cases = []
     for _ in range(120):
@@ -403,9 +403,10 @@ def test_directed_steiner_approx_matches_contraction_reference(monkeypatch):
         dests = frozenset(int(x) for x in rng.choice(np.arange(1, n), size=k, replace=False))
         cls = TrafficClass(0, "multicast", root, dests, 1.0)
         ws = [rng.integers(0, 3, g.m).tolist() for _ in range(4)] * 2
-        cache = RouteCache()
-        cases.append((g, cls, ws, [solve_route(g, w, cls, "approx", cache) for w in ws]))
-        assert cache.hits == 4
+        trees = {}
+        solved = [solve_route(g, w, cls, "approx", trees) for w in ws]
+        assert all(a is b for a, b in zip(solved[:4], solved[4:]))   # repeats share a tree
+        cases.append((g, cls, ws, solved))
     closures = []
 
     def reference(g, w, root):
