@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 # solve_route is not called here; the tracer tests in bench/ read engine.solve_route.
-from .policy import BPState, MaxWeightState, POLICY_NAMES, RouteCache, require_unicast, solve_route
+from .policy import BPState, MaxWeightState, POLICY_NAMES, require_unicast, solve_route
 from .routing import STEINER_MODES, _shortest_labels
 from .topology import ActivationSet, Graph, builtin_topology, load_topology
 from .traffic import (
@@ -190,7 +190,7 @@ class MetricsReport:
     deliveries: np.ndarray       # cumulative full deliveries, shape (slots, classes)
     mean_sojourn_running: np.ndarray
     arrivals_per_class: np.ndarray   # final cumulative external arrivals
-    route_cache: dict[str, int]      # the run's RouteCache.stats()
+    route_cache: dict[str, int]      # the policy's route_stats()
     violations: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -374,7 +374,6 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
 
     # Slots after which the periodic invariant checks run.
     checkpoints = frozenset(range(CHECK_EVERY - 1, T, CHECK_EVERY)) | {T - 1}
-    route_cache = RouteCache()
     diag = None
     if config.policy == "bp":
         # Back-pressure keeps no virtual queues, so the virtual-queue
@@ -384,7 +383,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         if config.metrics.diagnostics:
             diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival), T)
         policy = MaxWeightState(g, aset, classes, config.policy, config.steiner_mode,
-                                route_cache, checkpoints, diag)
+                                checkpoints, diag)
 
     rec_total_q = np.zeros(T, dtype=np.int64)
     rec_total_vq = np.zeros(T, dtype=np.int64)
@@ -441,7 +440,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         mean_sojourn_running=rec_sojourn,
         arrivals_per_class=class_arrivals,
         violations={"eq17": eq17_violations, **policy.violations, **(diag.violations if diag else {})},
-        route_cache=route_cache.stats(),
+        route_cache=policy.route_stats(),
     )
 
 

@@ -7,18 +7,19 @@ absent, and the run loop passes ``{}`` for a slot without arrivals and
 only the classes with arrivals otherwise. The step makes every decision of
 the slot, applies it to the policy's own queues, and returns a SlotOutcome.
 Each policy also keeps a ``violations`` dict of its own invariant counts
-(``delivery`` and ``layer_identity``), so the loop never asks which policy
-it is driving. There are two implementations:
+(``delivery`` and ``layer_identity``) and reports its route memo's counts
+through ``route_stats()``, so the loop never asks which policy it is
+driving. There are two implementations:
 
   ``MaxWeightState`` serves "umw" and "umw-heuristic": min-cost routing
       and max-weight activation under the virtual queues ("umw") or the
       physical buffer lengths ("umw-heuristic"), both looked up once per
-      slot by the weight tuple in the run's RouteCache and computed only
-      when the memo does not hold them. It is the only code that reads or
-      writes the memo; on a miss it calls ``solve_route`` and stores the
-      tree. The optimal policy's weights are the virtual counters alone;
-      it never reads physical state. Given a diagnostics checker, it feeds
-      it every slot; the checker keeps its own counts.
+      slot by the weight tuple in the state's own slot memo and computed
+      only when the memo does not hold them; on a route miss it calls
+      ``solve_route`` and stores the tree. The optimal policy's weights
+      are the virtual counters alone; it never reads physical state.
+      Given a diagnostics checker, it feeds it every slot; the checker
+      keeps its own counts.
   ``BPState`` serves "bp", classical back-pressure (unicast baseline).
       Its step enqueues the arrivals and moves one packet along each edge
       that ``decide`` plans from the max-weight activation over per-class
@@ -31,9 +32,10 @@ from collections import deque
 from typing import NamedTuple
 
 from .activation import max_weight_activation
-from .errors import ConfigError
+from .errors import ConfigError, TopologyError
 from .physical_net import Packet, PhysicalNetwork
 from .routing import (
+    STEINER_MODES,
     RouteKey,
     RouteTree,
     _anycast,
@@ -49,9 +51,9 @@ from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 POLICY_NAMES = ("umw", "umw-heuristic", "bp")
 
-# Most weight vectors a RouteCache remembers. It bounds the memory of runs
-# whose queues keep producing new weight vectors (they diverge, or never
-# settle); stable runs revisit few enough vectors to fit.
+# Most weight vectors a MaxWeightState's slot memo remembers. It bounds the
+# memory of runs whose queues keep producing new weight vectors (they
+# diverge, or never settle); stable runs revisit few enough vectors to fit.
 ROUTE_MEMO_CAP = 1024
 
 
@@ -63,58 +65,6 @@ ROUTE_MEMO_CAP = 1024
 # A tuple rather than a NamedTuple: building one each slot costs time the
 # loop, which unpacks it at once, has no use for.
 SlotOutcome = tuple[list[tuple[int, int]], int, int]
-
-
-class SlotDecision:
-    """What one weight vector decides: the max-weight activation (None
-    until a slot under these weights computes it) and the routes solved
-    under them so far, by class id."""
-
-    __slots__ = ("activation", "routes")
-
-    def __init__(self):
-        self.activation: ActivationVector | None = None
-        self.routes: dict[int, RouteTree] = {}
-
-
-class RouteCache:
-    """Slot memo and tree intern table of one run (one graph, one Steiner mode).
-
-    A slot's activation and routes are pure functions of its integer weight
-    vector, so the memo maps the weight tuple to the SlotDecision made
-    under it; its route table fills as classes with arrivals need routes.
-    It keeps at most ROUTE_MEMO_CAP weight vectors and evicts the oldest
-    first. MaxWeightState fills it and counts in hits the route lookups the
-    memo answers and in misses the route solves. The intern table, which
-    solve_route fills through its trees argument, hands back the tree
-    already built for the same solved edge set, so each distinct tree is
-    oriented and validated once and shared by every packet routed along it.
-    """
-
-    def __init__(self):
-        self.memo: dict[tuple[int, ...], SlotDecision] = {}
-        # The memo's keys, oldest first. Evicting through the dict's own
-        # order (next(iter(memo))) would step over the slots of every
-        # entry deleted since its last resize, about 1 µs at the cap.
-        self.order: deque[tuple[int, ...]] = deque()
-        self.trees: dict[RouteKey, RouteTree] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def decision(self, key: tuple[int, ...]) -> SlotDecision:
-        """The memo entry for weight tuple key, made (and the oldest entry
-        past the cap evicted) if it is new. The entry stays usable after
-        its eviction."""
-        entry = self.memo.get(key)
-        if entry is None:
-            entry = self.memo[key] = SlotDecision()
-            self.order.append(key)
-            if len(self.order) > ROUTE_MEMO_CAP:
-                del self.memo[self.order.popleft()]
-        return entry
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "distinct_trees": len(self.trees)}
 
 
 def _route_edges(g: Graph, w: list, cls: TrafficClass, steiner_mode: str) -> RouteKey:
@@ -143,6 +93,8 @@ def solve_route(
     Given an intern table trees, it returns the tree already there for the
     solved route and adds the ones it builds.
     """
+    if steiner_mode not in STEINER_MODES:
+        raise TopologyError(f"unknown Steiner mode {steiner_mode!r}")
     solved = _route_edges(g, as_weights(w, g.m), cls, steiner_mode)
     trees = {} if trees is None else trees
     tree = trees.get(solved)
@@ -156,22 +108,30 @@ class MaxWeightState:
     """One slot of UMW or its heuristic.
 
     Routes this slot's arrivals by min-cost solves and activates links by
-    the max-weight rule, both under one weight vector (see weights()),
-    whose tuple keys the RouteCache once per slot: the activation and each
-    route are computed only when the memo does not hold them. Then admits
-    and forwards the physical copies and applies the Lindley update. A
-    diag checker, if given, gets each slot's deposit, service, queues and
-    arrival count (engine._DiagnosticState).
+    the max-weight rule, both under one weight vector (see weights()).
+    Then admits and forwards the physical copies and applies the Lindley
+    update. A diag checker, if given, gets each slot's deposit, service,
+    queues and arrival count (engine._DiagnosticState).
+
+    A slot's activation and routes are pure functions of its integer weight
+    vector, so the state keeps a slot memo: ``memo`` maps the weight tuple
+    to ``(activation, routes by class id)``, whose route table fills as
+    classes with arrivals need routes. It holds at most ROUTE_MEMO_CAP
+    weight vectors and evicts the oldest first. ``hits`` counts the route
+    lookups the memo answers and ``misses`` the route solves. The intern
+    table ``trees``, which solve_route fills, hands back the tree already
+    built for the same solved edge set, so each distinct tree is oriented
+    and validated once and shared by every packet routed along it.
     """
 
     def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass],
-                 policy: str, steiner_mode: str, route_cache: RouteCache,
-                 checkpoints: frozenset[int], diag=None):
+                 policy: str, steiner_mode: str, checkpoints: frozenset[int], diag=None):
+        if policy not in ("umw", "umw-heuristic"):
+            raise ConfigError(f"MaxWeightState policy must be 'umw' or 'umw-heuristic', got {policy!r}")
         self.graph = g
         self.aset = aset
         self.class_of = {c.id: c for c in classes}
         self.steiner_mode = steiner_mode
-        self.route_cache = route_cache
         self.checkpoints = checkpoints
         self.net = PhysicalNetwork(g)
         self.vq = VirtualQueues(g.m)
@@ -179,6 +139,17 @@ class MaxWeightState:
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
         self.diag = diag
+        self.memo: dict[tuple[int, ...], tuple[ActivationVector, dict[int, RouteTree]]] = {}
+        # The memo's keys, oldest first. Evicting through the dict's own
+        # order (next(iter(memo))) steps over the slots of every entry
+        # deleted since its last resize, about 1 µs at the cap.
+        self.order: deque[tuple[int, ...]] = deque()
+        self.trees: dict[RouteKey, RouteTree] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def route_stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "distinct_trees": len(self.trees)}
 
     def weights(self) -> list[int]:
         """The slot's weight vector: the virtual queues for "umw", the
@@ -194,18 +165,21 @@ class MaxWeightState:
         loop lists them in config order). A slot without arrivals needs
         only the activation: it solves no route, admits nothing and
         deposits nothing."""
-        net, vq, cache = self.net, self.vq, self.route_cache
+        net, vq = self.net, self.vq
         # The weights are Python ints, so the memo key skips as_weights;
         # solve_route checks them on a miss.
         weights = self.weights()
         key = tuple(weights)
-        decision = cache.memo.get(key) or cache.decision(key)
-        act = decision.activation
-        if act is None:
-            act = decision.activation = max_weight_activation(self.aset, weights)
+        entry = self.memo.get(key)
+        if entry is None:
+            # A new entry stays usable for this slot after its eviction.
+            entry = self.memo[key] = (max_weight_activation(self.aset, weights), {})
+            self.order.append(key)
+            if len(self.order) > ROUTE_MEMO_CAP:
+                del self.memo[self.order.popleft()]
+        act, known = entry
 
         if arrivals:
-            known = decision.routes
             routes: dict[int, RouteTree] = {}
             completed: list[Packet] = []
             uid = self.uid
@@ -215,10 +189,10 @@ class MaxWeightState:
                 tree = known.get(cid)
                 if tree is None:
                     tree = known[cid] = solve_route(self.graph, weights, self.class_of[cid],
-                                                    self.steiner_mode, cache.trees)
-                    cache.misses += 1
+                                                    self.steiner_mode, self.trees)
+                    self.misses += 1
                 else:
-                    cache.hits += 1
+                    self.hits += 1
                 routes[cid] = tree
                 for _ in range(count):
                     completed += net.admit(Packet(uid, cid, t, tree), t)
@@ -284,6 +258,10 @@ class BPState:
         # Packets carry no route tree and copies no hop layers, so neither
         # check applies to back-pressure; both read 0.
         self.violations = {"delivery": 0, "layer_identity": 0}
+
+    def route_stats(self) -> dict[str, int]:
+        """Back-pressure solves no routes, so its memo counts are all 0."""
+        return {"hits": 0, "misses": 0, "distinct_trees": 0}
 
     def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
         """One slot: enqueue the arrivals at their sources (a packet born at

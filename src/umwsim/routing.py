@@ -502,7 +502,8 @@ def _steiner(g: Graph, w: list, root: int, terminals: Iterable[int], mode: str) 
     """Min-weight tree rooted at root covering the terminals.
 
     mode="exact" solves the problem optimally (terminal count capped);
-    mode="approx" builds the classic metric-closure 2-approximation.
+    mode="approx" builds the classic metric-closure 2-approximation
+    (solve_route has checked the mode).
     """
     covered = frozenset(terminals) or frozenset({root})
     terms = sorted(covered - {root})
@@ -512,8 +513,6 @@ def _steiner(g: Graph, w: list, root: int, terminals: Iterable[int], mode: str) 
         if len(terms) > STEINER_EXACT_TERMINAL_CAP:
             raise CapExceededError("exact Steiner terminals", len(terms), STEINER_EXACT_TERMINAL_CAP)
         edge_ids = _steiner_exact(g, w, root, terms)
-    elif mode == "approx":
-        edge_ids = _steiner_approx(g, w, root, terms)
     else:
-        raise TopologyError(f"unknown Steiner mode {mode!r}")
+        edge_ids = _steiner_approx(g, w, root, terms)
     return (root, frozenset(edge_ids), covered)

@@ -95,8 +95,7 @@ def _slot_by_slot_series(cfg: SimulationConfig):
     if cfg.policy == "bp":
         stepper = policy.BPState(g, aset, classes)
     else:
-        stepper = policy.MaxWeightState(g, aset, classes, cfg.policy, cfg.steiner_mode,
-                                        policy.RouteCache(), frozenset())
+        stepper = policy.MaxWeightState(g, aset, classes, cfg.policy, cfg.steiner_mode, frozenset())
     ids = [c.id for c in classes]
     delivered = [0] * len(ids)
     sojourn_sum, sojourn_n = 0.0, 0
@@ -832,17 +831,16 @@ def _cache_cases():
     return [mixed, twin, overload, stable, diagnosed]
 
 
-def _count_calls(monkeypatch, name, owner=policy) -> list:
-    """Record each call made to owner.<name>: by MaxWeightState for a
-    function of policy, or to a method of a class given as owner."""
+def _count_calls(monkeypatch, name) -> list:
+    """Record each call MaxWeightState makes to policy.<name>."""
     calls = []
-    real = getattr(owner, name)
+    real = getattr(policy, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(policy, name, counting)
     return calls
 
 
@@ -855,7 +853,20 @@ def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     cached_activations = len(activations)
     monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 0)
     activations.clear()
-    lookups = _count_calls(monkeypatch, "decision", policy.RouteCache)
+    lookups = []
+
+    class CountingMemo(dict):
+        def get(self, key, default=None):
+            lookups.append(1)
+            return super().get(key, default)
+
+    init = policy.MaxWeightState.__init__
+
+    def counting_memo_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.memo = CountingMemo()
+
+    monkeypatch.setattr(policy.MaxWeightState, "__init__", counting_memo_init)
     memo_free = run(cfg)
     for name, rep in (("cached", cached), ("memo_free", memo_free)):
         rep.write_csv(tmp_path / f"{name}.csv")

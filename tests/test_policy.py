@@ -8,7 +8,7 @@ from umwsim import policy
 from umwsim.activation import max_weight_activation
 from umwsim.engine import MetricsOptions, _DiagnosticState, load_config
 from umwsim.errors import ConfigError
-from umwsim.policy import BPPacket, BPState, Forward, MaxWeightState, RouteCache, solve_route
+from umwsim.policy import BPPacket, BPState, Forward, MaxWeightState, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
 from umwsim.traffic import TrafficClass, arrival_table, effective_amax
 
@@ -20,8 +20,15 @@ WIRED4 = ActivationSet("wired", 4)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _stepper(policy_name, g, aset, classes, cache=None, steiner_mode="exact"):
-    return MaxWeightState(g, aset, classes, policy_name, steiner_mode, cache or RouteCache(), frozenset())
+def _stepper(policy_name, g, aset, classes, steiner_mode="exact"):
+    return MaxWeightState(g, aset, classes, policy_name, steiner_mode, frozenset())
+
+
+@pytest.mark.parametrize("name", ["bp", "UMW", "nonsense"])
+def test_max_weight_state_rejects_other_policies(name):
+    # Any name but "umw" would otherwise run the heuristic's weights.
+    with pytest.raises(ConfigError, match="got " + repr(name)):
+        _stepper(name, CYCLE4, WIRED4, [])
 
 
 def test_umw_zero_queues_fewest_hops():
@@ -40,7 +47,6 @@ def test_umw_routes_around_congestion():
 
 def test_umw_no_arrival_no_route(monkeypatch):
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
-    cache = RouteCache()
     real = policy.virtual_arrival_vector
     deposits = []
 
@@ -51,15 +57,15 @@ def test_umw_no_arrival_no_route(monkeypatch):
     # The wired service would cancel a deposit in the queues themselves, so
     # the deposit is read where the stepper builds it.
     monkeypatch.setattr(policy, "virtual_arrival_vector", recording)
-    stepper = _stepper("umw", CYCLE4, WIRED4, [cls], cache)
+    stepper = _stepper("umw", CYCLE4, WIRED4, [cls])
     assert stepper.step(0, {0: 0}) == ([], 0, 0)
     # no route solved and no virtual arrival deposited
-    assert cache.hits + cache.misses == 0
+    assert stepper.hits + stepper.misses == 0
     assert deposits == [[]]
     # A class with no arrivals may be absent; with none at all the step
     # does not build a deposit.
     assert stepper.step(1, {}) == ([], 0, 0)
-    assert cache.hits + cache.misses == 0
+    assert stepper.hits + stepper.misses == 0
     assert deposits == [[]]
 
 
@@ -156,8 +162,7 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
             diag = None
             if diagnostics:
                 diag = _DiagnosticState(g.m, effective_amax(classes, cfg.arrival), cfg.horizon)
-            return MaxWeightState(g, aset, classes, policy_name, cfg.steiner_mode, RouteCache(),
-                                  checkpoints, diag)
+            return MaxWeightState(g, aset, classes, policy_name, cfg.steiner_mode, checkpoints, diag)
 
         dense, sparse = state(), state()
     empty = 0
@@ -174,7 +179,7 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
         assert (dense.vq.q, dense.vq.total) == (sparse.vq.q, sparse.vq.total)
         assert dense.net.lengths == sparse.net.lengths
         assert dense.net.total_copies == sparse.net.total_copies
-        assert dense.route_cache.stats() == sparse.route_cache.stats()
+        assert dense.route_stats() == sparse.route_stats()
         assert dense.uid == sparse.uid
         if diagnostics:
             assert dense.diag.violations == sparse.diag.violations
@@ -299,7 +304,7 @@ def _memo_route(state: MaxWeightState, t: int, w: list[int], cls: TrafficClass):
     state's memo holds it after the slot."""
     state.weights = lambda: w
     state.step(t, {cls.id: 1})
-    return state.route_cache.memo[tuple(w)].routes[cls.id]
+    return state.memo[tuple(w)][1][cls.id]
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
@@ -309,18 +314,17 @@ def test_cached_solve_matches_uncached(mode):
         for _ in range(8):
             g = random_rooted_digraph(rng)[0] if directed else random_connected_graph(rng)
             state = _memo_state(g, _kind_classes(g), mode)
-            cache = state.route_cache
             trees = []
             for cls in _kind_classes(g):
                 for w in _weight_sequence(rng, g.m):
                     cached = _memo_route(state, len(trees), w.tolist(), cls)
                     assert cached == solve_route(g, w, cls, mode)  # same root, edges, covered
                     trees.append(cached)
-            assert cache.hits > 0 and cache.hits + cache.misses == len(trees)
+            assert state.hits > 0 and state.hits + state.misses == len(trees)
             # Interning: one object per distinct tree.
             by_key = {(t.root, t.edge_ids, t.covered): t for t in trees}
             assert all(t is by_key[t.root, t.edge_ids, t.covered] for t in trees)
-            assert cache.stats()["distinct_trees"] == len(by_key)
+            assert len(state.trees) == state.route_stats()["distinct_trees"] == len(by_key)
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
@@ -355,7 +359,7 @@ def test_route_memo_solves_2_53_int_weights_exactly():
     state = _memo_state(g, [cls])
     assert _memo_route(state, 0, ints, cls).edge_ids == {1, 2}
     assert _memo_route(state, 1, ints, cls).edge_ids == {1, 2}
-    assert (state.route_cache.hits, state.route_cache.misses) == (1, 1)
+    assert (state.hits, state.misses) == (1, 1)
 
 
 def test_route_memo_stays_within_cap(monkeypatch):
@@ -364,7 +368,6 @@ def test_route_memo_stays_within_cap(monkeypatch):
     g = random_connected_graph(rng)
     cls = _kind_classes(g)[1]
     state = _memo_state(g, [cls])
-    cache = state.route_cache
     ws = []
     for i in range(12):
         w = rng.integers(0, 9, g.m).tolist()
@@ -372,10 +375,10 @@ def test_route_memo_stays_within_cap(monkeypatch):
         ws.append(w)
     for t, w in enumerate(ws + ws[::-1]):
         assert _memo_route(state, t, w, cls) == solve_route(g, w, cls)
-        assert len(cache.memo) <= 3
+        assert len(state.memo) == len(state.order) <= 3
     # Oldest first out: only the three most recent insertions hit on the
     # way back, and the memo ends with the last three solved.
-    assert (cache.hits, cache.misses) == (3, 21)
+    assert (state.hits, state.misses) == (3, 21)
     _memo_route(state, 24, ws[0], cls)
     _memo_route(state, 25, ws[3], cls)
-    assert (cache.hits, cache.misses) == (4, 22)
+    assert (state.hits, state.misses) == (4, 22)

@@ -123,19 +123,28 @@ def test_steiner_exact_costs_are_exact():
     assert tree.edge_ids == {1, 2}
 
 
-def _assert_rejected(w, message):
-    # Through the check alone and through plain and interning solves; a
-    # rejected call leaves the intern table as it was.
-    cls = flow("unicast", 0, {2})
+def _assert_rejected(w, message, cls=flow("unicast", 0, {2}), mode="exact"):
+    # Through plain and interning solves, and through the weight check alone
+    # when the mode is valid; a rejected call leaves the intern table as it
+    # was.
     trees = {}
     solve_route(TRIANGLE, [0, 0, 0], cls, trees=trees)
     before = dict(trees)
-    for check in (lambda: as_weights(w, 3),
-                  lambda: solve_route(TRIANGLE, w, cls),
-                  lambda: solve_route(TRIANGLE, w, cls, trees=trees)):
+    checks = [lambda: solve_route(TRIANGLE, w, cls, mode),
+              lambda: solve_route(TRIANGLE, w, cls, mode, trees)]
+    if mode in routing.STEINER_MODES:
+        checks.append(lambda: as_weights(w, 3))
+    for check in checks:
         with pytest.raises(TopologyError, match=message):
             check()
     assert trees == before
+
+
+@pytest.mark.parametrize("kind", ["unicast", "broadcast", "multicast", "anycast"])
+def test_solve_route_rejects_unknown_steiner_mode(kind):
+    # Only a multicast solve reads the mode, yet every kind must reject it.
+    cls = flow(kind, 0, {"unicast": {2}, "broadcast": {0, 1, 2}}.get(kind, {1, 2}))
+    _assert_rejected([1, 1, 1], "unknown Steiner mode 'bogus'", cls, "bogus")
 
 
 @pytest.mark.parametrize("kind", [list, tuple, np.array])
