@@ -1,12 +1,15 @@
 """Desk-scale capacity oracle.
 
-Enumerates every admissible route per class by growing out-trees from the
-class source (branching on each frontier edge, pruning a branch as soon as
-it can no longer reach what the class requires). Each route is kept as its
-edge bitmask, which is all the program below reads; only the public
-`enumerate_routes` orients the masks into `RouteTree`s. The oracle then
-solves the fractional route-decomposition plus activation-mixing program
-exactly:
+Enumerates every admissible route per class. A broadcast or multicast
+class's trees are grown from the class source (branching on each frontier
+edge, pruning a branch as soon as it can no longer reach what the class
+requires). A unicast or anycast class's paths, per destination, come from a
+depth-first walk over simple paths that enters a node only if the
+destination is still reachable from it without revisiting the path. Each
+route is kept as its edge bitmask, which is all the program below reads;
+only the public `enumerate_routes` orients the masks into `RouteTree`s.
+The oracle then solves the fractional route-decomposition plus
+activation-mixing program exactly:
 
     maximize rho
     s.t.  sum_i flow(c, i)            = rho * rate(c)        for each class c
@@ -14,12 +17,20 @@ exactly:
               <= sum_j p_j * [e in member j]                 for each edge e
           sum_j p_j = 1,   flow >= 0,  p >= 0
 
+The LP's column 0 is rho / D, with D the lcm of the rate denominators, so
+every coefficient is an int (-rate * D in the class rows, D in the
+objective) and no row is scaled. A positive scaling of one column changes
+neither the sign of its reduced cost nor the order of its ratios, so
+Bland's rule pivots as it would on rho itself, and rho* and the
+certificate are the same.
+
 The optimum rho* is the largest uniform scaling of the offered rates that
 any policy can support; the certificate (flow split + activation mixture)
 is independently re-checkable by `verify_certificate`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -106,6 +117,50 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     return sorted(found)
 
 
+def _simple_paths(g: Graph, s: int, t: int) -> list[int]:
+    """All simple paths from `s` to `t`, as edge bitmasks in ascending order
+    (the edgeless path alone when s == t): the out-trees `_tree_subsets`
+    grows for cover and leaves {t}, found by a depth-first walk.
+
+    A node is entered only if `t` can still be reached from it without
+    revisiting the path so far, so every branch ends in at least one path
+    and the walk costs time in proportion to the paths it returns. Walking
+    stops with `CapExceededError` as soon as more than `ROUTE_CAP` paths
+    are found, as the grower does.
+    """
+    if s == t:
+        return [0]
+    predecessors = [0] * g.node_count
+    for u, v in g.edges:
+        predecessors[v] |= 1 << u
+        if not g.directed:
+            predecessors[u] |= 1 << v
+    t_bit = 1 << t
+    adjacency = g.adjacency
+    found: list[int] = []
+    # Each entry is a path from s: its last node, node and edge bitmasks.
+    stack = [(s, 1 << s, 0)]
+    while stack:
+        u, path, edges = stack.pop()
+        # The nodes that reach t without entering the path: a search back
+        # from t that never crosses a path node.
+        live = todo = t_bit
+        while todo:
+            x = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            new = predecessors[x] & ~live & ~path
+            live |= new
+            todo |= new
+        for eid, v in adjacency[u]:
+            if v == t:
+                found.append(edges | 1 << eid)
+                if len(found) > ROUTE_CAP:
+                    raise CapExceededError("routes grown", len(found), ROUTE_CAP)
+            elif live >> v & 1:
+                stack.append((v, path | 1 << v, edges | 1 << eid))
+    return sorted(found)
+
+
 def _route_masks(g: Graph, cls: TrafficClass) -> list[tuple[frozenset[int], list[int]]]:
     """The class's routes as edge bitmasks, grouped by the nodes each group
     covers: one group for a broadcast or multicast, one per destination (in
@@ -122,7 +177,7 @@ def _route_masks(g: Graph, cls: TrafficClass) -> list[tuple[frozenset[int], list
     # covers exactly the one destination its path ends at.
     groups = []
     for t in sorted(cls.destinations):
-        pair = _tree_subsets(g, s, frozenset({t}), frozenset({t}))
+        pair = _simple_paths(g, s, t)
         if len(pair) > PATHS_PER_PAIR_CAP:
             raise CapExceededError(f"paths {s}->{t}", len(pair), PATHS_PER_PAIR_CAP)
         groups.append((frozenset({t}), pair))
@@ -146,7 +201,9 @@ def enumerate_routes(g: Graph, cls: TrafficClass) -> list[RouteTree]:
     unicast: all simple source-destination paths; broadcast: all spanning
     trees rooted at the source; multicast: all inclusion-minimal trees
     covering source plus destinations; anycast: union of the per-destination
-    simple paths. Each search raises `CapExceededError` past `ROUTE_CAP`
+    simple paths. Trees are grown (`_tree_subsets`) and paths walked
+    (`_simple_paths`), which gives the same paths as growing trees with one
+    required leaf. Each search raises `CapExceededError` past `ROUTE_CAP`
     routes, and each unicast or anycast pair past `PATHS_PER_PAIR_CAP` paths.
     """
     return [
@@ -189,6 +246,15 @@ class CapacityCertificate:
         }
 
 
+def _check_class_ids(classes: list[TrafficClass]) -> None:
+    """Raise `ConfigError` if two classes share an id."""
+    seen: set[int] = set()
+    for c in classes:
+        if c.id in seen:
+            raise ConfigError(f"capacity scaling got duplicate class id {c.id}")
+        seen.add(c.id)
+
+
 def max_scaling(
     g: Graph,
     aset: ActivationSet,
@@ -202,11 +268,7 @@ def max_scaling(
     catalogue is keyed on them."""
     if aset.edge_count != g.m:
         raise ConfigError(f"activation set is over {aset.edge_count} edges, the graph has {g.m}")
-    seen: set[int] = set()
-    for c in classes:
-        if c.id in seen:
-            raise ConfigError(f"capacity scaling got duplicate class id {c.id}")
-        seen.add(c.id)
+    _check_class_ids(classes)
     active_classes = [c for c in classes if c.rate > 0]
     if not active_classes:
         raise ConfigError("capacity scaling needs at least one class with positive rate")
@@ -224,16 +286,19 @@ def max_scaling(
     n_members = len(members)
     nvars = 1 + n_routes + n_members  # rho, flows, mixture
 
-    # Int coefficients except the rates: solve_lp scales each row to integers
-    # by its common denominator, and an all-int row needs no scaling. A
-    # class's routes are consecutive columns.
-    a_eq: list[list] = []
+    # Every coefficient is an int, so solve_lp scales no row. Column 0 holds
+    # rho / D, with D the lcm of the rate denominators: its entries are the
+    # ints -rate * D and its objective coefficient is D. A class's routes
+    # are consecutive columns.
+    rates = [Fraction(c.rate) for c in active_classes]
+    scale = math.lcm(*(r.denominator for r in rates))
+    a_eq: list[list[int]] = []
     b_eq: list[int] = []
     start = 1
-    for c in active_classes:
+    for c, rate in zip(active_classes, rates):
         end = start + len(masks[c.id])
         row = [0] * nvars
-        row[0] = -Fraction(c.rate)
+        row[0] = -(rate.numerator * (scale // rate.denominator))
         row[start:end] = [1] * (end - start)
         a_eq.append(row)
         b_eq.append(0)
@@ -253,7 +318,7 @@ def max_scaling(
     b_ub = [0] * g.m
 
     objective = [0] * nvars
-    objective[0] = 1
+    objective[0] = scale
     status, value, x = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
     if status == UNBOUNDED:
         raise ConfigError(
@@ -273,7 +338,7 @@ def max_scaling(
         for j in range(n_members)
         if x[1 + n_routes + j] > 0
     )
-    rates = tuple((c.id, Fraction(c.rate)) for c in active_classes)
+    rates = tuple((c.id, rate) for c, rate in zip(active_classes, rates))
     return CapacityCertificate(rho_star=value, rates=rates, flows=flows, activation_mix=mix)
 
 
@@ -302,27 +367,35 @@ def verify_certificate(
     problem and does not verify. Nor does one whose rho_star, flow amounts
     or probabilities are not rational numbers (a float or a bool is not),
     whose flow or mixture-member edge ids are not ints in 0..m-1 (a bool is
-    not), or whose member lists an edge twice.
+    not), or whose member lists an edge twice. Classes that share an id
+    raise `ConfigError`, as in `max_scaling`.
     """
-    if not _is_rational(cert.rho_star):
+    _check_class_ids(classes)
+    rho = cert.rho_star
+    if not _is_rational(rho):
         return False
-    rates = dict(cert.rates)
-    if len(rates) != len(cert.rates) or rates != {c.id: Fraction(c.rate) for c in classes if c.rate > 0}:
+    rates = {c.id: Fraction(c.rate) for c in classes if c.rate > 0}
+    given = dict(cert.rates)
+    if len(given) != len(cert.rates) or given != rates:
         return False
-    by_class: dict[int, Fraction] = {cid: Fraction(0) for cid in rates}
-    edge_load = [Fraction(0)] * g.m
+    # Flow amounts add up as ints over their common denominator, and so do
+    # the probabilities over theirs; no Fraction is added.
     for cid, edges, v in cert.flows:
         if not _is_rational(v) or v < 0 or cid not in rates or not _are_edge_ids(edges, g.m):
             return False
-        by_class[cid] += v
+    flow_den = math.lcm(*(v.denominator for _, _, v in cert.flows))
+    by_class = dict.fromkeys(rates, 0)
+    edge_load = [0] * g.m
+    for cid, edges, v in cert.flows:
+        x = v.numerator * (flow_den // v.denominator)
+        by_class[cid] += x
         for e in edges:
-            edge_load[e] += v
+            edge_load[e] += x
     for cid, rate in rates.items():
-        if by_class[cid] != cert.rho_star * rate:
+        # by_class / flow_den == rho * rate, cross-multiplied.
+        if by_class[cid] * rho.denominator * rate.denominator != rho.numerator * rate.numerator * flow_den:
             return False
 
-    total_p = Fraction(0)
-    edge_service = [Fraction(0)] * g.m
     admissible = None if aset.kind == "wired" else set(aset.members)
     for edges, p in cert.activation_mix:
         if not _is_rational(p) or p < 0:
@@ -332,14 +405,19 @@ def verify_certificate(
             return False
         if admissible is not None and member not in admissible:
             return False
-        total_p += p
+    mix_den = math.lcm(*(p.denominator for _, p in cert.activation_mix))
+    total_p = 0
+    edge_service = [0] * g.m
+    for edges, p in cert.activation_mix:
+        x = p.numerator * (mix_den // p.denominator)
+        total_p += x
         for e in edges:
-            edge_service[e] += p
-    if total_p != 1:
+            edge_service[e] += x
+    if total_p != mix_den:
         return False
 
-    for e in range(g.m):
-        if edge_load[e] > edge_service[e]:
+    for load, service in zip(edge_load, edge_service):
+        if load * mix_den > service * flow_den:
             return False
 
     # Structural check: each flow-carrying edge set must orient into a tree

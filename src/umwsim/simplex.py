@@ -58,12 +58,15 @@ UNBOUNDED = "unbounded"
 INT64_BOUND = 1 << 31
 # Below this many entries a tableau pivots faster as Python-int rows.
 ARRAY_MIN_ENTRIES = 220
+_INT_TYPES = {int, bool}
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """The values scaled to integers by their least common denominator, and
     that denominator."""
-    if all(isinstance(v, int) for v in values):
+    # An int row (bools included) is returned as it is; the type set is
+    # built in C, and any other int subclass takes the slower test.
+    if set(map(type, values)) <= _INT_TYPES or all(isinstance(v, int) for v in values):
         return list(values), 1
     exact = [v if isinstance(v, int) else Fraction(v) for v in values]
     d = math.lcm(*(v.denominator for v in exact))
@@ -72,7 +75,7 @@ def _integer_row(values: Sequence) -> tuple[list[int], int]:
 
 def _fits(t: np.ndarray) -> bool:
     """Every entry is below INT64_BOUND in magnitude."""
-    return int(np.abs(t).max()) < INT64_BOUND
+    return int(t.max()) < INT64_BOUND and int(t.min()) > -INT64_BOUND
 
 
 class _Tableau:
@@ -140,8 +143,12 @@ class _Tableau:
         if self.t is None:
             obj = self.rows[-1]
             return next((j for j in range(eligible) if obj[j] > 0), -1)
+        if not eligible:
+            return -1
+        # argmax finds the first True; one index read says if there is one.
         positive = self.t[-1, :eligible] > 0
-        return int(positive.argmax()) if positive.any() else -1
+        j = int(positive.argmax())
+        return j if positive[j] else -1
 
     def pivot(self, r: int, c: int) -> None:
         if self.t is not None and not _fits(self.t):
@@ -168,9 +175,11 @@ class _Tableau:
             t = self.t
             prow = t[r].copy()
             f = t[:, c].copy()
-            t *= q
-            t -= np.outer(f, prow)
-            t //= d
+            if q != 1:
+                t *= q
+            t -= f[:, None] * prow
+            if d != 1:
+                t //= d
             t[r] = prow if q > 0 else -prow
         self.det = abs(q)
         self.basis[r] = c

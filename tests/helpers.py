@@ -258,6 +258,41 @@ def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = SUBSET_SCAN_
     return routes
 
 
+def row_scaled_certificate(g: Graph, aset: ActivationSet, classes: list[TrafficClass]) -> CapacityCertificate:
+    """Reference for `umwsim.capacity.max_scaling`: the same catalogue and
+    columns, but each class row carries its rate as a Fraction and the
+    objective is rho itself, so `solve_lp` scales the class rows instead of
+    rho's column."""
+    active = [c for c in classes if c.rate > 0]
+    masks = [(c.id, bits) for c in active for _, group in capacity._route_masks(g, c) for bits in group]
+    members = capacity._activation_members(aset)
+    nvars = 1 + len(masks) + len(members)
+    a_eq = []
+    for c in active:
+        row = [0] * nvars
+        row[0] = -Fraction(c.rate)
+        for j, (cid, _) in enumerate(masks, start=1):
+            row[j] = int(cid == c.id)
+        a_eq.append(row)
+    a_eq.append([0] * (1 + len(masks)) + [1] * len(members))
+    a_ub = [[0] * nvars for _ in range(g.m)]
+    for j, (_, bits) in enumerate(masks, start=1):
+        for e in range(g.m):
+            a_ub[e][j] = bits >> e & 1
+    for j, member in enumerate(members, start=1 + len(masks)):
+        for e in member:
+            a_ub[e][j] = -1
+    status, value, x = simplex.solve_lp([1] + [0] * (nvars - 1), a_ub, [0] * g.m,
+                                        a_eq, [0] * len(active) + [1])
+    assert status == simplex.OPTIMAL, status
+    flows = tuple((cid, tuple(e for e in range(g.m) if bits >> e & 1), x[j])
+                  for j, (cid, bits) in enumerate(masks, start=1) if x[j] > 0)
+    mix = tuple((tuple(sorted(member)), x[j])
+                for j, member in enumerate(members, start=1 + len(masks)) if x[j] > 0)
+    rates = tuple((c.id, Fraction(c.rate)) for c in active)
+    return CapacityCertificate(rho_star=value, rates=rates, flows=flows, activation_mix=mix)
+
+
 def _dot(row, x) -> Fraction:
     return sum((a * v for a, v in zip(row, x)), Fraction(0))
 

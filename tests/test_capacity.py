@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from helpers import (
     certificate_from_json_dict,
     random_connected_graph,
     random_rooted_digraph,
+    row_scaled_certificate,
     solve_on_tableau_path,
     subset_scan,
     subset_scan_routes,
@@ -17,6 +19,7 @@ from helpers import (
 from umwsim import capacity
 from umwsim.capacity import (
     PATHS_PER_PAIR_CAP,
+    ROUTE_CAP,
     CapacityCertificate,
     enumerate_routes,
     max_scaling,
@@ -24,7 +27,7 @@ from umwsim.capacity import (
 )
 from umwsim.engine import load_config
 from umwsim.errors import CapExceededError, ConfigError
-from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _integer_row, solve_lp
 from umwsim.topology import ActivationSet, Graph, _grid_graph, builtin_topology, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
@@ -185,6 +188,29 @@ def test_tableau_int64_bound_is_tight(monkeypatch, top, first_pivot):
     assert got[:2] == brute_force_lp(*lp)
 
 
+def _integer_row_before(values):
+    """`simplex._integer_row` before its all-int fast path."""
+    if all(isinstance(v, int) for v in values):
+        return list(values), 1
+    exact = [v if isinstance(v, int) else Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (d // v.denominator) for v in exact], d
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("values", [
+    [], [0, 3, -2], [True, False, 2], [True], [_Int(4), 1], [_Int(4), Fraction(1, 2)],
+    [1, Fraction(1, 3), 0.25], [0.1, 2], [True, 0.5], [Fraction(-3, 4), -1],
+])
+def test_integer_row_fast_path_returns_the_same(values):
+    got, want = _integer_row(values), _integer_row_before(values)
+    assert got == want
+    assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+
+
 # --- route enumeration -------------------------------------------------------
 
 def test_enumerate_line3_unicast_single_path():
@@ -338,6 +364,54 @@ def test_enumerate_routes_matches_subset_scan_on_edge_cases(g, cls, count):
     assert len(_assert_same_catalogue(g, cls)) == count
 
 
+def test_simple_paths_match_grown_paths(monkeypatch):
+    # Past the subset scan's 12 edges: the path walk returns the grower's
+    # masks for every ordered pair, or the same cap error.
+    rng = np.random.default_rng(22)
+    pairs = capped = 0
+    for trial in range(40):
+        if trial % 2:
+            g = random_connected_graph(rng, max_edges=15)
+        else:
+            g, _ = random_rooted_digraph(rng, max_edges=15)
+        monkeypatch.setattr(capacity, "ROUTE_CAP", 3 if trial % 4 == 0 else ROUTE_CAP)
+        for s in range(g.node_count):
+            for t in range(g.node_count):
+                pairs += 1
+                try:
+                    want = capacity._tree_subsets(g, s, frozenset({t}), frozenset({t}))
+                except CapExceededError as err:
+                    capped += 1
+                    with pytest.raises(CapExceededError, match=f"^{err}$"):
+                        capacity._simple_paths(g, s, t)
+                    continue
+                assert capacity._simple_paths(g, s, t) == want
+    assert pairs >= 500 and capped >= 10, (pairs, capped)
+
+
+class _ReadLog(tuple):
+    """A graph's adjacency that records the nodes whose out-edges are read."""
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return tuple.__getitem__(self, u)
+
+
+def test_simple_paths_never_enter_a_dead_end():
+    # Source 0 and destination 1 share an edge; 0 also hangs off a 9-node
+    # clique (nodes 2..10) that reaches 1 only back through 0. Walking the
+    # clique's simple paths would take about a million steps; the walk
+    # extends no branch into it, so only node 0's out-edges are read.
+    clique = range(2, 11)
+    g = Graph(11, ((0, 1),) + tuple((0, c) for c in clique)
+              + tuple((a, b) for a in clique for b in clique if a < b))
+    adjacency = _ReadLog(g.adjacency)
+    adjacency.read = set()
+    g.__dict__["adjacency"] = adjacency
+    assert capacity._simple_paths(g, 0, 1) == [1 << 0]
+    assert adjacency.read == {0}
+
+
 def test_enumerate_routes_cap_errors_match_subset_scan(monkeypatch):
     # Past the subset scan's 12 edges only the grown catalogue exists.
     big = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8))[:13])
@@ -393,9 +467,21 @@ def test_duplicate_class_ids_rejected(monkeypatch):
 
     def no_enumeration(*args):
         raise AssertionError("routes enumerated before the class ids were checked")
-    monkeypatch.setattr(capacity, "_tree_subsets", no_enumeration)
+    # _route_masks is max_scaling's one way to the paths and the trees.
+    monkeypatch.setattr(capacity, "_route_masks", no_enumeration)
     with pytest.raises(ConfigError, match=r"duplicate class id 0"):
         max_scaling(LINE3, ActivationSet("wired", 2), classes)
+
+
+def test_verify_rejects_duplicate_class_ids():
+    # The certificate of the second class alone, checked against a list that
+    # repeats its id: read by id, the first class would be dropped unseen.
+    aset = ActivationSet("wired", 2)
+    second = TrafficClass(0, "unicast", 0, frozenset({1}), 0.5)
+    cert = max_scaling(LINE3, aset, [second])
+    classes = [TrafficClass(0, "unicast", 0, frozenset({2}), 1.0), second]
+    with pytest.raises(ConfigError, match=r"^capacity scaling got duplicate class id 0$"):
+        verify_certificate(cert, LINE3, aset, classes)
 
 
 @pytest.mark.parametrize("edge_count", [1, 3])
@@ -515,6 +601,35 @@ def test_certificate_verifies_and_rejects_perturbations():
         *((t, (g, aset, classes)) for t in malformed),
     ):
         assert not verify_certificate(tampered, tg, taset, tclasses)
+
+
+def test_rho_column_scaling_matches_row_scaled_program():
+    # max_scaling puts rho / D in column 0 (D the lcm of the rate
+    # denominators). Bland's rule and the ratio test read that column only
+    # by sign and by ratios it scales alike, so the pivots, rho* and every
+    # flow and mixture value are those of the row-scaled program.
+    rng = np.random.default_rng(26)
+    rates = (0.1, 0.15, 1 / 3, 0.4, 2.5)
+    kinds = 0
+    for trial in range(60):
+        if trial % 2:
+            g = random_connected_graph(rng, max_edges=9)
+        else:
+            g, _ = random_rooted_digraph(rng, max_edges=9)
+        n = g.node_count
+        pick = [float(r) for r in rng.choice(rates, size=4)]
+        classes = [
+            TrafficClass(0, "unicast", 0, frozenset({int(rng.integers(1, n))}), pick[0]),
+            TrafficClass(1, "broadcast", 0, frozenset(range(n)), pick[1]),
+        ]
+        if n >= 4:
+            dests = frozenset(int(x) for x in rng.choice(np.arange(1, n), size=2, replace=False))
+            classes.append(TrafficClass(2, "multicast", 0, dests, pick[2]))
+            classes.append(TrafficClass(3, "anycast", 0, dests, pick[3]))
+            kinds += 1
+        aset = enumerate_matchings(g) if trial % 3 else ActivationSet("wired", g.m)
+        assert max_scaling(g, aset, classes) == row_scaled_certificate(g, aset, classes)
+    assert kinds >= 30, kinds
 
 
 def test_json_round_trip():
