@@ -119,12 +119,13 @@ class SimulationConfig:
 def _check_reachable(g: Graph, classes: list[TrafficClass]) -> None:
     """Every class with a positive rate must reach all its destinations
     (an anycast class at least one), or its first arrival could not be
-    routed; a ConfigError names the class by its key path. The nodes a
-    source reaches are those its shortest-path search labels."""
+    routed; a ConfigError names the class by its key path. A destination
+    is reachable when the source's shortest-path search labels it."""
     for i, cls in enumerate(classes):
         if cls.rate <= 0:
             continue
-        missing = cls.destinations.difference(_shortest_labels(g, [0] * g.m, cls.source))
+        reached = _shortest_labels(g, [0] * g.m, cls.source, cls.destinations)
+        missing = cls.destinations.difference(reached)
         if missing and (cls.kind != "anycast" or missing == cls.destinations):
             raise ConfigError(f"classes[{i}].destinations {sorted(missing)} not reachable "
                               f"from source {cls.source}")
@@ -400,6 +401,10 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     sojourn_sum = 0.0
     sojourn_n = 0
     eq17_violations = 0
+    # The recorded deliveries and running mean sojourn change only in a
+    # slot that completes a packet.
+    deliv_row = tuple(full_deliveries)
+    mean_sojourn = math.nan
 
     # The arrivals are read, and the series written, a block of slots at a time.
     for start in range(0, T, BLOCK):
@@ -412,6 +417,9 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
                 full_deliveries[col_of[cid]] += 1
                 sojourn_sum += sojourn
                 sojourn_n += 1
+            if completed:
+                deliv_row = tuple(full_deliveries)
+                mean_sojourn = sojourn_sum / sojourn_n
 
             if t in checkpoints:
                 class_arrivals += table[counted:t + 1].sum(axis=0)
@@ -422,8 +430,8 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
 
             blk_q.append(total_q)
             blk_vq.append(total_vq)
-            blk_deliv.append(tuple(full_deliveries))
-            blk_sojourn.append(sojourn_sum / sojourn_n if sojourn_n else math.nan)
+            blk_deliv.append(deliv_row)
+            blk_sojourn.append(mean_sojourn)
         end = start + len(rows)
         rec_total_q[start:end] = blk_q
         rec_total_vq[start:end] = blk_vq

@@ -15,6 +15,12 @@ fully deterministic, so simulation runs are reproducible bit-for-bit:
     (weight, edge id),
   * Steiner solvers are deterministic by construction.
 
+Each search stops once its answer is final: Dijkstra once the nodes the
+route needs are settled (a settled label never changes), and the
+arborescence's cheapest in-arcs are returned without a cycle search on a
+digraph with no directed cycle (``Graph.acyclic``), where they cannot close
+one. The routes are those of a search run to the end.
+
 Zero weights are legal everywhere (queue-length weights start at zero).
 """
 from __future__ import annotations
@@ -23,7 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +38,8 @@ from .topology import Graph
 
 STEINER_EXACT_TERMINAL_CAP = 8
 STEINER_MODES = ("exact", "approx")
+
+_INT_TYPE = frozenset({int})
 
 # A solved route before orientation: (root, edge ids, covered nodes).
 RouteKey = tuple[int, frozenset[int], frozenset[int]]
@@ -106,20 +114,23 @@ def as_weights(w, m: int) -> list[int]:
     """The weight check of ``policy.solve_route``. w must be a flat list,
     tuple or 1-D array of m nonnegative ints; it comes back as a list of
     Python ints (an array through tolist()), which the solvers index."""
-    if isinstance(w, np.ndarray):
-        if w.ndim != 1:
-            raise TopologyError(f"expected {m} edge weights, got shape {w.shape}")
-        w = w.tolist()
-    elif not isinstance(w, (list, tuple)):
-        raise TopologyError(f"edge weights must be a list, tuple or array, got {type(w).__name__}")
+    if not isinstance(w, list):
+        if isinstance(w, np.ndarray):
+            if w.ndim != 1:
+                raise TopologyError(f"expected {m} edge weights, got shape {w.shape}")
+            w = w.tolist()
+        elif isinstance(w, tuple):
+            w = list(w)
+        else:
+            raise TopologyError(f"edge weights must be a list, tuple or array, got {type(w).__name__}")
     if len(w) != m:
         raise TopologyError(f"expected {m} edge weights, got {len(w)}")
-    if not set(map(type, w)) <= {int}:  # bools too are not weights
+    if not set(map(type, w)) <= _INT_TYPE:  # bools too are not weights
         bad = next(x for x in w if type(x) is not int)
         raise TopologyError(f"edge weights must be integers, got {bad!r}")
     if w and min(w) < 0:
         raise TopologyError("edge weights must be nonnegative")
-    return w if isinstance(w, list) else list(w)
+    return w
 
 
 def route_cost(tree: RouteTree, w) -> int:
@@ -155,21 +166,31 @@ def orient_tree(g: Graph, edge_ids: Iterable[int], root: int, covered: Iterable[
 # Shortest paths
 
 def _shortest_labels(
-    g: Graph, w, source: int, allowed: frozenset[int] | None = None
+    g: Graph, w, source: int, targets: Collection[int], allowed: frozenset[int] | None = None
 ) -> dict[int, tuple[int, int, tuple[int, ...]]]:
-    """Deterministic Dijkstra labels (cost, hops, edge-id sequence) per node.
+    """Deterministic Dijkstra labels (cost, hops, edge-id sequence) per node,
+    settled until every node in targets (distinct nodes) has its label.
 
     The full edge sequence rides in the heap entry, which makes the
     lexicographic tie-break exact; fine at the graph sizes this package
-    targets. `allowed` optionally restricts the search to an edge subset.
+    targets. Weights are nonnegative and every edge adds a hop, so a popped
+    label is final: it equals the label a run to exhaustion gives, and the
+    search stops once the targets are labelled. A target that is missing
+    from the result is unreachable. `allowed` optionally restricts the
+    search to an edge subset.
     """
     labels: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    left = len(targets)
     heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), source)]
     while heap:
         cost, hops, seq, v = heapq.heappop(heap)
         if v in labels:
             continue
         labels[v] = (cost, hops, seq)
+        if v in targets:
+            left -= 1
+            if not left:
+                break
         for eid, u in g.adjacency[v]:
             if u in labels:
                 continue
@@ -183,7 +204,7 @@ def _shortest_path(g: Graph, w: list, s: int, t: int) -> RouteKey:
     """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
     if s == t:
         return (s, frozenset(), frozenset({t}))
-    labels = _shortest_labels(g, w, s)
+    labels = _shortest_labels(g, w, s, (t,))
     if t not in labels:
         raise UnreachableError(f"node {t} is not reachable from {s}")
     _, _, seq = labels[t]
@@ -197,7 +218,7 @@ def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
         raise UnreachableError("anycast needs at least one destination")
     if s in dests:
         return (s, frozenset(), frozenset({s}))
-    labels = _shortest_labels(g, w, s)
+    labels = _shortest_labels(g, w, s, dests)
     best = None
     for t in dests:
         if t not in labels:
@@ -234,7 +255,8 @@ class _UnionFind:
 
 
 def _kruskal(g: Graph, w) -> list[int]:
-    order = sorted(range(g.m), key=lambda e: (w[e], e))
+    # The sort is stable, so edges of equal weight keep their id order.
+    order = sorted(range(g.m), key=w.__getitem__)
     uf = _UnionFind(g.node_count)
     chosen = []
     for e in order:
@@ -318,8 +340,9 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
 
     Every non-root node picks its cheapest in-arc, ordered by (weight, edge
     id), which fixes a deterministic optimum when weights tie. Picks that
-    close no cycle are the optimum and come back at once; otherwise cycle
-    contraction takes over from the picks and the cycle they close.
+    close no cycle are the optimum and come back at once, which on a graph
+    with no directed cycle needs no search; otherwise cycle contraction
+    takes over from the picks and the cycle they close.
     """
     n = g.node_count
     picks = []
@@ -334,6 +357,8 @@ def _min_arborescence(g: Graph, w, root: int) -> list[int]:
         if best is None:
             raise DisconnectedError(f"node {v} has no incoming arc from root {root}")
         picks.append(best)
+    if g.acyclic:
+        return picks
     cycle = _find_cycle(range(n), tail, root)
     if cycle is None:
         return picks
@@ -359,41 +384,23 @@ def _spanning(g: Graph, w: list, root: int) -> RouteKey:
 # ---------------------------------------------------------------------------
 # Steiner trees
 
-def _prune_to_terminals(g: Graph, edge_ids: set[int], root: int, keep: set[int]) -> set[int]:
-    """Drop leaf branches that serve no kept node, repeatedly."""
-    while True:
-        degree: dict[int, list[int]] = {}
-        for e in edge_ids:
-            u, v = g.edges[e]
-            degree.setdefault(u, []).append(e)
-            degree.setdefault(v, []).append(e)
-        removable = [
-            (node, es[0])
-            for node, es in degree.items()
-            if len(es) == 1 and node not in keep and node != root
-        ]
-        if not removable:
-            return edge_ids
-        for _, e in removable:
-            edge_ids.discard(e)
-
-
 def _subgraph_sp_tree(g: Graph, w, root: int, edge_ids: set[int], keep: set[int]) -> set[int]:
     """Shortest-path tree of the edge-induced subgraph, pruned to kept nodes.
 
     The result is a subset of edge_ids, so its cost never exceeds the
     subgraph's; used to turn a connected edge soup into a genuine tree.
+    A label's edge sequence extends the label of the node before its last
+    edge, so the union of the kept nodes' sequences is the shortest-path
+    tree with every branch that reaches no kept node cut off.
     """
-    labels = _shortest_labels(g, w, root, allowed=frozenset(edge_ids))
+    labels = _shortest_labels(g, w, root, keep, allowed=frozenset(edge_ids))
     missing = keep - set(labels)
     if missing:
         raise UnreachableError(f"nodes {sorted(missing)} not reachable inside subgraph")
     tree_edges: set[int] = set()
-    for node, (_, _, seq) in labels.items():
-        tree_edges.update(seq)
-    # Per-node final hop only: the union of label sequences is already a
-    # tree because Dijkstra settles each node once, but rebuild defensively.
-    return _prune_to_terminals(g, tree_edges, root, keep)
+    for node in keep:
+        tree_edges.update(labels[node][2])
+    return tree_edges
 
 
 def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
@@ -465,7 +472,9 @@ def _steiner_exact(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     collect(root, full)
     keep = set(terminals)
     tree_edges = _subgraph_sp_tree(g, w, root, edge_ids, keep) if edge_ids else set()
-    assert sum(w[e] for e in tree_edges) == dp[root][full]
+    cost = sum(w[e] for e in tree_edges)
+    if cost != dp[root][full]:
+        raise RuntimeError(f"Steiner cleanup cost {cost} differs from the optimum {dp[root][full]}")
     return tree_edges
 
 
@@ -473,7 +482,7 @@ def _steiner_approx(g: Graph, w, root: int, terminals: list[int]) -> set[int]:
     """Metric-closure MST expansion (cost <= 2x optimal on undirected graphs)."""
     keep = set(terminals)
     points = [root] + [t for t in sorted(keep) if t != root]
-    labels_from = {p: _shortest_labels(g, w, p) for p in points}
+    labels_from = {p: _shortest_labels(g, w, p, points) for p in points}
     for t in keep:
         if t not in labels_from[root]:
             raise UnreachableError(f"terminal {t} is not reachable from {root}")

@@ -272,7 +272,8 @@ def solve_lp(
     if n_art:
         tab.set_objective([0] * art_start + [-1] * n_art, 1)
         status = tab.maximize(total)
-        assert status == OPTIMAL  # phase 1 is always bounded
+        if status != OPTIMAL:
+            raise RuntimeError(f"simplex phase 1 ended {status}, but it is always bounded")
         if tab.value() != 0:
             return INFEASIBLE, None, None
         # Pivot leftover artificials out of the basis; a row where that is

@@ -79,6 +79,25 @@ class Graph:
             adj[v].append((eid, u))
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def acyclic(self) -> bool:
+        """Whether the graph is directed with no directed cycle (an
+        undirected edge is a cycle both ways): repeatedly removing the
+        nodes that no remaining arc enters removes every node."""
+        if not self.directed:
+            return False
+        indegree = [len(arcs) for arcs in self.in_adjacency]
+        sources = [v for v, d in enumerate(indegree) if not d]
+        removed = 0
+        while sources:
+            v = sources.pop()
+            removed += 1
+            for _, u in self.adjacency[v]:
+                indegree[u] -= 1
+                if not indegree[u]:
+                    sources.append(u)
+        return removed == self.node_count
+
 
 @dataclass(frozen=True)
 class ActivationVector:

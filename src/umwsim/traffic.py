@@ -25,7 +25,7 @@ _SWEEP_SEED_TAG = 2
 
 def _is_int(value) -> bool:
     """An integer; JSON true and false are not numbers here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _is_number(value) -> bool:

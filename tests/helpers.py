@@ -156,6 +156,43 @@ def contraction_arborescence(g: Graph, w, root: int) -> list[int]:
     return solve(list(range(n)), arcs, root)
 
 
+def full_shortest_labels(g: Graph, w, source: int, allowed: frozenset[int] | None = None) -> dict:
+    """Reference for `umwsim.routing._shortest_labels`: the same Dijkstra
+    labels (cost, hops, edge-id sequence), run until the heap is empty
+    instead of stopping once its targets are labelled."""
+    labels: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    heap = [(0, 0, (), source)]
+    while heap:
+        cost, hops, seq, v = heapq.heappop(heap)
+        if v in labels:
+            continue
+        labels[v] = (cost, hops, seq)
+        for eid, u in g.adjacency[v]:
+            if u not in labels and (allowed is None or eid in allowed):
+                heapq.heappush(heap, (cost + w[eid], hops + 1, seq + (eid,), u))
+    return labels
+
+
+def pruned_sp_tree(g: Graph, w, root: int, edge_ids: set[int], keep: set[int]) -> set[int]:
+    """Reference for `umwsim.routing._subgraph_sp_tree`: the full
+    shortest-path tree of the edge-induced subgraph, then leaf branches that
+    serve no kept node dropped until none is left."""
+    labels = full_shortest_labels(g, w, root, frozenset(edge_ids))
+    if not keep <= set(labels):
+        raise TopologyError("kept nodes not reachable inside subgraph")
+    tree = {e for _, _, seq in labels.values() for e in seq}
+    while True:
+        incident: dict[int, list[int]] = {}
+        for e in tree:
+            for node in g.edges[e]:
+                incident.setdefault(node, []).append(e)
+        leaves = [es[0] for node, es in incident.items()
+                  if len(es) == 1 and node not in keep and node != root]
+        if not leaves:
+            return tree
+        tree.difference_update(leaves)
+
+
 def is_matching(g: Graph, edge_ids) -> bool:
     nodes: set[int] = set()
     for e in edge_ids:

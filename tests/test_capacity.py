@@ -16,7 +16,7 @@ from helpers import (
     subset_scan,
     subset_scan_routes,
 )
-from umwsim import capacity
+from umwsim import capacity, simplex
 from umwsim.capacity import (
     PATHS_PER_PAIR_CAP,
     ROUTE_CAP,
@@ -79,6 +79,14 @@ def test_lp_without_rows_reads_every_column():
     assert solve_lp([0, 1]) == (UNBOUNDED, None, None)
     assert solve_lp([2], a_eq=[[0]], b_eq=[0]) == (UNBOUNDED, None, None)
     assert solve_lp([-1, 0], a_eq=[[0, 0]], b_eq=[0]) == (OPTIMAL, 0, [0, 0])
+
+
+def test_lp_phase_one_result_is_checked(monkeypatch):
+    # Phase 1 is always bounded; a tableau that says otherwise is a bug, and
+    # must raise also under python -O. The equality row needs phase 1.
+    monkeypatch.setattr(simplex._Tableau, "maximize", lambda self, eligible: UNBOUNDED)
+    with pytest.raises(RuntimeError, match="simplex phase 1 ended unbounded"):
+        solve_lp([1, 0], a_ub=[[0, 1]], b_ub=[3], a_eq=[[1, -2]], b_eq=[0])
 
 
 def _random_lp(rng: np.random.Generator, number: str):

@@ -8,6 +8,8 @@ from helpers import (
     bfs_depths,
     contraction_arborescence,
     flow,
+    full_shortest_labels,
+    pruned_sp_tree,
     random_connected_graph,
     random_rooted_digraph,
     random_weights,
@@ -247,6 +249,74 @@ def test_anycast_no_reachable_destination():
         solve_route(g, [1], flow("anycast", 0, {2}))
 
 
+# ---------------------------------------------------------------------------
+# Searches that stop once their answer is final
+
+def _random_graphs(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        g = random_rooted_digraph(rng)[0] if i % 2 else random_connected_graph(rng)
+        yield rng, g, rng.integers(0, 3, g.m).tolist()
+
+
+def test_early_exit_routes_match_full_labels():
+    # Weights in {0, 1, 2} force ties. Every label the stopped search keeps is
+    # the one a run to exhaustion gives, and unicast and anycast routes are
+    # those the full labels give.
+    for rng, g, w in _random_graphs(21, 300):
+        n = g.node_count
+        for s in range(n):
+            full = full_shortest_labels(g, w, s)
+            for t in range(n):
+                labels = routing._shortest_labels(g, w, s, (t,))
+                assert all(full[v] == label for v, label in labels.items())
+                assert (t in labels) == (t in full)
+                if t == s or t not in full:
+                    continue
+                tree = solve_route(g, w, flow("unicast", s, {t}))
+                assert (tree.edge_ids, tree.covered) == (frozenset(full[t][2]), {t})
+            if n < 3:
+                continue
+            dests = {int(x) for x in rng.choice(n, size=int(rng.integers(2, n)), replace=False)} - {s}
+            reached = [(full[t][0], t) for t in dests if t in full]
+            if not dests or not reached:
+                continue
+            _, t = min(reached)
+            tree = solve_route(g, w, flow("anycast", s, dests))
+            assert (tree.edge_ids, tree.covered) == (frozenset(full[t][2]), {t})
+
+
+@pytest.mark.parametrize("mode", routing.STEINER_MODES)
+def test_subgraph_sp_tree_matches_pruned_full_tree(monkeypatch, mode):
+    # The Steiner cleanup keeps the union of the kept nodes' label paths;
+    # pruning the full shortest-path tree's branches must give the same set.
+    calls = []
+    solve = routing._subgraph_sp_tree
+
+    def recorded(g, w, root, edge_ids, keep):
+        calls.append((g, list(w), root, set(edge_ids), set(keep)))
+        return solve(g, w, root, edge_ids, keep)
+
+    monkeypatch.setattr(routing, "_subgraph_sp_tree", recorded)
+    for rng, g, w in _random_graphs(22, 300):
+        n = g.node_count
+        if n < 3:
+            continue
+        dests = frozenset(int(x) for x in rng.choice(np.arange(1, n), size=int(rng.integers(2, n)), replace=False))
+        solve_route(g, w, flow("multicast", 0, dests), mode)
+    assert len(calls) > 100
+    for g, w, root, edge_ids, keep in calls:
+        assert solve(g, w, root, edge_ids, keep) == pruned_sp_tree(g, w, root, edge_ids, keep)
+
+
+def test_steiner_exact_cleanup_cost_is_checked(monkeypatch):
+    # A cleanup whose tree does not cost the DP optimum is a bug, and must
+    # raise also under python -O.
+    monkeypatch.setattr(routing, "_subgraph_sp_tree", lambda *args: {0, 1})
+    with pytest.raises(RuntimeError, match="Steiner cleanup cost 2 differs from the optimum 3"):
+        solve_route(STAR, [1, 1, 1], flow("multicast", 0, {2, 3}), "exact")
+
+
 @pytest.mark.parametrize("edges, covered, message", [
     ((TreeEdge(0, 0, 1, 0), TreeEdge(1, 0, 1, 0)), {1}, "node 1 has two parents"),
     ((TreeEdge(1, 1, 2, 0),), {2}, "edge 1 dangles from node 1"),
@@ -358,18 +428,36 @@ def _same_as_reference(g: Graph, w, root: int) -> bool:
     return _spanning(g, w, root).edge_ids == frozenset(contraction_arborescence(g, w, root))
 
 
+def _has_directed_cycle(g: Graph) -> bool:
+    """Whether some node reaches itself along arcs, by search from each node."""
+    for start in range(g.node_count):
+        stack, seen = [start], set()
+        while stack:
+            for _, u in g.adjacency[stack.pop()]:
+                if u == start:
+                    return True
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return False
+
+
 def test_arborescence_matches_contraction_reference_on_random_digraphs():
     # Weights in {0, 1, 2} force ties, so the edge sets, not just the costs,
-    # must agree. Some first passes close a cycle and some do not, so both
-    # the contraction and the first-pass return run.
+    # must agree. Some digraphs have no directed cycle, so the solver skips
+    # the cycle search; of the rest, some first passes close a cycle and some
+    # do not, so the contraction, the search and the skip all run.
     rng = np.random.default_rng(15)
-    cyclic = 0
+    cyclic = acyclic = 0
     for _ in range(1200):
         g, root = random_rooted_digraph(rng)
         w = rng.integers(0, 3, g.m).tolist()
         assert _same_as_reference(g, w, root)
         cyclic += _first_pass_has_cycle(g, w, root)
+        assert g.acyclic == (not _has_directed_cycle(g))
+        acyclic += g.acyclic
     assert 0 < cyclic < 1200
+    assert 0 < acyclic < 1200 - cyclic
 
 
 def test_arborescence_matches_contraction_reference_on_the_grid():

@@ -220,3 +220,19 @@ def test_activation_set_validation():
     bad = ActivationSet("primary_interference", 2, (frozenset({0, 1}),))
     with pytest.raises(TopologyError):
         validate_activation(bad, g)
+
+
+@pytest.mark.parametrize("g, acyclic", [
+    (builtin_topology("grid3x3_broadcast")[0], True),   # arcs point away from corner 0
+    (_grid_graph(3, 3), False),                           # undirected: every edge both ways
+    (Graph(3, ((0, 1), (1, 2))), False),
+    (Graph(2, ((0, 1),)), False),
+    (Graph(3, ((0, 1), (1, 2), (0, 2)), directed=True), True),
+    (Graph(3, ((0, 1), (1, 2), (2, 0)), directed=True), False),
+    (Graph(1, (), directed=True), True),
+    # The directed CI smoke topology: arc pairs 1<->2 and 2<->3, and 3->1.
+    (Graph(4, ((0, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (0, 3)), directed=True), False),
+], ids=["directed_grid", "undirected_grid", "line3", "one_edge", "dag", "triangle_cycle",
+        "single_node", "ci_digraph"])
+def test_graph_acyclic(g, acyclic):
+    assert g.acyclic is acyclic

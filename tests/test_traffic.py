@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from umwsim.errors import ConfigError
 from umwsim.traffic import (
     ArrivalProcess,
     TrafficClass,
+    _is_int,
     arrival_table,
     effective_amax,
     sweep_subseed,
@@ -157,3 +159,21 @@ def test_scaled():
     cls = _cls(rate=2.0)
     assert cls.scaled(0.45).rate == 0.9
     assert cls.scaled(0.45).destinations == cls.destinations
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("value, expected", [
+    (1, True),
+    (-7, True),
+    (True, False),   # JSON true and false are not numbers
+    (False, False),
+    (np.int64(1), True),
+    (1.0, False),
+    (Fraction(1), False),
+    (_Int(1), True),
+], ids=["int", "negative_int", "true", "false", "np_int64", "float", "fraction", "int_subclass"])
+def test_is_int_truth_table(value, expected):
+    assert _is_int(value) is expected
