@@ -1,4 +1,4 @@
-"""Slot-by-slot simulation engine, metric collection, and load sweeps.
+"""Simulation engine, metric collection, and load sweeps.
 
 Intra-slot order is fixed: (1) weights, (2) routes for this slot's
 arrivals, (3) link activation, (4) physical forwarding, (5) virtual-queue
@@ -6,6 +6,10 @@ update. Arrivals admitted at slot t sit in their root-edge buffers before
 step 4 and are therefore eligible for forwarding in the same slot, which
 matches the virtual system where a slot's arrivals and service meet in the
 same update. Everything is a deterministic function of (config, seed).
+
+run() hands the policy BLOCK slots per call (policy.run_block) and builds
+the recorded series from what each call returns, carrying the running
+totals from block to block.
 """
 from __future__ import annotations
 
@@ -16,6 +20,8 @@ import os
 import pickle
 from collections.abc import Collection
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import accumulate
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +287,7 @@ def write_csv_rows(path: str | Path, rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-BLOCK = 256  # slots the run loop records, and the diagnostics check, in one pass
+BLOCK = 256  # slots one run_block call runs, and the diagnostics check, in one pass
 
 
 class _DiagnosticState:
@@ -374,7 +380,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
     table = arrival_table(classes, config.arrival, T, config.seed)
 
     # Slots after which the periodic invariant checks run.
-    checkpoints = frozenset(range(CHECK_EVERY - 1, T, CHECK_EVERY)) | {T - 1}
+    checkpoints = [*range(CHECK_EVERY - 1, T - 1, CHECK_EVERY), T - 1]
     diag = None
     if config.policy == "bp":
         # Back-pressure keeps no virtual queues, so the virtual-queue
@@ -384,7 +390,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         if config.metrics.diagnostics:
             diag = _DiagnosticState(g.m, effective_amax(classes, config.arrival), T)
         policy = MaxWeightState(g, aset, classes, config.policy, config.steiner_mode,
-                                checkpoints, diag)
+                                frozenset(checkpoints), diag)
 
     rec_total_q = np.zeros(T, dtype=np.int64)
     rec_total_vq = np.zeros(T, dtype=np.int64)
@@ -393,52 +399,48 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
 
     class_ids = [c.id for c in classes]
     col_of = {cid: j for j, cid in enumerate(class_ids)}
-    full_deliveries = [0] * len(classes)
-    # External arrivals per class in slots [0, counted), summed from the
-    # arrival table when a checkpoint needs them.
-    class_arrivals = np.zeros(len(classes), dtype=np.int64)
-    counted = 0
+    # Carried from block to block: the full deliveries per class, and the
+    # sojourn sum (a Python float, added to once per completion), its
+    # count and their mean, all as of the last completion so far.
+    deliveries = np.zeros(len(classes), dtype=np.int64)
     sojourn_sum = 0.0
     sojourn_n = 0
-    eq17_violations = 0
-    # The recorded deliveries and running mean sojourn change only in a
-    # slot that completes a packet.
-    deliv_row = tuple(full_deliveries)
     mean_sojourn = math.nan
 
-    # The arrivals are read, and the series written, a block of slots at a time.
     for start in range(0, T, BLOCK):
         rows = table[start:start + BLOCK].tolist()
-        blk_q, blk_vq, blk_deliv, blk_sojourn = [], [], [], []
-        for t, row in enumerate(rows, start):
-            arrivals = {cid: n for cid, n in zip(class_ids, row) if n} if any(row) else {}
-            completed, total_q, total_vq = policy.step(t, arrivals)
-            for cid, sojourn in completed:
-                full_deliveries[col_of[cid]] += 1
-                sojourn_sum += sojourn
-                sojourn_n += 1
-            if completed:
-                deliv_row = tuple(full_deliveries)
-                mean_sojourn = sojourn_sum / sojourn_n
-
-            if t in checkpoints:
-                class_arrivals += table[counted:t + 1].sum(axis=0)
-                counted = t + 1
-                for delivered, arrived in zip(full_deliveries, class_arrivals.tolist()):
-                    if delivered < arrived - total_q:
-                        eq17_violations += 1
-
-            blk_q.append(total_q)
-            blk_vq.append(total_vq)
-            blk_deliv.append(deliv_row)
-            blk_sojourn.append(mean_sojourn)
         end = start + len(rows)
-        rec_total_q[start:end] = blk_q
-        rec_total_vq[start:end] = blk_vq
-        rec_deliv[start:end] = blk_deliv
-        rec_sojourn[start:end] = blk_sojourn
+        rec_total_q[start:end], rec_total_vq[start:end], done = policy.run_block(start, rows)
+        if not done:
+            rec_deliv[start:end] = deliveries
+            rec_sojourn[start:end] = mean_sojourn
+            continue
+        slots, cids, sojourns = zip(*done)
+        n = len(done)
+        # Row i: the deliveries and the running mean after the block's
+        # first i completions; row 0 carries the blocks before.
+        deliv_rows = np.zeros((n + 1, len(classes)), dtype=np.int64)
+        deliv_rows[0] = deliveries
+        deliv_rows[np.arange(1, n + 1), list(map(col_of.__getitem__, cids))] = 1
+        np.cumsum(deliv_rows, axis=0, out=deliv_rows)
+        sums = list(accumulate(sojourns, initial=sojourn_sum))
+        means = np.array([mean_sojourn, *map(truediv, sums[1:], range(sojourn_n + 1, sojourn_n + n + 1))])
+        # A slot records the row after its own and earlier completions.
+        after = np.bincount(np.array(slots) - start, minlength=len(rows)).cumsum()
+        rec_deliv[start:end] = deliv_rows[after]
+        rec_sojourn[start:end] = means[after]
+        deliveries, mean_sojourn = deliv_rows[-1], means[-1]
+        sojourn_sum, sojourn_n = sums[-1], sojourn_n + n
 
-    class_arrivals += table[counted:].sum(axis=0)
+    # External arrivals per class up to each checkpoint; the last
+    # checkpoint is the last slot, so its row is the run's total. The
+    # comparisons are Python ints: a first numpy int64 comparison would
+    # page in about 0.2 MB of numpy code on a run without diagnostics.
+    arrived = np.cumsum(np.add.reduceat(table, [0, *(t + 1 for t in checkpoints[:-1])], axis=0), axis=0)
+    eq17_violations = 0
+    for t, arrived_then in zip(checkpoints, arrived.tolist()):
+        queued = int(rec_total_q[t])
+        eq17_violations += sum(d < a - queued for d, a in zip(rec_deliv[t].tolist(), arrived_then))
     return MetricsReport(
         config=config,
         class_ids=class_ids,
@@ -446,7 +448,7 @@ def run(config: SimulationConfig, *, _resolved=None) -> MetricsReport:
         total_vq=rec_total_vq,
         deliveries=rec_deliv,
         mean_sojourn_running=rec_sojourn,
-        arrivals_per_class=class_arrivals,
+        arrivals_per_class=arrived[-1],
         violations={"eq17": eq17_violations, **policy.violations, **(diag.violations if diag else {})},
         route_cache=policy.route_stats(),
     )
@@ -565,6 +567,8 @@ def run_many(configs: list[SimulationConfig], *, _resolved=None) -> list[Metrics
 
 def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsReport]:
     """Run several policies on identical arrival sample paths (same seed)."""
+    if not policies:
+        raise ConfigError("compare needs at least one policy")
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ConfigError(f"compare lists policy {', '.join(map(repr, repeated))} more than once")
@@ -578,6 +582,8 @@ def compare(config: SimulationConfig, policies: list[str]) -> dict[str, MetricsR
 
 def sweep(config: SimulationConfig, loads: list[float]) -> list[dict]:
     """One run per load value, each with a derived sub-seed; rows for plotting."""
+    if not loads:
+        raise ConfigError("sweep needs at least one load")
     if list(loads) != sorted(loads):
         raise ConfigError("sweep loads must be ascending")
     subs = [replace(config, load_factor=load, seed=sweep_subseed(config.seed, i))

@@ -108,9 +108,11 @@ class PhysicalNetwork:
         return completed
 
     def layer_counters(self) -> np.ndarray:
-        """Copies per hop count: R_k = number of copies that traversed k edges."""
-        counts = np.zeros(max(self.graph.node_count - 1, 1), dtype=np.int64)
+        """Copies per hop count: R_k = number of copies that traversed k edges.
+        Counted in a list, whose item update costs a fraction of a numpy
+        element's, and returned as one int64 array."""
+        counts = [0] * max(self.graph.node_count - 1, 1)
         for buf in self.buffers:
             for hops, _, _, _ in buf:
                 counts[hops] += 1
-        return counts
+        return np.array(counts, dtype=np.int64)

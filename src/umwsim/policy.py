@@ -1,15 +1,15 @@
-"""Per-slot control policies: UMW and its heuristic, and back-pressure.
+"""Control policies: UMW and its heuristic, and back-pressure.
 
-A run picks its policy once, before the slot loop, and then calls
-``policy.step(t, arrivals)`` every slot. ``arrivals`` maps class id to
-its external arrival count in slot t; a class with no arrivals may be
-absent, and the run loop passes ``{}`` for a slot without arrivals and
-only the classes with arrivals otherwise. The step makes every decision of
-the slot, applies it to the policy's own queues, and returns a SlotOutcome.
-Each policy also keeps a ``violations`` dict of its own invariant counts
-(``delivery`` and ``layer_identity``) and reports its route memo's counts
-through ``route_stats()``, so the loop never asks which policy it is
-driving. There are two implementations:
+A run picks its policy once and then calls ``policy.run_block(start,
+rows)`` once per block of slots. ``rows`` holds the arrival counts of
+slots start, start + 1, ..., one row per slot and one count per class in
+config class order. The policy runs the block's slots itself, one after
+another: each makes every decision of its slot and applies it to the
+policy's own queues. The call returns a BlockOutcome. Each policy also
+keeps a ``violations`` dict of its own invariant counts (``delivery``
+and ``layer_identity``) and reports its route memo's counts through
+``route_stats()``, so the run never asks which policy it is driving.
+There are two implementations:
 
   ``MaxWeightState`` serves "umw" and "umw-heuristic": min-cost routing
       and max-weight activation under the virtual queues ("umw") or the
@@ -21,10 +21,16 @@ driving. There are two implementations:
       Given a diagnostics checker, it feeds it every slot; the checker
       keeps its own counts.
   ``BPState`` serves "bp", classical back-pressure (unicast baseline).
-      Its step enqueues the arrivals and moves one packet along each edge
+      Each slot enqueues the arrivals and moves one packet along each edge
       that ``decide`` plans from the max-weight activation over per-class
       backlog differentials. Packets carry no route, so they may wander
       and cycle.
+
+A block binds the functions it calls to locals when it starts, never at
+import: a tracer that rebinds ``solve_route``, ``max_weight_activation``,
+``virtual_arrival_vector``, a ``PhysicalNetwork`` or ``VirtualQueues``
+method, the diagnostics step or ``BPState.decide`` before a run sees
+every call.
 """
 from __future__ import annotations
 
@@ -57,14 +63,12 @@ POLICY_NAMES = ("umw", "umw-heuristic", "bp")
 ROUTE_MEMO_CAP = 1024
 
 
-# What one policy step hands back to the slot loop, the plain tuple
-# (completed, total_q, total_vq):
-#   completed  (class id, sojourn) per packet fully delivered this slot
-#   total_q    physical copies or packets still queued
-#   total_vq   sum of the virtual queues (0 for bp)
-# A tuple rather than a NamedTuple: building one each slot costs time the
-# loop, which unpacks it at once, has no use for.
-SlotOutcome = tuple[list[tuple[int, int]], int, int]
+# What one run_block call hands back, the plain tuple (total_q, total_vq, done):
+#   total_q    per slot, the physical copies or packets still queued
+#   total_vq   per slot, the sum of the virtual queues (0 for bp)
+#   done       (slot, class id, sojourn) per packet fully delivered in the
+#              block, in the order the packets complete
+BlockOutcome = tuple[list[int], list[int], list[tuple[int, int, int]]]
 
 
 def _route_edges(g: Graph, w: list, cls: TrafficClass, steiner_mode: str) -> RouteKey:
@@ -105,13 +109,13 @@ def solve_route(
 
 
 class MaxWeightState:
-    """One slot of UMW or its heuristic.
+    """UMW or its heuristic, a block of slots at a time.
 
-    Routes this slot's arrivals by min-cost solves and activates links by
-    the max-weight rule, both under one weight vector (see weights()).
-    Then admits and forwards the physical copies and applies the Lindley
-    update. A diag checker, if given, gets each slot's deposit, service,
-    queues and arrival count (engine._DiagnosticState).
+    Each slot routes its arrivals by min-cost solves and activates links
+    by the max-weight rule, both under one weight vector (see weights()).
+    Then it admits and forwards the physical copies and applies the
+    Lindley update. A diag checker, if given, gets each slot's deposit,
+    service, queues and arrival count (engine._DiagnosticState).
 
     A slot's activation and routes are pure functions of its integer weight
     vector, so the state keeps a slot memo: ``memo`` maps the weight tuple
@@ -130,7 +134,7 @@ class MaxWeightState:
             raise ConfigError(f"MaxWeightState policy must be 'umw' or 'umw-heuristic', got {policy!r}")
         self.graph = g
         self.aset = aset
-        self.class_of = {c.id: c for c in classes}
+        self.classes = list(classes)
         self.steiner_mode = steiner_mode
         self.checkpoints = checkpoints
         self.net = PhysicalNetwork(g)
@@ -158,63 +162,79 @@ class MaxWeightState:
         changes in place."""
         return self.vq.q if self.virtual_weights else self.net.lengths
 
-    def step(self, t: int, arrivals: dict[int, int]) -> SlotOutcome:
-        """One slot. arrivals maps class id to its arrival count in slot t;
-        a class with no arrivals may be absent. Packets are admitted, and
-        their uids given, in the order arrivals lists the classes (the run
-        loop lists them in config order). A slot without arrivals needs
-        only the activation: it solves no route, admits nothing and
+    def run_block(self, start: int, rows: list[list[int]]) -> BlockOutcome:
+        """Slots start, start + 1, ..., one per row of arrival counts in
+        config class order. Each slot's packets are admitted, and their
+        uids given, class by class in that order. A slot without arrivals
+        needs only the activation: it solves no route, admits nothing and
         deposits nothing."""
-        net, vq = self.net, self.vq
-        # The weights are Python ints, so the memo key skips as_weights;
-        # solve_route checks them on a miss.
-        weights = self.weights()
-        key = tuple(weights)
-        entry = self.memo.get(key)
-        if entry is None:
-            # A new entry stays usable for this slot after its eviction.
-            entry = self.memo[key] = (max_weight_activation(self.aset, weights), {})
-            self.order.append(key)
-            if len(self.order) > ROUTE_MEMO_CAP:
-                del self.memo[self.order.popleft()]
-        act, known = entry
+        g, aset, classes, mode = self.graph, self.aset, self.classes, self.steiner_mode
+        net, vq, memo, order, trees = self.net, self.vq, self.memo, self.order, self.trees
+        checkpoints, violations, cap = self.checkpoints, self.violations, ROUTE_MEMO_CAP
+        ids = [cls.id for cls in classes]
+        solve, activate, deposit_of = solve_route, max_weight_activation, virtual_arrival_vector
+        admit, forward, update = net.admit, net.forward, vq.lindley_update
+        # weights() without a call per slot: the live virtual queues for
+        # "umw", the buffer lengths at the start of each slot otherwise.
+        live = vq.q if self.virtual_weights else None
+        diag_step = None if self.diag is None else self.diag.step
+        uid, hits, misses = self.uid, self.hits, self.misses
+        total_q: list[int] = []
+        total_vq: list[int] = []
+        done: list[tuple[int, int, int]] = []
+        add_q, add_vq, add_done = total_q.append, total_vq.append, done.append
+        for t, row in enumerate(rows, start):
+            # The weights are Python ints, so the memo key skips as_weights;
+            # solve_route checks them on a miss.
+            weights = net.lengths if live is None else live
+            key = tuple(weights)
+            entry = memo.get(key)
+            if entry is None:
+                # A new entry stays usable for this slot after its eviction.
+                entry = memo[key] = (activate(aset, weights), {})
+                order.append(key)
+                if len(order) > cap:
+                    del memo[order.popleft()]
+            act, known = entry
 
-        if arrivals:
-            routes: dict[int, RouteTree] = {}
-            completed: list[Packet] = []
-            uid = self.uid
-            for cid, count in arrivals.items():
-                if count <= 0:
-                    continue
-                tree = known.get(cid)
-                if tree is None:
-                    tree = known[cid] = solve_route(self.graph, weights, self.class_of[cid],
-                                                    self.steiner_mode, self.trees)
-                    self.misses += 1
-                else:
-                    self.hits += 1
-                routes[cid] = tree
-                for _ in range(count):
-                    completed += net.admit(Packet(uid, cid, t, tree), t)
-                    uid += 1
-            self.uid = uid
-            completed += net.forward(act, t)
-            deposit = virtual_arrival_vector(routes, arrivals)
-        else:
-            completed = net.forward(act, t)
-            deposit = ()
-        for pkt in completed:
-            if pkt.delivered != pkt.route.covered:
-                self.violations["delivery"] += 1
+            if any(row):
+                routes: dict[int, RouteTree] = {}
+                completed: list[Packet] = []
+                for cls, count in zip(classes, row):
+                    if count <= 0:
+                        continue
+                    cid = cls.id
+                    tree = known.get(cid)
+                    if tree is None:
+                        tree = known[cid] = solve(g, weights, cls, mode, trees)
+                        misses += 1
+                    else:
+                        hits += 1
+                    routes[cid] = tree
+                    for _ in range(count):
+                        completed += admit(Packet(uid, cid, t, tree), t)
+                        uid += 1
+                completed += forward(act, t)
+                deposit = deposit_of(routes, dict(zip(ids, row)))
+            else:
+                completed = forward(act, t)
+                deposit = ()
+            for pkt in completed:
+                if pkt.delivered != pkt.route.covered:
+                    violations["delivery"] += 1
+                add_done((t, pkt.class_id, t - pkt.arrival_slot))
 
-        vq.lindley_update(deposit, act.edge_ids)
-        if self.diag is not None:
-            self.diag.step(deposit, act.service, vq.q, sum(arrivals.values()))
+            update(deposit, act.edge_ids)
+            if diag_step is not None:
+                diag_step(deposit, act.service, vq.q, sum(row))
 
-        total_q = net.total_copies
-        if t in self.checkpoints and int(net.layer_counters().sum()) != total_q:
-            self.violations["layer_identity"] += 1
-        return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
+            copies = net.total_copies
+            if t in checkpoints and int(net.layer_counters().sum()) != copies:
+                violations["layer_identity"] += 1
+            add_q(copies)
+            add_vq(vq.total)
+        self.uid, self.hits, self.misses = uid, hits, misses
+        return total_q, total_vq, done
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +283,40 @@ class BPState:
         """Back-pressure solves no routes, so its memo counts are all 0."""
         return {"hits": 0, "misses": 0, "distinct_trees": 0}
 
-    def step(self, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
-        """One slot: enqueue the arrivals at their sources (a packet born at
-        its destination exits at once), then move the oldest packet along
-        each edge that decide() plans, if one is still queued there.
-        arrivals maps class id to its count; a class with no arrivals may
-        be absent."""
-        done: list[tuple[int, int]] = []
-        for cls in self.classes:
-            n = arrivals.get(cls.id, 0)
-            if cls.source == cls.destination:
-                done += [(cls.id, 0)] * n
-            else:
-                self.queues[cls.id][cls.source].extend([BPPacket(cls.id, slot)] * n)
-                self.total_packets += n
-        for fwd in self.decide():
-            queues = self.queues[fwd.class_id]
-            if not queues[fwd.from_node]:
-                continue  # drained by an earlier edge this slot
-            pkt = queues[fwd.from_node].popleft()
-            if fwd.to_node == self.dest[fwd.class_id]:
-                done.append((pkt.class_id, slot - pkt.arrival_slot))
-                self.total_packets -= 1
-            else:
-                queues[fwd.to_node].append(pkt)
-        return done, self.total_packets, 0
+    def run_block(self, start: int, rows: list[list[int]]) -> BlockOutcome:
+        """Slots start, start + 1, ..., one per row of arrival counts in
+        config class order. Each slot enqueues its arrivals at their
+        sources (a packet born at its destination exits at once), then
+        moves the oldest packet along each edge that decide() plans, if
+        one is still queued there."""
+        queues, dest, decide = self.queues, self.dest, self.decide
+        # Per class: its id, whether its packets are born at their
+        # destination, and its queue at the source.
+        sources = [(cls.id, cls.source == cls.destination, queues[cls.id][cls.source])
+                   for cls in self.classes]
+        total = self.total_packets
+        total_q: list[int] = []
+        done: list[tuple[int, int, int]] = []
+        for t, row in enumerate(rows, start):
+            for (cid, born_there, source_queue), n in zip(sources, row):
+                if born_there:
+                    done += [(t, cid, 0)] * n
+                else:
+                    source_queue.extend([BPPacket(cid, t)] * n)
+                    total += n
+            for fwd in decide():
+                class_queues = queues[fwd.class_id]
+                if not class_queues[fwd.from_node]:
+                    continue  # drained by an earlier edge this slot
+                pkt = class_queues[fwd.from_node].popleft()
+                if fwd.to_node == dest[fwd.class_id]:
+                    done.append((t, pkt.class_id, t - pkt.arrival_slot))
+                    total -= 1
+                else:
+                    class_queues[fwd.to_node].append(pkt)
+            total_q.append(total)
+        self.total_packets = total
+        return total_q, [0] * len(rows), done
 
     def decide(self) -> list[Forward]:
         """The forwards of the max-weight activation over backlog differentials.

@@ -14,15 +14,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from umwsim import capacity, simplex
+from umwsim import capacity, engine, policy, simplex
 from umwsim.capacity import CapacityCertificate
 from umwsim.errors import CapExceededError, DisconnectedError, TopologyError
 from umwsim.activation import ActivationVector, max_weight_activation
 from umwsim.physical_net import Packet
-from umwsim.policy import SlotOutcome, require_unicast
+from umwsim.policy import BPState, MaxWeightState, require_unicast, solve_route
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import ActivationSet, Graph
-from umwsim.traffic import TrafficClass
+from umwsim.traffic import TrafficClass, arrival_table, effective_amax
+from umwsim.virtual_net import virtual_arrival_vector
+
+# What one slot of a policy hands back: (class id, sojourn) per packet
+# fully delivered in the slot, the total queue and the total virtual queue.
+SlotOutcome = tuple[list[tuple[int, int]], int, int]
 
 
 def random_connected_graph(rng: np.random.Generator, max_edges: int = 12) -> Graph:
@@ -692,3 +697,136 @@ def reference_csv_rows(report):
         soj = report.mean_sojourn_running[t]
         row += ["nan" if math.isnan(soj) else f"{soj:.12g}"]
         yield row
+
+
+# ---------------------------------------------------------------------------
+# The slot loop one slot at a time: the reference for the policies'
+# run_block and for engine.run's block recording.
+
+def one_slot(state, t: int, arrivals: dict[int, int]) -> SlotOutcome:
+    """Slot t of state (a MaxWeightState or BPState) as a one-row block:
+    arrivals maps class id to its count, a class with no arrivals may be
+    absent."""
+    row = [arrivals.get(cls.id, 0) for cls in state.classes]
+    total_q, total_vq, done = state.run_block(t, [row])
+    return [(cid, sojourn) for _, cid, sojourn in done], total_q[0], total_vq[0]
+
+
+def max_weight_slot(state: MaxWeightState, t: int, arrivals: dict[int, int]) -> SlotOutcome:
+    """Reference for one slot of `umwsim.policy.MaxWeightState.run_block`:
+    a slot as its own call, the packets admitted in the order arrivals
+    lists the classes, and a slot without arrivals passed as {}."""
+    net, vq = state.net, state.vq
+    weights = state.weights()
+    key = tuple(weights)
+    entry = state.memo.get(key)
+    if entry is None:
+        entry = state.memo[key] = (max_weight_activation(state.aset, weights), {})
+        state.order.append(key)
+        if len(state.order) > policy.ROUTE_MEMO_CAP:
+            del state.memo[state.order.popleft()]
+    act, known = entry
+    class_of = {cls.id: cls for cls in state.classes}
+    if arrivals:
+        routes: dict[int, RouteTree] = {}
+        completed: list[Packet] = []
+        for cid, count in arrivals.items():
+            if count <= 0:
+                continue
+            tree = known.get(cid)
+            if tree is None:
+                tree = known[cid] = solve_route(state.graph, weights, class_of[cid],
+                                                state.steiner_mode, state.trees)
+                state.misses += 1
+            else:
+                state.hits += 1
+            routes[cid] = tree
+            for _ in range(count):
+                completed += net.admit(Packet(state.uid, cid, t, tree), t)
+                state.uid += 1
+        completed += net.forward(act, t)
+        deposit = virtual_arrival_vector(routes, arrivals)
+    else:
+        completed = net.forward(act, t)
+        deposit = ()
+    for pkt in completed:
+        if pkt.delivered != pkt.route.covered:
+            state.violations["delivery"] += 1
+    vq.lindley_update(deposit, act.edge_ids)
+    if state.diag is not None:
+        state.diag.step(deposit, act.service, vq.q, sum(arrivals.values()))
+    total_q = net.total_copies
+    if t in state.checkpoints and int(net.layer_counters().sum()) != total_q:
+        state.violations["layer_identity"] += 1
+    return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
+
+
+def bp_slot(state: BPState, slot: int, arrivals: dict[int, int]) -> SlotOutcome:
+    """Reference for one slot of `umwsim.policy.BPState.run_block`."""
+    done: list[tuple[int, int]] = []
+    for cls in state.classes:
+        n = arrivals.get(cls.id, 0)
+        if cls.source == cls.destination:
+            done += [(cls.id, 0)] * n
+        else:
+            state.queues[cls.id][cls.source].extend([policy.BPPacket(cls.id, slot)] * n)
+            state.total_packets += n
+    for fwd in state.decide():
+        queues = state.queues[fwd.class_id]
+        if not queues[fwd.from_node]:
+            continue
+        pkt = queues[fwd.from_node].popleft()
+        if fwd.to_node == state.dest[fwd.class_id]:
+            done.append((pkt.class_id, slot - pkt.arrival_slot))
+            state.total_packets -= 1
+        else:
+            queues[fwd.to_node].append(pkt)
+    return done, state.total_packets, 0
+
+
+def slot_by_slot_run(config: engine.SimulationConfig) -> engine.MetricsReport:
+    """Reference for `umwsim.engine.run`: one policy call per slot, and the
+    deliveries, running mean sojourn and eq17 checks kept slot by slot in
+    Python numbers."""
+    g, aset, classes = config.resolve()
+    T = config.horizon
+    table = arrival_table(classes, config.arrival, T, config.seed)
+    checkpoints = frozenset(range(engine.CHECK_EVERY - 1, T, engine.CHECK_EVERY)) | {T - 1}
+    diag = None
+    if config.policy == "bp":
+        state, slot = BPState(g, aset, classes), bp_slot
+    else:
+        if config.metrics.diagnostics:
+            diag = engine._DiagnosticState(g.m, effective_amax(classes, config.arrival), T)
+        state = MaxWeightState(g, aset, classes, config.policy, config.steiner_mode, checkpoints, diag)
+        slot = max_weight_slot
+    class_ids = [c.id for c in classes]
+    full_deliveries = [0] * len(classes)
+    class_arrivals = [0] * len(classes)
+    sojourn_sum, sojourn_n, eq17 = 0.0, 0, 0
+    total_q, total_vq, deliveries, sojourn = [], [], [], []
+    for t, row in enumerate(table.tolist()):
+        arrivals = {cid: n for cid, n in zip(class_ids, row) if n}
+        completed, q, vq = slot(state, t, arrivals)
+        for cid, wait in completed:
+            full_deliveries[class_ids.index(cid)] += 1
+            sojourn_sum += wait
+            sojourn_n += 1
+        class_arrivals = [a + n for a, n in zip(class_arrivals, row)]
+        if t in checkpoints:
+            eq17 += sum(d < a - q for d, a in zip(full_deliveries, class_arrivals))
+        total_q.append(q)
+        total_vq.append(vq)
+        deliveries.append(list(full_deliveries))
+        sojourn.append(sojourn_sum / sojourn_n if sojourn_n else math.nan)
+    return engine.MetricsReport(
+        config=config,
+        class_ids=class_ids,
+        total_q=np.array(total_q, dtype=np.int64),
+        total_vq=np.array(total_vq, dtype=np.int64),
+        deliveries=np.array(deliveries, dtype=np.int64).reshape(T, len(classes)),
+        mean_sojourn_running=np.array(sojourn, dtype=np.float64),
+        arrivals_per_class=np.array(class_arrivals, dtype=np.int64),
+        violations={"eq17": eq17, **state.violations, **(diag.violations if diag else {})},
+        route_cache=state.route_stats(),
+    )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_csv_rows
+from helpers import one_slot, reference_csv_rows, slot_by_slot_run
 from umwsim import engine, policy, topology
 from umwsim.cli import main as cli_main
 from umwsim.engine import (
@@ -101,7 +101,7 @@ def _slot_by_slot_series(cfg: SimulationConfig):
     sojourn_sum, sojourn_n = 0.0, 0
     total_q, total_vq, deliveries, sojourn = [], [], [], []
     for t in range(cfg.horizon):
-        completed, q, vq = stepper.step(t, {cid: int(table[t, j]) for j, cid in enumerate(ids)})
+        completed, q, vq = one_slot(stepper, t, {cid: int(table[t, j]) for j, cid in enumerate(ids)})
         for cid, wait in completed:
             delivered[ids.index(cid)] += 1
             sojourn_sum += wait
@@ -130,6 +130,98 @@ def test_block_recording_matches_slot_by_slot_loop(horizon, policy_name, diagnos
     assert np.array_equal(rep.mean_sojourn_running, np.array(sojourn), equal_nan=True)
     if horizon > 1:
         assert rep.deliveries[-1].sum() > 0 and (max(total_vq) > 0) == (policy_name == "umw")
+
+
+# The configs the block-boundary test runs: the shipped configs, line3,
+# and the topology files of the CI file smokes (the undirected 3x3 grid
+# under primary interference with two unicast classes, and a directed
+# 4-node graph whose broadcast routes contract cycles), with the policies
+# each can run.
+_BOUNDARY_NETS = {
+    "ci_grid": {"nodes": 9, "edges": [[0, 1], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [3, 6], [4, 5],
+                                      [4, 7], [5, 8], [6, 7], [7, 8]],
+                "activation": {"kind": "primary_interference"}},
+    "ci_directed": {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 1], [2, 3], [3, 2], [3, 1], [0, 3]],
+                    "directed": True, "activation": {"kind": "primary_interference"}},
+}
+_BOUNDARY_CASES = [
+    ("grid3x3_broadcast", ("umw", "umw-heuristic")),
+    ("mixed_kinds", ("umw", "umw-heuristic")),
+    ("twinpath_compare", ("umw", "umw-heuristic", "bp")),
+    ("line3", ("umw", "umw-heuristic", "bp")),
+    ("ci_grid", ("umw", "umw-heuristic", "bp")),
+    ("ci_directed", ("umw", "umw-heuristic")),
+]
+
+
+def _boundary_config(case: str, tmp_path: Path, **overrides) -> SimulationConfig:
+    if case in _BOUNDARY_NETS:
+        net = tmp_path / f"{case}.json"
+        net.write_text(json.dumps(_BOUNDARY_NETS[case]))
+        if case == "ci_grid":
+            classes = (TrafficClass(0, "unicast", 0, frozenset({8}), 1.0),
+                       TrafficClass(1, "unicast", 2, frozenset({6}), 1.0))
+            load = 0.4
+        else:
+            classes = (TrafficClass(0, "broadcast", 0, frozenset(range(4)), 1.0),)
+            load = 0.3
+        return SimulationConfig(topology=str(net), seed=1, load_factor=load, classes=classes, **overrides)
+    if case == "line3":
+        return _line3_cfg(arrival=ArrivalProcess("binomial", trials=2), load_factor=0.9, **overrides)
+    return load_config(CONFIGS / f"{case}.json", **overrides)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+@pytest.mark.parametrize("horizon", [1, 255, 256, 257, 1000, 1001, 2049])
+@pytest.mark.parametrize("case, policy_name", [(case, p) for case, policies in _BOUNDARY_CASES
+                                               for p in policies])
+def test_block_run_matches_the_slot_by_slot_reference(case, policy_name, horizon, diagnostics, tmp_path):
+    # One run_block call per engine.BLOCK = 256 slots against one slot per
+    # call, at horizons on both sides of the block edges and of the
+    # CHECK_EVERY = 1000 checkpoints.
+    cfg = _boundary_config(case, tmp_path, horizon=horizon, policy=policy_name,
+                           metrics=MetricsOptions(diagnostics=diagnostics))
+    rep, ref = run(cfg), slot_by_slot_run(cfg)
+    assert rep.class_ids == ref.class_ids
+    for name in ("total_q", "total_vq", "deliveries", "arrivals_per_class"):
+        got, want = getattr(rep, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), name
+    # The running mean sojourn bit for bit, nan included.
+    assert rep.mean_sojourn_running.tobytes() == ref.mean_sojourn_running.tobytes()
+    assert rep.violations == ref.violations
+    assert rep.route_cache == ref.route_cache
+
+
+def test_eq17_counts_each_class_below_its_bound_at_each_checkpoint(monkeypatch):
+    # eq17 never fails on a working run, so the policy reports a queue one
+    # packet short of the least backlog over the classes: then every class
+    # fails the bound in every slot, and each counts once per checkpoint.
+    real = policy.MaxWeightState.run_block
+    arrived, delivered = [0, 0], [0, 0]
+
+    def tight_queue(self, start, rows):
+        _, total_vq, done = real(self, start, rows)
+        cols = [cls.id for cls in self.classes]
+        completions = iter(done)
+        nxt = next(completions, None)
+        total_q = []
+        for t, row in enumerate(rows, start):
+            arrived[:] = [a + n for a, n in zip(arrived, row)]
+            while nxt is not None and nxt[0] == t:
+                delivered[cols.index(nxt[1])] += 1
+                nxt = next(completions, None)
+            total_q.append(min(a - d for a, d in zip(arrived, delivered)) - 1)
+        return total_q, total_vq, done
+
+    monkeypatch.setattr(policy.MaxWeightState, "run_block", tight_queue)
+    cfg = load_config(CONFIGS / "twinpath_compare.json", horizon=2500, load_factor=0.9)
+    rep = run(cfg)
+    _, _, classes = cfg.resolve()
+    table = arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed).cumsum(axis=0)
+    checkpoints = (999, 1999, 2499)
+    want = sum(int(d < a - rep.total_q[t]) for t in checkpoints for d, a in zip(rep.deliveries[t], table[t]))
+    assert want == 3 * len(classes) and rep.violations["eq17"] == want
+    assert rep.arrivals_per_class.tolist() == table[-1].tolist()
 
 
 def _csv_case(case: str, horizon: int) -> SimulationConfig:
@@ -212,6 +304,16 @@ def test_compare_rejects_repeated_policy():
     # one summary entry while the CLI wrote its CSV rows twice.
     with pytest.raises(ConfigError, match="'umw' more than once"):
         compare(_line3_cfg(horizon=10), ["umw", "bp", "umw"])
+
+
+def test_compare_rejects_no_policy():
+    with pytest.raises(ConfigError, match="compare needs at least one policy"):
+        compare(_line3_cfg(horizon=10), [])
+
+
+def test_sweep_rejects_no_load():
+    with pytest.raises(ConfigError, match="sweep needs at least one load"):
+        sweep(_line3_cfg(horizon=10), [])
 
 
 def test_compare_same_policy_identical():
@@ -659,8 +761,8 @@ def test_malformed_config_names_the_key(doc, key, monkeypatch):
     def no_slot(*args):
         raise AssertionError("a slot ran")
 
-    monkeypatch.setattr(policy.MaxWeightState, "step", no_slot)
-    monkeypatch.setattr(policy.BPState, "step", no_slot)
+    monkeypatch.setattr(policy.MaxWeightState, "run_block", no_slot)
+    monkeypatch.setattr(policy.BPState, "run_block", no_slot)
     with pytest.raises(ConfigError, match=re.escape(key)):
         cfg = config_from_dict(doc)
         # The checks that need the resolved, load-scaled classes pass the

@@ -218,6 +218,36 @@ def test_layer_counters():
     assert net.layer_counters().sum() == sum(net.lengths)
 
 
+def _per_copy_layer_counts(net) -> np.ndarray:
+    """Reference for PhysicalNetwork.layer_counters: one numpy element
+    update per waiting copy."""
+    counts = np.zeros(max(net.graph.node_count - 1, 1), dtype=np.int64)
+    for buf in net.buffers:
+        for hops, _, _, _ in buf:
+            counts[hops] += 1
+    return counts
+
+
+def test_layer_counters_match_a_per_copy_count_on_random_buffers():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        g = random_connected_graph(rng)
+        net = PhysicalNetwork(g)
+        route = solve_route(g, [0] * g.m, flow("broadcast", 0, range(g.node_count)))
+        layers = max(g.node_count - 1, 1)
+        for uid in range(int(rng.integers(0, 40))):
+            entry = (int(rng.integers(layers)), 0, uid, Packet(uid, 0, 0, route))
+            net.buffers[int(rng.integers(g.m))].append(entry)
+        got, want = net.layer_counters(), _per_copy_layer_counts(net)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    # A copy past the last layer is an IndexError, as in the per-copy count.
+    net.buffers[0].append((layers, 0, 99, Packet(99, 0, 0, route)))
+    with pytest.raises(IndexError):
+        _per_copy_layer_counts(net)
+    with pytest.raises(IndexError):
+        net.layer_counters()
+
+
 def test_conservation_random_traffic():
     rng = np.random.default_rng(10)
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3)))

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ReferenceBPState, random_connected_graph, random_rooted_digraph
+from helpers import ReferenceBPState, one_slot, random_connected_graph, random_rooted_digraph
 from umwsim import policy
 from umwsim.activation import max_weight_activation
 from umwsim.engine import MetricsOptions, _DiagnosticState, load_config
@@ -58,15 +58,20 @@ def test_umw_no_arrival_no_route(monkeypatch):
     # the deposit is read where the stepper builds it.
     monkeypatch.setattr(policy, "virtual_arrival_vector", recording)
     stepper = _stepper("umw", CYCLE4, WIRED4, [cls])
-    assert stepper.step(0, {0: 0}) == ([], 0, 0)
-    # no route solved and no virtual arrival deposited
+    assert one_slot(stepper, 0, {0: 0}) == ([], 0, 0)
+    # no route solved and no virtual arrival deposited: a row of zero
+    # counts is a slot without arrivals, which builds no deposit
     assert stepper.hits + stepper.misses == 0
-    assert deposits == [[]]
-    # A class with no arrivals may be absent; with none at all the step
-    # does not build a deposit.
-    assert stepper.step(1, {}) == ([], 0, 0)
+    assert deposits == []
+    # A class with no arrivals may be absent from the dict one_slot turns
+    # into a row; the slot is the same one.
+    assert one_slot(stepper, 1, {}) == ([], 0, 0)
     assert stepper.hits + stepper.misses == 0
-    assert deposits == [[]]
+    assert deposits == []
+    # The recorder is in place: a slot with an arrival deposits on its route.
+    one_slot(stepper, 2, {0: 1})
+    assert stepper.misses == 1
+    assert deposits == [[(frozenset({0, 1}), 1)]]
 
 
 def test_umw_broadcast_line3_unique_tree():
@@ -84,8 +89,8 @@ def test_heuristic_matches_umw_when_all_empty():
     assert max_weight_activation(WIRED4, a).active == max_weight_activation(WIRED4, b).active
     # Once copies wait, UMW still weighs by its virtual queues and the
     # heuristic by the copies waiting in each edge's buffer.
-    umw.step(0, {0: 2})
-    heur.step(0, {0: 2})
+    one_slot(umw, 0, {0: 2})
+    one_slot(heur, 0, {0: 2})
     assert umw.weights() is umw.vq.q
     assert heur.weights() == [len(buf) for buf in heur.net.buffers] == [1, 1, 0, 0]
 
@@ -120,7 +125,7 @@ def test_bp_idle_when_empty():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
     assert bp.decide() == []
-    assert bp.step(0, {0: 0}) == ([], 0, 0)
+    assert one_slot(bp, 0, {0: 0}) == ([], 0, 0)
 
 
 def test_bp_lone_edge_differential():
@@ -128,7 +133,7 @@ def test_bp_lone_edge_differential():
     c0 = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
     bp = BPState(g, WIRED1, [c0])
     # backlog difference 3 - 0: one class-0 packet crosses and exits
-    assert bp.step(0, {0: 3}) == ([(0, 0)], 2, 0)
+    assert one_slot(bp, 0, {0: 3}) == ([(0, 0)], 2, 0)
     assert bp.total_packets == 2
     assert bp.decide() == [Forward(0, 1, 0)]
 
@@ -136,7 +141,7 @@ def test_bp_lone_edge_differential():
 def test_bp_destination_absorbs():
     cls = TrafficClass(0, "unicast", 0, frozenset({0}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
-    assert bp.step(5, {0: 2}) == ([(0, 0), (0, 0)], 0, 0)
+    assert one_slot(bp, 5, {0: 2}) == ([(0, 0), (0, 0)], 0, 0)
     assert bp.total_packets == 0
 
 
@@ -147,9 +152,10 @@ def test_bp_destination_absorbs():
     ("twinpath_compare.json", "bp", False),
 ])
 def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
-    # The run loop passes only the classes with arrivals, and {} for a slot
-    # without any. Two fresh policies, one fed every class and one fed the
-    # sparse dict, must agree slot by slot and end in the same state.
+    # one_slot turns a dict of counts into a block row, a class it does not
+    # list counting 0. Two fresh policies, one fed every class and one fed
+    # only the classes with arrivals ({} for a slot without any), must agree
+    # slot by slot and end in the same state.
     cfg = load_config(CONFIGS / config, horizon=600, policy=policy_name,
                       metrics=MetricsOptions(diagnostics=diagnostics))
     g, aset, classes = cfg.resolve()
@@ -170,7 +176,7 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
         full = dict(zip(ids, row))
         few = {cid: n for cid, n in full.items() if n}
         empty += not few
-        assert dense.step(t, full) == sparse.step(t, few)
+        assert one_slot(dense, t, full) == one_slot(sparse, t, few)
     assert 0 < empty < cfg.horizon
     assert dense.violations == sparse.violations
     if policy_name == "bp":
@@ -188,10 +194,10 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
 def test_bp_never_forwards_nonpositive_differential():
     cls = TrafficClass(0, "unicast", 0, frozenset({2}), 1.0)
     bp = BPState(LINE3, WIRED2, [cls])
-    bp.step(0, {0: 1})   # the packet crosses edge 0 to node 1
+    one_slot(bp, 0, {0: 1})   # the packet crosses edge 0 to node 1
     # Slot 1: nodes 0 and 1 hold one packet each, so edge 0 sees a
     # differential of 0 and must idle; edge 1 forwards the slot-0 packet.
-    assert bp.step(1, {0: 1}) == ([(0, 1)], 1, 0)
+    assert one_slot(bp, 1, {0: 1}) == ([(0, 1)], 1, 0)
     assert [len(q) for q in bp.queues[0]] == [1, 0, 0]
 
 
@@ -199,9 +205,9 @@ def test_bp_fifo_order():
     g = Graph(2, ((0, 1),))
     cls = TrafficClass(0, "unicast", 0, frozenset({1}), 1.0)
     bp = BPState(g, WIRED1, [cls])
-    bp.step(0, {0: 2})
+    one_slot(bp, 0, {0: 2})
     # the slot-0 packet left behind goes before the slot-1 arrival
-    completed, _, _ = bp.step(1, {0: 1})
+    completed, _, _ = one_slot(bp, 1, {0: 1})
     assert completed == [(0, 1)]  # oldest first
     assert list(bp.queues[0][0]) == [BPPacket(0, 1)]
 
@@ -209,7 +215,7 @@ def test_bp_fifo_order():
 def test_bp_undirected_uses_better_direction():
     cls = TrafficClass(0, "unicast", 2, frozenset({0}), 1.0)  # flows right to left
     bp = BPState(LINE3, WIRED2, [cls])
-    bp.step(0, {0: 4})
+    one_slot(bp, 0, {0: 4})
     assert [len(q) for q in bp.queues[0]] == [0, 1, 3]
     # Both edges forward against their u->v orientation.
     assert bp.decide() == [Forward(1, 0, 0), Forward(2, 1, 0)]
@@ -221,11 +227,11 @@ def test_bp_tie_goes_to_the_lower_class_id():
     c7 = TrafficClass(7, "unicast", 0, frozenset({1}), 1.0)
     c3 = TrafficClass(3, "unicast", 0, frozenset({1}), 1.0)
     bp = BPState(g, WIRED1, [c7, c3])
-    assert bp.step(0, {7: 2, 3: 2}) == ([(3, 0)], 3, 0)
+    assert one_slot(bp, 0, {7: 2, 3: 2}) == ([(3, 0)], 3, 0)
     # The larger differential wins over the lower id...
     assert bp.decide() == [Forward(0, 1, 7)]
     # ...and with the differentials tied at 2 again, class 3 forwards.
-    assert bp.step(1, {7: 0, 3: 1}) == ([(3, 1)], 3, 0)
+    assert one_slot(bp, 1, {7: 0, 3: 1}) == ([(3, 1)], 3, 0)
 
 
 def _recorded_decide(monkeypatch, bp) -> list:
@@ -263,7 +269,7 @@ def test_bp_matches_reference(monkeypatch, directed, interference):
             _, ref_forwards = ref.decide()
             done += ref.apply(ref_forwards, t)
             want = ([(p.class_id, t - p.arrival_slot) for p in done], ref.total_packets, 0)
-            assert bp.step(t, arrivals) == want
+            assert one_slot(bp, t, arrivals) == want
             assert len(forwards) == t + 1 and forwards[-1] == [(f.from_node, f.to_node, f.class_id) for f in ref_forwards]
         for cid in ids:
             for u in range(g.node_count):
@@ -301,9 +307,11 @@ def _memo_state(g: Graph, classes: list[TrafficClass], mode: str = "exact") -> M
 
 def _memo_route(state: MaxWeightState, t: int, w: list[int], cls: TrafficClass):
     """The route of cls's one arrival in slot t, under weights w, as the
-    state's memo holds it after the slot."""
-    state.weights = lambda: w
-    state.step(t, {cls.id: 1})
+    state's memo holds it after the slot. The weights are written into the
+    state's virtual queues, which a "umw" state weighs by."""
+    state.vq.q[:] = w
+    state.vq.total = sum(w)
+    one_slot(state, t, {cls.id: 1})
     return state.memo[tuple(w)][1][cls.id]
 
 
