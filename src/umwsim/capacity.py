@@ -1,13 +1,20 @@
 """Desk-scale capacity oracle.
 
-Enumerates every admissible route per class. A broadcast or multicast
-class's trees are grown from the class source (branching on each frontier
-edge, pruning a branch as soon as it can no longer reach what the class
-requires). A unicast or anycast class's paths, per destination, come from a
+Enumerates every admissible route per class, by one of three enumerators
+according to what the route must cover. A broadcast class's trees span
+every node, so each is one choice of parent arc per non-root node that
+closes no cycle (`_spanning_trees`). A multicast class's trees may relay
+through any node but end only at destinations; they are grown from the
+class source (`_tree_subsets`, branching on each frontier edge and pruning a
+branch as soon as it can no longer reach what the class requires), since a
+parent choice cannot tell early whether an optional relay node will end up
+a leaf. A unicast or anycast class's paths, per destination, come from a
 depth-first walk over simple paths that enters a node only if the
-destination is still reachable from it without revisiting the path. Each
-route is kept as its edge bitmask, which is all the program below reads;
-only the public `enumerate_routes` orients the masks into `RouteTree`s.
+destination is still reachable from it without revisiting the path
+(`_simple_paths`). All three return the same sorted masks, and raise the
+same `CapExceededError`, as growing the trees would. Each route is kept as
+its edge bitmask, which is all the program below reads; only the public
+`enumerate_routes` orients the masks into `RouteTree`s.
 The oracle then solves the fractional route-decomposition plus
 activation-mixing program exactly:
 
@@ -48,7 +55,13 @@ PATHS_PER_PAIR_CAP = 100
 def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozenset[int]) -> list[int]:
     """All out-trees from `root` that reach every node of `cover` and have
     every leaf in `leaves_in`, as edge bitmasks (bit e set for edge id e)
-    in ascending order.
+    in ascending order. The oracle grows multicast trees here; broadcast
+    trees come from `_spanning_trees` and paths from `_simple_paths`, which
+    return what this does for their covers, faster. Growing keeps
+    multicast: its relay nodes are optional, and a branch that makes one a
+    leaf is cut here as soon as the relay has no frontier edge left, where
+    a choice of parent per node would find the leaf only once every node
+    had chosen.
 
     Trees are grown from the root. The frontier holds every edge not yet
     decided whose tail is in the tree and whose head is not. Each step takes
@@ -117,6 +130,59 @@ def _tree_subsets(g: Graph, root: int, cover: frozenset[int], leaves_in: frozens
     return sorted(found)
 
 
+def _spanning_trees(g: Graph, root: int) -> list[int]:
+    """All out-trees from `root` that span the graph, as edge bitmasks in
+    ascending order: `_tree_subsets` with every node in the cover and the
+    leaf set, found by choosing parents.
+
+    Each non-root node takes one in-arc in turn, from a tail whose chain of
+    chosen parents does not lead back to the node. A complete choice has no
+    cycle, so it is an out-tree, and each out-tree is met exactly once, as
+    its own choice of parents. The nodes choose farthest from the root
+    first (by hops), so a node's parent on some shortest path from the root
+    has not chosen yet and is always a valid choice: no branch ends without
+    a tree. The order changes only the order found, which is sorted. With a
+    node the root cannot reach there is no tree. Choosing stops with
+    `CapExceededError` as soon as more than `ROUTE_CAP` trees are found, as
+    the grower does.
+    """
+    n = g.node_count
+    # Breadth-first from the root (the loop reads what it appends); the
+    # nodes choose in the reverse order, the root not at all.
+    order = [root]
+    reached = {root}
+    for u in order:
+        for _, v in g.adjacency[u]:
+            if v not in reached:
+                reached.add(v)
+                order.append(v)
+    if len(order) < n:
+        return []
+    order = order[:0:-1]
+    in_arcs = g.in_adjacency
+    parent = [-1] * n  # chosen parent node, -1 while a node has none
+    found: list[int] = []
+
+    def choose(k: int, edges: int) -> None:
+        if k == len(order):
+            found.append(edges)
+            if len(found) > ROUTE_CAP:
+                raise CapExceededError("routes grown", len(found), ROUTE_CAP)
+            return
+        v = order[k]
+        for eid, u in in_arcs[v]:
+            top = u
+            while parent[top] >= 0:
+                top = parent[top]
+            if top != v:
+                parent[v] = u
+                choose(k + 1, edges | 1 << eid)
+                parent[v] = -1
+
+    choose(0, 0)
+    return sorted(found)
+
+
 def _simple_paths(g: Graph, s: int, t: int) -> list[int]:
     """All simple paths from `s` to `t`, as edge bitmasks in ascending order
     (the edgeless path alone when s == t): the out-trees `_tree_subsets`
@@ -164,13 +230,15 @@ def _simple_paths(g: Graph, s: int, t: int) -> list[int]:
 def _route_masks(g: Graph, cls: TrafficClass) -> list[tuple[frozenset[int], list[int]]]:
     """The class's routes as edge bitmasks, grouped by the nodes each group
     covers: one group for a broadcast or multicast, one per destination (in
-    ascending order) for a unicast or anycast. Raises `CapExceededError`
-    past `ROUTE_CAP` routes, and past `PATHS_PER_PAIR_CAP` paths to one
+    ascending order) for a unicast or anycast. A broadcast's spanning trees
+    come from a choice of parents (`_spanning_trees`), a multicast's trees
+    are grown (`_tree_subsets`, which prunes optional relays early) and
+    paths are walked (`_simple_paths`). Raises `CapExceededError` past
+    `ROUTE_CAP` routes, and past `PATHS_PER_PAIR_CAP` paths to one
     destination."""
     s = cls.source
     if cls.kind == "broadcast":
-        nodes = frozenset(range(g.node_count))
-        return [(nodes, _tree_subsets(g, s, nodes, nodes))]
+        return [(g.node_set, _spanning_trees(g, s))]
     if cls.kind == "multicast":
         return [(cls.destinations, _tree_subsets(g, s, cls.destinations, cls.destinations | {s}))]
     # unicast and anycast: simple paths per destination; each anycast route
@@ -201,9 +269,10 @@ def enumerate_routes(g: Graph, cls: TrafficClass) -> list[RouteTree]:
     unicast: all simple source-destination paths; broadcast: all spanning
     trees rooted at the source; multicast: all inclusion-minimal trees
     covering source plus destinations; anycast: union of the per-destination
-    simple paths. Trees are grown (`_tree_subsets`) and paths walked
-    (`_simple_paths`), which gives the same paths as growing trees with one
-    required leaf. Each search raises `CapExceededError` past `ROUTE_CAP`
+    simple paths. Spanning trees are chosen parent by parent
+    (`_spanning_trees`), multicast trees grown (`_tree_subsets`) and paths
+    walked (`_simple_paths`), which gives the same routes as growing every
+    tree. Each search raises `CapExceededError` past `ROUTE_CAP`
     routes, and each unicast or anycast pair past `PATHS_PER_PAIR_CAP` paths.
     """
     return [
@@ -328,15 +397,16 @@ def max_scaling(
     if status != OPTIMAL:
         raise ConfigError(f"capacity program is {status}")
 
+    # A basic solution is never negative, so a nonzero entry is positive.
     flows = tuple(
         (cid, tuple(_edge_ids(bits)), x[j])
         for j, (cid, bits) in enumerate(route_index, start=1)
-        if x[j] > 0
+        if x[j]
     )
     mix = tuple(
         (tuple(sorted(members[j])), x[1 + n_routes + j])
         for j in range(n_members)
-        if x[1 + n_routes + j] > 0
+        if x[1 + n_routes + j]
     )
     rates = tuple((c.id, rate) for c, rate in zip(active_classes, rates))
     return CapacityCertificate(rho_star=value, rates=rates, flows=flows, activation_mix=mix)

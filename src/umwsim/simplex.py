@@ -20,13 +20,35 @@ The tableau is held in one of two ways, with the same integers in each:
 - a 2-D ``int64`` array, pivoted by whole-array operations. It is used only
   while every entry is below ``INT64_BOUND = 2**31`` in magnitude, so that
   ``q * a - f * b`` cannot overflow. The bound is checked when the array is
-  built, when an objective row is loaded and before every pivot;
+  built and, unless it is proven for the whole solve (below), when an
+  objective row is loaded and before every pivot;
 - a list of Python-int rows, pivoted row by row. A tableau starts here when
   it has fewer than ``ARRAY_MIN_ENTRIES`` entries (the measured size below
   which numpy's per-call cost outweighs its speed) or an entry of 2**31 or
   more, and it moves here, for good, as soon as the array fails the bound.
   Rows scaled by the denominators of float inputs (about 2**55 each) start
   here.
+
+When the array is built, one inequality can prove the bound for the whole
+solve, so that the array skips those checks. With m constraint rows, every
+entry any later tableau holds is a minor of the row-scaled input (each row
+times its own denominator) stacked with the phase-1 and phase-2 cost rows:
+``det`` and the constraint rows' entries, right-hand side included, are
+minors of order m of the rows alone, and the objective row's are those
+minors bordered by that phase's cost row, of order m + 1. (A row dropped as
+redundant is zero in every column that can still enter, so the others
+pivot as they would with it kept.) By Hadamard's inequality such a minor is
+at most the product of the m + 1 largest column norms of the stacked
+matrix, both cost rows counted in every column's norm and a zero norm
+counted as 1. The built rows are the input rows times p0 / d >= 1, so their
+column norms bound the input's. If the product of their squared norms is
+below ``INT64_BOUND**2``, no entry of any tableau can reach ``INT64_BOUND``:
+the proof is exact, and a proven tableau neither scans before a pivot nor
+when an objective row is loaded, and never leaves the array. The norms are
+summed in int64, so the proof is tried only for fewer than
+``PROOF_MAX_ROWS`` rows and cost rows with every entry below
+``PROOF_MAX_ENTRY``, where no square sum can overflow. Any other tableau is
+unproven and keeps every check and the move to Python-int rows.
 
 Bland's entering column is the first positive reduced cost. The ratio test
 cross-multiplies ratios on columns read out as Python ints, with the same
@@ -58,6 +80,10 @@ UNBOUNDED = "unbounded"
 INT64_BOUND = 1 << 31
 # Below this many entries a tableau pivots faster as Python-int rows.
 ARRAY_MIN_ENTRIES = 220
+# Below these, squared column norms summed in int64 cannot overflow:
+# PROOF_MAX_ROWS * PROOF_MAX_ENTRY**2 <= 2**63.
+PROOF_MAX_ROWS = 128
+PROOF_MAX_ENTRY = 1 << 28
 _INT_TYPES = {int, bool}
 
 
@@ -73,23 +99,53 @@ def _integer_row(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in exact], d
 
 
-def _fits(t: np.ndarray) -> bool:
-    """Every entry is below INT64_BOUND in magnitude."""
-    return int(t.max()) < INT64_BOUND and int(t.min()) > -INT64_BOUND
+def _fits(t: np.ndarray, bound: int | None = None) -> bool:
+    """Every entry is below `bound`, by default INT64_BOUND, in magnitude."""
+    bound = INT64_BOUND if bound is None else bound
+    return int(t.max()) < bound and int(t.min()) > -bound
+
+
+def _minor_bound_sq(rows: np.ndarray, costs: np.ndarray) -> int:
+    """The square of Hadamard's bound on every minor of order at most
+    ``len(rows) + 1`` of the int64 `rows` stacked with the int64 `costs`
+    rows: the product of that many largest squared column norms, each norm
+    taken over all the rows and costs and a zero one counted as 1. Every
+    entry must be below PROOF_MAX_ENTRY in magnitude and there must be fewer
+    than PROOF_MAX_ROWS rows and costs together, so that no sum overflows."""
+    sq = (rows * rows).sum(axis=0) + (costs * costs).sum(axis=0)
+    k = min(len(rows) + 1, len(sq))
+    # sorted, not np.partition, which would page in 0.25 MB of numpy code.
+    return math.prod(v or 1 for v in sorted(sq.tolist())[len(sq) - k:])
+
+
+def _proven(t: np.ndarray, costs: list[list[int]]) -> bool:
+    """Whether no entry of any tableau pivoted from the array `t`, whose
+    last row is the objective's, can reach INT64_BOUND in magnitude under
+    any of the `costs` rows (see the module docstring)."""
+    if len(t) + len(costs) >= PROOF_MAX_ROWS or not _fits(t, PROOF_MAX_ENTRY):
+        return False
+    try:
+        c = np.array(costs, dtype=np.int64)
+    except OverflowError:
+        return False
+    return _fits(c, PROOF_MAX_ENTRY) and _minor_bound_sq(t[:-1], c) < INT64_BOUND * INT64_BOUND
 
 
 class _Tableau:
     """Constraint rows ``[coefficients..., rhs]`` over the common denominator
     ``det``, then the objective row ``[reduced costs..., -value]`` over
     ``det * obj_scale``: the int64 array ``t`` while it is in use, else the
-    Python-int lists ``rows``. The other of the two is None."""
+    Python-int lists ``rows``. The other of the two is None. ``proven`` says
+    that the array can hold every later tableau under each of the cost rows
+    the tableau was built with, so it is never scanned again."""
 
-    def __init__(self, rows: list[list[int]], basis: list[int], det: int):
+    def __init__(self, rows: list[list[int]], basis: list[int], det: int, costs: list[list[int]]):
         self.rows: list[list[int]] | None = rows
         self.t: np.ndarray | None = None
         self.basis = basis
         self.det = det
         self.obj_scale = 1
+        self.proven = False
         # det is an entry of every slack or artificial column.
         if det < INT64_BOUND and len(rows) * len(rows[0]) >= ARRAY_MIN_ENTRIES:
             try:
@@ -98,6 +154,7 @@ class _Tableau:
                 return
             if _fits(t):
                 self.rows, self.t = None, t
+                self.proven = _proven(t, costs)
 
     def row(self, i: int) -> list[int]:
         return self.rows[i] if self.t is None else self.t[i].tolist()
@@ -120,14 +177,15 @@ class _Tableau:
 
     def set_objective(self, cost: list[int], scale: int) -> None:
         """Load reduced costs c_j - z_j for the current basis, where the
-        costs are ``cost / scale``."""
-        obj = [self.det * c for c in cost] + [0]
+        costs are ``cost / scale``; `cost` has one entry per column, the
+        right-hand side's 0 last."""
+        obj = [self.det * c for c in cost]
         for i, bi in enumerate(self.basis):
             cb = cost[bi]
             if cb:
                 obj = [o - cb * a for o, a in zip(obj, self.row(i))]
         self.obj_scale = scale
-        if self.t is not None and max(map(abs, obj)) >= INT64_BOUND:
+        if self.t is not None and not self.proven and max(map(abs, obj)) >= INT64_BOUND:
             self.to_rows()
         if self.t is None:
             self.rows[-1] = obj
@@ -151,7 +209,7 @@ class _Tableau:
         return j if positive[j] else -1
 
     def pivot(self, r: int, c: int) -> None:
-        if self.t is not None and not _fits(self.t):
+        if self.t is not None and not self.proven and not _fits(self.t):
             self.to_rows()
         q = self.rows[r][c] if self.t is None else int(self.t[r, c])
         # Dividing by det carrying q's sign negates the tableau when q < 0.
@@ -248,7 +306,7 @@ def solve_lp(
     for ints, d, kind in norm_rows:
         s = p0 // d
         row = [0] * (total + 1)
-        row[:n] = [s * v for v in ints[:-1]]
+        row[:n] = ints[:-1] if s == 1 else [s * v for v in ints[:-1]]
         row[-1] = s * ints[-1]
         if kind == "le":
             row[i_slack] = p0
@@ -267,10 +325,17 @@ def solve_lp(
         rows.append(row)
     rows.append([0] * (total + 1))  # the objective row, loaded per phase
 
-    tab = _Tableau(rows, basis, p0)
+    # The cost rows of both phases, one entry per column, the right-hand
+    # side's 0 last.
+    cost, scale = _integer_row(objective)
+    cost += [0] * (total + 1 - n)
+    costs = [cost]
+    if n_art:
+        costs.insert(0, [0] * art_start + [-1] * n_art + [0])
+    tab = _Tableau(rows, basis, p0, costs)
 
     if n_art:
-        tab.set_objective([0] * art_start + [-1] * n_art, 1)
+        tab.set_objective(costs[0], 1)
         status = tab.maximize(total)
         if status != OPTIMAL:
             raise RuntimeError(f"simplex phase 1 ended {status}, but it is always bounded")
@@ -288,8 +353,7 @@ def solve_lp(
             else:
                 tab.pivot(i, piv_col)
 
-    cost, scale = _integer_row(objective)
-    tab.set_objective(cost + [0] * (total - n), scale)
+    tab.set_objective(cost, scale)
     status = tab.maximize(art_start)
     if status != OPTIMAL:
         return status, None, None

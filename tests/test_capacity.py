@@ -196,6 +196,153 @@ def test_tableau_int64_bound_is_tight(monkeypatch, top, first_pivot):
     assert got[:2] == brute_force_lp(*lp)
 
 
+def _sylvester(n: int) -> np.ndarray:
+    """The n x n Sylvester-Hadamard matrix of +-1 entries (n a power of 2),
+    whose |det| is n**(n/2), Hadamard's bound met with equality."""
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _exact_det(rows) -> Fraction:
+    m = [[Fraction(int(v)) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        p = next(r for r in range(i, len(m)) if m[r][i])
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_minor_bound_is_met_by_sylvester_hadamard_matrices(n):
+    # n - 1 constraint rows and either cost row holding H's last row: the
+    # one minor of order rows + 1 is det H, and the bound is exactly det**2.
+    # A bound over `rows` columns only, or one missing either cost row,
+    # falls below it.
+    h = _sylvester(n)
+    det = _exact_det(h)
+    assert abs(det) == n ** (n // 2)
+    zero = np.zeros(n, dtype=np.int64)
+    for costs in ([h[-1], zero], [zero, h[-1]]):
+        assert simplex._minor_bound_sq(h[:-1], np.array(costs)) == det * det
+
+
+class _BoundChecked(simplex._Tableau):
+    """A tableau that, once proven, checks every entry against the square
+    of its Hadamard bound after each pivot and objective load."""
+
+    seen: list = []
+
+    def __init__(self, rows, basis, det, costs):
+        super().__init__(rows, basis, det, costs)
+        self.bound_sq = None
+        if self.proven:
+            self.bound_sq = simplex._minor_bound_sq(self.t[:-1], np.array(costs, dtype=np.int64))
+            assert self.bound_sq < simplex.INT64_BOUND ** 2
+            self.seen.append(self)
+            self.check()
+
+    def check(self) -> None:
+        if self.bound_sq is not None:
+            assert self.t is not None, "a proven tableau left the array"
+            top = max(int(self.t.max()), -int(self.t.min()), self.det)
+            assert top * top <= self.bound_sq
+
+    def set_objective(self, cost, scale):
+        super().set_objective(cost, scale)
+        self.check()
+
+    def pivot(self, r, c):
+        super().pivot(r, c)
+        self.check()
+
+
+def test_proven_tableaus_stay_within_their_bound(monkeypatch):
+    # The random LPs of test_tableau_paths_agree_on_random_lps, every one
+    # on the array, and the capacity LPs of criterion 9's instances.
+    monkeypatch.setattr(simplex, "_Tableau", _BoundChecked)
+    monkeypatch.setattr(_BoundChecked, "seen", [])
+    monkeypatch.setattr(simplex, "ARRAY_MIN_ENTRIES", 0)
+    rng = np.random.default_rng(77)
+    for i in range(240):
+        solve_lp(*_random_lp(rng, ("int", "fraction", "float")[i % 3]))
+    random_proven = len(_BoundChecked.seen)
+    monkeypatch.undo()
+    monkeypatch.setattr(simplex, "_Tableau", _BoundChecked)
+    monkeypatch.setattr(_BoundChecked, "seen", [])
+    instances = 0
+    for g, aset, classes in _four_kind_instances():
+        max_scaling(g, aset, classes)
+        instances += 1
+    assert random_proven >= 80 and len(_BoundChecked.seen) >= instances // 2, (
+        random_proven, len(_BoundChecked.seen))
+
+
+def test_proven_capacity_lp_scans_only_at_build(monkeypatch):
+    # The builtin grid's broadcast LP is proven when its array is built, so
+    # no pivot and no objective load scans the array again.
+    calls = {"build": 0, "solve": 0}
+    phase = ["solve"]
+    tabs = []
+    fits = simplex._fits
+
+    def counted_fits(*args):
+        calls[phase[0]] += 1
+        return fits(*args)
+
+    class Counted(simplex._Tableau):
+        def __init__(self, *args):
+            phase[0] = "build"
+            super().__init__(*args)
+            phase[0] = "solve"
+            self.pivots = 0
+            tabs.append(self)
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            self.pivots += 1
+
+    monkeypatch.setattr(simplex, "_fits", counted_fits)
+    monkeypatch.setattr(simplex, "_Tableau", Counted)
+    g, aset, classes = builtin_topology("grid3x3_broadcast")
+    cert = max_scaling(g, aset, classes)
+    assert cert.rho_star == Fraction(2, 5)
+    (tab,) = tabs
+    assert tab.proven and tab.t is not None and tab.pivots >= 10, tab.pivots
+    assert calls["build"] >= 1 and calls["solve"] == 0, calls
+
+
+def test_tiny_rate_fails_the_proof_closed(monkeypatch):
+    # Rate 5e-324 = 2**-1074 puts D = 2**1074 in the phase-2 cost row, past
+    # int64: the proof fails closed (no OverflowError), and the certificate
+    # is the one for rate 1 with rho* scaled by 2**1074, as before the proof.
+    g, aset, classes = builtin_topology("grid3x3_broadcast")
+    one = [dataclasses.replace(c, rate=1) for c in classes]
+    tiny = [dataclasses.replace(c, rate=5e-324) for c in classes]
+    tabs = []
+
+    class Kept(simplex._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tabs.append(self)
+
+    monkeypatch.setattr(simplex, "_Tableau", Kept)
+    want = max_scaling(g, aset, one)
+    assert tabs[-1].proven
+    cert = max_scaling(g, aset, tiny)
+    assert not tabs[-1].proven
+    assert cert == dataclasses.replace(want, rho_star=want.rho_star * 2**1074,
+                                       rates=((0, Fraction(5e-324)),))
+    assert verify_certificate(cert, g, aset, tiny)
+
+
 def _integer_row_before(values):
     """`simplex._integer_row` before its all-int fast path."""
     if all(isinstance(v, int) for v in values):
@@ -398,10 +545,14 @@ def test_simple_paths_match_grown_paths(monkeypatch):
 
 
 class _ReadLog(tuple):
-    """A graph's adjacency that records the nodes whose out-edges are read."""
+    """A graph's adjacency that records the nodes whose edges are read, in a
+    set or, to count repeats, a list."""
 
     def __getitem__(self, u):
-        self.read.add(u)
+        if isinstance(self.read, set):
+            self.read.add(u)
+        else:
+            self.read.append(u)
         return tuple.__getitem__(self, u)
 
 
@@ -439,11 +590,81 @@ def test_enumerate_routes_cap_errors_match_subset_scan(monkeypatch):
         enumerate_routes(k4, any_)
 
 
-def test_random_four_kind_certificates_verify():
-    # Criterion 9's random graphs and rooted digraphs, each carrying its four
-    # class kinds at unequal rates, under primary interference or wired.
+def _complete_digraph(n: int) -> Graph:
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(n) if u != v), directed=True)
+
+
+# Graphs past the subset scan's 12 edges, with the roots to span them from.
+# The complete digraphs give many parent choices that close a cycle; the
+# one on 7 nodes has 7**5 = 16807 spanning trees per root, past ROUTE_CAP.
+SPANNING_FAMILIES = {
+    "grid3x4": (_grid_graph(3, 4), (0, 5)),   # 2415 spanning trees
+    "directed_grid3x3": (_grid_graph(3, 3, directed=True), (0,)),
+    "directed_grid4x4": (_grid_graph(4, 4, directed=True), (0,)),
+    "complete5": (_complete_digraph(5), range(5)),
+    "complete6": (_complete_digraph(6), range(6)),
+    "complete7": (_complete_digraph(7), range(7)),
+}
+
+
+def _grown_or_error(g, root):
+    nodes = frozenset(range(g.node_count))
+    try:
+        return capacity._tree_subsets(g, root, nodes, nodes)
+    except CapExceededError as err:
+        return str(err)
+
+
+def _chosen_or_error(g, root):
+    try:
+        return capacity._spanning_trees(g, root)
+    except CapExceededError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("family", list(SPANNING_FAMILIES))
+def test_spanning_trees_match_grown_trees(monkeypatch, family):
+    # Choosing parents returns the grower's masks from every root, or the
+    # same cap error, at the default cap and at a cap of 50.
+    g, roots = SPANNING_FAMILIES[family]
+    for root in roots:
+        want = _grown_or_error(g, root)
+        # One bool, so that a failure does not diff thousands of masks.
+        same = _chosen_or_error(g, root) == want
+        assert same, root
+        if family == "grid3x4":
+            assert len(want) == 2415
+        if family == "complete7":
+            assert want == "routes grown: size 10001 exceeds enumeration cap 10000"
+    monkeypatch.setattr(capacity, "ROUTE_CAP", 50)
+    for root in roots:
+        want = _grown_or_error(g, root)
+        same = _chosen_or_error(g, root) == want
+        assert same, root
+        if family !="directed_grid3x3":  # 16 trees
+            assert want == "routes grown: size 51 exceeds enumeration cap 50"
+
+
+def test_spanning_trees_never_choose_into_a_dead_end():
+    # A path 0-1-...-11 with a leaf k + 12 hanging off each node k. A node
+    # that chose its own leaf as parent would leave the leaf no parent, so
+    # in node order the leaves, chosen last, would cut about 3**11 branches.
+    # Choosing farthest from the root first, every node's in-arcs are read
+    # once: the walk makes one branch per tree, and there is one tree.
+    k = 12
+    g = Graph(2 * k, tuple((i, i + 1) for i in range(k - 1)) + tuple((i, i + k) for i in range(k)))
+    in_arcs = _ReadLog(g.in_adjacency)
+    in_arcs.read = []
+    g.__dict__["in_adjacency"] = in_arcs
+    assert capacity._spanning_trees(g, 0) == [(1 << g.m) - 1]
+    assert sorted(in_arcs.read) == list(range(1, 2 * k))
+
+
+def _four_kind_instances():
+    """Criterion 9's random graphs and rooted digraphs, each carrying its
+    four class kinds at unequal rates, under primary interference or wired:
+    240 (graph, activation set, classes) triples."""
     rng = np.random.default_rng(2025)
-    directed = kinds = 0
     for trial in range(240):
         if trial % 2:
             g = random_connected_graph(rng, max_edges=12)
@@ -459,6 +680,12 @@ def test_random_four_kind_certificates_verify():
             classes.append(TrafficClass(2, "multicast", 0, dests, 0.25))
             classes.append(TrafficClass(3, "anycast", 0, dests, 0.75))
         aset = enumerate_matchings(g) if trial % 3 else ActivationSet("wired", g.m)
+        yield g, aset, classes
+
+
+def test_random_four_kind_certificates_verify():
+    directed = kinds = 0
+    for g, aset, classes in _four_kind_instances():
         assert verify_certificate(max_scaling(g, aset, classes), g, aset, classes)
         directed += g.directed
         kinds += len(classes) == 4

@@ -3,10 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ReferenceBPState, one_slot, random_connected_graph, random_rooted_digraph
+from helpers import (
+    ReferenceBPState,
+    bp_slot,
+    max_weight_slot,
+    one_slot,
+    random_connected_graph,
+    random_rooted_digraph,
+)
 from umwsim import policy
 from umwsim.activation import max_weight_activation
-from umwsim.engine import MetricsOptions, _DiagnosticState, load_config
+from umwsim.engine import BLOCK, MetricsOptions, _DiagnosticState, load_config
 from umwsim.errors import ConfigError
 from umwsim.policy import BPPacket, BPState, Forward, MaxWeightState, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
@@ -151,18 +158,19 @@ def test_bp_destination_absorbs():
     ("grid3x3_broadcast.json", "umw-heuristic", False),
     ("twinpath_compare.json", "bp", False),
 ])
-def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
-    # one_slot turns a dict of counts into a block row, a class it does not
-    # list counting 0. Two fresh policies, one fed every class and one fed
-    # only the classes with arrivals ({} for a slot without any), must agree
-    # slot by slot and end in the same state.
+def test_run_block_on_dense_rows_matches_slot_reference_on_sparse_dicts(config, policy_name, diagnostics):
+    # Two fresh policies on the same arrivals: run_block gets every class's
+    # count as block rows of engine.BLOCK slots, and the per-slot reference
+    # (max_weight_slot or bp_slot) gets only the classes with arrivals ({}
+    # for a slot without any). They must agree slot by slot and end in the
+    # same state.
     cfg = load_config(CONFIGS / config, horizon=600, policy=policy_name,
                       metrics=MetricsOptions(diagnostics=diagnostics))
     g, aset, classes = cfg.resolve()
     ids = [c.id for c in classes]
     checkpoints = frozenset({299, 599})
     if policy_name == "bp":
-        dense, sparse = BPState(g, aset, classes), BPState(g, aset, classes)
+        block, reference, slot = BPState(g, aset, classes), BPState(g, aset, classes), bp_slot
     else:
         def state():
             diag = None
@@ -170,25 +178,36 @@ def test_sparse_arrivals_step_like_dense(config, policy_name, diagnostics):
                 diag = _DiagnosticState(g.m, effective_amax(classes, cfg.arrival), cfg.horizon)
             return MaxWeightState(g, aset, classes, policy_name, cfg.steiner_mode, checkpoints, diag)
 
-        dense, sparse = state(), state()
+        block, reference, slot = state(), state(), max_weight_slot
+    rows = arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed).tolist()
+    want_q, want_vq, want_done = [], [], []
     empty = 0
-    for t, row in enumerate(arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed).tolist()):
-        full = dict(zip(ids, row))
-        few = {cid: n for cid, n in full.items() if n}
+    for t, row in enumerate(rows):
+        few = {cid: n for cid, n in zip(ids, row) if n}
         empty += not few
-        assert one_slot(dense, t, full) == one_slot(sparse, t, few)
+        done, total_q, total_vq = slot(reference, t, few)
+        want_done += [(t, cid, sojourn) for cid, sojourn in done]
+        want_q.append(total_q)
+        want_vq.append(total_vq)
     assert 0 < empty < cfg.horizon
-    assert dense.violations == sparse.violations
+    got_q, got_vq, got_done = [], [], []
+    for start in range(0, cfg.horizon, BLOCK):
+        total_q, total_vq, done = block.run_block(start, rows[start:start + BLOCK])
+        got_q += total_q
+        got_vq += total_vq
+        got_done += done
+    assert (got_q, got_vq, got_done) == (want_q, want_vq, want_done)
+    assert block.violations == reference.violations
     if policy_name == "bp":
-        assert dense.queues == sparse.queues and dense.total_packets == sparse.total_packets
+        assert block.queues == reference.queues and block.total_packets == reference.total_packets
     else:
-        assert (dense.vq.q, dense.vq.total) == (sparse.vq.q, sparse.vq.total)
-        assert dense.net.lengths == sparse.net.lengths
-        assert dense.net.total_copies == sparse.net.total_copies
-        assert dense.route_stats() == sparse.route_stats()
-        assert dense.uid == sparse.uid
+        assert (block.vq.q, block.vq.total) == (reference.vq.q, reference.vq.total)
+        assert block.net.lengths == reference.net.lengths
+        assert block.net.total_copies == reference.net.total_copies
+        assert block.route_stats() == reference.route_stats()
+        assert block.uid == reference.uid
         if diagnostics:
-            assert dense.diag.violations == sparse.diag.violations
+            assert block.diag.violations == reference.diag.violations
 
 
 def test_bp_never_forwards_nonpositive_differential():
