@@ -298,21 +298,31 @@ class CapacityCertificate:
     activation_mix: tuple[tuple[tuple[int, ...], Fraction], ...]  # (sorted edge ids, probability)
 
     def to_json_dict(self) -> dict:
+        """Each value as a float and as its exact string; a value past float
+        range (rho* of a tiny rate) is a JSON null beside its exact string."""
         return {
-            "rho_star": float(self.rho_star),
+            "rho_star": _float_or_none(self.rho_star),
             "rho_star_exact": str(self.rho_star),
             "rates": [
-                {"class": cid, "rate": float(r), "rate_exact": str(r)} for cid, r in self.rates
+                {"class": cid, "rate": _float_or_none(r), "rate_exact": str(r)} for cid, r in self.rates
             ],
             "flows": [
-                {"class": cid, "edges": list(edges), "rate": float(v), "rate_exact": str(v)}
+                {"class": cid, "edges": list(edges), "rate": _float_or_none(v), "rate_exact": str(v)}
                 for cid, edges, v in self.flows
             ],
             "activation_mix": [
-                {"edges": list(edges), "prob": float(p), "prob_exact": str(p)}
+                {"edges": list(edges), "prob": _float_or_none(p), "prob_exact": str(p)}
                 for edges, p in self.activation_mix
             ],
         }
+
+
+def _float_or_none(x: Fraction) -> float | None:
+    """x as a float, or None if it is past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _check_class_ids(classes: list[TrafficClass]) -> None:

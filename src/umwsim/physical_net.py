@@ -6,10 +6,15 @@ that has traversed the fewest hops from its origin, breaking ties FIFO by
 admission slot and then by packet uid. Crossing a tree edge duplicates the
 copy into every child edge's buffer, so broadcast and multicast packets
 fan out exactly along their frozen route tree.
+
+A packet records the nodes it has reached in one int bitmask, ``reached``
+(bit v for node v), and is complete when it equals its route's
+``covered_mask``. An int, not a set of nodes, keeps an in-flight packet
+small, which matters in overloaded runs whose backlog grows without bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -20,14 +25,20 @@ from .topology import ActivationVector, Graph
 
 @dataclass(eq=False, slots=True)
 class Packet:
-    """One admitted packet; its route, frozen at admission, covers the nodes it must reach."""
+    """One admitted packet; its route, frozen at admission, covers the nodes
+    it must reach. Bit v of ``reached`` is set once node v is delivered."""
 
     uid: int
     class_id: int
     arrival_slot: int
     route: RouteTree
-    delivered: set[int] = field(default_factory=set)
-    full_delivery_slot: int | None = None  # set when the packet completes
+    reached: int = 0
+
+    @property
+    def delivered(self) -> frozenset[int]:
+        """The nodes delivered so far, as a read-only view of ``reached``."""
+        mask = self.reached
+        return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 class PhysicalNetwork:
@@ -49,16 +60,17 @@ class PhysicalNetwork:
         """Copies waiting per edge, as a new list."""
         return [len(buf) for buf in self.buffers]
 
-    def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
-        """Record node as reached. Only covered nodes are ever delivered
-        (admit checks the root, forward the hop's covered flag) and none
-        twice, so the packet is complete once the counts match."""
-        delivered = packet.delivered
-        if node in delivered:
+    def _deliver(self, packet: Packet, node: int, completed: list[Packet]) -> None:
+        """Record node as reached; the packet is complete once its mask is
+        the route's covered_mask. A second delivery to a node raises
+        before the mask changes."""
+        bit = 1 << node
+        reached = packet.reached
+        if reached & bit:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
-        delivered.add(node)
-        if len(delivered) == len(packet.route.covered):
-            packet.full_delivery_slot = slot
+        reached |= bit
+        packet.reached = reached
+        if reached == packet.route.covered_mask:
             completed.append(packet)
 
     def admit(self, packet: Packet, slot: int) -> list[Packet]:
@@ -71,7 +83,7 @@ class PhysicalNetwork:
         route = packet.route
         completed: list[Packet] = []
         if route.root in route.covered:
-            self._deliver(packet, route.root, slot, completed)
+            self._deliver(packet, route.root, completed)
         entry = (0, packet.arrival_slot, packet.uid, packet)
         for e in route.root_edge_ids:
             heappush(self.buffers[e], entry)
@@ -98,7 +110,7 @@ class PhysicalNetwork:
             child, covered, out = hop
             if covered:
                 # a tree reaches each node once; _deliver enforces that
-                self._deliver(packet, child, slot, completed)
+                self._deliver(packet, child, completed)
             if out:
                 entry = (hops + 1, arr, uid, packet)
                 for c in out:

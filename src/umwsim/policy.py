@@ -220,7 +220,7 @@ class MaxWeightState:
                 completed = forward(act, t)
                 deposit = ()
             for pkt in completed:
-                if pkt.delivered != pkt.route.covered:
+                if pkt.reached != pkt.route.covered_mask:
                     violations["delivery"] += 1
                 add_done((t, pkt.class_id, t - pkt.arrival_slot))
 

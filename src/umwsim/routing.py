@@ -87,6 +87,11 @@ class RouteTree:
         return frozenset(out)
 
     @cached_property
+    def covered_mask(self) -> int:
+        """The covered nodes as a bitmask: bit v set for each covered v."""
+        return sum(1 << v for v in self.covered)
+
+    @cached_property
     def children_of(self) -> dict[int, tuple[TreeEdge, ...]]:
         """Outgoing tree edges per node, in edge-id order."""
         by_parent: dict[int, list[TreeEdge]] = {}

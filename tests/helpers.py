@@ -508,7 +508,10 @@ class TreeWalkNetwork:
     """Reference for `umwsim.physical_net.PhysicalNetwork`: the same per-edge
     ENTO buffers and delivery bookkeeping, working out each hop from the
     route's TreeEdge records and counting each edge's waiting copies in a
-    numpy ``lengths`` array."""
+    numpy ``lengths`` array. It keeps its own record of each packet's
+    delivered nodes (``delivered``, a set per uid) and completion slot
+    (``completed_at``, per uid), so it never reads or writes the packet's
+    own delivery state."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -517,13 +520,16 @@ class TreeWalkNetwork:
         self.buffers: list[list[tuple[int, int, int, Packet]]] = [[] for _ in range(g.m)]
         self.lengths = np.zeros(g.m, dtype=np.int64)
         self.total_copies = 0
+        self.delivered: dict[int, set[int]] = {}
+        self.completed_at: dict[int, int] = {}
 
     def _deliver(self, packet: Packet, node: int, slot: int, completed: list[Packet]) -> None:
-        if node in packet.delivered:
+        delivered = self.delivered.setdefault(packet.uid, set())
+        if node in delivered:
             raise RuntimeError(f"packet {packet.uid} delivered twice to node {node}")
-        packet.delivered.add(node)
-        if packet.delivered == packet.route.covered:
-            packet.full_delivery_slot = slot
+        delivered.add(node)
+        if delivered == packet.route.covered:
+            self.completed_at[packet.uid] = slot
             completed.append(packet)
 
     def admit(self, packet: Packet, slot: int) -> list[Packet]:
@@ -758,7 +764,7 @@ def max_weight_slot(state: MaxWeightState, t: int, arrivals: dict[int, int]) -> 
     total_q = net.total_copies
     if t in state.checkpoints and int(net.layer_counters().sum()) != total_q:
         state.violations["layer_identity"] += 1
-    return [(pkt.class_id, pkt.full_delivery_slot - pkt.arrival_slot) for pkt in completed], total_q, vq.total
+    return [(pkt.class_id, t - pkt.arrival_slot) for pkt in completed], total_q, vq.total
 
 
 def bp_slot(state: BPState, slot: int, arrivals: dict[int, int]) -> SlotOutcome:

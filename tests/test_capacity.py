@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from umwsim.capacity import (
     max_scaling,
     verify_certificate,
 )
+from umwsim.cli import main as cli_main
 from umwsim.engine import load_config
 from umwsim.errors import CapExceededError, ConfigError
 from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _integer_row, solve_lp
@@ -341,6 +343,29 @@ def test_tiny_rate_fails_the_proof_closed(monkeypatch):
     assert cert == dataclasses.replace(want, rho_star=want.rho_star * 2**1074,
                                        rates=((0, Fraction(5e-324)),))
     assert verify_certificate(cert, g, aset, tiny)
+
+
+def test_tiny_rate_certificate_writes_null_past_float_range(tmp_path, capsys):
+    # rho* = (2/5) * 2**1074 does not fit a float: its float field is null,
+    # its exact string is kept, and the CLI writes a verified certificate.
+    g, aset, classes = builtin_topology("grid3x3_broadcast")
+    tiny = [dataclasses.replace(c, rate=5e-324) for c in classes]
+    cert = max_scaling(g, aset, tiny)
+    doc = cert.to_json_dict()
+    assert doc["rho_star"] is None and doc["rho_star_exact"] == str(Fraction(2, 5) * 2**1074)
+    assert doc["rates"] == [{"class": 0, "rate": 5e-324, "rate_exact": str(Fraction(5e-324))}]
+    assert all(a["prob"] == float(Fraction(a["prob_exact"])) for a in doc["activation_mix"])
+    assert certificate_from_json_dict(doc) == cert
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"topology": "grid3x3_broadcast", "classes": [
+        {"id": 0, "kind": "broadcast", "source": 0, "destinations": list(range(9)), "rate": 5e-324}]}))
+    out = tmp_path / "cert.json"
+    assert cli_main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written == {**json.loads(json.dumps(doc)), "verified": True}
+    assert '"rho_star": null' in out.read_text()
+    assert cli_main(["capacity", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out) == written
 
 
 def _integer_row_before(values):

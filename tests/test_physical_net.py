@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from helpers import TreeWalkNetwork, flow, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.physical_net import Packet, PhysicalNetwork
 from umwsim.policy import solve_route
-from umwsim.topology import ActivationVector, Graph
+from umwsim.topology import ActivationVector, Graph, builtin_topology
 
 LINE3 = Graph(3, ((0, 1), (1, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))  # root 0 branches three ways
@@ -40,9 +41,8 @@ def test_admit_degenerate_source_destination():
     net = PhysicalNetwork(LINE3)
     route = solve_route(LINE3, [0, 0], flow("unicast", 1, {1}))
     pkt = _packet(7, route, slot=3)
-    completed = net.admit(pkt, 3)
-    assert completed == [pkt] and pkt.delivered == {1}
-    assert pkt.full_delivery_slot == 3
+    completed = net.admit(pkt, 3)  # the call at slot 3 completes it
+    assert completed == [pkt] and pkt.delivered == {1} and pkt.reached == 1 << 1
     assert net.total_copies == 0
 
 
@@ -54,9 +54,8 @@ def test_forward_delivers_at_leaf():
     completed = net.forward(_act(net, 0, 1), 0)
     assert completed == []  # copy moved from edge 0 to edge 1, no delivery yet
     assert net.lengths == [0, 1]
-    completed = net.forward(_act(net, 0, 1), 1)
+    completed = net.forward(_act(net, 0, 1), 1)  # the call at slot 1 completes it
     assert completed == [pkt] and pkt.delivered == {2}
-    assert pkt.full_delivery_slot == 1
 
 
 def test_lowest_hops_copy_crosses_first():
@@ -90,9 +89,8 @@ def test_broadcast_delivery_bookkeeping():
     pkt = _packet(1, route)
     net.admit(pkt, 0)
     assert pkt.delivered == {0}  # the source holds its own broadcast packet
-    net.forward(_act(net, 0, 1, 2), 0)
-    assert pkt.delivered == {0, 1, 2, 3}
-    assert pkt.full_delivery_slot == 0
+    assert net.forward(_act(net, 0, 1, 2), 0) == [pkt]
+    assert pkt.delivered == {0, 1, 2, 3} and pkt.reached == route.covered_mask == 0b1111
     assert net.total_copies == 0
 
 
@@ -104,7 +102,7 @@ def test_star_broadcast_reaching_both_leaves_in_one_slot_returned_once():
     pkt = _packet(1, solve_route(star, [0, 0], flow("broadcast", 0, range(star.node_count))))
     assert net.admit(pkt, 0) == []
     assert net.forward(_act(net, 0, 1), 0) == [pkt]
-    assert pkt.delivered == {0, 1, 2} and pkt.full_delivery_slot == 0
+    assert pkt.delivered == {0, 1, 2}
     assert net.forward(_act(net, 0, 1), 1) == []
 
 
@@ -124,9 +122,8 @@ def test_edges_cross_in_increasing_id_order():
 
 
 def test_multicast_relay_nodes_are_never_delivered():
-    # Multicast 0 -> {2, 4} relays through nodes 1 and 3; completion is
-    # tested by count, which is exact because only covered nodes enter
-    # delivered.
+    # Multicast 0 -> {2, 4} relays through nodes 1 and 3; a relay's bit
+    # never enters the packet's mask, so completion is mask equality.
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3)))
     route = solve_route(g, [0] * g.m, flow("multicast", 0, {2, 4}))
     assert route.covered == {2, 4} and route.edge_ids == {0, 1, 3, 4}
@@ -136,7 +133,7 @@ def test_multicast_relay_nodes_are_never_delivered():
     assert net.forward(_act(net, 0), 0) == [] and pkt.delivered == set()       # reached relay 1
     assert net.forward(_act(net, 1, 4), 1) == [] and pkt.delivered == {2}      # 2, and relay 3
     assert net.forward(_act(net, 3), 2) == [pkt] and pkt.delivered == {2, 4}
-    assert pkt.full_delivery_slot == 2 and net.total_copies == 0
+    assert pkt.reached == route.covered_mask == 0b10100 and net.total_copies == 0
 
 
 def test_active_empty_edge_is_noop():
@@ -160,8 +157,8 @@ def test_no_multi_hop_teleport_within_slot():
     net = PhysicalNetwork(LINE3)
     pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
     net.admit(pkt, 0)
-    net.forward(_act(net, 0, 1), 0)
-    assert pkt.full_delivery_slot is None
+    assert net.forward(_act(net, 0, 1), 0) == []
+    assert pkt.delivered == set()
 
 
 def test_ento_pop_order_audit():
@@ -195,9 +192,64 @@ def test_exactly_once_delivery_guard():
     route = solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count)))
     pkt = _packet(1, route)
     net.admit(pkt, 0)
-    pkt.delivered.add(1)
-    with pytest.raises(RuntimeError):
+    pkt.reached |= 1 << 1  # plant a delivery to node 1 before its copy crosses
+    planted = pkt.reached
+    with pytest.raises(RuntimeError, match=re.escape("packet 1 delivered twice to node 1")):
         net.forward(_act(net, 0), 0)
+    assert pkt.reached == planted  # the second delivery left the mask as it was
+
+
+def test_delivered_is_a_read_only_view():
+    net = PhysicalNetwork(STAR)
+    pkt = _packet(1, solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count))))
+    net.admit(pkt, 0)
+    assert pkt.delivered == frozenset({0}) and isinstance(pkt.delivered, frozenset)
+    with pytest.raises(AttributeError):
+        pkt.delivered = {0, 1}
+
+
+def test_broadcast_past_one_machine_word_completes_once():
+    # A 70-node path: the mask needs bits 0..69, past one 64-bit word. Every
+    # slot every edge is active, so the copy reaches node k + 1 in slot k and
+    # the packet completes exactly once, in slot 68.
+    n = 70
+    g = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+    route = solve_route(g, [0] * g.m, flow("broadcast", 0, range(n)))
+    assert route.covered_mask == (1 << n) - 1
+    net = PhysicalNetwork(g)
+    pkt = _packet(1, route)
+    assert net.admit(pkt, 0) == []
+    returned = [(slot, net.forward(_act(net, *range(g.m)), slot)) for slot in range(n + 5)]
+    assert [(slot, done) for slot, done in returned if done] == [(n - 2, [pkt])]
+    assert pkt.reached == route.covered_mask and pkt.delivered == set(range(n))
+    assert net.total_copies == 0
+
+
+def test_in_flight_packet_memory_stays_small():
+    # The backlog of an overloaded run grows without bound, so what each
+    # in-flight packet holds sets its memory: 2000 broadcast packets on the
+    # 3x3 grid, partly delivered by 3 slots over the root edges, must hold
+    # under 300 traced bytes each (the packet, its heap entries, its uid).
+    g, _, classes = builtin_topology("grid3x3_broadcast")
+    (cls,) = classes
+    route = solve_route(g, [0] * g.m, cls)
+    act = ActivationVector(frozenset(route.root_edge_ids), g.m)
+    count = 2000
+    tracemalloc.start()
+    try:
+        net = PhysicalNetwork(g)
+        base = tracemalloc.get_traced_memory()[0]
+        completed = []
+        for uid in range(count):
+            completed += net.admit(Packet(uid, cls.id, 0, route), 0)
+        for slot in range(3):
+            completed += net.forward(act, slot)
+        traced = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    in_flight = count - len(completed)
+    assert in_flight == count and net.total_copies > count
+    assert traced / in_flight < 300
 
 
 def test_forward_rejects_an_edge_off_the_route():
@@ -264,7 +316,7 @@ def test_conservation_random_traffic():
         assert int(net.layer_counters().sum()) == net.total_copies
         assert min(net.lengths) >= 0
     # every packet that completed was returned, and only once
-    assert sorted(pkt.uid for pkt in completed) == [pkt.uid for pkt in packets if pkt.full_delivery_slot is not None]
+    assert sorted(pkt.uid for pkt in completed) == [pkt.uid for pkt in packets if pkt.delivered == route.covered]
     assert completed
 
 
@@ -293,7 +345,9 @@ def _network_state(net):
 def test_forwarding_matches_tree_walk_reference(seed):
     # Random admissions along trees of all four kinds and random active
     # sets; both forwarders must return the same completed packets, in the
-    # same order, and agree on every buffer and packet.
+    # same order, and agree on every buffer. Each packet's delivered nodes
+    # and the slot whose call returned it must match the reference's own
+    # record of them.
     rng = np.random.default_rng(seed)
     if seed % 2:
         g, root = random_rooted_digraph(rng)
@@ -303,6 +357,7 @@ def test_forwarding_matches_tree_walk_reference(seed):
     trees = _trees_of_every_kind(rng, g, root)
     net, ref = PhysicalNetwork(g), TreeWalkNetwork(g)
     packets = []
+    done_at: dict[int, int] = {}  # uid -> slot of the call that returned it
     for slot in range(300):
         completed, ref_completed = [], []
         for _ in range(int(rng.integers(0, 4))):
@@ -315,9 +370,11 @@ def test_forwarding_matches_tree_walk_reference(seed):
         completed += net.forward(ActivationVector(active, g.m), slot)
         ref_completed += ref.forward(active, slot)
         assert [pkt.uid for pkt in completed] == [pkt.uid for pkt in ref_completed]
-        assert all(pkt.full_delivery_slot == slot for pkt in completed)
+        for pkt in completed:
+            assert pkt.uid not in done_at
+            done_at[pkt.uid] = slot
         assert _network_state(net) == _network_state(ref)
-        for pkt, ref_pkt in packets:
-            assert pkt.delivered == ref_pkt.delivered
-            assert pkt.full_delivery_slot == ref_pkt.full_delivery_slot
-    assert any(pkt.full_delivery_slot is not None for pkt, _ in packets) and net.total_copies > 0
+        for pkt, _ in packets:
+            assert pkt.delivered == ref.delivered.get(pkt.uid, set())
+        assert done_at == ref.completed_at
+    assert done_at and net.total_copies > 0
