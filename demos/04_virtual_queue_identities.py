@@ -19,7 +19,7 @@ import numpy as np
 from umwsim import SimulationConfig, run
 from umwsim.engine import MetricsOptions
 from umwsim.traffic import ArrivalProcess
-from umwsim.virtual_net import VirtualQueues, skorokhod_profile, skorokhod_value
+from umwsim.virtual_net import VirtualQueues, reflected_walk
 
 for name, load in (("line3", 0.8), ("twinpath_unicast", 0.7), ("grid3x3_broadcast", 0.36)):
     cfg = SimulationConfig(
@@ -34,14 +34,14 @@ for name, load in (("line3", 0.8), ("twinpath_unicast", 0.7), ("grid3x3_broadcas
 print("\nslot-by-slot on one edge (A = arrivals, S = allocated service):")
 A = np.array([[2], [0], [3], [0], [0], [1]], dtype=np.int64)
 S = np.array([[1], [1], [1], [1], [1], [1]], dtype=np.int64)
+profile = reflected_walk(A - S, 0)  # row t is the queue after slot t
 vq = VirtualQueues(1)
 for t in range(len(A)):
     # The slot's deposit puts A[t] arrivals on the route (edge 0), and the
     # served list names edge 0 once per unit of service.
     vq.lindley_update([((0,), int(A[t, 0]))], [0] * int(S[t, 0]))
-    recomputed = skorokhod_value(A, S, 0, t + 1)
+    recomputed = profile[t, 0]
     print(f"  t={t}: A={A[t,0]} S={S[t,0]}  lindley q={vq.q[0]}  "
           f"windowed-sup form={recomputed}")
 
-profile = skorokhod_profile(A, S)
 print("whole trajectory from history:", profile[:, 0].tolist())

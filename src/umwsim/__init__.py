@@ -33,11 +33,6 @@ from .topology import (
     save_topology,
 )
 from .traffic import ArrivalProcess, TrafficClass, arrival_table, effective_amax
-from .virtual_net import (
-    VirtualQueues,
-    skorokhod_profile,
-    skorokhod_value,
-    virtual_arrival_vector,
-)
+from .virtual_net import VirtualQueues, virtual_arrival_vector
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .capacity import max_scaling, verify_certificate
@@ -92,13 +93,9 @@ def cmd_compare(args) -> int:
     policies = args.policies.split(",")
     reports = compare(cfg, policies)
     if args.out:
-        rows = []
-        for policy in policies:
-            for i, row in enumerate(reports[policy].csv_rows()):
-                if i == 0 and rows:
-                    continue  # one shared header
-                rows.append(row)
-        write_csv_rows(args.out, rows)
+        # One shared header: every table after the first drops its own.
+        first, *rest = (reports[policy].csv_rows() for policy in policies)
+        write_csv_rows(args.out, chain(first, *(islice(rows, 1, None) for rows in rest)))
         _write_summary(args.out, {p: r.summary() for p, r in reports.items()})
     else:
         print(json.dumps({p: r.summary() for p, r in reports.items()}, indent=2, sort_keys=True))

@@ -13,7 +13,6 @@ totals from block to block.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -280,11 +279,12 @@ class MetricsReport:
 
 
 def write_csv_rows(path: str | Path, rows) -> None:
-    buf = io.StringIO()
-    for row in rows:
-        buf.write(",".join(row))
-        buf.write("\n")
-    Path(path).write_text(buf.getvalue())
+    """Write rows of cells as comma-joined lines, each to the open file as
+    it comes, so no copy of the whole file is held."""
+    with open(path, "w") as f:
+        for row in rows:
+            f.write(",".join(row))
+            f.write("\n")
 
 
 BLOCK = 256  # slots one run_block call runs, and the diagnostics check, in one pass

@@ -34,12 +34,6 @@ class Packet:
     route: RouteTree
     reached: int = 0
 
-    @property
-    def delivered(self) -> frozenset[int]:
-        """The nodes delivered so far, as a read-only view of ``reached``."""
-        mask = self.reached
-        return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-
 
 class PhysicalNetwork:
     """Per-edge ENTO buffers plus delivery bookkeeping for one run.
@@ -73,7 +67,7 @@ class PhysicalNetwork:
         if reached == packet.route.covered_mask:
             completed.append(packet)
 
-    def admit(self, packet: Packet, slot: int) -> list[Packet]:
+    def admit(self, packet: Packet) -> list[Packet]:
         """Insert fresh copies (priority 0) into every root edge of the route;
         returns [packet] if the packet completes on admission, else [].
 
@@ -90,7 +84,7 @@ class PhysicalNetwork:
         self.total_copies += len(route.root_edge_ids)
         return completed
 
-    def forward(self, act: ActivationVector, slot: int) -> list[Packet]:
+    def forward(self, act: ActivationVector) -> list[Packet]:
         """One slot of ENTO forwarding over act's active edges, crossed in
         increasing edge id; returns the packets it completes, each once, in
         the order they complete.

@@ -212,12 +212,12 @@ class MaxWeightState:
                         hits += 1
                     routes[cid] = tree
                     for _ in range(count):
-                        completed += admit(Packet(uid, cid, t, tree), t)
+                        completed += admit(Packet(uid, cid, t, tree))
                         uid += 1
-                completed += forward(act, t)
+                completed += forward(act)
                 deposit = deposit_of(routes, dict(zip(ids, row)))
             else:
-                completed = forward(act, t)
+                completed = forward(act)
                 deposit = ()
             for pkt in completed:
                 if pkt.reached != pkt.route.covered_mask:
@@ -229,7 +229,7 @@ class MaxWeightState:
                 diag_step(deposit, act.service, vq.q, sum(row))
 
             copies = net.total_copies
-            if t in checkpoints and int(net.layer_counters().sum()) != copies:
+            if t in checkpoints and sum(map(len, net.buffers)) != copies:
                 violations["layer_identity"] += 1
             add_q(copies)
             add_vq(vq.total)

@@ -5,8 +5,8 @@ virtual arrival at *every* edge of the route in the admission slot; the
 counters then follow the Lindley recursion q <- (q + A - mu)^+ with the
 allocated (not necessarily used) service vector mu. A slot touches only
 the edges of its routes and its active edges, so the update is applied
-sparsely, in place. The Skorokhod functions, the oracles for that state,
-read a raw dense (A, mu) history.
+sparsely, in place. ``reflected_walk`` rebuilds that state from a raw
+dense history of increments A - mu, the diagnostics' Skorokhod form.
 """
 from __future__ import annotations
 
@@ -67,24 +67,6 @@ class VirtualQueues:
         self.total = total
 
 
-def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -> int:
-    """Queue value at slot t recomputed from raw history, one window at a time.
-
-    Evaluates (sup over window lengths tau=1..t of arrivals-minus-service on
-    the window [t - tau, t))^+ directly; the independent oracle for the
-    Lindley state.
-    """
-    if t > len(arrivals):
-        raise ValueError(f"history has {len(arrivals)} slots, asked for t={t}")
-    best = 0
-    acc = 0
-    for tau in range(1, t + 1):
-        acc += int(arrivals[t - tau, e]) - int(service[t - tau, e])
-        if acc > best:
-            best = acc
-    return best
-
-
 def reflected_walk(increments: np.ndarray, start: np.ndarray | int) -> np.ndarray:
     """Rows q_1..q_n of the Lindley recursion q_t = max(q_{t-1} + x_t, 0)
     from q_0 = start >= 0, one column per queue, as int64: with S the
@@ -94,10 +76,3 @@ def reflected_walk(increments: np.ndarray, start: np.ndarray | int) -> np.ndarra
     drop = walk - np.minimum.accumulate(walk, axis=0)
     walk += start
     return np.maximum(walk, drop, out=walk)
-
-
-def skorokhod_profile(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """Queue trajectory for all edges and slots from raw history: row t-1
-    is the state after slot t-1, i.e. the value at time t."""
-    return reflected_walk(arrivals - service, 0)
-

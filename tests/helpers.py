@@ -79,6 +79,12 @@ def flow(kind: str, source: int, destinations) -> TrafficClass:
     return TrafficClass(0, kind, source, frozenset(destinations), 1.0)
 
 
+def node_mask(nodes) -> int:
+    """The bitmask with bit v set for each node v, as `Packet.reached` holds
+    the nodes a packet has been delivered to."""
+    return sum(1 << v for v in set(nodes))
+
+
 def contraction_arborescence(g: Graph, w, root: int) -> list[int]:
     """Minimum-weight arborescence (recursive cycle contraction).
 
@@ -457,6 +463,24 @@ class AssociatedQueues:
         np.add(self.qhat, A, out=self.qhat)
 
 
+def skorokhod_value(arrivals: np.ndarray, service: np.ndarray, e: int, t: int) -> int:
+    """Queue value at slot t recomputed from raw history, one window at a time.
+
+    Evaluates (sup over window lengths tau=1..t of arrivals-minus-service on
+    the window [t - tau, t))^+ directly; the brute-force reference for
+    `umwsim.virtual_net.reflected_walk` and the Lindley state.
+    """
+    if t > len(arrivals):
+        raise ValueError(f"history has {len(arrivals)} slots, asked for t={t}")
+    best = 0
+    acc = 0
+    for tau in range(1, t + 1):
+        acc += int(arrivals[t - tau, e]) - int(service[t - tau, e])
+        if acc > best:
+            best = acc
+    return best
+
+
 def loading_slack(arrivals: np.ndarray, service: np.ndarray, e: int, t0: int, t: int) -> int:
     """Window arrivals minus window allocated service on [t0, t)."""
     if not (0 <= t0 < t <= len(arrivals)):
@@ -511,7 +535,8 @@ class TreeWalkNetwork:
     numpy ``lengths`` array. It keeps its own record of each packet's
     delivered nodes (``delivered``, a set per uid) and completion slot
     (``completed_at``, per uid), so it never reads or writes the packet's
-    own delivery state."""
+    own delivery state. Its admit and forward take the slot of the call,
+    which PhysicalNetwork's do not, only for that completion record."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -748,15 +773,15 @@ def max_weight_slot(state: MaxWeightState, t: int, arrivals: dict[int, int]) -> 
                 state.hits += 1
             routes[cid] = tree
             for _ in range(count):
-                completed += net.admit(Packet(state.uid, cid, t, tree), t)
+                completed += net.admit(Packet(state.uid, cid, t, tree))
                 state.uid += 1
-        completed += net.forward(act, t)
+        completed += net.forward(act)
         deposit = virtual_arrival_vector(routes, arrivals)
     else:
-        completed = net.forward(act, t)
+        completed = net.forward(act)
         deposit = ()
     for pkt in completed:
-        if pkt.delivered != pkt.route.covered:
+        if pkt.reached != node_mask(pkt.route.covered):
             state.violations["delivery"] += 1
     vq.lindley_update(deposit, act.edge_ids)
     if state.diag is not None:

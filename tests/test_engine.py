@@ -274,6 +274,34 @@ def test_csv_rows_hold_one_block_of_python_numbers():
     assert rows_bytes * 20 < whole_bytes
 
 
+def test_write_csv_streams_its_rows(tmp_path):
+    # Written row by row, the peak is one block of rows and the file
+    # buffer, whatever the horizon; a file built in memory before it is
+    # written peaks at about twice its size.
+    rep = run(_line3_cfg(horizon=30_000, arrival=ArrivalProcess("poisson"), load_factor=0.6))
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep.write_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().splitlines() == [",".join(row) for row in reference_csv_rows(rep)]
+    assert peak * 5 < path.stat().st_size
+
+
+@pytest.mark.parametrize("name, policy", [
+    ("mixed_kinds", "umw"), ("grid3x3_broadcast", "umw-heuristic"), ("twinpath_compare", "bp")])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(name, policy):
+    # Slot t's row depends only on slots 0..t, so a run cut at 1000 slots
+    # writes the first 1001 rows (the header and slots 0..999) of the same
+    # run at 3000 slots.
+    short, long = (run(load_config(CONFIGS / f"{name}.json", horizon=T, policy=policy)) for T in (1000, 3000))
+    rows = list(long.csv_rows())
+    assert len(rows) == 3001 and list(short.csv_rows()) == rows[:1001]
+
+
 def test_compare_shares_arrival_sample_paths():
     cfg = SimulationConfig(topology="twinpath_unicast", horizon=300, seed=3,
                            arrival=ArrivalProcess("poisson"), load_factor=0.4)

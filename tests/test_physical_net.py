@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import TreeWalkNetwork, flow, random_connected_graph, random_rooted_digraph, random_weights
+from helpers import TreeWalkNetwork, flow, node_mask, random_connected_graph, random_rooted_digraph, random_weights
 from umwsim.physical_net import Packet, PhysicalNetwork
 from umwsim.policy import solve_route
 from umwsim.topology import ActivationVector, Graph, builtin_topology
@@ -24,7 +24,7 @@ def _act(net, *edges):
 def test_admit_unicast_single_copy():
     net = PhysicalNetwork(LINE3)
     route = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
-    completed = net.admit(_packet(1, route), 0)
+    completed = net.admit(_packet(1, route))
     assert completed == []
     assert net.lengths == [1, 0]
     assert net.buffers[0][0][0] == 0  # hops priority 0
@@ -33,7 +33,7 @@ def test_admit_unicast_single_copy():
 def test_admit_branching_root():
     net = PhysicalNetwork(STAR)
     route = solve_route(STAR, [1, 1, 1], flow("broadcast", 0, range(STAR.node_count)))
-    net.admit(_packet(1, route), 0)
+    net.admit(_packet(1, route))
     assert net.lengths == [1, 1, 1]
 
 
@@ -41,8 +41,8 @@ def test_admit_degenerate_source_destination():
     net = PhysicalNetwork(LINE3)
     route = solve_route(LINE3, [0, 0], flow("unicast", 1, {1}))
     pkt = _packet(7, route, slot=3)
-    completed = net.admit(pkt, 3)  # the call at slot 3 completes it
-    assert completed == [pkt] and pkt.delivered == {1} and pkt.reached == 1 << 1
+    completed = net.admit(pkt)  # admission completes it
+    assert completed == [pkt] and pkt.reached == node_mask({1}) == 1 << 1
     assert net.total_copies == 0
 
 
@@ -50,23 +50,23 @@ def test_forward_delivers_at_leaf():
     net = PhysicalNetwork(LINE3)
     route = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     pkt = _packet(1, route)
-    net.admit(pkt, 0)
-    completed = net.forward(_act(net, 0, 1), 0)
+    net.admit(pkt)
+    completed = net.forward(_act(net, 0, 1))
     assert completed == []  # copy moved from edge 0 to edge 1, no delivery yet
     assert net.lengths == [0, 1]
-    completed = net.forward(_act(net, 0, 1), 1)  # the call at slot 1 completes it
-    assert completed == [pkt] and pkt.delivered == {2}
+    completed = net.forward(_act(net, 0, 1))  # the second forward completes it
+    assert completed == [pkt] and pkt.reached == node_mask({2})
 
 
 def test_lowest_hops_copy_crosses_first():
     net = PhysicalNetwork(LINE3)
     far = solve_route(LINE3, [0, 0], flow("unicast", 0, {2}))
     veteran = _packet(1, far)
-    net.admit(veteran, 0)
-    net.forward(_act(net, 0), 0)  # veteran copy now waits at edge 1 with hops=1
+    net.admit(veteran)
+    net.forward(_act(net, 0))  # veteran copy now waits at edge 1 with hops=1
     near = Packet(2, 0, 1, solve_route(LINE3, [0, 0], flow("unicast", 1, {2})))
-    net.admit(near, 1)              # fresh copy at edge 1 with hops=0
-    completed = net.forward(_act(net, 1), 1)
+    net.admit(near)              # fresh copy at edge 1 with hops=0
+    completed = net.forward(_act(net, 1))
     assert [pkt.uid for pkt in completed] == [2]  # the fewest-hops copy wins
 
 
@@ -75,22 +75,22 @@ def test_crossing_duplicates_to_children():
     net = PhysicalNetwork(g)
     route = solve_route(g, [1, 1, 1], flow("broadcast", 0, range(g.node_count)))
     pkt = _packet(1, route)
-    net.admit(pkt, 0)
-    net.forward(_act(net, 0), 0)
+    net.admit(pkt)
+    net.forward(_act(net, 0))
     assert net.lengths == [0, 1, 1]
     # both copies carry hops=1
     assert net.buffers[1][0][0] == 1 and net.buffers[2][0][0] == 1
-    assert pkt.delivered == {1, 0} or pkt.delivered == {1}  # node 1 reached (0 is root, required for broadcast)
+    assert pkt.reached == node_mask({0, 1})  # node 1 reached (0 is the root, required for broadcast)
 
 
 def test_broadcast_delivery_bookkeeping():
     net = PhysicalNetwork(STAR)
     route = solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count)))
     pkt = _packet(1, route)
-    net.admit(pkt, 0)
-    assert pkt.delivered == {0}  # the source holds its own broadcast packet
-    assert net.forward(_act(net, 0, 1, 2), 0) == [pkt]
-    assert pkt.delivered == {0, 1, 2, 3} and pkt.reached == route.covered_mask == 0b1111
+    net.admit(pkt)
+    assert pkt.reached == node_mask({0})  # the source holds its own broadcast packet
+    assert net.forward(_act(net, 0, 1, 2)) == [pkt]
+    assert pkt.reached == node_mask({0, 1, 2, 3}) == route.covered_mask == 0b1111
     assert net.total_copies == 0
 
 
@@ -100,10 +100,10 @@ def test_star_broadcast_reaching_both_leaves_in_one_slot_returned_once():
     star = Graph(3, ((0, 1), (0, 2)))
     net = PhysicalNetwork(star)
     pkt = _packet(1, solve_route(star, [0, 0], flow("broadcast", 0, range(star.node_count))))
-    assert net.admit(pkt, 0) == []
-    assert net.forward(_act(net, 0, 1), 0) == [pkt]
-    assert pkt.delivered == {0, 1, 2}
-    assert net.forward(_act(net, 0, 1), 1) == []
+    assert net.admit(pkt) == []
+    assert net.forward(_act(net, 0, 1)) == [pkt]
+    assert pkt.reached == node_mask({0, 1, 2})
+    assert net.forward(_act(net, 0, 1)) == []
 
 
 def test_edges_cross_in_increasing_id_order():
@@ -115,10 +115,10 @@ def test_edges_cross_in_increasing_id_order():
     far = _packet(0, solve_route(star, [0] * star.m, flow("unicast", 0, {9})))   # edge 8
     near = _packet(1, solve_route(star, [0] * star.m, flow("unicast", 0, {2})))  # edge 1
     for pkt in (far, near):
-        net.admit(pkt, 0)
+        net.admit(pkt)
     act = ActivationVector(frozenset({1, 8}), star.m)
     assert act.edge_ids == (1, 8)
-    assert net.forward(act, 0) == [near, far]
+    assert net.forward(act) == [near, far]
 
 
 def test_multicast_relay_nodes_are_never_delivered():
@@ -129,16 +129,16 @@ def test_multicast_relay_nodes_are_never_delivered():
     assert route.covered == {2, 4} and route.edge_ids == {0, 1, 3, 4}
     net = PhysicalNetwork(g)
     pkt = _packet(1, route)
-    assert net.admit(pkt, 0) == []
-    assert net.forward(_act(net, 0), 0) == [] and pkt.delivered == set()       # reached relay 1
-    assert net.forward(_act(net, 1, 4), 1) == [] and pkt.delivered == {2}      # 2, and relay 3
-    assert net.forward(_act(net, 3), 2) == [pkt] and pkt.delivered == {2, 4}
+    assert net.admit(pkt) == []
+    assert net.forward(_act(net, 0)) == [] and pkt.reached == 0                # reached relay 1
+    assert net.forward(_act(net, 1, 4)) == [] and pkt.reached == node_mask({2})   # 2, and relay 3
+    assert net.forward(_act(net, 3)) == [pkt] and pkt.reached == node_mask({2, 4})
     assert pkt.reached == route.covered_mask == 0b10100 and net.total_copies == 0
 
 
 def test_active_empty_edge_is_noop():
     net = PhysicalNetwork(LINE3)
-    completed = net.forward(_act(net, 0, 1), 0)
+    completed = net.forward(_act(net, 0, 1))
     assert completed == [] and net.total_copies == 0
 
 
@@ -146,9 +146,9 @@ def test_one_copy_per_active_edge_per_slot():
     net = PhysicalNetwork(LINE3)
     r = solve_route(LINE3, [0, 0], flow("unicast", 0, {1}))
     for uid in range(5):
-        net.admit(_packet(uid, r), 0)
+        net.admit(_packet(uid, r))
     assert net.lengths == [5, 0]
-    net.forward(_act(net, 0), 0)
+    net.forward(_act(net, 0))
     assert net.lengths == [4, 0]
 
 
@@ -156,9 +156,9 @@ def test_no_multi_hop_teleport_within_slot():
     # wired networks activate every edge; a copy must still advance one hop per slot
     net = PhysicalNetwork(LINE3)
     pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
-    net.admit(pkt, 0)
-    assert net.forward(_act(net, 0, 1), 0) == []
-    assert pkt.delivered == set()
+    net.admit(pkt)
+    assert net.forward(_act(net, 0, 1)) == []
+    assert pkt.reached == 0
 
 
 def test_ento_pop_order_audit():
@@ -171,17 +171,17 @@ def test_ento_pop_order_audit():
     uid = 0
     for slot in range(200):
         for _ in range(int(rng.integers(0, 3))):
-            net.admit(_packet(uid, path01, slot), slot)
+            net.admit(_packet(uid, path01, slot))
             uid += 1
         for _ in range(int(rng.integers(0, 2))):
-            net.admit(_packet(uid, path12, slot), slot)
+            net.admit(_packet(uid, path12, slot))
             uid += 1
         active = frozenset({int(rng.integers(0, 2))})
         scan_min = {
             e: min((c[0] for c in net.buffers[e]), default=None) for e in active
         }
         heap_top = {e: net.buffers[e][0][0] if net.buffers[e] else None for e in active}
-        net.forward(ActivationVector(active, LINE3.m), slot)
+        net.forward(ActivationVector(active, LINE3.m))
         for e in active:
             # the heap pops its top, and the top really is the fewest-hops copy
             assert heap_top[e] == scan_min[e]
@@ -191,21 +191,12 @@ def test_exactly_once_delivery_guard():
     net = PhysicalNetwork(STAR)
     route = solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count)))
     pkt = _packet(1, route)
-    net.admit(pkt, 0)
+    net.admit(pkt)
     pkt.reached |= 1 << 1  # plant a delivery to node 1 before its copy crosses
     planted = pkt.reached
     with pytest.raises(RuntimeError, match=re.escape("packet 1 delivered twice to node 1")):
-        net.forward(_act(net, 0), 0)
+        net.forward(_act(net, 0))
     assert pkt.reached == planted  # the second delivery left the mask as it was
-
-
-def test_delivered_is_a_read_only_view():
-    net = PhysicalNetwork(STAR)
-    pkt = _packet(1, solve_route(STAR, [0, 0, 0], flow("broadcast", 0, range(STAR.node_count))))
-    net.admit(pkt, 0)
-    assert pkt.delivered == frozenset({0}) and isinstance(pkt.delivered, frozenset)
-    with pytest.raises(AttributeError):
-        pkt.delivered = {0, 1}
 
 
 def test_broadcast_past_one_machine_word_completes_once():
@@ -218,10 +209,10 @@ def test_broadcast_past_one_machine_word_completes_once():
     assert route.covered_mask == (1 << n) - 1
     net = PhysicalNetwork(g)
     pkt = _packet(1, route)
-    assert net.admit(pkt, 0) == []
-    returned = [(slot, net.forward(_act(net, *range(g.m)), slot)) for slot in range(n + 5)]
+    assert net.admit(pkt) == []
+    returned = [(slot, net.forward(_act(net, *range(g.m)))) for slot in range(n + 5)]
     assert [(slot, done) for slot, done in returned if done] == [(n - 2, [pkt])]
-    assert pkt.reached == route.covered_mask and pkt.delivered == set(range(n))
+    assert pkt.reached == route.covered_mask == node_mask(range(n))
     assert net.total_copies == 0
 
 
@@ -241,9 +232,9 @@ def test_in_flight_packet_memory_stays_small():
         base = tracemalloc.get_traced_memory()[0]
         completed = []
         for uid in range(count):
-            completed += net.admit(Packet(uid, cls.id, 0, route), 0)
-        for slot in range(3):
-            completed += net.forward(act, slot)
+            completed += net.admit(Packet(uid, cls.id, 0, route))
+        for _ in range(3):
+            completed += net.forward(act)
         traced = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -257,15 +248,15 @@ def test_forward_rejects_an_edge_off_the_route():
     pkt = _packet(4, solve_route(LINE3, [0, 0], flow("unicast", 0, {1})))
     net.buffers[1].append((0, 0, 4, pkt))  # edge 1 is not on the 0->1 path
     with pytest.raises(RuntimeError, match=re.escape("edge 1 is not on packet 4's route")):
-        net.forward(_act(net, 1), 0)
+        net.forward(_act(net, 1))
 
 
 def test_layer_counters():
     net = PhysicalNetwork(LINE3)
     pkt = _packet(1, solve_route(LINE3, [0, 0], flow("unicast", 0, {2})))
-    net.admit(pkt, 0)
+    net.admit(pkt)
     assert net.layer_counters().tolist() == [1, 0]
-    net.forward(_act(net, 0), 0)
+    net.forward(_act(net, 0))
     assert net.layer_counters().tolist() == [0, 1]
     assert net.layer_counters().sum() == sum(net.lengths)
 
@@ -310,13 +301,13 @@ def test_conservation_random_traffic():
     for slot in range(200):
         if rng.random() < 0.4:
             packets.append(Packet(len(packets), 0, slot, route))
-            completed += net.admit(packets[-1], slot)
+            completed += net.admit(packets[-1])
         active = frozenset(int(x) for x in rng.choice(g.m, size=2, replace=False))
-        completed += net.forward(ActivationVector(active, g.m), slot)
+        completed += net.forward(ActivationVector(active, g.m))
         assert int(net.layer_counters().sum()) == net.total_copies
         assert min(net.lengths) >= 0
     # every packet that completed was returned, and only once
-    assert sorted(pkt.uid for pkt in completed) == [pkt.uid for pkt in packets if pkt.delivered == route.covered]
+    assert sorted(pkt.uid for pkt in completed) == [pkt.uid for pkt in packets if pkt.reached == node_mask(route.covered)]
     assert completed
 
 
@@ -364,10 +355,10 @@ def test_forwarding_matches_tree_walk_reference(seed):
             tree = trees[int(rng.integers(0, len(trees)))]
             pair = (Packet(len(packets), 0, slot, tree), Packet(len(packets), 0, slot, tree))
             packets.append(pair)
-            completed += net.admit(pair[0], slot)
+            completed += net.admit(pair[0])
             ref_completed += ref.admit(pair[1], slot)
         active = frozenset(int(e) for e in np.flatnonzero(rng.random(g.m) < 0.5))
-        completed += net.forward(ActivationVector(active, g.m), slot)
+        completed += net.forward(ActivationVector(active, g.m))
         ref_completed += ref.forward(active, slot)
         assert [pkt.uid for pkt in completed] == [pkt.uid for pkt in ref_completed]
         for pkt in completed:
@@ -375,6 +366,6 @@ def test_forwarding_matches_tree_walk_reference(seed):
             done_at[pkt.uid] = slot
         assert _network_state(net) == _network_state(ref)
         for pkt, _ in packets:
-            assert pkt.delivered == ref.delivered.get(pkt.uid, set())
+            assert pkt.reached == node_mask(ref.delivered.get(pkt.uid, ()))
         assert done_at == ref.completed_at
     assert done_at and net.total_copies > 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import AssociatedQueues, loading_slack
+import umwsim
+from helpers import AssociatedQueues, loading_slack, skorokhod_value
+from umwsim import virtual_net
 from umwsim.policy import solve_route
 from umwsim.routing import RouteTree, TreeEdge
 from umwsim.topology import ActivationVector, Graph
@@ -9,8 +11,6 @@ from umwsim.traffic import TrafficClass
 from umwsim.virtual_net import (
     VirtualQueues,
     reflected_walk,
-    skorokhod_profile,
-    skorokhod_value,
     virtual_arrival_vector,
 )
 
@@ -80,7 +80,7 @@ def test_profile_matches_pointwise_oracle():
     rng = np.random.default_rng(21)
     A = rng.integers(0, 4, size=(60, 3)).astype(np.int64)
     S = rng.integers(0, 2, size=(60, 3)).astype(np.int64)
-    prof = skorokhod_profile(A, S)
+    prof = reflected_walk(A - S, 0)
     for t in range(1, 61):
         for e in range(3):
             assert prof[t - 1, e] == skorokhod_value(A, S, e, t)
@@ -97,8 +97,15 @@ def test_lindley_equals_skorokhod_every_slot():
         _update(vq, A, mu)
         hist_A.append(A)
         hist_S.append(mu)
-        expect = skorokhod_profile(np.stack(hist_A), np.stack(hist_S))[-1]
+        expect = reflected_walk(np.stack(hist_A) - np.stack(hist_S), 0)[-1]
         assert np.array_equal(vq.q, expect)
+
+
+def test_the_brute_force_reference_is_not_exported():
+    # The one-edge brute-force form is a test reference in helpers, and
+    # reflected_walk(A - S, 0) gives the whole profile.
+    for name in ("skorokhod_value", "skorokhod_profile"):
+        assert not hasattr(umwsim, name) and not hasattr(virtual_net, name)
 
 
 def _stepped_walk(increments, start):
