@@ -17,7 +17,8 @@ There are two implementations:
       slot by the weight tuple in the state's own slot memo and computed
       only when the memo does not hold them; on a route miss it calls
       ``solve_route`` and stores the tree. The optimal policy's weights
-      are the virtual counters alone; it never reads physical state.
+      are the virtual counters alone; it never reads physical state, so
+      its memo also stores each slot's whole virtual transition.
       Given a diagnostics checker, it feeds it every slot; the checker
       keeps its own counts.
   ``BPState`` serves "bp", classical back-pressure (unicast baseline).
@@ -30,7 +31,9 @@ A block binds the functions it calls to locals when it starts, never at
 import: a tracer that rebinds ``solve_route``, ``max_weight_activation``,
 ``virtual_arrival_vector``, a ``PhysicalNetwork`` or ``VirtualQueues``
 method, the diagnostics step or ``BPState.decide`` before a run sees
-every call.
+every call. Like ``solve_route`` and ``max_weight_activation``, which run
+only on memo misses, ``virtual_arrival_vector`` and ``lindley_update``
+run only in the "umw" slots that take no stored transition.
 """
 from __future__ import annotations
 
@@ -119,10 +122,24 @@ class MaxWeightState:
 
     A slot's activation and routes are pure functions of its integer weight
     vector, so the state keeps a slot memo: ``memo`` maps the weight tuple
-    to ``(activation, routes by class id)``, whose route table fills as
-    classes with arrivals need routes. It holds at most ROUTE_MEMO_CAP
-    weight vectors and evicts the oldest first. ``hits`` counts the route
-    lookups the memo answers and ``misses`` the route solves. The intern
+    to ``(activation, routes by class id, transitions by arrival row)``,
+    whose route table fills as classes with arrivals need routes. It holds
+    at most ROUTE_MEMO_CAP weight vectors and evicts the oldest first,
+    transitions and all. ``hits`` counts the route lookups the memo
+    answers and ``misses`` the route solves.
+
+    For "umw" the weights are the virtual queues, so a slot's whole
+    virtual half (activation, routes, deposit, Lindley update) is a pure
+    function of the vector and the slot's arrival row. A slot under a
+    vector seen before stores its transition under the row, as a tuple:
+    ``(queues after, their total, deposit, admissions)``, the admissions
+    being ``(class id, tree, count)`` in config class order. A later slot
+    with the same vector and row takes it: it writes the queues into the
+    live list, counts a route hit per admitted class and admits those
+    copies, with no route lookup, deposit or Lindley update. A vector's
+    first slot stores nothing, so overloaded runs, whose vectors rarely
+    come back, pay almost nothing. The heuristic's weights, the buffer
+    lengths, are not its state, so it stores no transitions. The intern
     table ``trees``, which solve_route fills, hands back the tree already
     built for the same solved edge set, so each distinct tree is oriented
     and validated once and shared by every packet routed along it.
@@ -143,7 +160,7 @@ class MaxWeightState:
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
         self.diag = diag
-        self.memo: dict[tuple[int, ...], tuple[ActivationVector, dict[int, RouteTree]]] = {}
+        self.memo: dict[tuple[int, ...], tuple[ActivationVector, dict[int, RouteTree], dict]] = {}
         # The memo's keys, oldest first. Evicting through the dict's own
         # order (next(iter(memo))) steps over the slots of every entry
         # deleted since its last resize, about 1 µs at the cap.
@@ -167,7 +184,8 @@ class MaxWeightState:
         config class order. Each slot's packets are admitted, and their
         uids given, class by class in that order. A slot without arrivals
         needs only the activation: it solves no route, admits nothing and
-        deposits nothing."""
+        deposits nothing. A "umw" slot that takes a stored transition makes
+        no route lookup, deposit or Lindley update (see the class)."""
         g, aset, classes, mode = self.graph, self.aset, self.classes, self.steiner_mode
         net, vq, memo, order, trees = self.net, self.vq, self.memo, self.order, self.trees
         checkpoints, violations, cap = self.checkpoints, self.violations, ROUTE_MEMO_CAP
@@ -189,42 +207,58 @@ class MaxWeightState:
             weights = net.lengths if live is None else live
             key = tuple(weights)
             entry = memo.get(key)
+            taken = step = None
             if entry is None:
                 # A new entry stays usable for this slot after its eviction.
-                entry = memo[key] = (activate(aset, weights), {})
+                entry = memo[key] = (activate(aset, weights), {}, {})
                 order.append(key)
                 if len(order) > cap:
                     del memo[order.popleft()]
-            act, known = entry
+            elif live is not None:
+                # "umw" under a vector seen before: this row's transition
+                # is stored, or is stored once this slot has taken it.
+                taken = entry[2]
+                arrived = tuple(row)
+                step = taken.get(arrived)
+            act, known, _ = entry
 
-            if any(row):
-                routes: dict[int, RouteTree] = {}
-                completed: list[Packet] = []
-                for cls, count in zip(classes, row):
-                    if count <= 0:
-                        continue
-                    cid = cls.id
-                    tree = known.get(cid)
-                    if tree is None:
-                        tree = known[cid] = solve(g, weights, cls, mode, trees)
-                        misses += 1
-                    else:
-                        hits += 1
-                    routes[cid] = tree
-                    for _ in range(count):
-                        completed += admit(Packet(uid, cid, t, tree))
-                        uid += 1
-                completed += forward(act)
-                deposit = deposit_of(routes, dict(zip(ids, row)))
+            if step is not None:
+                after, vq.total, deposit, admitted = step
+                live[:] = after
+                hits += len(admitted)
             else:
-                completed = forward(act)
-                deposit = ()
+                if any(row):
+                    routes: dict[int, RouteTree] = {}
+                    admitted = []
+                    for cls, count in zip(classes, row):
+                        if count <= 0:
+                            continue
+                        cid = cls.id
+                        tree = known.get(cid)
+                        if tree is None:
+                            tree = known[cid] = solve(g, weights, cls, mode, trees)
+                            misses += 1
+                        else:
+                            hits += 1
+                        routes[cid] = tree
+                        admitted.append((cid, tree, count))
+                    deposit = deposit_of(routes, dict(zip(ids, row)))
+                else:
+                    deposit = admitted = ()
+                update(deposit, act.edge_ids)
+                if taken is not None:
+                    taken[arrived] = (tuple(live), vq.total, deposit, admitted)
+            completed: list[Packet] = []
+            for cid, tree, count in admitted:
+                for _ in range(count):
+                    completed += admit(Packet(uid, cid, t, tree))
+                    uid += 1
+            completed += forward(act)
             for pkt in completed:
                 if pkt.reached != pkt.route.covered_mask:
                     violations["delivery"] += 1
                 add_done((t, pkt.class_id, t - pkt.arrival_slot))
 
-            update(deposit, act.edge_ids)
             if diag_step is not None:
                 diag_step(deposit, act.service, vq.q, sum(row))
 
@@ -299,6 +333,8 @@ class BPState:
         done: list[tuple[int, int, int]] = []
         for t, row in enumerate(rows, start):
             for (cid, born_there, source_queue), n in zip(sources, row):
+                if not n:
+                    continue
                 if born_there:
                     done += [(t, cid, 0)] * n
                 else:

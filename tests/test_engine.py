@@ -27,6 +27,7 @@ from umwsim.engine import (
 from umwsim.errors import CapExceededError, ConfigError
 from umwsim.traffic import ArrivalProcess, TrafficClass, arrival_table, sweep_subseed
 from umwsim.topology import Graph, save_topology
+from umwsim.virtual_net import VirtualQueues
 
 
 def _line3_cfg(**kw):
@@ -961,16 +962,16 @@ def _cache_cases():
     return [mixed, twin, overload, stable, diagnosed]
 
 
-def _count_calls(monkeypatch, name) -> list:
-    """Record each call MaxWeightState makes to policy.<name>."""
+def _count_calls(monkeypatch, name, owner=policy) -> list:
+    """Record each call MaxWeightState makes to owner.<name>."""
     calls = []
-    real = getattr(policy, name)
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(policy, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -979,10 +980,12 @@ def _count_calls(monkeypatch, name) -> list:
 def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     cfg = _cache_cases()[case]
     activations = _count_calls(monkeypatch, "max_weight_activation")
+    updates = _count_calls(monkeypatch, "lindley_update", VirtualQueues)
     cached = run(cfg)
-    cached_activations = len(activations)
+    cached_activations, cached_updates = len(activations), len(updates)
     monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", 0)
     activations.clear()
+    updates.clear()
     lookups = []
 
     class CountingMemo(dict):
@@ -1010,6 +1013,14 @@ def test_memo_free_run_identical(case, tmp_path, monkeypatch):
     # The activation is memoised with the routes: without the memo every
     # slot computes it, with it only slots under a new weight vector do.
     assert 0 < cached_activations < len(activations) == cfg.horizon
+    # A "umw" slot that takes a stored transition skips the Lindley update;
+    # without the memo there are no transitions to take, and the heuristic,
+    # weighed by buffer lengths, stores none.
+    assert len(updates) == cfg.horizon
+    if cfg.policy == "umw":
+        assert 0 < cached_updates < cfg.horizon
+    else:
+        assert cached_updates == cfg.horizon
     # A route miss solves under the entry its slot already holds, so even
     # with every entry evicted at once there is one lookup per slot.
     assert len(lookups) == cfg.horizon

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from umwsim.errors import ConfigError
 from umwsim.policy import BPPacket, BPState, Forward, MaxWeightState, solve_route
 from umwsim.topology import ActivationSet, Graph, enumerate_matchings
 from umwsim.traffic import TrafficClass, arrival_table, effective_amax
+from umwsim.virtual_net import VirtualQueues, virtual_arrival_vector
 
 CYCLE4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 LINE3 = Graph(3, ((0, 1), (1, 2)))
@@ -409,3 +411,63 @@ def test_route_memo_stays_within_cap(monkeypatch):
     _memo_route(state, 24, ws[0], cls)
     _memo_route(state, 25, ws[3], cls)
     assert (state.hits, state.misses) == (4, 22)
+
+
+@pytest.mark.parametrize("policy_name, cap", [("umw", 8), ("umw", policy.ROUTE_MEMO_CAP), ("umw-heuristic", 8)])
+def test_stored_transitions_replay_the_lindley_update(policy_name, cap, monkeypatch):
+    # A "umw" slot's virtual half is a function of its weight vector and its
+    # arrival row, so the memo entry of the vector stores the transition per
+    # row; each must be what the uncached deposit and Lindley update give.
+    # The heuristic's weights, the buffer lengths, are not its state, so it
+    # stores none. Transitions go with their vector, so the cap still holds.
+    monkeypatch.setattr(policy, "ROUTE_MEMO_CAP", cap)
+    cfg = load_config(CONFIGS / "twinpath_compare.json", horizon=3000, policy=policy_name)
+    g, aset, classes = cfg.resolve()
+    state = _stepper(policy_name, g, aset, classes)
+    table = arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed)
+    for start in range(0, cfg.horizon, BLOCK):
+        state.run_block(start, table[start:start + BLOCK].tolist())
+        assert len(state.memo) == len(state.order) <= cap
+    stored = [(key, act, known, row, step)
+              for key, (act, known, taken) in state.memo.items() for row, step in taken.items()]
+    if policy_name == "umw-heuristic":
+        assert stored == []
+        return
+    assert stored
+    for key, act, known, row, (after, total, deposit, admitted) in stored:
+        want = [(cls.id, known[cls.id], n) for cls, n in zip(classes, row) if n > 0]
+        assert list(admitted) == want
+        routes = {cid: tree for cid, tree, _ in want}
+        assert deposit == (virtual_arrival_vector(routes, dict(zip([c.id for c in classes], row)))
+                           if want else ())
+        vq = VirtualQueues(g.m)
+        vq.q[:], vq.total = key, sum(key)
+        vq.lindley_update(deposit, act.edge_ids)
+        assert (after, total) == (tuple(vq.q), vq.total)
+
+
+def test_stored_transitions_stay_small_on_a_long_stable_run():
+    # A stable run revisits few weight vectors and few rows under each, so
+    # its transitions stay few, and each holds a tuple of m ints, the
+    # slot's deposit and its admissions: at 20,000 twinpath slots the memo
+    # held 84 vectors and 535 transitions in 0.13 MB, and the state's
+    # traced peak was 0.42 MB.
+    cfg = load_config(CONFIGS / "twinpath_compare.json", horizon=20_000, policy="umw")
+    g, aset, classes = cfg.resolve()
+    table = arrival_table(classes, cfg.arrival, cfg.horizon, cfg.seed)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = _stepper("umw", g, aset, classes)
+        for start in range(0, cfg.horizon, BLOCK):
+            state.run_block(start, table[start:start + BLOCK].tolist())
+        held, peak = tracemalloc.get_traced_memory()
+        vectors = len(state.memo)
+        transitions = sum(len(taken) for _, _, taken in state.memo.values())
+        state.memo.clear()
+        memo_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert transitions > 2 * vectors
+    assert memo_bytes < 512 * (vectors + transitions)
+    assert peak - base < 1_000_000
