@@ -122,7 +122,7 @@ class MaxWeightState:
 
     A slot's activation and routes are pure functions of its integer weight
     vector, so the state keeps a slot memo: ``memo`` maps the weight tuple
-    to ``(activation, routes by class id, transitions by arrival row)``,
+    to ``[activation, routes by class id, transitions by arrival row]``,
     whose route table fills as classes with arrivals need routes. It holds
     at most ROUTE_MEMO_CAP weight vectors and evicts the oldest first,
     transitions and all. ``hits`` counts the route lookups the memo
@@ -137,9 +137,10 @@ class MaxWeightState:
     with the same vector and row takes it: it writes the queues into the
     live list, counts a route hit per admitted class and admits those
     copies, with no route lookup, deposit or Lindley update. A vector's
-    first slot stores nothing, so overloaded runs, whose vectors rarely
+    first slot stores nothing, and its transition table is made only at
+    its second (None until then), so overloaded runs, whose vectors rarely
     come back, pay almost nothing. The heuristic's weights, the buffer
-    lengths, are not its state, so it stores no transitions. The intern
+    lengths, are not its state, so its tables stay None. The intern
     table ``trees``, which solve_route fills, hands back the tree already
     built for the same solved edge set, so each distinct tree is oriented
     and validated once and shared by every packet routed along it.
@@ -160,7 +161,7 @@ class MaxWeightState:
         self.uid = 0
         self.violations = {"delivery": 0, "layer_identity": 0}
         self.diag = diag
-        self.memo: dict[tuple[int, ...], tuple[ActivationVector, dict[int, RouteTree], dict]] = {}
+        self.memo: dict[tuple[int, ...], list] = {}
         # The memo's keys, oldest first. Evicting through the dict's own
         # order (next(iter(memo))) steps over the slots of every entry
         # deleted since its last resize, about 1 µs at the cap.
@@ -210,7 +211,7 @@ class MaxWeightState:
             taken = step = None
             if entry is None:
                 # A new entry stays usable for this slot after its eviction.
-                entry = memo[key] = (activate(aset, weights), {}, {})
+                entry = memo[key] = [activate(aset, weights), {}, None]
                 order.append(key)
                 if len(order) > cap:
                     del memo[order.popleft()]
@@ -218,6 +219,8 @@ class MaxWeightState:
                 # "umw" under a vector seen before: this row's transition
                 # is stored, or is stored once this slot has taken it.
                 taken = entry[2]
+                if taken is None:
+                    taken = entry[2] = {}
                 arrived = tuple(row)
                 step = taken.get(arrived)
             act, known, _ = entry

@@ -752,7 +752,7 @@ def max_weight_slot(state: MaxWeightState, t: int, arrivals: dict[int, int]) -> 
     key = tuple(weights)
     entry = state.memo.get(key)
     if entry is None:
-        entry = state.memo[key] = (max_weight_activation(state.aset, weights), {}, {})
+        entry = state.memo[key] = [max_weight_activation(state.aset, weights), {}, None]
         state.order.append(key)
         if len(state.order) > policy.ROUTE_MEMO_CAP:
             del state.memo[state.order.popleft()]

@@ -429,7 +429,7 @@ def test_stored_transitions_replay_the_lindley_update(policy_name, cap, monkeypa
         state.run_block(start, table[start:start + BLOCK].tolist())
         assert len(state.memo) == len(state.order) <= cap
     stored = [(key, act, known, row, step)
-              for key, (act, known, taken) in state.memo.items() for row, step in taken.items()]
+              for key, (act, known, taken) in state.memo.items() for row, step in (taken or {}).items()]
     if policy_name == "umw-heuristic":
         assert stored == []
         return
@@ -463,7 +463,7 @@ def test_stored_transitions_stay_small_on_a_long_stable_run():
             state.run_block(start, table[start:start + BLOCK].tolist())
         held, peak = tracemalloc.get_traced_memory()
         vectors = len(state.memo)
-        transitions = sum(len(taken) for _, _, taken in state.memo.values())
+        transitions = sum(len(taken or ()) for _, _, taken in state.memo.values())
         state.memo.clear()
         memo_bytes = held - tracemalloc.get_traced_memory()[0]
     finally:
