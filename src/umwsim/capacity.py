@@ -365,7 +365,7 @@ def max_scaling(
     n_members = len(members)
     nvars = 1 + n_routes + n_members  # rho, flows, mixture
 
-    # Every coefficient is an int, so solve_lp scales no row. Column 0 holds
+    # solve_lp takes int coefficients and bounds >= 0 only. Column 0 holds
     # rho / D, with D the lcm of the rate denominators: its entries are the
     # ints -rate * D and its objective coefficient is D. A class's routes
     # are consecutive columns.

@@ -47,8 +47,7 @@ from .routing import (
     STEINER_MODES,
     RouteKey,
     RouteTree,
-    _anycast,
-    _shortest_path,
+    _nearest,
     _spanning,
     _steiner,
     as_weights,
@@ -77,13 +76,12 @@ BlockOutcome = tuple[list[int], list[int], list[tuple[int, int, int]]]
 def _route_edges(g: Graph, w: list, cls: TrafficClass, steiner_mode: str) -> RouteKey:
     """Min-cost admissible route for one class, before orientation; w has
     passed as_weights."""
-    if cls.kind == "unicast":
-        return _shortest_path(g, w, cls.source, cls.destination)
     if cls.kind == "broadcast":
         return _spanning(g, w, cls.source)
     if cls.kind == "multicast":
         return _steiner(g, w, cls.source, cls.destinations, steiner_mode)
-    return _anycast(g, w, cls.source, cls.destinations)
+    # A unicast class's one destination is its nearest.
+    return _nearest(g, w, cls.source, cls.destinations)
 
 
 def solve_route(
@@ -139,11 +137,16 @@ class MaxWeightState:
     copies, with no route lookup, deposit or Lindley update. A vector's
     first slot stores nothing, and its transition table is made only at
     its second (None until then), so overloaded runs, whose vectors rarely
-    come back, pay almost nothing. The heuristic's weights, the buffer
-    lengths, are not its state, so its tables stay None. The intern
-    table ``trees``, which solve_route fills, hands back the tree already
-    built for the same solved edge set, so each distinct tree is oriented
-    and validated once and shared by every packet routed along it.
+    come back, pay almost nothing. A table holds at most one transition
+    per distinct arrival row, of which binomial arrivals have
+    (trials + 1) ** classes (81 for 4 classes at 2 trials), so the memo
+    holds at most ROUTE_MEMO_CAP times that many; only Poisson arrivals,
+    whose counts are unbounded, leave the tables unbounded. The
+    heuristic's weights, the buffer lengths, are not its state, so its
+    tables stay None. The intern table ``trees``, which solve_route fills,
+    hands back the tree already built for the same solved edge set, so
+    each distinct tree is oriented and validated once and shared by every
+    packet routed along it.
     """
 
     def __init__(self, g: Graph, aset: ActivationSet, classes: list[TrafficClass],
@@ -190,7 +193,6 @@ class MaxWeightState:
         g, aset, classes, mode = self.graph, self.aset, self.classes, self.steiner_mode
         net, vq, memo, order, trees = self.net, self.vq, self.memo, self.order, self.trees
         checkpoints, violations, cap = self.checkpoints, self.violations, ROUTE_MEMO_CAP
-        ids = [cls.id for cls in classes]
         solve, activate, deposit_of = solve_route, max_weight_activation, virtual_arrival_vector
         admit, forward, update = net.admit, net.forward, vq.lindley_update
         # weights() without a call per slot: the live virtual queues for
@@ -231,7 +233,6 @@ class MaxWeightState:
                 hits += len(admitted)
             else:
                 if any(row):
-                    routes: dict[int, RouteTree] = {}
                     admitted = []
                     for cls, count in zip(classes, row):
                         if count <= 0:
@@ -243,9 +244,8 @@ class MaxWeightState:
                             misses += 1
                         else:
                             hits += 1
-                        routes[cid] = tree
                         admitted.append((cid, tree, count))
-                    deposit = deposit_of(routes, dict(zip(ids, row)))
+                    deposit = deposit_of(admitted)
                 else:
                     deposit = admitted = ()
                 update(deposit, act.edge_ids)

@@ -205,22 +205,14 @@ def _shortest_labels(
     return labels
 
 
-def _shortest_path(g: Graph, w: list, s: int, t: int) -> RouteKey:
-    """Min-cost s-t path; ties by fewer hops, then smallest edge-id sequence."""
-    if s == t:
-        return (s, frozenset(), frozenset({t}))
-    labels = _shortest_labels(g, w, s, (t,))
-    if t not in labels:
-        raise UnreachableError(f"node {t} is not reachable from {s}")
-    _, _, seq = labels[t]
-    return (s, frozenset(seq), frozenset({t}))
-
-
-def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
-    """Cheapest of the per-destination shortest paths; ties by smaller node id."""
+def _nearest(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
+    """Cheapest of the per-destination shortest paths, each min-cost with
+    ties by fewer hops, then smallest edge-id sequence; ties between
+    destinations by smaller node id. With one destination it is the
+    shortest s-t path, the unicast route."""
     dests = sorted(set(dests))
     if not dests:
-        raise UnreachableError("anycast needs at least one destination")
+        raise UnreachableError("a route needs at least one destination")
     if s in dests:
         return (s, frozenset(), frozenset({s}))
     labels = _shortest_labels(g, w, s, dests)
@@ -233,7 +225,7 @@ def _anycast(g: Graph, w: list, s: int, dests: Iterable[int]) -> RouteKey:
         if best is None or key < best[0]:
             best = (key, t, seq)
     if best is None:
-        raise UnreachableError(f"no anycast destination reachable from {s}")
+        raise UnreachableError(f"no destination in {dests} is reachable from {s}")
     _, t, seq = best
     return (s, frozenset(seq), frozenset({t}))
 

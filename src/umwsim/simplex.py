@@ -1,19 +1,19 @@
-"""Small exact linear-program solver over rationals.
+"""Small exact linear-program solver over the integers.
 
 Two-phase primal simplex with Bland's rule on a fraction-free tableau
 (Edmonds/Bareiss integer-preserving pivoting). The constraint rows
-``[coefficients..., rhs]`` share one positive denominator ``det``, and the
-objective row ``[reduced costs..., -value]`` is over ``det * obj_scale``:
-the rational tableau of the textbook method is the integer one divided
-through, entry by entry. A pivot on (r, c) with ``q = T[r][c]`` keeps row r
-and replaces the whole tableau ``T``, objective row included, by
+``[coefficients..., rhs]`` and the objective row ``[reduced costs...,
+-value]`` share one positive denominator ``det``, which starts at 1: the
+rational tableau of the textbook method is the integer one divided through,
+entry by entry. A pivot on (r, c) with ``q = T[r][c]`` keeps row r and
+replaces the whole tableau ``T``, objective row included, by
 
     T = (q * T - outer(T[:, c], T[r])) // det
 
 and makes q the new denominator (negating the tableau when q < 0, so that
 ``det`` stays positive and signs read as true signs). Each entry is a minor
-of the row-scaled input, so by Sylvester's identity the divisions are exact,
-entries stay as small as those minors, and no gcd is ever taken.
+of the input, so by Sylvester's identity the divisions are exact, entries
+stay as small as those minors, and no gcd is ever taken.
 
 The tableau is held in one of two ways, with the same integers in each:
 
@@ -26,25 +26,22 @@ The tableau is held in one of two ways, with the same integers in each:
   it has fewer than ``ARRAY_MIN_ENTRIES`` entries (the measured size below
   which numpy's per-call cost outweighs its speed) or an entry of 2**31 or
   more, and it moves here, for good, as soon as the array fails the bound.
-  Rows scaled by the denominators of float inputs (about 2**55 each) start
-  here.
 
 When the array is built, one inequality can prove the bound for the whole
 solve, so that the array skips those checks. With m constraint rows, every
-entry any later tableau holds is a minor of the row-scaled input (each row
-times its own denominator) stacked with the phase-1 and phase-2 cost rows:
-``det`` and the constraint rows' entries, right-hand side included, are
-minors of order m of the rows alone, and the objective row's are those
+entry any later tableau holds is a minor of the input rows, each with its
+unit slack or artificial column, stacked with the phase-1 and phase-2 cost
+rows: ``det`` and the constraint rows' entries, right-hand side included,
+are minors of order m of the rows alone, and the objective row's are those
 minors bordered by that phase's cost row, of order m + 1. (A row dropped as
 redundant is zero in every column that can still enter, so the others
 pivot as they would with it kept.) By Hadamard's inequality such a minor is
 at most the product of the m + 1 largest column norms of the stacked
 matrix, both cost rows counted in every column's norm and a zero norm
-counted as 1. The built rows are the input rows times p0 / d >= 1, so their
-column norms bound the input's. If the product of their squared norms is
-below ``INT64_BOUND**2``, no entry of any tableau can reach ``INT64_BOUND``:
-the proof is exact, and a proven tableau neither scans before a pivot nor
-when an objective row is loaded, and never leaves the array. The norms are
+counted as 1. If the product of their squared norms is below
+``INT64_BOUND**2``, no entry of any tableau can reach ``INT64_BOUND``: the
+proof is exact, and a proven tableau neither scans before a pivot nor when
+an objective row is loaded, and never leaves the array. The norms are
 summed in int64, so the proof is tried only for fewer than
 ``PROOF_MAX_ROWS`` rows and cost rows with every entry below
 ``PROOF_MAX_ENTRY``, where no square sum can overflow. Any other tableau is
@@ -58,11 +55,15 @@ same method run over ``Fraction``, whichever path runs and wherever it
 switches. ``det``, the solution and the value leave the tableau as Python
 ints and ``Fraction``s.
 
-Inputs may be ints, Fractions, floats or anything else ``Fraction`` accepts;
-they are read exactly. Built for the desk-scale capacity programs in this
-package (tens of rows, up to a few thousand columns), where exact optima let
-certificates verify to arbitrary tolerance and keep results deterministic.
-Not intended as a general-purpose LP code.
+The input is taken in the one form the capacity program is built in: every
+coefficient, objective entry and bound an int, and every bound >= 0, so
+that each row starts on its own slack or artificial column and x = 0 is
+the first basis. Anything else raises ValueError; a rational program
+scales each row and the objective by their denominators first. Built for
+the desk-scale capacity programs in this package (tens of rows, up to a few
+thousand columns), where exact optima let certificates verify to arbitrary
+tolerance and keep results deterministic. Not intended as a general-purpose
+LP code.
 """
 from __future__ import annotations
 
@@ -85,18 +86,6 @@ ARRAY_MIN_ENTRIES = 220
 PROOF_MAX_ROWS = 128
 PROOF_MAX_ENTRY = 1 << 28
 _INT_TYPES = {int, bool}
-
-
-def _integer_row(values: Sequence) -> tuple[list[int], int]:
-    """The values scaled to integers by their least common denominator, and
-    that denominator."""
-    # An int row (bools included) is returned as it is; the type set is
-    # built in C, and any other int subclass takes the slower test.
-    if set(map(type, values)) <= _INT_TYPES or all(isinstance(v, int) for v in values):
-        return list(values), 1
-    exact = [v if isinstance(v, int) else Fraction(v) for v in values]
-    d = math.lcm(*(v.denominator for v in exact))
-    return [v.numerator * (d // v.denominator) for v in exact], d
 
 
 def _fits(t: np.ndarray, bound: int | None = None) -> bool:
@@ -132,22 +121,20 @@ def _proven(t: np.ndarray, costs: list[list[int]]) -> bool:
 
 
 class _Tableau:
-    """Constraint rows ``[coefficients..., rhs]`` over the common denominator
-    ``det``, then the objective row ``[reduced costs..., -value]`` over
-    ``det * obj_scale``: the int64 array ``t`` while it is in use, else the
-    Python-int lists ``rows``. The other of the two is None. ``proven`` says
+    """Constraint rows ``[coefficients..., rhs]``, then the objective row
+    ``[reduced costs..., -value]``, over the common denominator ``det``:
+    the int64 array ``t`` while it is in use, else the Python-int lists
+    ``rows``. The other of the two is None. ``proven`` says
     that the array can hold every later tableau under each of the cost rows
     the tableau was built with, so it is never scanned again."""
 
-    def __init__(self, rows: list[list[int]], basis: list[int], det: int, costs: list[list[int]]):
+    def __init__(self, rows: list[list[int]], basis: list[int], costs: list[list[int]]):
         self.rows: list[list[int]] | None = rows
         self.t: np.ndarray | None = None
         self.basis = basis
-        self.det = det
-        self.obj_scale = 1
+        self.det = 1
         self.proven = False
-        # det is an entry of every slack or artificial column.
-        if det < INT64_BOUND and len(rows) * len(rows[0]) >= ARRAY_MIN_ENTRIES:
+        if len(rows) * len(rows[0]) >= ARRAY_MIN_ENTRIES:
             try:
                 t = np.array(rows, dtype=np.int64)
             except OverflowError:
@@ -175,16 +162,14 @@ class _Tableau:
             self.t = np.delete(self.t, i, axis=0)
         del self.basis[i]
 
-    def set_objective(self, cost: list[int], scale: int) -> None:
-        """Load reduced costs c_j - z_j for the current basis, where the
-        costs are ``cost / scale``; `cost` has one entry per column, the
-        right-hand side's 0 last."""
+    def set_objective(self, cost: list[int]) -> None:
+        """Load reduced costs c_j - z_j for the current basis; `cost` has
+        one entry per column, the right-hand side's 0 last."""
         obj = [self.det * c for c in cost]
         for i, bi in enumerate(self.basis):
             cb = cost[bi]
             if cb:
                 obj = [o - cb * a for o, a in zip(obj, self.row(i))]
-        self.obj_scale = scale
         if self.t is not None and not self.proven and max(map(abs, obj)) >= INT64_BOUND:
             self.to_rows()
         if self.t is None:
@@ -193,7 +178,7 @@ class _Tableau:
             self.t[-1] = obj
 
     def value(self) -> Fraction:
-        return Fraction(-self.column(-1)[-1], self.det * self.obj_scale)
+        return Fraction(-self.column(-1)[-1], self.det)
 
     def entering(self, eligible: int) -> int:
         """Bland's rule: the first of the `eligible` columns with a positive
@@ -266,76 +251,55 @@ class _Tableau:
 
 
 def solve_lp(
-    objective: Sequence,
-    a_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
+    objective: Sequence[int],
+    a_ub: Sequence[Sequence[int]] = (),
+    b_ub: Sequence[int] = (),
+    a_eq: Sequence[Sequence[int]] = (),
+    b_eq: Sequence[int] = (),
 ) -> tuple[str, Fraction | None, list[Fraction] | None]:
     """Maximize objective . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Returns (status, optimal value, solution vector); value and vector are
-    None unless status is "optimal".
+    Every row must have one coefficient per objective entry and one bound,
+    and every coefficient, objective entry and bound must be an int (a bool
+    is one) and every bound >= 0, else ValueError is raised. Returns (status,
+    optimal value, solution vector); value and vector are None unless
+    status is "optimal".
     """
     n = len(objective)
-    # (integer coefficients + rhs, row denominator, kind); a row with a
-    # negative bound is negated first.
-    norm_rows: list[tuple[list[int], int, str]] = []
-    for rows, bounds, kind in ((a_ub, b_ub, "le"), (a_eq, b_eq, "eq")):
-        for row, b in zip(rows, bounds):
-            ints, d = _integer_row([*row, b])
-            if ints[-1] < 0:
-                norm_rows.append(([-v for v in ints], d, "ge" if kind == "le" else "eq"))
-            else:
-                norm_rows.append((ints, d, kind))
+    if not set(map(type, objective)) <= _INT_TYPES:
+        raise ValueError("objective entries must be ints")
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+        raise ValueError("every constraint row needs exactly one bound")
+    n_slack, n_art = len(a_ub), len(a_eq)
+    total = n + n_slack + n_art
+    art_start = n + n_slack
 
-    n_slack = sum(1 for _, _, k in norm_rows if k == "le")
-    n_surplus = sum(1 for _, _, k in norm_rows if k == "ge")
-    n_art = sum(1 for _, _, k in norm_rows if k in ("ge", "eq"))
-    total = n + n_slack + n_surplus + n_art
-    art_start = n + n_slack + n_surplus
-
-    # Row i scaled by its denominator d_i, slack and artificial entries
-    # included, has the basis matrix diag(d_i). Its adjugate times the scaled
-    # rows is p0 times the rational tableau, with p0 = prod d_i its
-    # determinant: the starting point of integer-preserving pivoting.
-    p0 = math.prod(d for _, d, _ in norm_rows)
+    # The <= rows, then the equality rows; row i has a 1 in its own slack
+    # or artificial column n + i, so the basis matrix is the identity, det
+    # is 1, and the rows are already the starting tableau.
     rows: list[list[int]] = []
-    basis: list[int] = []
-    i_slack, i_surplus, i_art = n, n + n_slack, art_start
-    for ints, d, kind in norm_rows:
-        s = p0 // d
-        row = [0] * (total + 1)
-        row[:n] = ints[:-1] if s == 1 else [s * v for v in ints[:-1]]
-        row[-1] = s * ints[-1]
-        if kind == "le":
-            row[i_slack] = p0
-            basis.append(i_slack)
-            i_slack += 1
-        elif kind == "ge":
-            row[i_surplus] = -p0
-            i_surplus += 1
-            row[i_art] = p0
-            basis.append(i_art)
-            i_art += 1
-        else:
-            row[i_art] = p0
-            basis.append(i_art)
-            i_art += 1
-        rows.append(row)
+    for i, (row, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
+        if (len(row) != n or not set(map(type, row)) <= _INT_TYPES
+                or type(b) not in _INT_TYPES or b < 0):
+            raise ValueError(f"constraint row {i} (the <= rows first) needs {n} int "
+                             f"coefficients and an int bound >= 0, got bound {b!r}")
+        built = [0] * (total + 1)
+        built[:n] = row
+        built[n + i] = 1
+        built[-1] = b
+        rows.append(built)
     rows.append([0] * (total + 1))  # the objective row, loaded per phase
 
     # The cost rows of both phases, one entry per column, the right-hand
     # side's 0 last.
-    cost, scale = _integer_row(objective)
-    cost += [0] * (total + 1 - n)
+    cost = [*objective] + [0] * (total + 1 - n)
     costs = [cost]
     if n_art:
         costs.insert(0, [0] * art_start + [-1] * n_art + [0])
-    tab = _Tableau(rows, basis, p0, costs)
+    tab = _Tableau(rows, list(range(n, total)), costs)
 
     if n_art:
-        tab.set_objective(costs[0], 1)
+        tab.set_objective(costs[0])
         status = tab.maximize(total)
         if status != OPTIMAL:
             raise RuntimeError(f"simplex phase 1 ended {status}, but it is always bounded")
@@ -353,7 +317,7 @@ def solve_lp(
             else:
                 tab.pivot(i, piv_col)
 
-    tab.set_objective(cost, scale)
+    tab.set_objective(cost)
     status = tab.maximize(art_start)
     if status != OPTIMAL:
         return status, None, None

@@ -10,19 +10,20 @@ dense history of increments A - mu, the diagnostics' Skorokhod form.
 """
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 
 import numpy as np
 
 from .routing import RouteTree
 
 
-def virtual_arrival_vector(routes: dict[int, RouteTree],
-                           arrivals: dict[int, int]) -> list[tuple[frozenset[int], int]]:
+def virtual_arrival_vector(admitted: Iterable[tuple[int, RouteTree, int]]
+                           ) -> list[tuple[frozenset[int], int]]:
     """The slot's virtual arrivals as a deposit: one (edge ids, count) pair
-    per class with arrivals, the count landing on every edge of the route
-    chosen for that class this slot (routes holds one for each)."""
-    return [(routes[cid].edge_ids, count) for cid, count in arrivals.items() if count > 0]
+    per ``(class id, route, count)`` admission, in their order, the count
+    landing on every edge of the route chosen for that class this slot.
+    The admissions list only classes with arrivals, each count > 0."""
+    return [(tree.edge_ids, count) for _, tree, count in admitted]
 
 
 def _integers(edge_ids: Collection) -> bool:

@@ -23,7 +23,6 @@ from umwsim.policy import BPState, MaxWeightState, require_unicast, solve_route
 from umwsim.routing import RouteTree, orient_tree
 from umwsim.topology import ActivationSet, Graph
 from umwsim.traffic import TrafficClass, arrival_table, effective_amax
-from umwsim.virtual_net import virtual_arrival_vector
 
 # What one slot of a policy hands back: (class id, sojourn) per packet
 # fully delivered in the slot, the total queue and the total virtual queue.
@@ -308,21 +307,26 @@ def subset_scan_routes(g: Graph, cls: TrafficClass, edge_cap: int = SUBSET_SCAN_
 
 def row_scaled_certificate(g: Graph, aset: ActivationSet, classes: list[TrafficClass]) -> CapacityCertificate:
     """Reference for `umwsim.capacity.max_scaling`: the same catalogue and
-    columns, but each class row carries its rate as a Fraction and the
-    objective is rho itself, so `solve_lp` scales the class rows instead of
-    rho's column."""
+    columns, but the objective is rho itself and the rows, not rho's column,
+    are scaled to ints. Every equality row (each class row, -rate * rho +
+    its routes = 0, and the mixture row) is multiplied by the same D, the
+    lcm of the rate denominators. A row's scale weighs its artificial in
+    phase 1, so one shared scale keeps the pivots of the rational program;
+    a class row scaled by its own rate's denominator alone would not."""
     active = [c for c in classes if c.rate > 0]
     masks = [(c.id, bits) for c in active for _, group in capacity._route_masks(g, c) for bits in group]
     members = capacity._activation_members(aset)
     nvars = 1 + len(masks) + len(members)
+    rates = tuple((c.id, Fraction(c.rate)) for c in active)
+    scale = math.lcm(*(rate.denominator for _, rate in rates))
     a_eq = []
-    for c in active:
+    for cid, rate in rates:
         row = [0] * nvars
-        row[0] = -Fraction(c.rate)
-        for j, (cid, _) in enumerate(masks, start=1):
-            row[j] = int(cid == c.id)
+        row[0] = -int(rate * scale)
+        for j, (route_cid, _) in enumerate(masks, start=1):
+            row[j] = scale * (route_cid == cid)
         a_eq.append(row)
-    a_eq.append([0] * (1 + len(masks)) + [1] * len(members))
+    a_eq.append([0] * (1 + len(masks)) + [scale] * len(members))
     a_ub = [[0] * nvars for _ in range(g.m)]
     for j, (_, bits) in enumerate(masks, start=1):
         for e in range(g.m):
@@ -331,13 +335,12 @@ def row_scaled_certificate(g: Graph, aset: ActivationSet, classes: list[TrafficC
         for e in member:
             a_ub[e][j] = -1
     status, value, x = simplex.solve_lp([1] + [0] * (nvars - 1), a_ub, [0] * g.m,
-                                        a_eq, [0] * len(active) + [1])
+                                        a_eq, [0] * len(active) + [scale])
     assert status == simplex.OPTIMAL, status
     flows = tuple((cid, tuple(e for e in range(g.m) if bits >> e & 1), x[j])
                   for j, (cid, bits) in enumerate(masks, start=1) if x[j] > 0)
     mix = tuple((tuple(sorted(member)), x[j])
                 for j, member in enumerate(members, start=1 + len(masks)) if x[j] > 0)
-    rates = tuple((c.id, Fraction(c.rate)) for c in active)
     return CapacityCertificate(rho_star=value, rates=rates, flows=flows, activation_mix=mix)
 
 
@@ -776,7 +779,7 @@ def max_weight_slot(state: MaxWeightState, t: int, arrivals: dict[int, int]) -> 
                 completed += net.admit(Packet(state.uid, cid, t, tree))
                 state.uid += 1
         completed += net.forward(act)
-        deposit = virtual_arrival_vector(routes, arrivals)
+        deposit = [(tree.edge_ids, arrivals[cid]) for cid, tree in routes.items()]
     else:
         completed = net.forward(act)
         deposit = ()

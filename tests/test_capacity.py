@@ -29,7 +29,7 @@ from umwsim.capacity import (
 from umwsim.cli import main as cli_main
 from umwsim.engine import load_config
 from umwsim.errors import CapExceededError, ConfigError
-from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _integer_row, solve_lp
+from umwsim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from umwsim.topology import ActivationSet, Graph, _grid_graph, builtin_topology, enumerate_matchings
 from umwsim.traffic import TrafficClass
 
@@ -52,7 +52,8 @@ def test_lp_equality_and_bounds():
 
 
 def test_lp_infeasible():
-    status, _, _ = solve_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
+    # x = 2 against x <= 1
+    status, _, _ = solve_lp([1], a_ub=[[1]], b_ub=[1], a_eq=[[1]], b_eq=[2])
     assert status == INFEASIBLE
 
 
@@ -62,8 +63,27 @@ def test_lp_unbounded():
 
 
 def test_lp_exact_rationals():
-    status, value, _ = solve_lp([1], a_ub=[[Fraction(3)]], b_ub=[Fraction(1)])
-    assert status == OPTIMAL and value == Fraction(1, 3)
+    status, value, x = solve_lp([1], a_ub=[[3]], b_ub=[1])
+    assert status == OPTIMAL and value == Fraction(1, 3) and x == [Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("lp", [
+    ([1], [[Fraction(3)]], [1]),
+    ([1], [[3]], [1.0]),
+    ([1], [[3]], [-1]),
+    ([1], [], [], [[1]], [-2]),
+    ([Fraction(1, 2)], [[3]], [1]),
+    ([1, 1], [[1]], [1]),
+    ([1, 1], [[1, 1, 1]], [1]),
+    ([1], [[1], [1]], [5]),
+], ids=["fraction_coefficient", "float_bound", "negative_bound", "negative_eq_bound",
+        "fraction_objective", "short_row", "long_row", "row_without_bound"])
+def test_lp_rejects_all_but_int_rows_with_bounds_at_least_zero(lp):
+    # Only the one form max_scaling builds: one bound and one int
+    # coefficient per column in each row. A rational LP scales its rows
+    # first (see _int_lp).
+    with pytest.raises(ValueError):
+        solve_lp(*lp)
 
 
 def test_lp_degenerate_ties_terminate():
@@ -92,9 +112,9 @@ def test_lp_phase_one_result_is_checked(monkeypatch):
 
 
 def _random_lp(rng: np.random.Generator, number: str):
-    """A random LP of at most 4 variables. Rows with a negative bound become
-    ">=" rows inside solve_lp; some LPs repeat an equality scaled by 2 (a
-    redundant row phase 1 must drop). Entries are ints, Fractions or floats."""
+    """A random LP of at most 4 variables, every bound >= 0; some LPs repeat
+    an equality scaled by 2 (a redundant row phase 1 must drop). Entries are
+    ints, Fractions or floats: _int_lp scales them for solve_lp."""
     def value(lo, hi):
         k = int(rng.integers(lo, hi + 1))
         if number == "fraction":
@@ -107,13 +127,36 @@ def _random_lp(rng: np.random.Generator, number: str):
     objective = [value(-2, 3) for _ in range(n)]
     m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 3))
     a_ub = [[value(-3, 3) for _ in range(n)] for _ in range(m_ub)]
-    b_ub = [value(-3, 6) for _ in range(m_ub)]
+    b_ub = [value(0, 6) for _ in range(m_ub)]
     a_eq = [[value(-2, 3) for _ in range(n)] for _ in range(m_eq)]
-    b_eq = [value(-2, 4) for _ in range(m_eq)]
+    b_eq = [value(0, 4) for _ in range(m_eq)]
     if m_eq and rng.random() < 0.4:
         a_eq.append([2 * v for v in a_eq[0]])
         b_eq.append(2 * b_eq[0])
     return objective, a_ub, b_ub, a_eq, b_eq
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """The values as exact ints, times the lcm of their denominators, and
+    that lcm."""
+    exact = [Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in exact))
+    return [int(v * d) for v in exact], d
+
+
+def _int_lp(lp):
+    """The LP in solve_lp's int form, each row scaled with its bound, and the
+    objective's scale, by which the optimum is multiplied."""
+    objective, a_ub, b_ub, a_eq, b_eq = lp
+    cost, scale = _scaled(objective)
+    ub = [_scaled([*row, b])[0] for row, b in zip(a_ub, b_ub)]
+    eq = [_scaled([*row, b])[0] for row, b in zip(a_eq, b_eq)]
+    return (cost, [r[:-1] for r in ub], [r[-1] for r in ub],
+            [r[:-1] for r in eq], [r[-1] for r in eq]), scale
+
+
+def _random_int_lp(rng: np.random.Generator, i: int):
+    return _int_lp(_random_lp(rng, ("int", "fraction", "float")[i % 3]))[0]
 
 
 def test_lp_matches_vertex_enumeration():
@@ -122,9 +165,11 @@ def test_lp_matches_vertex_enumeration():
     for i in range(240):
         lp = _random_lp(rng, ("int", "fraction", "float")[i % 3])
         objective, a_ub, b_ub, a_eq, b_eq = lp
-        status, value, x = solve_lp(*lp)
-        want_status, want_value = brute_force_lp(*lp)
-        assert (status, value) == (want_status, want_value), lp
+        int_lp, scale = _int_lp(lp)
+        status, value, x = solve_lp(*int_lp)
+        if value is not None:
+            value /= scale
+        assert (status, value) == brute_force_lp(*lp), lp
         seen[status] += 1
         if status == OPTIMAL:
             c = [Fraction(v) for v in objective]
@@ -142,7 +187,7 @@ def test_tableau_paths_agree_on_random_lps(monkeypatch):
     rng = np.random.default_rng(77)
     on_array = 0
     for i in range(240):
-        lp = _random_lp(rng, ("int", "fraction", "float")[i % 3])
+        lp = _random_int_lp(rng, i)
         got, state, pivots = solve_on_tableau_path(monkeypatch, "array", solve_lp, *lp)
         want, want_state, want_pivots = solve_on_tableau_path(monkeypatch, "rows", solve_lp, *lp)
         assert (got, state) == (want, want_state), lp
@@ -242,8 +287,8 @@ class _BoundChecked(simplex._Tableau):
 
     seen: list = []
 
-    def __init__(self, rows, basis, det, costs):
-        super().__init__(rows, basis, det, costs)
+    def __init__(self, rows, basis, costs):
+        super().__init__(rows, basis, costs)
         self.bound_sq = None
         if self.proven:
             self.bound_sq = simplex._minor_bound_sq(self.t[:-1], np.array(costs, dtype=np.int64))
@@ -257,8 +302,8 @@ class _BoundChecked(simplex._Tableau):
             top = max(int(self.t.max()), -int(self.t.min()), self.det)
             assert top * top <= self.bound_sq
 
-    def set_objective(self, cost, scale):
-        super().set_objective(cost, scale)
+    def set_objective(self, cost):
+        super().set_objective(cost)
         self.check()
 
     def pivot(self, r, c):
@@ -274,7 +319,7 @@ def test_proven_tableaus_stay_within_their_bound(monkeypatch):
     monkeypatch.setattr(simplex, "ARRAY_MIN_ENTRIES", 0)
     rng = np.random.default_rng(77)
     for i in range(240):
-        solve_lp(*_random_lp(rng, ("int", "fraction", "float")[i % 3]))
+        solve_lp(*_random_int_lp(rng, i))
     random_proven = len(_BoundChecked.seen)
     monkeypatch.undo()
     monkeypatch.setattr(simplex, "_Tableau", _BoundChecked)
@@ -366,29 +411,6 @@ def test_tiny_rate_certificate_writes_null_past_float_range(tmp_path, capsys):
     assert '"rho_star": null' in out.read_text()
     assert cli_main(["capacity", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out) == written
-
-
-def _integer_row_before(values):
-    """`simplex._integer_row` before its all-int fast path."""
-    if all(isinstance(v, int) for v in values):
-        return list(values), 1
-    exact = [v if isinstance(v, int) else Fraction(v) for v in values]
-    d = math.lcm(*(v.denominator for v in exact))
-    return [v.numerator * (d // v.denominator) for v in exact], d
-
-
-class _Int(int):
-    pass
-
-
-@pytest.mark.parametrize("values", [
-    [], [0, 3, -2], [True, False, 2], [True], [_Int(4), 1], [_Int(4), Fraction(1, 2)],
-    [1, Fraction(1, 3), 0.25], [0.1, 2], [True, 0.5], [Fraction(-3, 4), -1],
-])
-def test_integer_row_fast_path_returns_the_same(values):
-    got, want = _integer_row(values), _integer_row_before(values)
-    assert got == want
-    assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
 
 
 # --- route enumeration -------------------------------------------------------

@@ -437,9 +437,7 @@ def test_stored_transitions_replay_the_lindley_update(policy_name, cap, monkeypa
     for key, act, known, row, (after, total, deposit, admitted) in stored:
         want = [(cls.id, known[cls.id], n) for cls, n in zip(classes, row) if n > 0]
         assert list(admitted) == want
-        routes = {cid: tree for cid, tree, _ in want}
-        assert deposit == (virtual_arrival_vector(routes, dict(zip([c.id for c in classes], row)))
-                           if want else ())
+        assert deposit == (virtual_arrival_vector(want) if want else ())
         vq = VirtualQueues(g.m)
         vq.q[:], vq.total = key, sum(key)
         vq.lindley_update(deposit, act.edge_ids)

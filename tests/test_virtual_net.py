@@ -208,15 +208,16 @@ def _dense(deposit, m: int) -> list[int]:
 
 
 def test_virtual_arrival_vector_examples():
-    assert virtual_arrival_vector({}, {}) == []
+    assert virtual_arrival_vector([]) == []
     path = _route([(0, 0, 1, 0), (1, 1, 2, 1)], 0, {2})
-    deposit = virtual_arrival_vector({0: path}, {0: 2})
+    deposit = virtual_arrival_vector([(0, path, 2)])
     assert deposit == [(frozenset({0, 1}), 2)]
     assert _dense(deposit, 4) == [2, 2, 0, 0]
     one_edge = _route([(0, 0, 1, 0)], 0, {1})
     forked = _route([(0, 0, 1, 0), (2, 1, 2, 1)], 0, {2})
-    # A class without arrivals deposits nothing, even with a route.
-    deposit2 = virtual_arrival_vector({0: one_edge, 1: forked, 2: path}, {0: 1, 1: 1, 2: 0})
+    # One pair per admission, in admission order.
+    deposit2 = virtual_arrival_vector([(1, forked, 1), (0, one_edge, 1)])
+    assert deposit2 == [(frozenset({0, 2}), 1), (frozenset({0}), 1)]
     assert _dense(deposit2, 4) == [2, 0, 1, 0]
 
 
@@ -261,8 +262,7 @@ def test_list_kernels_match_numpy_references(m):
         # About one slot in three has no arrival at all.
         arrivals = {c.id: int(rng.integers(0, 4)) if rng.random() < 0.6 else 0 for c in classes}
         routes = {c.id: solve_route(g, vq.q, c) for c in classes if arrivals[c.id] > 0}
-        deposit = virtual_arrival_vector(routes, arrivals)
-        assert sorted(cid for cid, n in arrivals.items() if n > 0) == sorted(routes)
+        deposit = virtual_arrival_vector([(cid, tree, arrivals[cid]) for cid, tree in routes.items()])
         assert len(deposit) == len(routes) and all(type(n) is int and n > 0 for _, n in deposit)
         ref_A = np.zeros(m, dtype=np.int64)
         for cid, tree in routes.items():
