@@ -86,6 +86,28 @@ def test_lp_rejects_all_but_int_rows_with_bounds_at_least_zero(lp):
         solve_lp(*lp)
 
 
+@pytest.mark.parametrize("lp, want", [
+    (([2, True], [[True, True]], [3], [[True, False]], [False]), (OPTIMAL, 3)),
+    (([1, 1], [[1, 1]], [0]), (OPTIMAL, 0)),
+    (([0, 0],), (OPTIMAL, 0)),
+    (([1, -1],), (UNBOUNDED, None)),
+    (([], [[]], [0], [[]], [0]), (OPTIMAL, 0)),
+    (([1, 1], [[1, 1]], [2], [[0, 0]], [0]), (OPTIMAL, 2)),
+], ids=["bool_entries", "zero_bound", "no_rows", "no_rows_unbounded", "no_columns",
+        "all_zero_eq_row"])
+def test_lp_accepts_the_edges_of_its_int_form(lp, want):
+    # Bools are ints, a bound may be 0, and a row or column list may be
+    # empty; an all-zero equality row with bound 0 is redundant and dropped.
+    status, value, x = solve_lp(*lp)
+    assert (status, value) == want == brute_force_lp(*lp)
+    if status == OPTIMAL:
+        objective, a_ub, b_ub, a_eq, b_eq = (*lp, (), (), (), ())[:5]
+        assert all(type(v) is Fraction and v >= 0 for v in x) and len(x) == len(objective)
+        assert sum(c * v for c, v in zip(objective, x)) == value
+        assert all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(a_ub, b_ub))
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(a_eq, b_eq))
+
+
 def test_lp_degenerate_ties_terminate():
     status, value, _ = solve_lp(
         [1, 1, 1],
